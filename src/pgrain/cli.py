@@ -2,8 +2,7 @@
 
 Every command is non-interactive, seeded, and idempotent: the same inputs
 and flags always produce byte-identical outputs.  Exit codes: 0 success,
-1 domain error, 2 usage error.  The PGRAIN_THREADS environment variable
-caps internal worker threads without affecting any output.
+1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -95,17 +94,65 @@ def _cmd_pagwn_forward(args) -> int:
     return 0
 
 
-def _scene_sets(spec: dict):
+def _coerce(where: str, value, read):
+    """Apply ``read`` to one JSON value; a value it cannot take is an ``invalid-spec``."""
+    try:
+        return read(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError("invalid-spec", f"{where}: cannot read {value!r} ({exc})") from None
+
+
+def _layer_sizes(value) -> tuple:
+    sizes = tuple(value)
+    if not all(isinstance(size, int) and size >= 1 for size in sizes):
+        raise ValueError("layer sizes must be positive integers")
+    return sizes
+
+
+def _radius(value):
+    if value is not None and not isinstance(value, (int, float)):
+        raise TypeError("a radius must be a number")
+    return value
+
+
+# how each top-level config key is read; absent keys keep ToyPipelineConfig's defaults
+_CONFIG_KEYS = {
+    "num_classes": int,
+    "head_hidden": _layer_sizes,
+    "epochs": int,
+    "learning_rate": float,
+    "batch_size": int,
+    "seed": int,
+    "aggregator": str,
+    "epsilon": float,
+    "bq_radius": _radius,
+}
+
+
+def _stage_spec(i: int, entry) -> ev.StageSpec:
+    if not isinstance(entry, dict) or not all(isinstance(v, int) for v in entry.values()):
+        raise DomainError("invalid-spec", f"stage {i} must map field names to integers, got {entry!r}")
+    try:
+        return ev.StageSpec(**entry)
+    except TypeError as exc:  # an unknown or a missing field
+        raise DomainError("invalid-spec", f"stage {i}: {exc}") from None
+
+
+def _scene_sets(spec):
+    if not isinstance(spec, dict):
+        raise DomainError("invalid-spec", "scenes must be a JSON object")
     kind = spec.get("kind", "density_imbalanced")
-    base = int(spec.get("base_seed", 0))
-    n_train = int(spec["train"])
-    n_test = int(spec["test"])
+    base = _coerce("scenes.base_seed", spec.get("base_seed", 0), int)
+    n_train = _coerce("scenes.train", spec.get("train"), int)
+    n_test = _coerce("scenes.test", spec.get("test"), int)
     makers = {
         "density_imbalanced": ev.density_imbalanced_scene,
         "constant_label": ev.constant_label_scene,
     }
-    if kind not in makers:
+    if not isinstance(kind, str) or kind not in makers:
         raise DomainError("invalid-spec", f"unknown scene kind {kind!r}")
+    if base < 0:
+        raise DomainError("invalid-spec", f"scenes.base_seed must be >= 0, got {base}")
     make = makers[kind]
     train = [make(base + i) for i in range(n_train)]
     test = [make(base + n_train + i) for i in range(n_test)]
@@ -113,25 +160,26 @@ def _scene_sets(spec: dict):
 
 
 def _config_from_file(path: str) -> tuple:
+    """Read a train-toy JSON config; a malformed one is an ``invalid-spec``."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    scenes = raw.pop("scenes")
-    stages = tuple(ev.StageSpec(**s) for s in raw.pop("stages"))
-    config = ev.ToyPipelineConfig(
-        stages=stages,
-        num_classes=int(raw.pop("num_classes")),
-        head_hidden=tuple(raw.pop("head_hidden", (16,))),
-        epochs=int(raw.pop("epochs", 30)),
-        learning_rate=float(raw.pop("learning_rate", 0.05)),
-        batch_size=int(raw.pop("batch_size", 4)),
-        seed=int(raw.pop("seed", 0)),
-        aggregator=raw.pop("aggregator", "pagwn"),
-        epsilon=float(raw.pop("epsilon", 1e-5)),
-        bq_radius=raw.pop("bq_radius", None),
-    )
-    if raw:
-        raise DomainError("invalid-spec", f"unknown config keys: {sorted(raw)}")
-    return config, scenes
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # malformed JSON or undecodable bytes
+            raise DomainError("invalid-spec", f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise DomainError("invalid-spec", "the config must be a JSON object")
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS) - {"stages", "scenes"})
+    if unknown:
+        raise DomainError("invalid-spec", f"unknown config keys: {unknown}")
+    missing = [key for key in ("stages", "num_classes", "scenes") if key not in raw]
+    if missing:
+        raise DomainError("invalid-spec", f"missing config keys: {missing}")
+    if not isinstance(raw["stages"], list):
+        raise DomainError("invalid-spec", "stages must be a JSON array")
+    stages = tuple(_stage_spec(i, entry) for i, entry in enumerate(raw["stages"]))
+    fields = {key: _coerce(key, value, _CONFIG_KEYS[key])
+              for key, value in raw.items() if key in _CONFIG_KEYS}
+    return ev.ToyPipelineConfig(stages=stages, **fields), raw["scenes"]
 
 
 def _cmd_train_toy(args) -> int:
@@ -157,7 +205,7 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate_m(args) -> int:
     config, scene_spec = _config_from_file(args.config)
     train, test = _scene_sets(scene_spec)
-    m_values = [int(tok) for tok in args.m.split(",") if tok.strip()]
+    m_values = [_coerce("--m", tok, int) for tok in args.m.split(",") if tok.strip()]
     rows = ev.ablate_m(config, m_values, train, test)
     Path(args.out).write_text(ev.ablate_csv(rows), encoding="utf-8")
     for m, report in rows:
@@ -202,8 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pagwn-forward", help="run the aggregation block on a serialized input")
     p.add_argument("--input", required=True, help="tensor directory with the window")
     p.add_argument("--params", required=True, help="tensor directory with block parameters")
-    p.add_argument("--m", type=int, default=pagwn.DEFAULT_SPLIT)
-    p.add_argument("--epsilon", type=float, default=pagwn.DEFAULT_EPSILON)
+    p.add_argument("--m", type=int, default=norm.DEFAULT_SPLIT)
+    p.add_argument("--epsilon", type=float, default=norm.DEFAULT_EPSILON)
     p.add_argument("--mode", choices=("training", "inference"), default="inference")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_pagwn_forward)

@@ -12,32 +12,26 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import util
 from .core import DomainError, MetricsReport, PointCloud
+from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT
 from .pagwn import (
-    MlpParams,
-    PagwnParams,
     aggregate_precomputed,
     baseline_backward,
     init_mlp_params,
     init_pagwn_params,
     mlp_param_tensors,
-    mlp_sgd_step,
-    mlp_updated_bn,
+    mlp_params_from_tensors,
     pagwn_backward,
     pagwn_forward_batch,
     pagwn_param_tensors,
-    sgd_step,
-    with_updated_bn,
+    pagwn_params_from_tensors,
 )
 from .sampling import fps_coords
 from .spatial import KdIndex, ball_query, knn_query
-
-AGGREGATORS = ("pagwn", "knn_baseline", "bq_baseline")
 
 # distinct unit-scale base colors per class label
 _PALETTE = np.array([
@@ -288,7 +282,7 @@ class StageSpec:
 
     m_points: int
     k: int
-    split: int = 3
+    split: int = DEFAULT_SPLIT
 
 
 @dataclass(frozen=True)
@@ -301,7 +295,7 @@ class ToyPipelineConfig:
     batch_size: int = 4
     seed: int = 0
     aggregator: str = "pagwn"
-    epsilon: float = 1e-5
+    epsilon: float = DEFAULT_EPSILON
     bq_radius: Optional[float] = None
 
     def __post_init__(self):
@@ -343,56 +337,37 @@ def _derived_seed(*parts: int) -> int:
 # Per-point classifier head (linear / ReLU stack, no batch norm)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class HeadParams:
-    weights: Tuple[np.ndarray, ...]
-    biases: Tuple[np.ndarray, ...]
-
-
-def _init_head(dims: Sequence[int], seed: int) -> HeadParams:
+def _init_head(dims: Sequence[int], seed: int) -> dict:
+    """Head weights and biases, named ``head.layer{i}.weight``/``.bias``."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    head = {}
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         s = np.sqrt(1.0 / fan_in)
-        weights.append(rng.uniform(-s, s, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return HeadParams(weights=tuple(weights), biases=tuple(biases))
+        head[f"head.layer{i}.weight"] = rng.uniform(-s, s, size=(fan_in, fan_out))
+        head[f"head.layer{i}.bias"] = np.zeros(fan_out)
+    return head
 
 
-def _head_forward(x: np.ndarray, head: HeadParams):
+def _head_forward(x: np.ndarray, params: dict, depth: int):
     caches = []
-    last = len(head.weights) - 1
-    for i, (w, b) in enumerate(zip(head.weights, head.biases)):
-        z = x @ w + b
-        if i < last:
-            mask = z > 0
-            caches.append((x, mask))
-            x = z * mask
-        else:
-            caches.append((x, None))
-            x = z
+    for i in range(depth):
+        z = x @ params[f"head.layer{i}.weight"] + params[f"head.layer{i}.bias"]
+        mask = z > 0 if i < depth - 1 else None
+        caches.append((x, mask))
+        x = z if mask is None else z * mask
     return x, caches
 
 
-def _head_backward(g: np.ndarray, head: HeadParams, caches):
-    dws = [None] * len(head.weights)
-    dbs = [None] * len(head.weights)
-    for i in range(len(head.weights) - 1, -1, -1):
+def _head_backward(g: np.ndarray, params: dict, caches):
+    grads = {}
+    for i in range(len(caches) - 1, -1, -1):
         x, mask = caches[i]
         if mask is not None:
             g = g * mask
-        dws[i] = x.T @ g
-        dbs[i] = g.sum(axis=0)
-        g = g @ head.weights[i].T
-    return g, (dws, dbs)
-
-
-def _head_sgd(head: HeadParams, grads, lr: float) -> HeadParams:
-    dws, dbs = grads
-    return HeadParams(
-        weights=tuple(w - lr * dw for w, dw in zip(head.weights, dws)),
-        biases=tuple(b - lr * db for b, db in zip(head.biases, dbs)),
-    )
+        grads[f"head.layer{i}.weight"] = x.T @ g
+        grads[f"head.layer{i}.bias"] = g.sum(axis=0)
+        g = g @ params[f"head.layer{i}.weight"].T
+    return g, grads
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray, num_classes: int):
@@ -429,6 +404,7 @@ class _ScenePlan:
 
 
 def _plan_scene(scene: PointCloud, config: ToyPipelineConfig, scene_id: int) -> _ScenePlan:
+    neighbors = _AGGREGATOR_TABLE[config.aggregator].neighbors
     coords = scene.coords
     full_map = np.arange(coords.shape[0], dtype=np.int64)
     stages = []
@@ -443,16 +419,11 @@ def _plan_scene(scene: PointCloud, config: ToyPipelineConfig, scene_id: int) -> 
         hoods = np.zeros((centers.size, stage.k), dtype=np.int64)
         occupied = np.ones(centers.size, dtype=bool)
         for row, center in enumerate(centers):
-            if config.aggregator == "bq_baseline":
-                result = ball_query(index, coords[center], config.bq_radius, stage.k,
-                                    center_index=int(center))
-                if result.empty:
-                    occupied[row] = False
-                else:
-                    hoods[row] = result.neighborhood.neighbor_indices
+            hood = neighbors(index, coords, center, stage.k, config)
+            if hood is None:
+                occupied[row] = False
             else:
-                hoods[row] = knn_query(index, coords[center], stage.k,
-                                       center_index=int(center)).neighbor_indices
+                hoods[row] = hood
         center_coords = coords[centers]
         center_index = KdIndex(center_coords)
         nn_map = np.empty(n_cur, dtype=np.int64)
@@ -469,103 +440,135 @@ def _plan_scene(scene: PointCloud, config: ToyPipelineConfig, scene_id: int) -> 
 
 
 # ---------------------------------------------------------------------------
+# Aggregators: one table entry per ``config.aggregator``
+# ---------------------------------------------------------------------------
+#
+# Parameters and gradients travel as flat ``name -> array`` dicts keyed by
+# checkpoint names: ``stage{t}.`` plus a pagwn_param_tensors or
+# mlp_param_tensors name, and ``head.layer{i}.*``.  Entries call the pagwn
+# and spatial functions through this module's globals.
+
+@dataclass(frozen=True)
+class _Aggregator:
+    init: Callable       # (n, seed, prefix) -> tensors of one n -> 2n stage
+    read: Callable       # (tensors, prefix, mode) -> typed stage parameters
+    neighbors: Callable  # (index, coords, center, k, config) -> (k,) indices, None if empty
+    forward: Callable    # (params, prefix, stage plan, x, epsilon) -> (features, output, running stats)
+    backward: Callable   # (output, prefix, stage plan, upstream) -> (grads, upstream of the stage input)
+
+
+def _knn_neighbors(index, coords, center, k, config):
+    return knn_query(index, coords[center], k, center_index=int(center)).neighbor_indices
+
+
+def _ball_neighbors(index, coords, center, k, config):
+    result = ball_query(index, coords[center], config.bq_radius, k, center_index=int(center))
+    return None if result.empty else result.neighborhood.neighbor_indices
+
+
+def _running_stats(bn, prefix: str) -> dict:
+    return {prefix + "running_mean": bn.running_mean, prefix + "running_var": bn.running_var}
+
+
+def _pagwn_forward(params, prefix, splan, x, epsilon):
+    out = pagwn_forward_batch(
+        splan.neighbor_coords, x[splan.neighbor_indices],
+        splan.center_coords, x[splan.center_indices],
+        params, splan.split, epsilon,
+    )
+    stats = {}
+    if out.updated_lb1_bn is not None:
+        stats.update(_running_stats(out.updated_lb1_bn, prefix + "lb1_bn."))
+        stats.update(_running_stats(out.updated_lb2_bn, prefix + "lb2_bn."))
+    return out.aggregated, out, stats
+
+
+def _pagwn_backward(out, prefix, splan, g):
+    grads = pagwn_backward(out.cache, g)
+    n_prev = grads.neighbor_features.shape[-1]
+    d_prev = np.zeros((splan.num_prev, n_prev))
+    np.add.at(d_prev, splan.neighbor_indices.reshape(-1),
+              grads.neighbor_features.reshape(-1, n_prev))
+    np.add.at(d_prev, splan.center_indices, grads.center_feature)
+    return {
+        prefix + "lb1_weight": grads.lb1_weight, prefix + "lb1_bias": grads.lb1_bias,
+        prefix + "lb1_bn.gamma": grads.lb1_gamma, prefix + "lb1_bn.beta": grads.lb1_beta,
+        prefix + "lb2_weight": grads.lb2_weight, prefix + "lb2_bias": grads.lb2_bias,
+        prefix + "lb2_bn.gamma": grads.lb2_gamma, prefix + "lb2_bn.beta": grads.lb2_beta,
+    }, d_prev
+
+
+def _mlp_forward(params, prefix, splan, x, epsilon):
+    out = aggregate_precomputed(x, splan.neighbor_indices, splan.occupied, params)
+    stats = {}
+    for i, (layer, (_, bn_cache, _)) in enumerate(zip(params.layers, out.cache.mlp_caches)):
+        if bn_cache[0] == "training":
+            stats.update(_running_stats(layer.bn.updated(bn_cache[3], bn_cache[4]),
+                                        f"{prefix}layer{i}.bn."))
+    return out.features, out, stats
+
+
+def _mlp_backward(out, prefix, splan, g):
+    grads, d_prev = baseline_backward(out.cache, g)
+    flat = {}
+    for i in range(len(grads.weight)):
+        layer = f"{prefix}layer{i}."
+        flat[layer + "weight"] = grads.weight[i]
+        flat[layer + "bias"] = grads.bias[i]
+        flat[layer + "bn.gamma"] = grads.gamma[i]
+        flat[layer + "bn.beta"] = grads.beta[i]
+    return flat, d_prev
+
+
+_KNN_BASELINE = _Aggregator(
+    init=lambda n, seed, prefix: mlp_param_tensors(init_mlp_params((n, 2 * n), seed), prefix),
+    read=lambda tensors, prefix, mode: mlp_params_from_tensors(tensors, prefix, mode),
+    neighbors=_knn_neighbors, forward=_mlp_forward, backward=_mlp_backward,
+)
+_AGGREGATOR_TABLE = {
+    "pagwn": _Aggregator(
+        init=lambda n, seed, prefix: pagwn_param_tensors(init_pagwn_params(n, seed), prefix),
+        read=lambda tensors, prefix, mode: pagwn_params_from_tensors(tensors, prefix, mode),
+        neighbors=_knn_neighbors, forward=_pagwn_forward, backward=_pagwn_backward,
+    ),
+    "knn_baseline": _KNN_BASELINE,
+    "bq_baseline": replace(_KNN_BASELINE, neighbors=_ball_neighbors),
+}
+AGGREGATORS = tuple(_AGGREGATOR_TABLE)
+
+
+# ---------------------------------------------------------------------------
 # Training and evaluation
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
 class PipelineResult:
-    """Trained parameters, per-epoch losses, and test metrics."""
+    """Trained parameters as flat checkpoint tensors, per-epoch losses, and test metrics."""
 
     metrics: MetricsReport
-    stage_params: list
-    head: HeadParams
+    params: dict
     losses: List[float]
     config: ToyPipelineConfig
 
 
-def _encode(plan: _ScenePlan, stage_params, config: ToyPipelineConfig):
-    """Run the encoder over one scene; returns (final features, caches)."""
+def _encode(plan: _ScenePlan, stage_params, agg: _Aggregator, epsilon: float):
+    """Run the encoder over one scene; returns (final features, outputs, running stats)."""
     x = plan.scene.features
-    caches = []
-    for splan, params in zip(plan.stages, stage_params):
-        if config.aggregator == "pagwn":
-            out = pagwn_forward_batch(
-                splan.neighbor_coords, x[splan.neighbor_indices],
-                splan.center_coords, x[splan.center_indices],
-                params, splan.split, config.epsilon,
-            )
-            x = out.aggregated
-        else:
-            out = aggregate_precomputed(x, splan.neighbor_indices, splan.occupied, params)
-            x = out.features
-        caches.append(out)
-    return x, caches
+    outs, stats = [], {}
+    for t, (splan, params) in enumerate(zip(plan.stages, stage_params)):
+        x, out, fresh = agg.forward(params, f"stage{t}.", splan, x, epsilon)
+        outs.append(out)
+        stats.update(fresh)
+    return x, outs, stats
 
 
-def _backward_stages(plan: _ScenePlan, caches, d_final: np.ndarray, config: ToyPipelineConfig):
+def _backward_stages(plan: _ScenePlan, outs, d_final: np.ndarray, agg: _Aggregator) -> dict:
     """Gradient of the loss w.r.t. every stage's parameters."""
-    g = d_final
-    stage_grads = []
-    for splan, out in zip(reversed(plan.stages), reversed(caches)):
-        if config.aggregator == "pagwn":
-            grads = pagwn_backward(out.cache, g)
-            n_prev = grads.neighbor_features.shape[-1]
-            d_prev = np.zeros((splan.num_prev, n_prev))
-            np.add.at(d_prev, splan.neighbor_indices.reshape(-1),
-                      grads.neighbor_features.reshape(-1, n_prev))
-            np.add.at(d_prev, splan.center_indices, grads.center_feature)
-            # input gradients are consumed here; zero them so per-scene
-            # accumulation never mixes differently shaped arrays
-            grads.neighbor_coords = grads.neighbor_features = 0.0
-            grads.center_coord = grads.center_feature = 0.0
-        else:
-            grads, d_prev = baseline_backward(out.cache, g)
-        stage_grads.append(grads)
-        g = d_prev
-    stage_grads.reverse()
-    return stage_grads
-
-
-def _add_grads(total, fresh):
-    if total is None:
-        return fresh
-    for acc, new in zip(total, fresh):
-        if hasattr(acc, "__dataclass_fields__"):
-            for field in acc.__dataclass_fields__:
-                a, b = getattr(acc, field), getattr(new, field)
-                if isinstance(a, list):
-                    for i in range(len(a)):
-                        a[i] = a[i] + b[i]
-                else:
-                    setattr(acc, field, a + b)
-        else:
-            raise AssertionError("unexpected gradient container")
-    return total
-
-
-def _scale_grads(grads, factor: float):
-    for g in grads:
-        for field in g.__dataclass_fields__:
-            value = getattr(g, field)
-            if isinstance(value, list):
-                for i in range(len(value)):
-                    value[i] = value[i] * factor
-            else:
-                setattr(g, field, value * factor)
+    grads, g = {}, d_final
+    for t in range(len(plan.stages) - 1, -1, -1):
+        stage_grads, g = agg.backward(outs[t], f"stage{t}.", plan.stages[t], g)
+        grads.update(stage_grads)
     return grads
-
-
-def _init_stage_params(config: ToyPipelineConfig, feature_dim: int):
-    params = []
-    n = feature_dim
-    for t in range(len(config.stages)):
-        seed = _derived_seed(config.seed, 7919, t)
-        if config.aggregator == "pagwn":
-            params.append(init_pagwn_params(n, seed))
-        else:
-            params.append(init_mlp_params((n, 2 * n), seed))
-        n = 2 * n
-    return params, n
 
 
 def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointCloud],
@@ -585,14 +588,24 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
     if any(s.feature_dim != feature_dim for s in list(train_scenes) + list(test_scenes)):
         raise DomainError("dimension-mismatch", "all scenes must share one feature dimension")
 
+    agg = _AGGREGATOR_TABLE[config.aggregator]
     train_plans = [_plan_scene(s, config, i) for i, s in enumerate(train_scenes)]
     test_plans = [_plan_scene(s, config, 10_000 + i) for i, s in enumerate(test_scenes)]
 
-    stage_params, final_dim = _init_stage_params(config, feature_dim)
-    head = _init_head([final_dim, *config.head_hidden, config.num_classes],
-                      _derived_seed(config.seed, 104729))
+    params, n = {}, feature_dim
+    for t in range(len(config.stages)):
+        params.update(agg.init(n, _derived_seed(config.seed, 7919, t), f"stage{t}."))
+        n = 2 * n
+    head_dims = [n, *config.head_hidden, config.num_classes]
+    params.update(_init_head(head_dims, _derived_seed(config.seed, 104729)))
+    depth = len(head_dims) - 1
     order_rng = np.random.default_rng(_derived_seed(config.seed, 15485863))
 
+    def read_stages(mode: str) -> list:
+        # the typed parameters validate every array they are built from
+        return [agg.read(params, f"stage{t}.", mode) for t in range(len(config.stages))]
+
+    stage_params = read_stages("training")
     losses = []
     for epoch in range(config.epochs):
         order = order_rng.permutation(len(train_plans))
@@ -600,38 +613,27 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
         try:
             for start in range(0, len(order), config.batch_size):
                 batch = [train_plans[i] for i in order[start:start + config.batch_size]]
-                head_acc = None
-                stage_acc = None
+                total = None
                 for plan in batch:
-                    x_final, caches = _encode(plan, stage_params, config)
+                    x_final, outs, stats = _encode(plan, stage_params, agg, config.epsilon)
                     # adopt fresh running statistics as soon as they exist
-                    for t, out in enumerate(caches):
-                        if config.aggregator == "pagwn":
-                            stage_params[t] = with_updated_bn(stage_params[t], out)
-                        else:
-                            stage_params[t] = mlp_updated_bn(stage_params[t], out.cache.mlp_caches)
-                    feats = x_final[plan.full_map]
-                    logits, head_cache = _head_forward(feats, head)
+                    params.update(stats)
+                    stage_params = read_stages("training")
+                    logits, head_cache = _head_forward(x_final[plan.full_map], params, depth)
                     loss, dlogits = _softmax_ce(logits, plan.scene.labels, config.num_classes)
                     if not np.isfinite(loss):
                         raise DomainError("divergence", f"loss became non-finite at epoch {epoch}")
                     epoch_loss += loss
-                    d_feats, head_grads = _head_backward(dlogits, head, head_cache)
+                    d_feats, grads = _head_backward(dlogits, params, head_cache)
                     d_final = np.zeros_like(x_final)
                     np.add.at(d_final, plan.full_map, d_feats)
-                    stage_grads = _backward_stages(plan, caches, d_final, config)
-                    head_acc = _add_grads(head_acc, [_HeadGradBox(head_grads)])
-                    stage_acc = _add_grads(stage_acc, stage_grads)
+                    grads.update(_backward_stages(plan, outs, d_final, agg))
+                    # sum in scene order, then scale by 1/batch, then step
+                    total = grads if total is None else {k: total[k] + g for k, g in grads.items()}
                 scale = 1.0 / len(batch)
-                _scale_grads(stage_acc, scale)
-                for t in range(len(stage_params)):
-                    if config.aggregator == "pagwn":
-                        stage_params[t] = sgd_step(stage_params[t], stage_acc[t], config.learning_rate)
-                    else:
-                        stage_params[t] = mlp_sgd_step(stage_params[t], stage_acc[t], config.learning_rate)
-                box = head_acc[0]
-                head = _head_sgd(head, ([d * scale for d in box.dws], [d * scale for d in box.dbs]),
-                                 config.learning_rate)
+                for name, g in total.items():
+                    params[name] = params[name] - config.learning_rate * (g * scale)
+                stage_params = read_stages("training")
         except DomainError as exc:
             # exploding parameters surface as non-finite activations mid-epoch
             if exc.kind == "non-finite-value":
@@ -642,46 +644,21 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
             raise DomainError("divergence", f"loss became non-finite at epoch {epoch}")
         losses.append(epoch_loss)
 
-    infer_params = [p.with_mode("inference") for p in stage_params]
-
-    def predict(plan: _ScenePlan) -> np.ndarray:
-        x_final, _ = _encode(plan, infer_params, config)
-        logits, _ = _head_forward(x_final[plan.full_map], head)
-        return logits.argmax(axis=1)
-
-    chunks = util.map_chunks(lambda plans: [predict(p) for p in plans], test_plans, chunk_size=1)
-    preds = [p for chunk in chunks for p in chunk]
+    stage_params = read_stages("inference")
+    preds = []
+    for plan in test_plans:
+        x_final, _, _ = _encode(plan, stage_params, agg, config.epsilon)
+        logits, _ = _head_forward(x_final[plan.full_map], params, depth)
+        preds.append(logits.argmax(axis=1))
     pred_all = np.concatenate(preds)
     truth_all = np.concatenate([p.scene.labels for p in test_plans])
     metrics = compute_metrics(pred_all, truth_all, config.num_classes)
-    return PipelineResult(metrics=metrics, stage_params=infer_params, head=head,
-                          losses=losses, config=config)
-
-
-@dataclass(eq=False)
-class _HeadGradBox:
-    """Lets head gradients ride through the generic accumulators."""
-
-    dws: list
-    dbs: list
-
-    def __init__(self, grads):
-        self.dws = list(grads[0])
-        self.dbs = list(grads[1])
+    return PipelineResult(metrics=metrics, params=params, losses=losses, config=config)
 
 
 def pipeline_param_tensors(result: PipelineResult) -> dict:
     """Flatten every trained parameter into one checkpoint dictionary."""
-    out = {}
-    for t, params in enumerate(result.stage_params):
-        if isinstance(params, PagwnParams):
-            out.update(pagwn_param_tensors(params, prefix=f"stage{t}."))
-        elif isinstance(params, MlpParams):
-            out.update(mlp_param_tensors(params, prefix=f"stage{t}."))
-    for i, (w, b) in enumerate(zip(result.head.weights, result.head.biases)):
-        out[f"head.layer{i}.weight"] = w
-        out[f"head.layer{i}.bias"] = b
-    return out
+    return dict(result.params)
 
 
 # ---------------------------------------------------------------------------

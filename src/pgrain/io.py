@@ -132,6 +132,8 @@ def read_ply(path: PathLike) -> PointCloud:
         parts = line.split()
         if not parts or parts[0] == "comment":
             continue
+        if len(parts) < {"format": 2, "element": 3, "property": 3}.get(parts[0], 0):
+            raise DomainError("parse-error", f"PLY header line {line!r} is incomplete")
         if parts[0] == "format":
             if parts[1] == "ascii":
                 fmt = "ascii"
@@ -140,7 +142,13 @@ def read_ply(path: PathLike) -> PointCloud:
             else:
                 raise DomainError("unsupported-format", f"PLY format {parts[1]!r} is not supported")
         elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
+            try:
+                count = int(parts[2])
+            except ValueError:
+                count = -1
+            if count < 0:
+                raise DomainError("parse-error", f"PLY element count {parts[2]!r} is not a nonnegative integer")
+            elements.append((parts[1], count, []))
         elif parts[0] == "property":
             if not elements:
                 raise DomainError("unsupported-format", "property before any element")
@@ -155,6 +163,9 @@ def read_ply(path: PathLike) -> PointCloud:
     _, count, props = elements[0]
     if any(ptype == "list" for _, ptype in props):
         raise DomainError("unsupported-format", "list properties in element vertex are not supported")
+    unknown = sorted({ptype for _, ptype in props} - set(_PLY_SCALARS))
+    if unknown:
+        raise DomainError("unsupported-format", f"vertex property types {unknown} are not supported")
     names = [p[0] for p in props]
     for axis in ("x", "y", "z"):
         if axis not in names:
@@ -170,7 +181,7 @@ def read_ply(path: PathLike) -> PointCloud:
         table = np.frombuffer(body, dtype=dtype, count=count)
         column = lambda name: table[name].astype(np.float64)  # noqa: E731
     else:
-        rows = body.decode("ascii").splitlines()
+        rows = body.decode("ascii", errors="replace").splitlines()
         if len(rows) < count:
             raise DomainError("parse-error", "PLY has fewer data lines than vertices")
         try:
@@ -255,11 +266,14 @@ def read_tensor(path: PathLike) -> np.ndarray:
     newline = blob.find(b"\n", len(TENSOR_MAGIC))
     if newline < 0:
         raise DomainError("parse-error", "tensor header line is unterminated")
-    fields = blob[len(TENSOR_MAGIC):newline].decode("ascii").split()
+    fields = blob[len(TENSOR_MAGIC):newline].decode("ascii", errors="replace").split()
     if len(fields) < 2 or fields[0] not in _TENSOR_DTYPES:
         raise DomainError("parse-error", "malformed tensor header")
-    tag, rank = fields[0], int(fields[1])
-    dims = [int(d) for d in fields[2:]]
+    try:
+        tag, rank = fields[0], int(fields[1])
+        dims = [int(d) for d in fields[2:]]
+    except ValueError:
+        raise DomainError("parse-error", f"tensor header {' '.join(fields)!r} has a non-integer field") from None
     if len(dims) != rank or any(d < 0 for d in dims):
         raise DomainError("parse-error", f"tensor header rank {rank} disagrees with dims {dims}")
     size = 1

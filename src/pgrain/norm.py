@@ -17,16 +17,16 @@ own sigma.  No learnable parameters anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from . import util
 from .core import DomainError, PointCloud, WindowStats
 from .spatial import build_index, knn_query
 
 DEFAULT_EPSILON = 1e-5
 DEFAULT_SPLIT = 3  # grouping size with the best reported ablation accuracy
+_SIGMA_CHUNK = 256  # sigma_map windows gathered at once; bounds its working memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,25 +72,79 @@ class NormalizedWindow:
     stats: Union[WindowStats, Tuple[WindowStats, WindowStats]]
 
 
-def _sigma_from_deviations(dev: np.ndarray) -> float:
-    count = dev.size
-    if count < 2:
-        raise DomainError("degenerate-window", f"sigma needs K*d >= 2 entries, got {count}")
-    return float(np.sqrt(np.sum(dev * dev) / (count - 1)))
+def _sigmas(dev: np.ndarray, denom: int) -> np.ndarray:
+    """Scalar sigma of each window in a (M, K, d) batch of center deviations."""
+    return np.sqrt(np.sum(dev * dev, axis=(1, 2)) / denom)
+
+
+def _gwn_forward(windows: np.ndarray, centers: np.ndarray, m: Optional[int], epsilon: float):
+    """Group-wise window normalization over a batch: the one GWN kernel.
+
+    windows: (M, K, d) absolute rows in ascending-distance order; centers:
+    (M, d).  Rows [0, m) and [m, K) are normalized by their own sigma;
+    ``m=None`` normalizes all K rows as one group.  Returns the normalized
+    rows plus the cache :func:`_gwn_backward` needs, whose second entry is
+    the list of per-group (M,) sigmas.
+    """
+    _, k, d = windows.shape
+    if m is None:
+        groups = [(slice(0, k), k * d - 1)]
+    elif not 1 <= m < k:
+        raise DomainError("bad-split", f"m={m} outside [1, {k - 1}]")
+    else:
+        groups = [(slice(0, m), m * d - 1), (slice(m, k), (k - m) * d - 1)]
+    dev = windows - centers[:, None, :]
+    out = np.empty_like(dev)
+    sigmas = []
+    for rows, denom in groups:
+        if denom < 1:
+            if m is None:
+                raise DomainError("degenerate-window", f"sigma needs K*d >= 2 entries, got {k * d}")
+            raise DomainError("degenerate-group", f"group of {denom + 1} entries has fewer than 2")
+        part = dev[:, rows]
+        sig = _sigmas(part, denom)
+        out[:, rows] = part / (sig + epsilon)[:, None, None]
+        sigmas.append(sig)
+    return out, (dev, sigmas, groups, epsilon)
+
+
+def _gwn_backward(g: np.ndarray, cache):
+    """Gradients w.r.t. the (M, K, d) window rows and the (M, d) centers."""
+    dev, sigmas, groups, epsilon = cache
+    ddev = np.empty_like(dev)
+    for (rows, denom), sig in zip(groups, sigmas):
+        scale = sig + epsilon
+        part_dev = dev[:, rows]
+        part_g = g[:, rows]
+        direct = part_g / scale[:, None, None]
+        # sigma path: d(sigma)/d(dev_jc) = dev_jc / (denom * sigma)
+        dl_dsig = -np.sum(part_g * part_dev, axis=(1, 2)) / (scale * scale)
+        coef = np.divide(dl_dsig, denom * sig, out=np.zeros_like(sig), where=sig > 0)
+        ddev[:, rows] = direct + coef[:, None, None] * part_dev
+    return ddev, -ddev.sum(axis=1)
+
+
+def _normalize(window: Window, m: Optional[int], epsilon: float) -> NormalizedWindow:
+    if not epsilon > 0:
+        raise DomainError("invalid-spec", f"epsilon must be > 0, got {epsilon}")
+    out, (_, sigmas, _, _) = _gwn_forward(window.neighbor_features[None],
+                                          window.center_feature[None], m, epsilon)
+    stats = tuple(WindowStats(float(sig[0]), epsilon, m=m) for sig in sigmas)
+    return NormalizedWindow(values=out[0], stats=stats[0] if m is None else stats)
 
 
 def window_sigma(window: Window) -> float:
     """Scalar standard deviation of the window around its center feature."""
-    return _sigma_from_deviations(window.neighbor_features - window.center_feature)
+    count = window.k * window.d
+    if count < 2:
+        raise DomainError("degenerate-window", f"sigma needs K*d >= 2 entries, got {count}")
+    dev = window.neighbor_features - window.center_feature
+    return float(_sigmas(dev[None], count - 1)[0])
 
 
 def window_normalize(window: Window, epsilon: float = DEFAULT_EPSILON) -> NormalizedWindow:
     """Normalize every row: (x_j - x_center) / (sigma + epsilon)."""
-    if not epsilon > 0:
-        raise DomainError("invalid-spec", f"epsilon must be > 0, got {epsilon}")
-    dev = window.neighbor_features - window.center_feature
-    sigma = _sigma_from_deviations(dev)
-    return NormalizedWindow(values=dev / (sigma + epsilon), stats=WindowStats(sigma, epsilon))
+    return _normalize(window, None, epsilon)
 
 
 def calibrate(normalized: NormalizedWindow, center_feature: np.ndarray) -> np.ndarray:
@@ -117,30 +171,7 @@ def group_wise_window_normalize(window: Window, m: int = DEFAULT_SPLIT,
     the first m rows are the texture group, the rest the spatial group.
     Each group gets its own sigma with denominator (count*d - 1).
     """
-    if not epsilon > 0:
-        raise DomainError("invalid-spec", f"epsilon must be > 0, got {epsilon}")
-    k = window.k
-    if not 1 <= m < k:
-        raise DomainError("bad-split", f"m={m} outside [1, {k - 1}]")
-    out = np.empty_like(window.neighbor_features)
-    stats = []
-    for rows in (slice(0, m), slice(m, k)):
-        dev = window.neighbor_features[rows] - window.center_feature
-        if dev.size < 2:
-            raise DomainError("degenerate-group", f"group of {dev.shape[0]} rows x {window.d} channels has fewer than 2 entries")
-        sigma = _sigma_from_deviations(dev)
-        out[rows] = dev / (sigma + epsilon)
-        stats.append(WindowStats(sigma, epsilon, m=m))
-    return NormalizedWindow(values=out, stats=(stats[0], stats[1]))
-
-
-def batch_window_sigma(neighbors: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Sigma for a batch of windows: neighbors (B, K, d) against centers (B, d)."""
-    b, k, d = neighbors.shape
-    if k * d < 2:
-        raise DomainError("degenerate-window", f"sigma needs K*d >= 2 entries, got {k * d}")
-    dev = neighbors - centers[:, None, :]
-    return np.sqrt(np.sum(dev * dev, axis=(1, 2)) / (k * d - 1))
+    return _normalize(window, m, epsilon)
 
 
 def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,
@@ -159,13 +190,12 @@ def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,
     if k * matrix.shape[1] < 2:
         raise DomainError("degenerate-window", "windows would have fewer than 2 entries")
     index = build_index(cloud)
-
-    def run_chunk(centers) -> np.ndarray:
-        gathered = np.empty((len(centers), k, matrix.shape[1]))
-        for row, i in enumerate(centers):
-            hood = knn_query(index, cloud.coords[i], k, exclude_self=exclude_self, center_index=int(i))
+    sigmas = []
+    for start in range(0, n_pts, _SIGMA_CHUNK):
+        stop = min(start + _SIGMA_CHUNK, n_pts)
+        gathered = np.empty((stop - start, k, matrix.shape[1]))
+        for row, i in enumerate(range(start, stop)):
+            hood = knn_query(index, cloud.coords[i], k, exclude_self=exclude_self, center_index=i)
             gathered[row] = matrix[hood.neighbor_indices]
-        return batch_window_sigma(gathered, matrix[list(centers)])
-
-    sigmas = np.concatenate(util.map_chunks(run_chunk, range(n_pts)))
-    return np.flatnonzero(sigmas > threshold).astype(np.int64)
+        sigmas.append(_sigmas(gathered - matrix[start:stop, None, :], k * matrix.shape[1] - 1))
+    return np.flatnonzero(np.concatenate(sigmas) > threshold).astype(np.int64)

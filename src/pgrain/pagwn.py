@@ -26,10 +26,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import BatchNormState, DomainError, PagwnParams, PointCloud
+from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT, _gwn_backward, _gwn_forward
 from .spatial import KdIndex, ball_query, build_index, knn_query
-
-DEFAULT_EPSILON = 1e-5
-DEFAULT_SPLIT = 3
 
 
 # ---------------------------------------------------------------------------
@@ -60,46 +58,6 @@ def _bn_backward(g: np.ndarray, bn: BatchNormState, cache):
         raise DomainError("stale-cache", "backward requires a training-mode forward cache")
     dx = inv_std * (dxhat - dxhat.mean(axis=0) - x_hat * (dxhat * x_hat).mean(axis=0))
     return dx, dgamma, dbeta
-
-
-def _gwn_forward(windows: np.ndarray, centers: np.ndarray, m: int, epsilon: float):
-    """Group-wise window normalization over a batch.
-
-    windows: (M, K, D) absolute rows; centers: (M, D).  Rows must be in
-    ascending-distance order.  K == 1 degrades to an ungrouped window (the
-    split needs one row on each side).
-    """
-    _, k, d = windows.shape
-    dev = windows - centers[:, None, :]
-    groups = [(slice(0, k), k * d - 1)] if k == 1 else \
-        [(slice(0, m), m * d - 1), (slice(m, k), (k - m) * d - 1)]
-    if k > 1 and not 1 <= m < k:
-        raise DomainError("bad-split", f"m={m} outside [1, {k - 1}]")
-    out = np.empty_like(dev)
-    sigmas = []
-    for rows, denom in groups:
-        if denom < 1:
-            raise DomainError("degenerate-group", "a group must hold at least 2 entries")
-        part = dev[:, rows]
-        sig = np.sqrt(np.sum(part * part, axis=(1, 2)) / denom)
-        out[:, rows] = part / (sig + epsilon)[:, None, None]
-        sigmas.append(sig)
-    return out, (dev, sigmas, groups, epsilon)
-
-
-def _gwn_backward(g: np.ndarray, cache):
-    dev, sigmas, groups, epsilon = cache
-    ddev = np.empty_like(dev)
-    for (rows, denom), sig in zip(groups, sigmas):
-        scale = sig + epsilon
-        part_dev = dev[:, rows]
-        part_g = g[:, rows]
-        direct = part_g / scale[:, None, None]
-        # sigma path: d(sigma)/d(dev_jc) = dev_jc / (denom * sigma)
-        dl_dsig = -np.sum(part_g * part_dev, axis=(1, 2)) / (scale * scale)
-        coef = np.divide(dl_dsig, denom * sig, out=np.zeros_like(sig), where=sig > 0)
-        ddev[:, rows] = direct + coef[:, None, None] * part_dev
-    return ddev, -ddev.sum(axis=1)
 
 
 def _linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -177,8 +135,8 @@ class PagwnOutput:
     """Aggregated features plus the cache retained for backward.
 
     ``updated_lb1_bn``/``updated_lb2_bn`` carry running statistics folded
-    with this batch (training mode only); apply them with
-    :func:`with_updated_bn` before the next inference pass.
+    with this batch (training mode only); adopt them before the next
+    inference pass.
     """
 
     aggregated: np.ndarray
@@ -244,7 +202,8 @@ def _pre_rows(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float):
     n = params.n
     windows = np.concatenate([nc, nf], axis=2)
     centers = np.concatenate([cc, cf], axis=1)
-    gwn, gwn_cache = _gwn_forward(windows, centers, m, epsilon)
+    # a single row cannot be split, so K == 1 normalizes as one group
+    gwn, gwn_cache = _gwn_forward(windows, centers, None if k == 1 else m, epsilon)
     gwn_rows = gwn.reshape(m_win * k, n + 3)
     z1 = _linear_forward(gwn_rows, params.lb1_weight, params.lb1_bias)
     bn1_out, bn1_cache = _bn_forward(z1, params.lb1_bn)
@@ -373,28 +332,6 @@ def pagwn_backward(cache: PagwnCache, upstream_grad: np.ndarray) -> PagwnGradien
     )
 
 
-def sgd_step(params: PagwnParams, grads: PagwnGradients, lr: float,
-             bn_updates: Optional[Tuple[BatchNormState, BatchNormState]] = None) -> PagwnParams:
-    """One plain SGD update; optionally fold in fresh running statistics."""
-    bn1 = bn_updates[0] if bn_updates else params.lb1_bn
-    bn2 = bn_updates[1] if bn_updates else params.lb2_bn
-    return PagwnParams(
-        lb1_weight=params.lb1_weight - lr * grads.lb1_weight,
-        lb1_bias=params.lb1_bias - lr * grads.lb1_bias,
-        lb1_bn=replace(bn1, gamma=bn1.gamma - lr * grads.lb1_gamma, beta=bn1.beta - lr * grads.lb1_beta),
-        lb2_weight=params.lb2_weight - lr * grads.lb2_weight,
-        lb2_bias=params.lb2_bias - lr * grads.lb2_bias,
-        lb2_bn=replace(bn2, gamma=bn2.gamma - lr * grads.lb2_gamma, beta=bn2.beta - lr * grads.lb2_beta),
-    )
-
-
-def with_updated_bn(params: PagwnParams, output: PagwnOutput) -> PagwnParams:
-    """Adopt the running statistics captured by a training forward."""
-    if output.updated_lb1_bn is None:
-        return params
-    return replace(params, lb1_bn=output.updated_lb1_bn, lb2_bn=output.updated_lb2_bn)
-
-
 # ---------------------------------------------------------------------------
 # Baseline aggregators: MLP + max pool over BQ / KNN neighborhoods
 # ---------------------------------------------------------------------------
@@ -487,29 +424,6 @@ def _mlp_rows_backward(g: np.ndarray, params: MlpParams, caches):
     for field in (grads.weight, grads.bias, grads.gamma, grads.beta):
         field.reverse()
     return g, grads
-
-
-def mlp_updated_bn(params: MlpParams, caches) -> MlpParams:
-    """Fold the batch statistics of a training forward into running stats."""
-    layers = []
-    for layer, (_, bn_cache, _) in zip(params.layers, caches):
-        if bn_cache[0] == "training":
-            layers.append(replace(layer, bn=layer.bn.updated(bn_cache[3], bn_cache[4])))
-        else:
-            layers.append(layer)
-    return MlpParams(tuple(layers))
-
-
-def mlp_sgd_step(params: MlpParams, grads: MlpGradients, lr: float) -> MlpParams:
-    layers = []
-    for i, layer in enumerate(params.layers):
-        layers.append(MlpLayer(
-            weight=layer.weight - lr * grads.weight[i],
-            bias=layer.bias - lr * grads.bias[i],
-            bn=replace(layer.bn, gamma=layer.bn.gamma - lr * grads.gamma[i],
-                       beta=layer.bn.beta - lr * grads.beta[i]),
-        ))
-    return MlpParams(tuple(layers))
 
 
 @dataclass(eq=False)

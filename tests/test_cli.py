@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -134,22 +135,24 @@ class TestEval:
         assert out.read_text(encoding="utf-8") == metrics_csv(compute_metrics(pred, truth, 3))
 
 
-class TestTrainToy:
-    def _config(self, tmp_path, **kw):
-        config = {
-            "stages": [{"m_points": 32, "k": 8, "split": 3}],
-            "num_classes": 2, "head_hidden": [8], "epochs": 3,
-            "learning_rate": 0.1, "batch_size": 2, "seed": 1,
-            "aggregator": "pagwn",
-            "scenes": {"kind": "density_imbalanced", "train": 2, "test": 1, "base_seed": 0},
-        }
-        config.update(kw)
-        path = tmp_path / "toy.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        return path
+def toy_config(tmp_path, **kw):
+    """A tiny train-toy JSON config; keyword arguments override its keys."""
+    config = {
+        "stages": [{"m_points": 32, "k": 8, "split": 3}],
+        "num_classes": 2, "head_hidden": [8], "epochs": 3,
+        "learning_rate": 0.1, "batch_size": 2, "seed": 1,
+        "aggregator": "pagwn",
+        "scenes": {"kind": "density_imbalanced", "train": 2, "test": 1, "base_seed": 0},
+    }
+    config.update(kw)
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
 
+
+class TestTrainToy:
     def test_train_writes_metrics_and_checkpoint(self, tmp_path):
-        config = self._config(tmp_path)
+        config = toy_config(tmp_path)
         out = tmp_path / "metrics.csv"
         ckpt = tmp_path / "ckpt"
         assert main(["train-toy", "--config", str(config), "--out", str(out),
@@ -162,14 +165,49 @@ class TestTrainToy:
         assert "head.layer0.weight" in tensors
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        config = self._config(tmp_path, optimizer="adam")
-        result = run_cli("train-toy", "--config", str(config),
-                         "--out", str(tmp_path / "m.csv"))
+        stage = {"m_points": 32, "k": 8, "split": 3}
+        scenes = {"kind": "density_imbalanced", "train": 2, "test": 1, "base_seed": 0}
+        malformed = {
+            "unknown key": dict(optimizer="adam"),
+            "unknown stage key": dict(stages=[dict(stage, stride=2)]),
+            "missing stage key": dict(stages=[{"m_points": 32}]),
+            "non-integer stage field": dict(stages=[dict(stage, k="8")]),
+            "non-numeric bq_radius": dict(aggregator="bq_baseline", bq_radius="wide"),
+            "non-numeric num_classes": dict(num_classes="two"),
+            "non-integer layer size": dict(head_hidden=["8"]),
+            "non-numeric scene count": dict(scenes=dict(scenes, train="two")),
+            "unhashable scene kind": dict(scenes=dict(scenes, kind=["a"])),
+        }
+        texts = {
+            "top-level array": "[1, 2]",
+            "invalid JSON": '{"stages": [',
+            "missing scenes": json.dumps({"stages": [stage], "num_classes": 2}),
+        }
+        cases = {}
+        for label in [*malformed, *texts]:
+            folder = tmp_path / label.replace(" ", "_")
+            folder.mkdir()
+            if label in malformed:
+                cases[label] = toy_config(folder, **malformed[label])
+            else:
+                cases[label] = folder / "toy.json"
+                cases[label].write_text(texts[label], encoding="utf-8")
+        for label, config in cases.items():
+            result = run_cli("train-toy", "--config", str(config),
+                             "--out", str(tmp_path / "m.csv"))
+            assert result.returncode == 1, label
+            assert result.stderr.startswith("pgrain: invalid-spec: "), (label, result.stderr)
+            assert "Traceback" not in result.stderr, label
+
+    def test_ablate_non_integer_m_rejected(self, tmp_path):
+        result = run_cli("ablate-m", "--config", str(toy_config(tmp_path)), "--m", "1,x",
+                         "--out", str(tmp_path / "ablation.csv"))
         assert result.returncode == 1
-        assert "invalid-spec" in result.stderr
+        assert result.stderr.startswith("pgrain: invalid-spec: ")
+        assert "Traceback" not in result.stderr
 
     def test_ablate_emits_one_row_per_m(self, tmp_path):
-        config = self._config(tmp_path)
+        config = toy_config(tmp_path)
         out = tmp_path / "ablation.csv"
         assert main(["ablate-m", "--config", str(config), "--m", "1,2,3,4",
                      "--out", str(out)]) == 0
@@ -189,3 +227,87 @@ class TestDeterminism:
             assert result.returncode == 0
             outs.append(out.read_bytes() + (out.parent / (out.name + ".idx")).read_bytes())
         assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# Byte identity: sha256 of stdout plus every output file, pinned per command
+# ---------------------------------------------------------------------------
+
+_TWO_STAGES = [{"m_points": 32, "k": 8, "split": 3}, {"m_points": 8, "k": 4, "split": 2}]
+
+
+def _train_case(tmp_path, **kw):
+    config = toy_config(tmp_path, stages=_TWO_STAGES, **kw)
+    out, ckpt = tmp_path / "metrics.csv", tmp_path / "ckpt"
+    return ["train-toy", "--config", str(config), "--out", str(out),
+            "--checkpoint", str(ckpt)], [out, ckpt]
+
+
+def _normalize_case(tmp_path, *extra):
+    rng = np.random.default_rng(4242)
+    pio.write_tensor(tmp_path / "c.pgtn", rng.normal(size=4))
+    pio.write_tensor(tmp_path / "n.pgtn", rng.normal(size=(7, 4)))
+    out = tmp_path / "out.pgtn"
+    return ["normalize", "--center", str(tmp_path / "c.pgtn"),
+            "--neighbors", str(tmp_path / "n.pgtn"), *extra, "--out", str(out)], [out]
+
+
+def _pagwn_case(tmp_path, k, *extra):
+    rng = np.random.default_rng(4243)
+    pio.save_tensor_dir(tmp_path / "inp", pagwn_input_tensors(random_input(rng, 4, k)))
+    pio.save_tensor_dir(tmp_path / "par", pagwn_param_tensors(init_pagwn_params(4, seed=5)))
+    out = tmp_path / "agg.pgtn"
+    return ["pagwn-forward", "--input", str(tmp_path / "inp"), "--params", str(tmp_path / "par"),
+            *extra, "--out", str(out)], [out]
+
+
+def _sigma_case(tmp_path):
+    scene = tmp_path / "scene.xyz"
+    pio.write_xyz(scene, density_imbalanced_scene(9))
+    out = tmp_path / "flagged.xyz"
+    return ["sigma-map", str(scene), "--has-label", "--k", "8", "--threshold", "0.3",
+            "--out", str(out)], [out]
+
+
+# Recorded before the GWN kernel, the aggregator table and the sigma_map
+# chunk loop were collapsed; any change to these bytes is a behaviour change.
+BYTE_CASES = {
+    "train_pagwn": (_train_case,
+        "b25089a806ab48fd29f44a1627be1c8cac70b2bed241ab1a0b6d262eedfa35c3"),
+    "train_knn": (lambda tmp: _train_case(tmp, aggregator="knn_baseline"),
+        "d8cfca2bc3f979b091588a2e955aeacf50add2c1a8258a78c9cf52a73a0eb409"),
+    "train_bq": (lambda tmp: _train_case(tmp, aggregator="bq_baseline", bq_radius=0.15),
+        "74369773897f3a4d3a76bbee053d98f28db1dcea598a5d20b2aa6f75cffc6398"),
+    "normalize_plain": (_normalize_case,
+        "22b606d1862ee1db769e1b75a9939de957cc35fcf61305499e4d3b129bc9d92e"),
+    "normalize_grouped": (lambda tmp: _normalize_case(tmp, "--m", "2"),
+        "988899d59b4c34f4135fe998b2da9d82a9edc1640dea177a12ed9e1e560b5028"),
+    "pagwn_forward": (lambda tmp: _pagwn_case(tmp, 6, "--m", "3"),
+        "82932bfdf60f69e42d5fb48d1d38cea99dd2afce2d63cd7ae2a7af16e47bc9d2"),
+    "pagwn_forward_k1": (lambda tmp: _pagwn_case(tmp, 1),
+        "95f89105b62cef5ecc015fc9b44f3d909434a476dd80aedfae1cd90b0fafef5c"),
+    "pagwn_forward_training": (lambda tmp: _pagwn_case(tmp, 6, "--mode", "training"),
+        "339559429274fed40153045d0ce49ac1321c550aafddcbc15917a422d7cf309f"),
+    "sigma_map": (_sigma_case,
+        "3db14d0c6605ffc4b0fd402241d0a080b9d5155b9ac81763baa831cc7f38ba90"),
+}
+
+
+def _output_digest(stdout, root, paths):
+    h = hashlib.sha256(stdout.encode("utf-8"))
+    for path in paths:
+        files = sorted(p for p in path.rglob("*") if p.is_file()) if path.is_dir() else [path]
+        for f in files:
+            h.update(b"\0" + f.relative_to(root).as_posix().encode("utf-8") + b"\0")
+            h.update(f.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(BYTE_CASES))
+def test_outputs_are_byte_identical_to_recorded(case, tmp_path, capsys):
+    build, expected = BYTE_CASES[case]
+    argv, outputs = build(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert _output_digest(capsys.readouterr().out.replace(str(tmp_path), "<tmp>"),
+                          tmp_path, outputs) == expected

@@ -119,6 +119,24 @@ class TestPly:
         np.testing.assert_array_equal(back.coords, cloud.coords)
         np.testing.assert_array_equal(back.features, cloud.features)
 
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    @pytest.mark.parametrize("header,kind", [
+        ("element vertex 1.5\nproperty double x\n", "parse-error"),
+        ("element vertex -1\nproperty double x\n", "parse-error"),
+        ("element vertex\nproperty double x\n", "parse-error"),
+        ("element vertex 1\nproperty half x\n", "unsupported-format"),
+    ])
+    def test_malformed_header_rejected_alike_on_both_formats(self, tmp_path, fmt, header, kind):
+        path = tmp_path / "bad.ply"
+        path.write_bytes((
+            f"ply\nformat {fmt} 1.0\n{header}"
+            "property double y\nproperty double z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n").encode("ascii") + b"\x00" * 64)
+        with pytest.raises(DomainError) as exc:
+            pio.read_ply(path)
+        assert exc.value.kind == kind
+
     def test_extra_scalar_properties_skipped(self, tmp_path):
         path = tmp_path / "extra.ply"
         path.write_text(
@@ -158,6 +176,14 @@ class TestTensorFile:
     def test_payload_length_checked(self, tmp_path):
         path = tmp_path / "short.pgtn"
         path.write_bytes(b"PGTN1\nf8 1 4\n" + b"\x00" * 16)
+        with pytest.raises(DomainError) as exc:
+            pio.read_tensor(path)
+        assert exc.value.kind == "parse-error"
+
+    @pytest.mark.parametrize("header", [b"f8 x 3", b"f8 1 x", b"f8 1 2.0", b"f8 1 \xff"])
+    def test_non_integer_header_is_parse_error(self, tmp_path, header):
+        path = tmp_path / "bad.pgtn"
+        path.write_bytes(b"PGTN1\n" + header + b"\n" + b"\x00" * 24)
         with pytest.raises(DomainError) as exc:
             pio.read_tensor(path)
         assert exc.value.kind == "parse-error"
