@@ -50,18 +50,29 @@ from .pagwn import (
     pre_abstract,
 )
 from .sampling import farthest_point_sample, random_sample
-from .spatial import BallQueryResult, KdIndex, ball_query, brute_force_knn, build_index, knn_query
+from .spatial import (
+    BallQueryBatch,
+    BallQueryResult,
+    NeighborIndex,
+    ball_query,
+    ball_query_batch,
+    brute_force_knn,
+    build_index,
+    knn_batch,
+    knn_query,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "BallQueryBatch",
     "BallQueryResult",
     "BatchNormState",
     "DomainError",
-    "KdIndex",
     "MetricsReport",
     "MlpLayer",
     "MlpParams",
+    "NeighborIndex",
     "Neighborhood",
     "NormalizedWindow",
     "PagwnInput",
@@ -78,6 +89,7 @@ __all__ = [
     "aggregate_bq_baseline",
     "aggregate_knn_baseline",
     "ball_query",
+    "ball_query_batch",
     "brute_force_knn",
     "build_index",
     "calibrate",
@@ -87,6 +99,7 @@ __all__ = [
     "group_wise_window_normalize",
     "init_mlp_params",
     "init_pagwn_params",
+    "knn_batch",
     "knn_query",
     "pagwn_backward",
     "pagwn_forward",

@@ -31,7 +31,7 @@ from .pagwn import (
     pagwn_params_from_tensors,
 )
 from .sampling import fps_coords
-from .spatial import KdIndex, ball_query, knn_query
+from .spatial import ball_query_batch, build_index, knn_batch
 
 # distinct unit-scale base colors per class label
 _PALETTE = np.array([
@@ -307,6 +307,8 @@ class ToyPipelineConfig:
         if any(b > a for a, b in zip(counts, counts[1:])):
             raise DomainError("invalid-spec", f"stage sample counts must be non-increasing, got {counts}")
         for i, stage in enumerate(self.stages):
+            if not all(isinstance(v, (int, np.integer)) for v in (stage.m_points, stage.k, stage.split)):
+                raise DomainError("invalid-spec", f"stage {i}: m_points, k and split must be integers")
             if stage.m_points < 1 or stage.k < 1:
                 raise DomainError("invalid-spec", f"stage {i}: m_points and k must be >= 1")
             if not 1 <= stage.split < max(stage.k, 2):
@@ -321,6 +323,8 @@ class ToyPipelineConfig:
             raise DomainError("invalid-spec", f"learning_rate must be > 0, got {self.learning_rate}")
         if self.num_classes < 2:
             raise DomainError("invalid-spec", "segmentation needs at least 2 classes")
+        if not all(isinstance(size, (int, np.integer)) and size >= 1 for size in self.head_hidden):
+            raise DomainError("invalid-spec", f"head_hidden sizes must be positive integers, got {self.head_hidden}")
 
     def with_split(self, m: int) -> "ToyPipelineConfig":
         return replace(self, stages=tuple(replace(s, split=m) for s in self.stages))
@@ -415,20 +419,9 @@ def _plan_scene(scene: PointCloud, config: ToyPipelineConfig, scene_id: int) -> 
         if stage.k > n_cur:
             raise DomainError("k-out-of-range", f"stage {t} wants {stage.k} neighbors of {n_cur} points")
         centers = fps_coords(coords, stage.m_points, _derived_seed(config.seed, scene_id, t))
-        index = KdIndex(coords)
-        hoods = np.zeros((centers.size, stage.k), dtype=np.int64)
-        occupied = np.ones(centers.size, dtype=bool)
-        for row, center in enumerate(centers):
-            hood = neighbors(index, coords, center, stage.k, config)
-            if hood is None:
-                occupied[row] = False
-            else:
-                hoods[row] = hood
         center_coords = coords[centers]
-        center_index = KdIndex(center_coords)
-        nn_map = np.empty(n_cur, dtype=np.int64)
-        for i in range(n_cur):
-            nn_map[i] = knn_query(center_index, coords[i], 1).neighbor_indices[0]
+        hoods, occupied = neighbors(build_index(coords), center_coords, stage.k, config)
+        nn_map = knn_batch(build_index(center_coords), coords, 1)[0][:, 0]
         full_map = nn_map[full_map]
         stages.append(_StagePlan(
             center_indices=centers, neighbor_indices=hoods, occupied=occupied,
@@ -452,18 +445,18 @@ def _plan_scene(scene: PointCloud, config: ToyPipelineConfig, scene_id: int) -> 
 class _Aggregator:
     init: Callable       # (n, seed, prefix) -> tensors of one n -> 2n stage
     read: Callable       # (tensors, prefix, mode) -> typed stage parameters
-    neighbors: Callable  # (index, coords, center, k, config) -> (k,) indices, None if empty
+    neighbors: Callable  # (index, center coords, k, config) -> (M, k) indices, (M,) occupied
     forward: Callable    # (params, prefix, stage plan, x, epsilon) -> (features, output, running stats)
     backward: Callable   # (output, prefix, stage plan, upstream) -> (grads, upstream of the stage input)
 
 
-def _knn_neighbors(index, coords, center, k, config):
-    return knn_query(index, coords[center], k, center_index=int(center)).neighbor_indices
+def _knn_neighbors(index, queries, k, config):
+    return knn_batch(index, queries, k)[0], np.ones(queries.shape[0], dtype=bool)
 
 
-def _ball_neighbors(index, coords, center, k, config):
-    result = ball_query(index, coords[center], config.bq_radius, k, center_index=int(center))
-    return None if result.empty else result.neighborhood.neighbor_indices
+def _ball_neighbors(index, queries, k, config):
+    batch = ball_query_batch(index, queries, config.bq_radius, k)
+    return batch.indices, batch.occupied
 
 
 def _running_stats(bn, prefix: str) -> dict:

@@ -184,12 +184,15 @@ def read_ply(path: PathLike) -> PointCloud:
         rows = body.decode("ascii", errors="replace").splitlines()
         if len(rows) < count:
             raise DomainError("parse-error", "PLY has fewer data lines than vertices")
+        lines = [rows[i].split() for i in range(count)]
+        for i, tokens in enumerate(lines):
+            if len(tokens) != len(props):
+                raise DomainError("token-count-mismatch",
+                                  f"vertex row {i} carries {len(tokens)} tokens, expected {len(props)}")
         try:
-            grid = np.array([[float(t) for t in rows[i].split()] for i in range(count)], dtype=np.float64)
+            grid = np.array([[float(t) for t in tokens] for tokens in lines], dtype=np.float64)
         except ValueError:
             raise DomainError("parse-error", "non-numeric token in PLY vertex data") from None
-        if grid.shape[1] != len(props):
-            raise DomainError("token-count-mismatch", f"vertex lines carry {grid.shape[1]} tokens, expected {len(props)}")
         index = {name: i for i, name in enumerate(names)}
         column = lambda name: grid[:, index[name]]  # noqa: E731
 

@@ -22,11 +22,11 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .core import DomainError, PointCloud, WindowStats
-from .spatial import build_index, knn_query
+from .spatial import build_index, knn_batch
 
 DEFAULT_EPSILON = 1e-5
 DEFAULT_SPLIT = 3  # grouping size with the best reported ablation accuracy
-_SIGMA_CHUNK = 256  # sigma_map windows gathered at once; bounds its working memory
+_SIGMA_CHUNK = 256  # sigma_map centers per neighbor batch and window gather; bounds its working memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +193,7 @@ def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,
     sigmas = []
     for start in range(0, n_pts, _SIGMA_CHUNK):
         stop = min(start + _SIGMA_CHUNK, n_pts)
-        gathered = np.empty((stop - start, k, matrix.shape[1]))
-        for row, i in enumerate(range(start, stop)):
-            hood = knn_query(index, cloud.coords[i], k, exclude_self=exclude_self, center_index=i)
-            gathered[row] = matrix[hood.neighbor_indices]
+        hoods = knn_batch(index, cloud.coords[start:stop], k, exclude_self=exclude_self)[0]
+        gathered = matrix[hoods]
         sigmas.append(_sigmas(gathered - matrix[start:stop, None, :], k * matrix.shape[1] - 1))
     return np.flatnonzero(np.concatenate(sigmas) > threshold).astype(np.int64)

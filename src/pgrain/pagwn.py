@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import BatchNormState, DomainError, PagwnParams, PointCloud
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT, _gwn_backward, _gwn_forward
-from .spatial import KdIndex, ball_query, build_index, knn_query
+from .spatial import NeighborIndex, ball_query_batch, build_index, knn_batch
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +202,12 @@ def _pre_rows(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float):
     n = params.n
     windows = np.concatenate([nc, nf], axis=2)
     centers = np.concatenate([cc, cf], axis=1)
-    # a single row cannot be split, so K == 1 normalizes as one group
-    gwn, gwn_cache = _gwn_forward(windows, centers, None if k == 1 else m, epsilon)
+    if k == 1:
+        # a single row cannot be split, so K == 1 normalizes as one group
+        if m < 1:
+            raise DomainError("bad-split", f"m={m} must be >= 1")
+        m = None
+    gwn, gwn_cache = _gwn_forward(windows, centers, m, epsilon)
     gwn_rows = gwn.reshape(m_win * k, n + 3)
     z1 = _linear_forward(gwn_rows, params.lb1_weight, params.lb1_bias)
     bn1_out, bn1_cache = _bn_forward(z1, params.lb1_bn)
@@ -476,20 +480,17 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
 
 
 def aggregate_knn_baseline(cloud: PointCloud, sampled_indices, k: int,
-                           mlp_params: MlpParams, index: Optional[KdIndex] = None) -> BaselineOutput:
+                           mlp_params: MlpParams, index: Optional[NeighborIndex] = None) -> BaselineOutput:
     """MaxPool{ MLP(neighbor features) } over each center's KNN window."""
     sampled = np.asarray(sampled_indices, dtype=np.int64)
     idx = index if index is not None else build_index(cloud)
-    hoods = np.empty((sampled.size, k), dtype=np.int64)
-    for row, center in enumerate(sampled):
-        hood = knn_query(idx, cloud.coords[center], k, center_index=int(center))
-        hoods[row] = hood.neighbor_indices
+    hoods, _ = knn_batch(idx, cloud.coords[sampled], k)
     occupied = np.ones(sampled.size, dtype=bool)
     return aggregate_precomputed(cloud.features, hoods, occupied, mlp_params)
 
 
 def aggregate_bq_baseline(cloud: PointCloud, sampled_indices, radius: float, k_max: int,
-                          mlp_params: MlpParams, index: Optional[KdIndex] = None) -> BaselineOutput:
+                          mlp_params: MlpParams, index: Optional[NeighborIndex] = None) -> BaselineOutput:
     """MaxPool{ MLP(neighbor features) } over ball-query windows.
 
     Under-full regions come back padded by the spatial rules; regions with
@@ -497,14 +498,8 @@ def aggregate_bq_baseline(cloud: PointCloud, sampled_indices, radius: float, k_m
     """
     sampled = np.asarray(sampled_indices, dtype=np.int64)
     idx = index if index is not None else build_index(cloud)
-    hoods = np.zeros((sampled.size, k_max), dtype=np.int64)
-    occupied = np.zeros(sampled.size, dtype=bool)
-    for row, center in enumerate(sampled):
-        result = ball_query(idx, cloud.coords[center], radius, k_max, center_index=int(center))
-        if not result.empty:
-            hoods[row] = result.neighborhood.neighbor_indices
-            occupied[row] = True
-    return aggregate_precomputed(cloud.features, hoods, occupied, mlp_params)
+    batch = ball_query_batch(idx, cloud.coords[sampled], radius, k_max)
+    return aggregate_precomputed(cloud.features, batch.indices, batch.occupied, mlp_params)
 
 
 def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):

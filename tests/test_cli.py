@@ -121,6 +121,16 @@ class TestPagwnForward:
         expected = pagwn_forward(inp, params, m=3).aggregated
         np.testing.assert_array_equal(pio.read_tensor(out), expected)
 
+    def test_split_below_one_rejected_on_one_neighbor_window(self, rng, tmp_path):
+        params = init_pagwn_params(3, seed=5).with_mode("inference")
+        pio.save_tensor_dir(tmp_path / "inp", pagwn_input_tensors(random_input(rng, 3, 1)))
+        pio.save_tensor_dir(tmp_path / "par", pagwn_param_tensors(params))
+        result = run_cli("pagwn-forward", "--input", str(tmp_path / "inp"), "--params",
+                         str(tmp_path / "par"), "--m", "0", "--out", str(tmp_path / "agg.pgtn"))
+        assert result.returncode == 1
+        assert result.stderr.startswith("pgrain: bad-split: ")
+        assert "Traceback" not in result.stderr
+
 
 class TestEval:
     def test_matches_compute_metrics(self, rng, tmp_path):

@@ -274,6 +274,16 @@ class TestToyPipeline:
         with pytest.raises(DomainError):
             self._tiny_config(aggregator="bq_baseline")  # radius missing
 
+    def test_head_layer_sizes_and_stage_fields_must_be_integers(self):
+        for head_hidden in ((0,), (8, -1), (2.5,), ("8",)):
+            with pytest.raises(DomainError) as exc:
+                self._tiny_config(head_hidden=head_hidden)
+            assert exc.value.kind == "invalid-spec", head_hidden
+        for stage in (StageSpec(32, "8", 3), StageSpec(32.0, 8, 3), StageSpec(32, 8, 2.5)):
+            with pytest.raises(DomainError) as exc:
+                self._tiny_config(stages=(stage,))
+            assert exc.value.kind == "invalid-spec", stage
+
 
 class TestAblateM:
     def _scenes(self):

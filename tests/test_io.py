@@ -137,6 +137,19 @@ class TestPly:
             pio.read_ply(path)
         assert exc.value.kind == kind
 
+    @pytest.mark.parametrize("body,kind,where", [
+        ("0 0 0 1 2 3\n0 0 0 1 2\n", "token-count-mismatch", "row 1"),
+        ("0 0 0 1 2 3 4\n0 0 0 1 2 3\n", "token-count-mismatch", "row 0"),
+        ("0 0 0 1 2 3\n0 0 zero 1 2 3\n", "parse-error", "non-numeric"),
+    ])
+    def test_malformed_ascii_rows_rejected(self, tmp_path, body, kind, where):
+        path = tmp_path / "rows.ply"
+        path.write_text(self._ascii_ply(body, 2))
+        with pytest.raises(DomainError) as exc:
+            pio.read_ply(path)
+        assert exc.value.kind == kind
+        assert where in str(exc.value)
+
     def test_extra_scalar_properties_skipped(self, tmp_path):
         path = tmp_path / "extra.ply"
         path.write_text(

@@ -101,6 +101,12 @@ class TestPreAbstract:
         with pytest.raises(DomainError) as exc:
             pre_abstract(inp, identity_params(3), m=4)
         assert exc.value.kind == "bad-split"
+        # a one-neighbor window is never split, but m < 1 is still no group size
+        lone = random_input(rng, 3, 1)
+        for m in (0, -2):
+            with pytest.raises(DomainError) as exc:
+                pagwn_forward(lone, identity_params(3), m=m)
+            assert exc.value.kind == "bad-split"
 
 
 class TestForward:
