@@ -22,9 +22,10 @@ def _load_cloud(path: str, feature_dim, has_label: bool) -> PointCloud:
     if path.endswith(".ply"):
         return pio.read_ply(path)
     if feature_dim is None:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             first = fh.readline().split()
-        feature_dim = len(first) - 3 - (1 if has_label else 0)
+        # a short first line is reported by read_xyz, with its line number
+        feature_dim = max(len(first) - 3 - (1 if has_label else 0), 0)
     return pio.read_xyz(path, feature_dim=feature_dim, has_label=has_label)
 
 
@@ -102,36 +103,24 @@ def _coerce(where: str, value, read):
         raise DomainError("invalid-spec", f"{where}: cannot read {value!r} ({exc})") from None
 
 
-def _layer_sizes(value) -> tuple:
-    sizes = tuple(value)
-    if not all(isinstance(size, int) and size >= 1 for size in sizes):
-        raise ValueError("layer sizes must be positive integers")
-    return sizes
-
-
-def _radius(value):
-    if value is not None and not isinstance(value, (int, float)):
-        raise TypeError("a radius must be a number")
-    return value
-
-
-# how each top-level config key is read; absent keys keep ToyPipelineConfig's defaults
+# how each top-level config key is read; absent keys keep ToyPipelineConfig's
+# defaults, and ToyPipelineConfig checks every value
 _CONFIG_KEYS = {
     "num_classes": int,
-    "head_hidden": _layer_sizes,
+    "head_hidden": tuple,
     "epochs": int,
     "learning_rate": float,
     "batch_size": int,
     "seed": int,
     "aggregator": str,
     "epsilon": float,
-    "bq_radius": _radius,
+    "bq_radius": lambda value: value,
 }
 
 
 def _stage_spec(i: int, entry) -> ev.StageSpec:
-    if not isinstance(entry, dict) or not all(isinstance(v, int) for v in entry.values()):
-        raise DomainError("invalid-spec", f"stage {i} must map field names to integers, got {entry!r}")
+    if not isinstance(entry, dict):
+        raise DomainError("invalid-spec", f"stage {i} must be a JSON object, got {entry!r}")
     try:
         return ev.StageSpec(**entry)
     except TypeError as exc:  # an unknown or a missing field
@@ -188,7 +177,7 @@ def _cmd_train_toy(args) -> int:
     result = ev.run_toy_pipeline(config, train, test)
     Path(args.out).write_text(ev.metrics_csv(result.metrics), encoding="utf-8")
     if args.checkpoint:
-        pio.save_tensor_dir(args.checkpoint, ev.pipeline_param_tensors(result))
+        pio.save_tensor_dir(args.checkpoint, result.params)
     print(ev.metrics_text(result.metrics), end="")
     return 0
 
@@ -282,10 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DomainError as exc:
-        print(f"pgrain: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"pgrain: {exc}", file=sys.stderr)
         return 1
 

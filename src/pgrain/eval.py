@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -299,21 +300,32 @@ class ToyPipelineConfig:
     bq_radius: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "head_hidden", tuple(self.head_hidden))
+        """The one check of every field: types first, then ranges."""
+        try:
+            object.__setattr__(self, "stages", tuple(self.stages))
+            object.__setattr__(self, "head_hidden", tuple(self.head_hidden))
+        except TypeError:
+            raise DomainError("invalid-spec", "stages and head_hidden must be sequences") from None
+        for i, stage in enumerate(self.stages):
+            if not (isinstance(stage, StageSpec)
+                    and all(isinstance(v, Integral) for v in (stage.m_points, stage.k, stage.split))):
+                raise DomainError("invalid-spec", f"stage {i}: m_points, k and split must be integers")
+        types = dict(num_classes=Integral, epochs=Integral, batch_size=Integral, seed=Integral,
+                     learning_rate=Real, epsilon=Real, bq_radius=(Real, type(None)))
+        for name, kind in types.items():
+            if not isinstance(getattr(self, name), kind):
+                raise DomainError("invalid-spec", f"{name} has the wrong type: {getattr(self, name)!r}")
         if not self.stages:
             raise DomainError("invalid-spec", "the pipeline needs at least one stage")
         counts = [s.m_points for s in self.stages]
         if any(b > a for a, b in zip(counts, counts[1:])):
             raise DomainError("invalid-spec", f"stage sample counts must be non-increasing, got {counts}")
         for i, stage in enumerate(self.stages):
-            if not all(isinstance(v, (int, np.integer)) for v in (stage.m_points, stage.k, stage.split)):
-                raise DomainError("invalid-spec", f"stage {i}: m_points, k and split must be integers")
             if stage.m_points < 1 or stage.k < 1:
                 raise DomainError("invalid-spec", f"stage {i}: m_points and k must be >= 1")
             if not 1 <= stage.split < max(stage.k, 2):
                 raise DomainError("bad-split", f"stage {i}: split {stage.split} outside [1, {stage.k - 1}]")
-        if self.aggregator not in AGGREGATORS:
+        if not isinstance(self.aggregator, str) or self.aggregator not in AGGREGATORS:
             raise DomainError("invalid-spec", f"aggregator must be one of {AGGREGATORS}")
         if self.aggregator == "bq_baseline" and (self.bq_radius is None or self.bq_radius <= 0):
             raise DomainError("invalid-spec", "bq_baseline needs a positive bq_radius")
@@ -323,7 +335,7 @@ class ToyPipelineConfig:
             raise DomainError("invalid-spec", f"learning_rate must be > 0, got {self.learning_rate}")
         if self.num_classes < 2:
             raise DomainError("invalid-spec", "segmentation needs at least 2 classes")
-        if not all(isinstance(size, (int, np.integer)) and size >= 1 for size in self.head_hidden):
+        if not all(isinstance(size, Integral) and size >= 1 for size in self.head_hidden):
             raise DomainError("invalid-spec", f"head_hidden sizes must be positive integers, got {self.head_hidden}")
 
     def with_split(self, m: int) -> "ToyPipelineConfig":
@@ -390,20 +402,9 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray, num_classes: int):
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
-class _StagePlan:
-    center_indices: np.ndarray
-    neighbor_indices: np.ndarray
-    occupied: np.ndarray
-    center_coords: np.ndarray
-    neighbor_coords: np.ndarray
-    split: int
-    num_prev: int
-
-
-@dataclass(eq=False)
 class _ScenePlan:
     scene: PointCloud
-    stages: List[_StagePlan]
+    stages: List[Tuple[np.ndarray, ...]]  # per stage: (input coords, centers, neighbor indices, occupied)
     full_map: np.ndarray  # full resolution -> final-stage center position
 
 
@@ -423,11 +424,7 @@ def _plan_scene(scene: PointCloud, config: ToyPipelineConfig, scene_id: int) -> 
         hoods, occupied = neighbors(build_index(coords), center_coords, stage.k, config)
         nn_map = knn_batch(build_index(center_coords), coords, 1)[0][:, 0]
         full_map = nn_map[full_map]
-        stages.append(_StagePlan(
-            center_indices=centers, neighbor_indices=hoods, occupied=occupied,
-            center_coords=center_coords, neighbor_coords=coords[hoods],
-            split=stage.split, num_prev=n_cur,
-        ))
+        stages.append((coords, centers, hoods, occupied))
         coords = center_coords
     return _ScenePlan(scene=scene, stages=stages, full_map=full_map)
 
@@ -446,7 +443,7 @@ class _Aggregator:
     init: Callable       # (n, seed, prefix) -> tensors of one n -> 2n stage
     read: Callable       # (tensors, prefix, mode) -> typed stage parameters
     neighbors: Callable  # (index, center coords, k, config) -> (M, k) indices, (M,) occupied
-    forward: Callable    # (params, prefix, stage plan, x, epsilon) -> (features, output, running stats)
+    forward: Callable    # (params, prefix, stage plan, x, split, epsilon) -> (features, output, running stats)
     backward: Callable   # (output, prefix, stage plan, upstream) -> (grads, upstream of the stage input)
 
 
@@ -463,12 +460,10 @@ def _running_stats(bn, prefix: str) -> dict:
     return {prefix + "running_mean": bn.running_mean, prefix + "running_var": bn.running_var}
 
 
-def _pagwn_forward(params, prefix, splan, x, epsilon):
-    out = pagwn_forward_batch(
-        splan.neighbor_coords, x[splan.neighbor_indices],
-        splan.center_coords, x[splan.center_indices],
-        params, splan.split, epsilon,
-    )
+def _pagwn_forward(params, prefix, splan, x, split, epsilon):
+    coords, centers, hoods, _ = splan
+    out = pagwn_forward_batch(coords[hoods], x[hoods], coords[centers], x[centers],
+                              params, split, epsilon)
     stats = {}
     if out.updated_lb1_bn is not None:
         stats.update(_running_stats(out.updated_lb1_bn, prefix + "lb1_bn."))
@@ -477,12 +472,12 @@ def _pagwn_forward(params, prefix, splan, x, epsilon):
 
 
 def _pagwn_backward(out, prefix, splan, g):
+    coords, centers, hoods, _ = splan
     grads = pagwn_backward(out.cache, g)
     n_prev = grads.neighbor_features.shape[-1]
-    d_prev = np.zeros((splan.num_prev, n_prev))
-    np.add.at(d_prev, splan.neighbor_indices.reshape(-1),
-              grads.neighbor_features.reshape(-1, n_prev))
-    np.add.at(d_prev, splan.center_indices, grads.center_feature)
+    d_prev = np.zeros((coords.shape[0], n_prev))
+    np.add.at(d_prev, hoods.reshape(-1), grads.neighbor_features.reshape(-1, n_prev))
+    np.add.at(d_prev, centers, grads.center_feature)
     return {
         prefix + "lb1_weight": grads.lb1_weight, prefix + "lb1_bias": grads.lb1_bias,
         prefix + "lb1_bn.gamma": grads.lb1_gamma, prefix + "lb1_bn.beta": grads.lb1_beta,
@@ -491,13 +486,12 @@ def _pagwn_backward(out, prefix, splan, g):
     }, d_prev
 
 
-def _mlp_forward(params, prefix, splan, x, epsilon):
-    out = aggregate_precomputed(x, splan.neighbor_indices, splan.occupied, params)
+def _mlp_forward(params, prefix, splan, x, split, epsilon):
+    _, _, hoods, occupied = splan
+    out = aggregate_precomputed(x, hoods, occupied, params)
     stats = {}
-    for i, (layer, (_, bn_cache, _)) in enumerate(zip(params.layers, out.cache.mlp_caches)):
-        if bn_cache[0] == "training":
-            stats.update(_running_stats(layer.bn.updated(bn_cache[3], bn_cache[4]),
-                                        f"{prefix}layer{i}.bn."))
+    for i, bn in enumerate(out.updated_bn):
+        stats.update(_running_stats(bn, f"{prefix}layer{i}.bn."))
     return out.features, out, stats
 
 
@@ -544,12 +538,12 @@ class PipelineResult:
     config: ToyPipelineConfig
 
 
-def _encode(plan: _ScenePlan, stage_params, agg: _Aggregator, epsilon: float):
+def _encode(plan: _ScenePlan, stage_params, agg: _Aggregator, config: ToyPipelineConfig):
     """Run the encoder over one scene; returns (final features, outputs, running stats)."""
     x = plan.scene.features
     outs, stats = [], {}
-    for t, (splan, params) in enumerate(zip(plan.stages, stage_params)):
-        x, out, fresh = agg.forward(params, f"stage{t}.", splan, x, epsilon)
+    for t, (splan, params, spec) in enumerate(zip(plan.stages, stage_params, config.stages)):
+        x, out, fresh = agg.forward(params, f"stage{t}.", splan, x, spec.split, config.epsilon)
         outs.append(out)
         stats.update(fresh)
     return x, outs, stats
@@ -608,7 +602,7 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
                 batch = [train_plans[i] for i in order[start:start + config.batch_size]]
                 total = None
                 for plan in batch:
-                    x_final, outs, stats = _encode(plan, stage_params, agg, config.epsilon)
+                    x_final, outs, stats = _encode(plan, stage_params, agg, config)
                     # adopt fresh running statistics as soon as they exist
                     params.update(stats)
                     stage_params = read_stages("training")
@@ -640,18 +634,13 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
     stage_params = read_stages("inference")
     preds = []
     for plan in test_plans:
-        x_final, _, _ = _encode(plan, stage_params, agg, config.epsilon)
+        x_final, _, _ = _encode(plan, stage_params, agg, config)
         logits, _ = _head_forward(x_final[plan.full_map], params, depth)
         preds.append(logits.argmax(axis=1))
     pred_all = np.concatenate(preds)
     truth_all = np.concatenate([p.scene.labels for p in test_plans])
     metrics = compute_metrics(pred_all, truth_all, config.num_classes)
     return PipelineResult(metrics=metrics, params=params, losses=losses, config=config)
-
-
-def pipeline_param_tensors(result: PipelineResult) -> dict:
-    """Flatten every trained parameter into one checkpoint dictionary."""
-    return dict(result.params)
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +672,6 @@ def ablate_m(config: ToyPipelineConfig, m_values: Sequence[int], train_scenes,
         seen.append(m)
     rows = []
     for m in seen:
-        for i, stage in enumerate(config.stages):
-            if not 1 <= m < stage.k:
-                raise DomainError("bad-split", f"m={m} outside [1, {stage.k - 1}] for stage {i}")
         result = run_toy_pipeline(config.with_split(m), train_scenes, test_scenes)
         rows.append((m, result.metrics))
     return rows

@@ -24,6 +24,8 @@ from .core import DomainError, PointCloud
 TENSOR_MAGIC = b"PGTN1\n"
 _TENSOR_DTYPES = {"f8": "<f8", "f4": "<f4", "i8": "<i8"}
 _DIMS_PRODUCT_CAP = 1 << 48  # refuse absurd headers before allocating
+_MAX_RANK = 64  # the most dimensions a NumPy array can have
+_INT64_END = 1 << 63  # labels are stored as int64
 
 PathLike = Union[str, Path]
 
@@ -31,6 +33,26 @@ PathLike = Union[str, Path]
 def _fmt(value: float) -> str:
     """Shortest decimal that round-trips to the same float64."""
     return repr(float(value))
+
+
+def _label(token: str, lineno: int, low: int) -> int:
+    """Parse one label token; it must be an integer in [low, 2**63)."""
+    try:
+        label = int(token)
+    except ValueError:
+        raise DomainError("parse-error", f"line {lineno}: label {token!r} is not an integer") from None
+    if not low <= label < _INT64_END:
+        raise DomainError("parse-error", f"line {lineno}: label {token!r} is outside [{low}, 2**63)")
+    return label
+
+
+def _check_utf8(line: str, lineno: int) -> None:
+    """Reject a line, read with ``errors="surrogateescape"``, that held undecodable bytes."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DomainError("parse-error", f"line {lineno} is not UTF-8 text") from None
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +70,13 @@ def read_xyz(path: PathLike, feature_dim: int, has_label: bool = False) -> Point
         DomainError: ``token-count-mismatch`` or ``parse-error`` with the
             1-based line number; cloud invariant violations propagate.
     """
+    if feature_dim < 0:
+        raise DomainError("invalid-spec", f"feature_dim must be >= 0, got {feature_dim}")
     expected = 3 + feature_dim + (1 if has_label else 0)
     coords, feats, labels = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            _check_utf8(line, lineno)
             tokens = line.split()
             if not tokens and lineno == 1 and line in ("", "\n"):
                 continue  # tolerate a lone trailing newline in empty files
@@ -65,14 +90,7 @@ def read_xyz(path: PathLike, feature_dim: int, has_label: bool = False) -> Point
             except ValueError:
                 raise DomainError("parse-error", f"line {lineno}: non-numeric token") from None
             if has_label:
-                token = tokens[-1]
-                try:
-                    label = int(token)
-                except ValueError:
-                    raise DomainError("parse-error", f"line {lineno}: label {token!r} is not an integer") from None
-                if label < 0:
-                    raise DomainError("parse-error", f"line {lineno}: label must be nonnegative")
-                labels.append(label)
+                labels.append(_label(tokens[-1], lineno, 0))
             coords.append(values[:3])
             feats.append(values[3:])
     if not coords:
@@ -279,6 +297,8 @@ def read_tensor(path: PathLike) -> np.ndarray:
         raise DomainError("parse-error", f"tensor header {' '.join(fields)!r} has a non-integer field") from None
     if len(dims) != rank or any(d < 0 for d in dims):
         raise DomainError("parse-error", f"tensor header rank {rank} disagrees with dims {dims}")
+    if rank > _MAX_RANK:
+        raise DomainError("dims-overflow", f"rank {rank} exceeds {_MAX_RANK}")
     size = 1
     for d in dims:
         size *= d
@@ -315,16 +335,22 @@ def load_tensor_dir(path: PathLike) -> dict:
     """Read back a tensor directory written by :func:`save_tensor_dir`."""
     root = Path(path)
     manifest = root / "manifest.txt"
-    if not manifest.exists():
+    if not manifest.is_file():
         raise DomainError("parse-error", f"{root} has no manifest.txt")
     out = {}
-    for line in manifest.read_text(encoding="utf-8").splitlines():
+    lines = manifest.read_text(encoding="utf-8", errors="surrogateescape").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             continue
         name = fields[0]
+        try:
+            declared = tuple(int(d) for d in fields[2:])
+        except ValueError:
+            raise DomainError("parse-error", f"manifest line {lineno}: tensor {name!r} has a non-integer dim") from None
+        if not (root / f"{name}.pgtn").is_file():
+            raise DomainError("parse-error", f"manifest line {lineno}: tensor {name!r} has no file")
         arr = read_tensor(root / f"{name}.pgtn")
-        declared = tuple(int(d) for d in fields[2:])
         if arr.shape != declared:
             raise DomainError("parse-error", f"tensor {name} has shape {arr.shape}, manifest says {declared}")
         out[name] = arr
@@ -341,13 +367,11 @@ def write_labels(path: PathLike, labels: np.ndarray) -> None:
 def read_labels(path: PathLike) -> np.ndarray:
     """Read one integer class id per line."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            _check_utf8(line, lineno)
             token = line.strip()
             if not token:
                 continue
-            try:
-                out.append(int(token))
-            except ValueError:
-                raise DomainError("parse-error", f"line {lineno}: label {token!r} is not an integer") from None
+            out.append(_label(token, lineno, -_INT64_END))
     return np.asarray(out, dtype=np.int64)

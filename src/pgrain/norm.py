@@ -86,6 +86,8 @@ def _gwn_forward(windows: np.ndarray, centers: np.ndarray, m: Optional[int], eps
     rows plus the cache :func:`_gwn_backward` needs, whose second entry is
     the list of per-group (M,) sigmas.
     """
+    if not epsilon > 0:
+        raise DomainError("invalid-spec", f"epsilon must be > 0, got {epsilon}")
     _, k, d = windows.shape
     if m is None:
         groups = [(slice(0, k), k * d - 1)]
@@ -125,8 +127,6 @@ def _gwn_backward(g: np.ndarray, cache):
 
 
 def _normalize(window: Window, m: Optional[int], epsilon: float) -> NormalizedWindow:
-    if not epsilon > 0:
-        raise DomainError("invalid-spec", f"epsilon must be > 0, got {epsilon}")
     out, (_, sigmas, _, _) = _gwn_forward(window.neighbor_features[None],
                                           window.center_feature[None], m, epsilon)
     stats = tuple(WindowStats(float(sig[0]), epsilon, m=m) for sig in sigmas)
@@ -175,7 +175,7 @@ def group_wise_window_normalize(window: Window, m: int = DEFAULT_SPLIT,
 
 
 def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,
-              use_coords: bool = True, exclude_self: bool = False) -> np.ndarray:
+              use_coords: bool = True) -> np.ndarray:
     """Indices of centers whose window sigma exceeds the threshold.
 
     Windows are built at every cloud point from its k nearest neighbors
@@ -193,7 +193,7 @@ def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,
     sigmas = []
     for start in range(0, n_pts, _SIGMA_CHUNK):
         stop = min(start + _SIGMA_CHUNK, n_pts)
-        hoods = knn_batch(index, cloud.coords[start:stop], k, exclude_self=exclude_self)[0]
+        hoods = knn_batch(index, cloud.coords[start:stop], k)[0]
         gathered = matrix[hoods]
         sigmas.append(_sigmas(gathered - matrix[start:stop, None, :], k * matrix.shape[1] - 1))
     return np.flatnonzero(np.concatenate(sigmas) > threshold).astype(np.int64)

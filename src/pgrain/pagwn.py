@@ -165,8 +165,7 @@ class PagwnGradients:
     center_feature: np.ndarray
 
 
-def init_pagwn_params(n: int, seed: int, momentum: float = 0.1, bn_eps: float = 1e-5,
-                      mode: str = "training") -> PagwnParams:
+def init_pagwn_params(n: int, seed: int, mode: str = "training") -> PagwnParams:
     """Uniform(+-sqrt(1/fan_in)) weights, zero biases, unit batch norm."""
     if n < 1:
         raise DomainError("shape-mismatch", f"feature dimension must be >= 1, got {n}")
@@ -176,14 +175,15 @@ def init_pagwn_params(n: int, seed: int, momentum: float = 0.1, bn_eps: float = 
     return PagwnParams(
         lb1_weight=rng.uniform(-s1, s1, size=(n + 3, n)),
         lb1_bias=np.zeros(n),
-        lb1_bn=BatchNormState.initial(n, momentum=momentum, eps=bn_eps, mode=mode),
+        lb1_bn=BatchNormState.initial(n, mode=mode),
         lb2_weight=rng.uniform(-s2, s2, size=(2 * n, 2 * n)),
         lb2_bias=np.zeros(2 * n),
-        lb2_bn=BatchNormState.initial(2 * n, momentum=momentum, eps=bn_eps, mode=mode),
+        lb2_bn=BatchNormState.initial(2 * n, mode=mode),
     )
 
 
-def _check_batch(nc, nf, cc, cf, params: PagwnParams):
+def _pre_rows(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float):
+    """Check a batch, then GWN + LB1 over it; returns ((M*K, n) rows, context)."""
     if nc.ndim != 3 or nf.ndim != 3 or cc.ndim != 2 or cf.ndim != 2:
         raise DomainError("shape-mismatch", "batched inputs must be (M,K,3), (M,K,n), (M,3), (M,n)")
     m_win, k, _ = nc.shape
@@ -194,12 +194,6 @@ def _check_batch(nc, nf, cc, cf, params: PagwnParams):
         raise DomainError("shape-mismatch", f"feature arrays disagree with params n={n}")
     if params.lb1_bn.mode != params.lb2_bn.mode:
         raise DomainError("invalid-spec", "lb1 and lb2 batch norms are in different modes")
-
-
-def _pre_rows(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float):
-    """GWN + LB1 over a batch; returns ((M*K, n) rows, context)."""
-    m_win, k, _ = nc.shape
-    n = params.n
     windows = np.concatenate([nc, nf], axis=2)
     centers = np.concatenate([cc, cf], axis=1)
     if k == 1:
@@ -216,13 +210,9 @@ def _pre_rows(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float):
 
 def _forward_arrays(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float,
                     single_input: bool) -> PagwnOutput:
-    _check_batch(nc, nf, cc, cf, params)
+    bn1_out, (gwn_rows, gwn_cache, bn1_cache) = _pre_rows(nc, nf, cc, cf, params, m, epsilon)
     m_win, k, _ = nc.shape
     n = params.n
-    if not epsilon > 0:
-        raise DomainError("invalid-spec", f"epsilon must be > 0, got {epsilon}")
-
-    bn1_out, (gwn_rows, gwn_cache, bn1_cache) = _pre_rows(nc, nf, cc, cf, params, m, epsilon)
     pre = bn1_out.reshape(m_win, k, n)
     h = np.concatenate([pre, np.broadcast_to(cf[:, None, :], (m_win, k, n))], axis=2)
     h_rows = h.reshape(m_win * k, 2 * n)
@@ -256,14 +246,8 @@ def pre_abstract(inp: PagwnInput, params: PagwnParams, m: int = DEFAULT_SPLIT,
     Reduces each (n+3)-channel normalized row back to n channels so the
     neighbor rows carry the same dimensionality as the center feature.
     """
-    nc = inp.neighbor_coords[None]
-    nf = inp.neighbor_features[None]
-    cc = inp.center_coord[None]
-    cf = inp.center_feature[None]
-    _check_batch(nc, nf, cc, cf, params)
-    if not epsilon > 0:
-        raise DomainError("invalid-spec", f"epsilon must be > 0, got {epsilon}")
-    bn1_out, _ = _pre_rows(nc, nf, cc, cf, params, m, epsilon)
+    bn1_out, _ = _pre_rows(inp.neighbor_coords[None], inp.neighbor_features[None],
+                           inp.center_coord[None], inp.center_feature[None], params, m, epsilon)
     return bn1_out.reshape(inp.k, params.n)
 
 
@@ -386,8 +370,7 @@ class MlpGradients:
     beta: List[np.ndarray]
 
 
-def init_mlp_params(dims: Sequence[int], seed: int, momentum: float = 0.1,
-                    bn_eps: float = 1e-5, mode: str = "training") -> MlpParams:
+def init_mlp_params(dims: Sequence[int], seed: int, mode: str = "training") -> MlpParams:
     """Stack of linear+BN+ReLU layers sized dims[0] -> ... -> dims[-1]."""
     if len(dims) < 2:
         raise DomainError("shape-mismatch", "dims must name at least an input and an output size")
@@ -398,7 +381,7 @@ def init_mlp_params(dims: Sequence[int], seed: int, momentum: float = 0.1,
         layers.append(MlpLayer(
             weight=rng.uniform(-s, s, size=(fan_in, fan_out)),
             bias=np.zeros(fan_out),
-            bn=BatchNormState.initial(fan_out, momentum=momentum, eps=bn_eps, mode=mode),
+            bn=BatchNormState.initial(fan_out, mode=mode),
         ))
     return MlpParams(tuple(layers))
 
@@ -449,6 +432,7 @@ class BaselineOutput:
     features: np.ndarray          # (M, out)
     empty_region: np.ndarray      # (M,) bool
     cache: BaselineCache
+    updated_bn: Tuple[BatchNormState, ...]  # per layer, batch folded in if training; () if all empty
 
 
 def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndarray,
@@ -476,7 +460,10 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
         neighbor_indices=neighbor_indices, occupied=occupied, mlp_caches=caches,
         argmax=argmax, k=k, num_source_points=source_features.shape[0],
     )
-    return BaselineOutput(features=features, empty_region=~occupied, cache=cache)
+    updated_bn = tuple(
+        layer.bn.updated(bn_cache[3], bn_cache[4]) if bn_cache[0] == "training" else layer.bn
+        for layer, (_, bn_cache, _) in zip(mlp_params.layers, caches))
+    return BaselineOutput(features=features, empty_region=~occupied, cache=cache, updated_bn=updated_bn)
 
 
 def aggregate_knn_baseline(cloud: PointCloud, sampled_indices, k: int,
@@ -545,14 +532,27 @@ def _bn_tensors(bn: BatchNormState, prefix: str) -> dict:
     }
 
 
+def _tensor(tensors: dict, name: str) -> np.ndarray:
+    if name not in tensors:
+        raise DomainError("parse-error", f"tensor {name!r} is missing")
+    return tensors[name]
+
+
+def _scalar(tensors: dict, name: str) -> float:
+    value = np.asarray(_tensor(tensors, name))
+    if value.shape != ():
+        raise DomainError("shape-mismatch", f"tensor {name!r} must be a scalar, got shape {value.shape}")
+    return float(value)
+
+
 def _bn_from_tensors(tensors: dict, prefix: str, mode: str) -> BatchNormState:
     return BatchNormState(
-        gamma=tensors[prefix + "gamma"],
-        beta=tensors[prefix + "beta"],
-        running_mean=tensors[prefix + "running_mean"],
-        running_var=tensors[prefix + "running_var"],
-        momentum=float(tensors[prefix + "momentum"]),
-        eps=float(tensors[prefix + "eps"]),
+        gamma=_tensor(tensors, prefix + "gamma"),
+        beta=_tensor(tensors, prefix + "beta"),
+        running_mean=_tensor(tensors, prefix + "running_mean"),
+        running_var=_tensor(tensors, prefix + "running_var"),
+        momentum=_scalar(tensors, prefix + "momentum"),
+        eps=_scalar(tensors, prefix + "eps"),
         mode=mode,
     )
 
@@ -572,11 +572,11 @@ def pagwn_param_tensors(params: PagwnParams, prefix: str = "") -> dict:
 
 def pagwn_params_from_tensors(tensors: dict, prefix: str = "", mode: str = "inference") -> PagwnParams:
     return PagwnParams(
-        lb1_weight=tensors[prefix + "lb1_weight"],
-        lb1_bias=tensors[prefix + "lb1_bias"],
+        lb1_weight=_tensor(tensors, prefix + "lb1_weight"),
+        lb1_bias=_tensor(tensors, prefix + "lb1_bias"),
         lb1_bn=_bn_from_tensors(tensors, prefix + "lb1_bn.", mode),
-        lb2_weight=tensors[prefix + "lb2_weight"],
-        lb2_bias=tensors[prefix + "lb2_bias"],
+        lb2_weight=_tensor(tensors, prefix + "lb2_weight"),
+        lb2_bias=_tensor(tensors, prefix + "lb2_bias"),
         lb2_bn=_bn_from_tensors(tensors, prefix + "lb2_bn.", mode),
     )
 
@@ -591,12 +591,14 @@ def mlp_param_tensors(params: MlpParams, prefix: str = "") -> dict:
 
 
 def mlp_params_from_tensors(tensors: dict, prefix: str = "", mode: str = "inference") -> MlpParams:
-    count = int(tensors[prefix + "num_layers"])
+    count = _scalar(tensors, prefix + "num_layers")
+    if not count.is_integer():
+        raise DomainError("parse-error", f"tensor {prefix + 'num_layers'!r} holds {count}, not a layer count")
     layers = []
-    for i in range(count):
+    for i in range(int(count)):
         layers.append(MlpLayer(
-            weight=tensors[f"{prefix}layer{i}.weight"],
-            bias=tensors[f"{prefix}layer{i}.bias"],
+            weight=_tensor(tensors, f"{prefix}layer{i}.weight"),
+            bias=_tensor(tensors, f"{prefix}layer{i}.bias"),
             bn=_bn_from_tensors(tensors, f"{prefix}layer{i}.bn.", mode),
         ))
     return MlpParams(tuple(layers))
@@ -613,8 +615,8 @@ def pagwn_input_tensors(inp: PagwnInput) -> dict:
 
 def pagwn_input_from_tensors(tensors: dict) -> PagwnInput:
     return PagwnInput(
-        center_coord=tensors["center_coord"],
-        center_feature=tensors["center_feature"],
-        neighbor_coords=tensors["neighbor_coords"],
-        neighbor_features=tensors["neighbor_features"],
+        center_coord=_tensor(tensors, "center_coord"),
+        center_feature=_tensor(tensors, "center_feature"),
+        neighbor_coords=_tensor(tensors, "neighbor_coords"),
+        neighbor_features=_tensor(tensors, "neighbor_features"),
     )

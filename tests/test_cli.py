@@ -28,6 +28,13 @@ def run_cli(*args):
     )
 
 
+def main_stderr(capsys, *args):
+    """Run the CLI in process; an escaping exception fails the test."""
+    capsys.readouterr()
+    code = main(list(args))
+    return code, capsys.readouterr().err
+
+
 @pytest.fixture
 def scene_file(tmp_path):
     cloud = density_imbalanced_scene(5, dense_count=96, sparse_count=48)
@@ -60,6 +67,16 @@ class TestSample:
         result = run_cli("sample", str(path))
         assert result.returncode == 2
         assert "usage" in result.stderr.lower()
+
+    def test_undecodable_bytes_are_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.xyz"
+        for blob, extra, line in ((b"\xff\xfe\n", (), 1), (b"\xff\xfe\n", ("--feature-dim", "1"), 1),
+                                  (b"0 0 0 1\n0 0 0 \xff\n", (), 2)):
+            path.write_bytes(blob)
+            code, err = main_stderr(capsys, "sample", str(path), "--count", "1",
+                                    "--out", str(tmp_path / "o.xyz"), *extra)
+            assert code == 1
+            assert err.startswith(f"pgrain: parse-error: line {line} "), err
 
     def test_single_point_output(self, scene_file, tmp_path):
         path, _ = scene_file
@@ -132,7 +149,59 @@ class TestPagwnForward:
         assert "Traceback" not in result.stderr
 
 
+class TestPagwnForwardRejects:
+    """Tensor directories that are missing a tensor, hold a vector where a
+    scalar belongs, or carry a malformed manifest line."""
+
+    def _dirs(self, rng):
+        # a valid window and parameter set; each test breaks one of them
+        params = pagwn_param_tensors(init_pagwn_params(3, seed=5).with_mode("inference"))
+        return pagwn_input_tensors(random_input(rng, 3, 4)), params
+
+    def _assert_rejected(self, capsys, tmp_path, inp, params, kind, name):
+        pio.save_tensor_dir(tmp_path / "inp", inp)
+        if params is not None:
+            pio.save_tensor_dir(tmp_path / "par", params)
+        code, err = main_stderr(capsys, "pagwn-forward", "--input", str(tmp_path / "inp"), "--params",
+                                str(tmp_path / "par"), "--out", str(tmp_path / "agg.pgtn"))
+        assert code == 1
+        assert err.startswith(f"pgrain: {kind}: "), err
+        assert name in err
+
+    def test_missing_bn_eps_is_parse_error(self, rng, tmp_path, capsys):
+        inp, params = self._dirs(rng)
+        del params["lb1_bn.eps"]
+        self._assert_rejected(capsys, tmp_path, inp, params, "parse-error", "lb1_bn.eps")
+
+    def test_missing_center_coord_is_parse_error(self, rng, tmp_path, capsys):
+        inp, params = self._dirs(rng)
+        del inp["center_coord"]
+        self._assert_rejected(capsys, tmp_path, inp, params, "parse-error", "center_coord")
+
+    def test_vector_momentum_is_shape_mismatch(self, rng, tmp_path, capsys):
+        inp, params = self._dirs(rng)
+        params["lb1_bn.momentum"] = np.array([0.1, 0.1])
+        self._assert_rejected(capsys, tmp_path, inp, params, "shape-mismatch", "lb1_bn.momentum")
+
+    def test_malformed_manifest_line_is_parse_error(self, rng, tmp_path, capsys):
+        inp, params = self._dirs(rng)
+        pio.save_tensor_dir(tmp_path / "par", params)
+        manifest = tmp_path / "par" / "manifest.txt"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        lines = ["lb1_bias 1 x" if line.startswith("lb1_bias ") else line for line in lines]
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self._assert_rejected(capsys, tmp_path, inp, None, "parse-error", "lb1_bias")
+
+
 class TestEval:
+    def test_undecodable_label_file_is_parse_error(self, tmp_path, capsys):
+        (tmp_path / "pred.txt").write_bytes(b"1\n\xff\n")
+        (tmp_path / "truth.txt").write_text("1\n0\n", encoding="utf-8")
+        code, err = main_stderr(capsys, "eval", "--pred", str(tmp_path / "pred.txt"), "--truth",
+                                str(tmp_path / "truth.txt"), "--classes", "2", "--out", str(tmp_path / "r.csv"))
+        assert code == 1
+        assert err.startswith("pgrain: parse-error: line 2 ")
+
     def test_matches_compute_metrics(self, rng, tmp_path):
         pred = rng.integers(0, 3, size=50)
         truth = rng.integers(0, 3, size=50)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,16 @@ class TestToyPipeline:
                 self._tiny_config(stages=(stage,))
             assert exc.value.kind == "invalid-spec", stage
 
+    def test_wrong_typed_fields_are_invalid_spec(self):
+        two_stages = (StageSpec("8", 4, 1), StageSpec(4, 2, 1))
+        cases = [dict(stages=two_stages), dict(epochs=2.5), dict(num_classes="2"), dict(learning_rate="x")]
+        # a radius that is not a number is wrong whether or not the aggregator reads it
+        cases += [dict(aggregator=name, bq_radius="0.1") for name in ("pagwn", "knn_baseline", "bq_baseline")]
+        for fields in cases:
+            with pytest.raises(DomainError) as exc:
+                self._tiny_config(**fields)
+            assert exc.value.kind == "invalid-spec", fields
+
 
 class TestAblateM:
     def _scenes(self):
@@ -320,6 +332,17 @@ class TestAblateM:
         lines = ablate_csv(rows).splitlines()
         assert lines[0] == "m,miou,macc,oa"
         assert len(lines) == 5
+
+    def test_split_one_accepted_on_one_neighbor_stage(self):
+        # a k == 1 stage normalizes its single row as one group, so the
+        # config accepts split 1 there, and so does the sweep
+        train, test = self._scenes()
+        config = replace(self._config(), stages=(StageSpec(m_points=32, k=1, split=1),), epochs=1)
+        rows = ablate_m(config, [1], train, test)
+        assert [m for m, _ in rows] == [1]
+        with pytest.raises(DomainError) as exc:
+            ablate_m(config, [2], train, test)
+        assert exc.value.kind == "bad-split"
 
     def test_out_of_range_m_rejected(self):
         train, test = self._scenes()

@@ -201,6 +201,13 @@ class TestTensorFile:
             pio.read_tensor(path)
         assert exc.value.kind == "parse-error"
 
+    def test_rank_beyond_numpy_limit_rejected(self, tmp_path):
+        path = tmp_path / "deep.pgtn"
+        path.write_bytes(b"PGTN1\nf8 65" + b" 1" * 65 + b"\n" + b"\x00" * 8)
+        with pytest.raises(DomainError) as exc:
+            pio.read_tensor(path)
+        assert exc.value.kind == "dims-overflow"
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.pgtn"
         path.write_bytes(b"NOPE!\nf8 0\n" + b"\x00" * 8)

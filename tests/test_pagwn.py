@@ -311,6 +311,27 @@ class TestBaselines:
         assert np.all(out.features[1] == 0.0)
         assert not np.all(out.features[0] == 0.0)
 
+    def test_updated_bn_folds_the_batch_statistics(self, rng):
+        features = rng.normal(size=(12, 3))
+        hoods = rng.integers(0, 12, size=(4, 5))
+        occupied = np.array([True, False, True, True])
+        mlp = init_mlp_params((3, 4, 6), seed=2)
+        out = aggregate_precomputed(features, hoods, occupied, mlp)
+        x = features[hoods[occupied].reshape(-1)]
+        for layer, bn in zip(mlp.layers, out.updated_bn):
+            z = x @ layer.weight + layer.bias
+            expected = layer.bn.updated(z.mean(axis=0), z.var(axis=0))
+            np.testing.assert_allclose(bn.running_mean, expected.running_mean, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(bn.running_var, expected.running_var, rtol=1e-12, atol=1e-15)
+            y = layer.bn.gamma * (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + layer.bn.eps) + layer.bn.beta
+            x = np.maximum(y, 0.0)
+        assert len(out.updated_bn) == 2
+        frozen = mlp.with_mode("inference")
+        inference = aggregate_precomputed(features, hoods, occupied, frozen)
+        assert list(inference.updated_bn) == [layer.bn for layer in frozen.layers]
+        empty = aggregate_precomputed(features, hoods, np.zeros(4, dtype=bool), mlp)
+        assert empty.updated_bn == ()
+
     def test_neighbor_permutation_invariance(self, rng):
         cloud = random_cloud(rng, n_points=30)
         mlp = init_mlp_params((3, 6), seed=1).with_mode("inference")
