@@ -229,6 +229,8 @@ class BatchNormState:
             raise DomainError("non-finite-value", "running_var entries must be >= 0")
         if not (0.0 < self.momentum < 1.0):
             raise DomainError("invalid-spec", f"momentum must be in (0, 1), got {self.momentum}")
+        if not 0.0 <= self.eps < np.inf:
+            raise DomainError("invalid-spec", f"eps must be finite and >= 0, got {self.eps}")
         if self.mode not in ("training", "inference"):
             raise DomainError("invalid-spec", f"mode must be 'training' or 'inference', got {self.mode!r}")
         for name, arr in arrs.items():

@@ -14,6 +14,7 @@ Readers and writers are reentrant and share no state.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from pathlib import Path
 from typing import Union
 
@@ -26,6 +27,7 @@ _TENSOR_DTYPES = {"f8": "<f8", "f4": "<f4", "i8": "<i8"}
 _DIMS_PRODUCT_CAP = 1 << 48  # refuse absurd headers before allocating
 _MAX_RANK = 64  # the most dimensions a NumPy array can have
 _INT64_END = 1 << 63  # labels are stored as int64
+_XYZ_BLOCK_LINES = 1024  # lines parsed per bulk step; bounds the reader's memory
 
 PathLike = Union[str, Path]
 
@@ -63,8 +65,17 @@ def read_xyz(path: PathLike, feature_dim: int, has_label: bool = False) -> Point
     """Parse a whitespace-separated XYZ file into a PointCloud.
 
     Every line must carry exactly ``3 + feature_dim`` tokens, plus one
-    trailing nonnegative integer label when ``has_label`` is set.  File
-    order is preserved.
+    trailing nonnegative integer label when ``has_label`` is set.  Values
+    are read by Python's ``float`` and labels by ``int``, token by token,
+    so any token those accept is accepted.  A blank first line is skipped.
+    File order is preserved.
+
+    The file is parsed in blocks of 1,024 lines, each converted in bulk
+    into arrays.  Only one block's per-token Python objects are alive at a
+    time, so the parse adds little memory beyond the arrays it returns.  A
+    block that fails is walked line by line to report its first bad line,
+    which is the first bad line of the file: the error kinds, messages and
+    line numbers are those of a line-at-a-time parse.
 
     Raises:
         DomainError: ``token-count-mismatch`` or ``parse-error`` with the
@@ -72,34 +83,72 @@ def read_xyz(path: PathLike, feature_dim: int, has_label: bool = False) -> Point
     """
     if feature_dim < 0:
         raise DomainError("invalid-spec", f"feature_dim must be >= 0, got {feature_dim}")
-    expected = 3 + feature_dim + (1 if has_label else 0)
-    coords, feats, labels = [], [], []
+    width = 3 + feature_dim
+    values, labels = [], []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            _check_utf8(line, lineno)
-            tokens = line.split()
-            if not tokens and lineno == 1 and line in ("", "\n"):
-                continue  # tolerate a lone trailing newline in empty files
-            if len(tokens) != expected:
-                raise DomainError(
-                    "token-count-mismatch",
-                    f"line {lineno} has {len(tokens)} tokens, expected {expected}",
-                )
+        start = 1  # line number of the block's first line
+        while block := list(islice(fh, _XYZ_BLOCK_LINES)):
+            if start == 1 and block[0] == "\n":
+                block, start = block[1:], 2  # so a file holding one newline reads as empty
             try:
-                values = [float(t) for t in tokens[: 3 + feature_dim]]
-            except ValueError:
-                raise DomainError("parse-error", f"line {lineno}: non-numeric token") from None
-            if has_label:
-                labels.append(_label(tokens[-1], lineno, 0))
-            coords.append(values[:3])
-            feats.append(values[3:])
-    if not coords:
+                block_values, block_labels = _parse_xyz_block(block, width, has_label)
+            except (ValueError, OverflowError, UnicodeEncodeError):
+                _raise_first_bad_line(block, start, width, has_label)
+                raise
+            values.append(block_values)
+            labels.append(block_labels)
+            start += len(block)
+    n_points = sum(len(v) for v in values) // width
+    if not n_points:
         raise DomainError("empty-cloud", f"{path} contains no points")
+    table = np.concatenate(values).reshape(n_points, width)
     return PointCloud(
-        coords=np.asarray(coords, dtype=np.float64),
-        features=np.asarray(feats, dtype=np.float64).reshape(len(coords), feature_dim),
-        labels=np.asarray(labels, dtype=np.int64) if has_label else None,
+        coords=table[:, :3],
+        features=table[:, 3:],
+        labels=np.concatenate(labels) if has_label else None,
     )
+
+
+def _parse_xyz_block(block: list, width: int, has_label: bool):
+    """Bulk-convert one block of lines: (flat float64 values, int64 labels or None).
+
+    Raises ValueError, OverflowError or UnicodeEncodeError when any line of
+    the block is bad; :func:`_raise_first_bad_line` then names it.
+    """
+    text = "".join(block)
+    if not text.isascii():
+        text.encode("utf-8")  # raises on bytes that were not UTF-8
+    rows = list(map(str.split, block))
+    expected = width + (1 if has_label else 0)
+    if set(map(len, rows)) - {expected}:
+        raise ValueError("token count")
+    tokens = list(chain.from_iterable(rows))
+    labels = None
+    if has_label:
+        labels = np.array(list(map(int, tokens[width::expected])), dtype=np.int64)
+        if labels.size and labels.min() < 0:
+            raise ValueError("negative label")
+        del tokens[width::expected]
+    return np.array(list(map(float, tokens)), dtype=np.float64), labels
+
+
+def _raise_first_bad_line(block: list, start: int, width: int, has_label: bool) -> None:
+    """Raise the DomainError of the first bad line of a block, numbered from ``start``."""
+    expected = width + (1 if has_label else 0)
+    for lineno, line in enumerate(block, start=start):
+        _check_utf8(line, lineno)
+        tokens = line.split()
+        if len(tokens) != expected:
+            raise DomainError(
+                "token-count-mismatch",
+                f"line {lineno} has {len(tokens)} tokens, expected {expected}",
+            )
+        try:
+            list(map(float, tokens[:width]))
+        except ValueError:
+            raise DomainError("parse-error", f"line {lineno}: non-numeric token") from None
+        if has_label:
+            _label(tokens[-1], lineno, 0)
 
 
 def write_xyz(path: PathLike, cloud: PointCloud) -> None:

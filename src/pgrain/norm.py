@@ -86,8 +86,8 @@ def _gwn_forward(windows: np.ndarray, centers: np.ndarray, m: Optional[int], eps
     rows plus the cache :func:`_gwn_backward` needs, whose second entry is
     the list of per-group (M,) sigmas.
     """
-    if not epsilon > 0:
-        raise DomainError("invalid-spec", f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise DomainError("invalid-spec", f"epsilon must be finite and > 0, got {epsilon}")
     _, k, d = windows.shape
     if m is None:
         groups = [(slice(0, k), k * d - 1)]

@@ -11,12 +11,17 @@ from typing import Optional
 import numpy as np
 
 from .core import DomainError, PointCloud
-from .spatial import _sq_dist
 
 
 def fps_coords(coords: np.ndarray, m: int, seed: int,
                first_index: Optional[int] = None) -> np.ndarray:
-    """Farthest point sampling over a bare (N, 3) coordinate array."""
+    """Farthest point sampling over a bare (N, 3) coordinate array.
+
+    Distances are squared and summed as ``(dx*dx + dy*dy) + dz*dz``, always
+    in that order, so every distance bit, and with it every pick, is fixed.
+    Each pick is the first index of the largest minimum distance (ties go to
+    the lowest index); picked points are never picked again.
+    """
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
     if not 1 <= m <= n:
@@ -28,15 +33,28 @@ def fps_coords(coords: np.ndarray, m: int, seed: int,
             raise DomainError("m-out-of-range", f"first_index={first_index} outside [0, {n})")
         first = int(first_index)
 
+    # contiguous columns and reused buffers: no array is allocated per pick
+    x, y, z = (np.ascontiguousarray(coords[:, axis]) for axis in range(3))
+    d2, tmp = np.empty(n), np.empty(n)
+
+    def sq_dist(i: int) -> np.ndarray:
+        np.subtract(x, x[i], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for col in (y, z):
+            np.subtract(col, col[i], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            np.add(d2, tmp, out=d2)
+        return d2
+
     selected = np.empty(m, dtype=np.int64)
     selected[0] = first
     # squared distances keep the argmax and its ties identical to true distances
-    min_d2 = _sq_dist(coords, coords[first])
+    min_d2 = sq_dist(first).copy()
     min_d2[first] = -np.inf  # selected points can never be picked again
     for t in range(1, m):
         nxt = int(np.argmax(min_d2))
         selected[t] = nxt
-        min_d2 = np.minimum(min_d2, _sq_dist(coords, coords[nxt]))
+        np.minimum(min_d2, sq_dist(nxt), out=min_d2)
         min_d2[nxt] = -np.inf
     return selected
 

@@ -173,6 +173,11 @@ class TestPagwnForwardRejects:
         del params["lb1_bn.eps"]
         self._assert_rejected(capsys, tmp_path, inp, params, "parse-error", "lb1_bn.eps")
 
+    def test_negative_bn_eps_is_invalid_spec(self, rng, tmp_path, capsys):
+        inp, params = self._dirs(rng)
+        params["lb1_bn.eps"] = np.float64(-0.5)
+        self._assert_rejected(capsys, tmp_path, inp, params, "invalid-spec", "eps")
+
     def test_missing_center_coord_is_parse_error(self, rng, tmp_path, capsys):
         inp, params = self._dirs(rng)
         del inp["center_coord"]
@@ -277,6 +282,15 @@ class TestTrainToy:
             assert result.returncode == 1, label
             assert result.stderr.startswith("pgrain: invalid-spec: "), (label, result.stderr)
             assert "Traceback" not in result.stderr, label
+
+    def test_infinite_epsilon_rejected(self, tmp_path, capsys):
+        config = toy_config(tmp_path, epsilon=float("inf"))  # json writes Infinity
+        assert "Infinity" in config.read_text(encoding="utf-8")
+        code, err = main_stderr(capsys, "train-toy", "--config", str(config),
+                                "--out", str(tmp_path / "m.csv"))
+        assert code == 1
+        assert err.startswith("pgrain: invalid-spec: "), err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_ablate_non_integer_m_rejected(self, tmp_path):
         result = run_cli("ablate-m", "--config", str(toy_config(tmp_path)), "--m", "1,x",

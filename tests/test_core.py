@@ -118,6 +118,13 @@ class TestBatchNormState:
         with pytest.raises(DomainError):
             BatchNormState.initial(2, momentum=1.0)
 
+    def test_eps_must_be_finite_and_nonnegative(self):
+        for eps in (-0.5, np.nan, np.inf):
+            with pytest.raises(DomainError) as exc:
+                BatchNormState.initial(2, eps=eps)
+            assert exc.value.kind == "invalid-spec"
+        assert BatchNormState.identity(2).eps == 0.0
+
     def test_negative_running_var_rejected(self):
         with pytest.raises(DomainError):
             BatchNormState(gamma=np.ones(2), beta=np.zeros(2),

@@ -70,13 +70,74 @@ def _cli_fails_cleanly(argv) -> None:
         assert _KIND_LINE.match(stderr.getvalue()), stderr.getvalue()
 
 
+def read_xyz_reference(path, feature_dim, has_label):
+    """The line-at-a-time XYZ parser that the block reader must match: the
+    same language, arrays and DomainErrors."""
+    if feature_dim < 0:
+        raise DomainError("invalid-spec", f"feature_dim must be >= 0, got {feature_dim}")
+
+    def label(token, lineno):
+        try:
+            value = int(token)
+        except ValueError:
+            raise DomainError("parse-error", f"line {lineno}: label {token!r} is not an integer") from None
+        if not 0 <= value < 2**63:
+            raise DomainError("parse-error", f"line {lineno}: label {token!r} is outside [0, 2**63)")
+        return value
+
+    expected = 3 + feature_dim + (1 if has_label else 0)
+    coords, feats, labels = [], [], []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DomainError("parse-error", f"line {lineno} is not UTF-8 text") from None
+            tokens = line.split()
+            if not tokens and lineno == 1 and line in ("", "\n"):
+                continue
+            if len(tokens) != expected:
+                raise DomainError("token-count-mismatch",
+                                  f"line {lineno} has {len(tokens)} tokens, expected {expected}")
+            try:
+                values = [float(t) for t in tokens[: 3 + feature_dim]]
+            except ValueError:
+                raise DomainError("parse-error", f"line {lineno}: non-numeric token") from None
+            if has_label:
+                labels.append(label(tokens[-1], lineno))
+            coords.append(values[:3])
+            feats.append(values[3:])
+    if not coords:
+        raise DomainError("empty-cloud", f"{path} contains no points")
+    return PointCloud(
+        coords=np.asarray(coords, dtype=np.float64),
+        features=np.asarray(feats, dtype=np.float64).reshape(len(coords), feature_dim),
+        labels=np.asarray(labels, dtype=np.int64) if has_label else None,
+    )
+
+
+def _outcome(read, *args):
+    """A read's arrays as (bytes, dtype, shape), or its DomainError's kind and message."""
+    try:
+        cloud = read(*args)
+    except DomainError as exc:
+        return exc.kind, str(exc)
+    return [None if a is None else (a.tobytes(), a.dtype, a.shape)
+            for a in (cloud.coords, cloud.features, cloud.labels)]
+
+
 class TestTextReaders:
     @FUZZ
-    @given(blob=_TEXT_BYTES, feature_dim=st.integers(-1, 3), has_label=st.booleans())
-    def test_read_xyz(self, tmp_path_factory, blob, feature_dim, has_label):
+    @given(blob=_TEXT_BYTES, feature_dim=st.integers(-1, 3), has_label=st.booleans(),
+           block_lines=st.sampled_from([1, 2, pio._XYZ_BLOCK_LINES]))
+    def test_read_xyz(self, tmp_path_factory, blob, feature_dim, has_label, block_lines):
+        """The block reader gives the line parser's arrays or DomainError."""
         path = _write(tmp_path_factory, "c.xyz", blob)
-        cloud = _only_domain_errors(pio.read_xyz, path, feature_dim, has_label)
-        assert cloud is None or isinstance(cloud, PointCloud)
+        # small blocks put the corpus's few lines on block boundaries
+        with mock.patch.object(pio, "_XYZ_BLOCK_LINES", block_lines):
+            got = _outcome(pio.read_xyz, path, feature_dim, has_label)
+        assert got == _outcome(read_xyz_reference, path, feature_dim, has_label)
 
     @FUZZ
     @given(blob=_TEXT_BYTES, has_label=st.booleans())

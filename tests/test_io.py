@@ -56,6 +56,40 @@ class TestXyz:
             np.testing.assert_array_equal(back.labels, cloud.labels)
 
 
+class TestXyzBlocks:
+    """Files longer than one parse block: 3,000 lines against 1,024-line blocks."""
+
+    def test_round_trip_is_bit_identical(self, rng, tmp_path):
+        cloud = random_cloud(rng, n_points=3000, feature_dim=2, labeled=True)
+        first, second = tmp_path / "a.xyz", tmp_path / "b.xyz"
+        pio.write_xyz(first, cloud)
+        back = pio.read_xyz(first, feature_dim=2, has_label=True)
+        for got, want in ((back.coords, cloud.coords), (back.features, cloud.features),
+                          (back.labels, cloud.labels)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        pio.write_xyz(second, back)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("lineno", [1024, 1025, 2500])
+    @pytest.mark.parametrize("line, kind, message", [
+        ("0 0 zero 0.5 1", "parse-error", "line {}: non-numeric token"),
+        ("0 0 0 0.5", "token-count-mismatch", "line {} has 4 tokens, expected 5"),
+        ("0 0 0 0.5 -1", "parse-error", "line {}: label '-1' is outside [0, 2**63)"),
+        (f"0 0 0 0.5 {2**63}", "parse-error", f"line {{}}: label '{2**63}' is outside [0, 2**63)"),
+    ])
+    def test_bad_line_reports_its_absolute_number(self, tmp_path, lineno, line, kind, message):
+        lines = ["1 2 3 0.25 4"] * 3000
+        lines[lineno - 1] = line
+        lines[2900] = "0 0 0 late-error 0"  # only the first bad line is reported
+        path = tmp_path / "bad.xyz"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError) as exc:
+            pio.read_xyz(path, feature_dim=1, has_label=True)
+        assert exc.value.kind == kind
+        assert str(exc.value) == f"{kind}: {message.format(lineno)}"
+
+
 class TestPly:
     def _ascii_ply(self, body, count):
         return (

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgrain import DomainError, PointCloud, farthest_point_sample, random_sample
+from pgrain.sampling import fps_coords
 
 from conftest import random_cloud
 
@@ -25,7 +27,59 @@ def fps_oracle_step(coords, selected):
     return best_idx
 
 
+def fps_reference(coords, m, first):
+    """Oracle for fps_coords: the plain loop that allocates a fresh distance
+    array per pick, summed as (dx*dx + dy*dy) + dz*dz; picks must match."""
+
+    def sq_dist(q):
+        d = coords - q
+        return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+
+    selected = [first]
+    min_d2 = sq_dist(coords[first])
+    min_d2[first] = -np.inf
+    for _ in range(1, m):
+        nxt = int(np.argmax(min_d2))
+        selected.append(nxt)
+        min_d2 = np.minimum(min_d2, sq_dist(coords[nxt]))
+        min_d2[nxt] = -np.inf
+    return np.array(selected, dtype=np.int64)
+
+
+@st.composite
+def _fps_cases(draw):
+    """(coords, m, seed, first_index): tie-heavy grids, duplicates, flat planes
+    and scattered floats, N from 1 to a few hundred."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "duplicates", "plane", "scattered"]))
+    if kind == "grid":
+        coords = rng.integers(-3, 4, size=(n, 3)) * draw(st.sampled_from([0.1, 0.3, 1.0, 2.0**-3]))
+    elif kind == "duplicates":
+        distinct = draw(st.integers(1, 4))
+        coords = rng.normal(size=(distinct, 3))[rng.integers(0, distinct, size=n)]
+    elif kind == "plane":
+        coords = rng.uniform(-1.0, 1.0, size=(n, 3))
+        coords[:, draw(st.integers(0, 2))] = draw(st.sampled_from([0.0, 0.3, -7.5]))
+    else:
+        coords = rng.uniform(-1.0, 1.0, size=(n, 3)) * 10.0 ** draw(st.integers(-3, 3))
+    m = draw(st.one_of(st.just(n), st.integers(1, n)))
+    first_index = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    return coords, m, draw(st.integers(0, 1000)), first_index
+
+
 class TestFps:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_fps_cases())
+    def test_matches_reference_loop_and_keeps_prefixes(self, case):
+        coords, m, seed, first_index = case
+        picks = fps_coords(coords, m, seed, first_index)
+        first = int(np.random.default_rng(seed).integers(len(coords))) if first_index is None else first_index
+        np.testing.assert_array_equal(picks, fps_reference(coords, m, first))
+        assert picks.dtype == np.int64
+        if m > 1:
+            np.testing.assert_array_equal(fps_coords(coords, m - 1, seed, first_index), picks[:-1])
+
     def test_unit_square_opposite_corner(self):
         cloud = _cloud_from_coords([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
         picks = farthest_point_sample(cloud, 2, seed=0, first_index=0)
