@@ -32,6 +32,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def running_average(running: np.ndarray, batch: np.ndarray, momentum: float) -> np.ndarray:
+    """Fold one batch statistic into its running estimate."""
+    return (1.0 - momentum) * running + momentum * batch
+
+
 def _to_matrix(value, name: str, dtype=np.float64) -> np.ndarray:
     """Coerce to a 2-d array, naming the offending row on ragged input."""
     try:
@@ -263,9 +268,8 @@ class BatchNormState:
 
     def updated(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> "BatchNormState":
         """Fold one batch's statistics into the running estimates."""
-        new_mean = (1.0 - self.momentum) * self.running_mean + self.momentum * batch_mean
-        new_var = (1.0 - self.momentum) * self.running_var + self.momentum * batch_var
-        return replace(self, running_mean=new_mean, running_var=new_var)
+        return replace(self, running_mean=running_average(self.running_mean, batch_mean, self.momentum),
+                       running_var=running_average(self.running_var, batch_var, self.momentum))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,9 +17,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DomainError, MetricsReport, PointCloud
+from .core import DomainError, MetricsReport, PointCloud, running_average
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT
 from .pagwn import (
+    _colsum,
+    _scatter_rows,
     aggregate_precomputed,
     baseline_backward,
     init_mlp_params,
@@ -381,7 +383,7 @@ def _head_backward(g: np.ndarray, params: dict, caches):
         if mask is not None:
             g = g * mask
         grads[f"head.layer{i}.weight"] = x.T @ g
-        grads[f"head.layer{i}.bias"] = g.sum(axis=0)
+        grads[f"head.layer{i}.bias"] = _colsum(g)
         g = g @ params[f"head.layer{i}.weight"].T
     return g, grads
 
@@ -443,7 +445,7 @@ class _Aggregator:
     init: Callable       # (n, seed, prefix) -> tensors of one n -> 2n stage
     read: Callable       # (tensors, prefix, mode) -> typed stage parameters
     neighbors: Callable  # (index, center coords, k, config) -> (M, k) indices, (M,) occupied
-    forward: Callable    # (params, prefix, stage plan, x, split, epsilon) -> (features, output, running stats)
+    forward: Callable    # (params, prefix, stage plan, x, split, epsilon) -> (features, output, batch stats)
     backward: Callable   # (output, prefix, stage plan, upstream) -> (grads, upstream of the stage input)
 
 
@@ -456,18 +458,16 @@ def _ball_neighbors(index, queries, k, config):
     return batch.indices, batch.occupied
 
 
-def _running_stats(bn, prefix: str) -> dict:
-    return {prefix + "running_mean": bn.running_mean, prefix + "running_var": bn.running_var}
+def _batch_stats(bn_caches: dict) -> dict:
+    """(mean, var) per batch-norm prefix, from training-mode forward caches only."""
+    return {prefix: cache[3:] for prefix, cache in bn_caches.items() if cache[0] == "training"}
 
 
 def _pagwn_forward(params, prefix, splan, x, split, epsilon):
     coords, centers, hoods, _ = splan
     out = pagwn_forward_batch(coords[hoods], x[hoods], coords[centers], x[centers],
                               params, split, epsilon)
-    stats = {}
-    if out.updated_lb1_bn is not None:
-        stats.update(_running_stats(out.updated_lb1_bn, prefix + "lb1_bn."))
-        stats.update(_running_stats(out.updated_lb2_bn, prefix + "lb2_bn."))
+    stats = _batch_stats({prefix + "lb1_bn.": out.cache.bn1_cache, prefix + "lb2_bn.": out.cache.bn2_cache})
     return out.aggregated, out, stats
 
 
@@ -475,9 +475,10 @@ def _pagwn_backward(out, prefix, splan, g):
     coords, centers, hoods, _ = splan
     grads = pagwn_backward(out.cache, g)
     n_prev = grads.neighbor_features.shape[-1]
-    d_prev = np.zeros((coords.shape[0], n_prev))
-    np.add.at(d_prev, hoods.reshape(-1), grads.neighbor_features.reshape(-1, n_prev))
-    np.add.at(d_prev, centers, grads.center_feature)
+    # neighbor rows first, then centers: the order each slot adds them in
+    d_prev = _scatter_rows(np.concatenate([hoods.reshape(-1), centers]),
+                           np.concatenate([grads.neighbor_features.reshape(-1, n_prev), grads.center_feature]),
+                           coords.shape[0])
     return {
         prefix + "lb1_weight": grads.lb1_weight, prefix + "lb1_bias": grads.lb1_bias,
         prefix + "lb1_bn.gamma": grads.lb1_gamma, prefix + "lb1_bn.beta": grads.lb1_beta,
@@ -489,9 +490,8 @@ def _pagwn_backward(out, prefix, splan, g):
 def _mlp_forward(params, prefix, splan, x, split, epsilon):
     _, _, hoods, occupied = splan
     out = aggregate_precomputed(x, hoods, occupied, params)
-    stats = {}
-    for i, bn in enumerate(out.updated_bn):
-        stats.update(_running_stats(bn, f"{prefix}layer{i}.bn."))
+    stats = _batch_stats({f"{prefix}layer{i}.bn.": bn_cache
+                          for i, (_, bn_cache, _) in enumerate(out.cache.mlp_caches)})
     return out.features, out, stats
 
 
@@ -539,7 +539,7 @@ class PipelineResult:
 
 
 def _encode(plan: _ScenePlan, stage_params, agg: _Aggregator, config: ToyPipelineConfig):
-    """Run the encoder over one scene; returns (final features, outputs, running stats)."""
+    """Run the encoder over one scene; returns (final features, outputs, batch-norm (mean, var) by prefix)."""
     x = plan.scene.features
     outs, stats = [], {}
     for t, (splan, params, spec) in enumerate(zip(plan.stages, stage_params, config.stages)):
@@ -558,6 +558,32 @@ def _backward_stages(plan: _ScenePlan, outs, d_final: np.ndarray, agg: _Aggregat
     return grads
 
 
+def _init_params(config: ToyPipelineConfig, feature_dim: int) -> dict:
+    """Seeded initial checkpoint tensors: every stage, then the head."""
+    agg = _AGGREGATOR_TABLE[config.aggregator]
+    params, n = {}, feature_dim
+    for t in range(len(config.stages)):
+        params.update(agg.init(n, _derived_seed(config.seed, 7919, t), f"stage{t}."))
+        n = 2 * n
+    params.update(_init_head([n, *config.head_hidden, config.num_classes], _derived_seed(config.seed, 104729)))
+    return params
+
+
+def _scene_grads(plan: _ScenePlan, params: dict, x_final: np.ndarray, outs, config: ToyPipelineConfig,
+                 epoch: int):
+    """Loss and flat parameter gradients of one training scene, from its encoder forward."""
+    agg = _AGGREGATOR_TABLE[config.aggregator]
+    depth = len(config.head_hidden) + 1
+    logits, head_cache = _head_forward(x_final[plan.full_map], params, depth)
+    loss, dlogits = _softmax_ce(logits, plan.scene.labels, config.num_classes)
+    if not np.isfinite(loss):
+        raise DomainError("divergence", f"loss became non-finite at epoch {epoch}")
+    d_feats, grads = _head_backward(dlogits, params, head_cache)
+    d_final = _scatter_rows(plan.full_map, d_feats, x_final.shape[0])
+    grads.update(_backward_stages(plan, outs, d_final, agg))
+    return loss, grads
+
+
 def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointCloud],
                      test_scenes: Sequence[PointCloud]) -> PipelineResult:
     """Train the encoder + head on labeled scenes and score the test set.
@@ -571,6 +597,9 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
     for scene in list(train_scenes) + list(test_scenes):
         if scene.labels is None:
             raise DomainError("invalid-spec", "pipeline scenes must carry labels")
+        if scene.labels.max() >= config.num_classes:
+            raise DomainError("label-out-of-range",
+                              f"scene label {scene.labels.max()} outside [0, {config.num_classes})")
     feature_dim = train_scenes[0].feature_dim
     if any(s.feature_dim != feature_dim for s in list(train_scenes) + list(test_scenes)):
         raise DomainError("dimension-mismatch", "all scenes must share one feature dimension")
@@ -579,17 +608,13 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
     train_plans = [_plan_scene(s, config, i) for i, s in enumerate(train_scenes)]
     test_plans = [_plan_scene(s, config, 10_000 + i) for i, s in enumerate(test_scenes)]
 
-    params, n = {}, feature_dim
-    for t in range(len(config.stages)):
-        params.update(agg.init(n, _derived_seed(config.seed, 7919, t), f"stage{t}."))
-        n = 2 * n
-    head_dims = [n, *config.head_hidden, config.num_classes]
-    params.update(_init_head(head_dims, _derived_seed(config.seed, 104729)))
-    depth = len(head_dims) - 1
+    params = _init_params(config, feature_dim)
+    depth = len(config.head_hidden) + 1
     order_rng = np.random.default_rng(_derived_seed(config.seed, 15485863))
 
     def read_stages(mode: str) -> list:
-        # the typed parameters validate every array they are built from
+        # builds and validates the typed parameters; a training-mode forward reads
+        # no running statistics, so this runs once per SGD step, not per scene
         return [agg.read(params, f"stage{t}.", mode) for t in range(len(config.stages))]
 
     stage_params = read_stages("training")
@@ -602,19 +627,16 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
                 batch = [train_plans[i] for i in order[start:start + config.batch_size]]
                 total = None
                 for plan in batch:
+                    # the caches stay bound until the next forward returns: freeing them all
+                    # per scene let glibc trim the heap and fault it back in (5x the faults)
                     x_final, outs, stats = _encode(plan, stage_params, agg, config)
-                    # adopt fresh running statistics as soon as they exist
-                    params.update(stats)
-                    stage_params = read_stages("training")
-                    logits, head_cache = _head_forward(x_final[plan.full_map], params, depth)
-                    loss, dlogits = _softmax_ce(logits, plan.scene.labels, config.num_classes)
-                    if not np.isfinite(loss):
-                        raise DomainError("divergence", f"loss became non-finite at epoch {epoch}")
+                    loss, grads = _scene_grads(plan, params, x_final, outs, config, epoch)
+                    # fold each scene's batch statistics in, in scene order
+                    for prefix, (mean, var) in stats.items():
+                        momentum = float(params[prefix + "momentum"])
+                        for name, value in (("running_mean", mean), ("running_var", var)):
+                            params[prefix + name] = running_average(params[prefix + name], value, momentum)
                     epoch_loss += loss
-                    d_feats, grads = _head_backward(dlogits, params, head_cache)
-                    d_final = np.zeros_like(x_final)
-                    np.add.at(d_final, plan.full_map, d_feats)
-                    grads.update(_backward_stages(plan, outs, d_final, agg))
                     # sum in scene order, then scale by 1/batch, then step
                     total = grads if total is None else {k: total[k] + g for k, g in grads.items()}
                 scale = 1.0 / len(batch)

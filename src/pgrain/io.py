@@ -27,7 +27,7 @@ _TENSOR_DTYPES = {"f8": "<f8", "f4": "<f4", "i8": "<i8"}
 _DIMS_PRODUCT_CAP = 1 << 48  # refuse absurd headers before allocating
 _MAX_RANK = 64  # the most dimensions a NumPy array can have
 _INT64_END = 1 << 63  # labels are stored as int64
-_XYZ_BLOCK_LINES = 1024  # lines parsed per bulk step; bounds the reader's memory
+_BLOCK_LINES = 1024  # lines the text readers parse per bulk step; bounds their memory
 
 PathLike = Union[str, Path]
 
@@ -87,7 +87,7 @@ def read_xyz(path: PathLike, feature_dim: int, has_label: bool = False) -> Point
     values, labels = [], []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         start = 1  # line number of the block's first line
-        while block := list(islice(fh, _XYZ_BLOCK_LINES)):
+        while block := list(islice(fh, _BLOCK_LINES)):
             if start == 1 and block[0] == "\n":
                 block, start = block[1:], 2  # so a file holding one newline reads as empty
             try:
@@ -414,13 +414,27 @@ def write_labels(path: PathLike, labels: np.ndarray) -> None:
 
 
 def read_labels(path: PathLike) -> np.ndarray:
-    """Read one integer class id per line."""
-    out = []
+    """Read one integer class id per line; blank lines are skipped.
+
+    Each label is read by Python's ``int`` and must fit in int64.  Like
+    :func:`read_xyz`, the file is parsed in blocks of 1,024 lines, and a
+    block that fails is walked line by line to raise its first bad line's
+    ``parse-error`` with that line's number.
+    """
+    labels = [np.empty(0, dtype=np.int64)]
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            _check_utf8(line, lineno)
-            token = line.strip()
-            if not token:
-                continue
-            out.append(_label(token, lineno, -_INT64_END))
-    return np.asarray(out, dtype=np.int64)
+        start = 1  # line number of the block's first line
+        while block := list(islice(fh, _BLOCK_LINES)):
+            try:
+                text = "".join(block)
+                if not text.isascii():
+                    text.encode("utf-8")  # raises on bytes that were not UTF-8
+                labels.append(np.array([int(t) for t in map(str.strip, block) if t], dtype=np.int64))
+            except (ValueError, OverflowError, UnicodeEncodeError):
+                for lineno, line in enumerate(block, start=start):
+                    _check_utf8(line, lineno)
+                    if token := line.strip():
+                        _label(token, lineno, -_INT64_END)
+                raise
+            start += len(block)
+    return np.concatenate(labels)

@@ -111,7 +111,7 @@ def _gwn_forward(windows: np.ndarray, centers: np.ndarray, m: Optional[int], eps
 
 
 def _gwn_backward(g: np.ndarray, cache):
-    """Gradients w.r.t. the (M, K, d) window rows and the (M, d) centers."""
+    """Gradient w.r.t. the (M, K, d) window rows; the centers' is minus its sum over K."""
     dev, sigmas, groups, epsilon = cache
     ddev = np.empty_like(dev)
     for (rows, denom), sig in zip(groups, sigmas):
@@ -123,7 +123,7 @@ def _gwn_backward(g: np.ndarray, cache):
         dl_dsig = -np.sum(part_g * part_dev, axis=(1, 2)) / (scale * scale)
         coef = np.divide(dl_dsig, denom * sig, out=np.zeros_like(sig), where=sig > 0)
         ddev[:, rows] = direct + coef[:, None, None] * part_dev
-    return ddev, -ddev.sum(axis=1)
+    return ddev
 
 
 def _normalize(window: Window, m: Optional[int], epsilon: float) -> NormalizedWindow:

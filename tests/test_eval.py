@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pgrain import DomainError, compute_metrics
+from pgrain import eval as ev
 from pgrain.eval import (
     RegionSpec,
     StageSpec,
@@ -264,6 +265,14 @@ class TestToyPipeline:
             run_toy_pipeline(self._tiny_config(), [unlabeled], [unlabeled])
         assert exc.value.kind == "invalid-spec"
 
+    def test_label_outside_the_classes_is_rejected(self):
+        inside, outside = constant_label_scene(0, point_count=64), constant_label_scene(0, point_count=64, label=3)
+        config = ToyPipelineConfig((StageSpec(16, 4, 2),), num_classes=2, epochs=1)
+        for train, test in (([outside], [inside]), ([inside], [outside])):
+            with pytest.raises(DomainError) as exc:
+                run_toy_pipeline(config, train, test)
+            assert exc.value.kind == "label-out-of-range"
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             self._tiny_config(stages=())
@@ -295,6 +304,57 @@ class TestToyPipeline:
             with pytest.raises(DomainError) as exc:
                 self._tiny_config(**fields)
             assert exc.value.kind == "invalid-spec", fields
+
+
+class TestTrainingLossGradient:
+    """Central differences of one scene's whole training loss.
+
+    The loss runs through a two-stage encoder, the aggregator, the
+    ``full_map`` scatter, the head and softmax cross-entropy, exactly as a
+    training step does; its gradients are the ones SGD applies.
+    """
+
+    H = 1e-6
+    ENTRIES = 12  # per parameter tensor
+    # |analytic - fd| / max(|analytic|, |fd|, FLOOR); the worst seen on this
+    # config is 6.7e-8 (pagwn), 1.1e-7 (knn_baseline) and 4.7e-8 (bq_baseline),
+    # so TOL leaves a 9x margin.  Below FLOOR the check is absolute, at
+    # 1e-9, above the ~2e-10 rounding noise of an h=1e-6 difference.
+    TOL = 1e-6
+    FLOOR = 1e-3
+
+    @pytest.mark.parametrize("aggregator", ["pagwn", "knn_baseline", "bq_baseline"])
+    def test_matches_central_differences(self, aggregator):
+        config = ToyPipelineConfig(stages=(StageSpec(64, 8, 3), StageSpec(16, 4, 2)), num_classes=2,
+                                   aggregator=aggregator, bq_radius=0.15)
+        scene = density_imbalanced_scene(5, dense_count=96, sparse_count=32)
+        plan = ev._plan_scene(scene, config, 0)
+        agg = ev._AGGREGATOR_TABLE[aggregator]
+        # one epoch of training moves gamma, beta and the biases off their initial values
+        params = run_toy_pipeline(replace(config, epochs=1), [scene], [scene]).params
+
+        def step(p):
+            stage_params = [agg.read(p, f"stage{t}.", "training") for t in range(len(config.stages))]
+            x_final, outs, _ = ev._encode(plan, stage_params, agg, config)
+            return ev._scene_grads(plan, p, x_final, outs, config, epoch=0)
+
+        _, grads = step(params)
+        trainable = {name for name in params if name.endswith(("weight", "bias", "gamma", "beta"))}
+        assert set(grads) == trainable
+        rng = np.random.default_rng(17)
+        for name in sorted(trainable):
+            assert grads[name].shape == params[name].shape, name
+            picks = rng.choice(params[name].size, min(self.ENTRIES, params[name].size), replace=False)
+            for i in picks:
+                losses = []
+                for delta in (self.H, -self.H):
+                    moved = params[name].copy()
+                    moved.flat[i] += delta
+                    losses.append(step({**params, name: moved})[0])
+                fd = (losses[0] - losses[1]) / (2 * self.H)
+                analytic = grads[name].flat[i]
+                err = abs(analytic - fd) / max(abs(analytic), abs(fd), self.FLOOR)
+                assert err < self.TOL, (name, int(i), analytic, fd)
 
 
 class TestAblateM:

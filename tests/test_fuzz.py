@@ -117,6 +117,29 @@ def read_xyz_reference(path, feature_dim, has_label):
     )
 
 
+def read_labels_reference(path):
+    """The line-at-a-time label parser that the block reader must match."""
+    out = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DomainError("parse-error", f"line {lineno} is not UTF-8 text") from None
+            token = line.strip()
+            if not token:
+                continue
+            try:
+                value = int(token)
+            except ValueError:
+                raise DomainError("parse-error", f"line {lineno}: label {token!r} is not an integer") from None
+            if not -2**63 <= value < 2**63:
+                raise DomainError("parse-error", f"line {lineno}: label {token!r} is outside [{-2**63}, 2**63)")
+            out.append(value)
+    return np.asarray(out, dtype=np.int64)
+
+
 def _outcome(read, *args):
     """A read's arrays as (bytes, dtype, shape), or its DomainError's kind and message."""
     try:
@@ -130,12 +153,12 @@ def _outcome(read, *args):
 class TestTextReaders:
     @FUZZ
     @given(blob=_TEXT_BYTES, feature_dim=st.integers(-1, 3), has_label=st.booleans(),
-           block_lines=st.sampled_from([1, 2, pio._XYZ_BLOCK_LINES]))
+           block_lines=st.sampled_from([1, 2, pio._BLOCK_LINES]))
     def test_read_xyz(self, tmp_path_factory, blob, feature_dim, has_label, block_lines):
         """The block reader gives the line parser's arrays or DomainError."""
         path = _write(tmp_path_factory, "c.xyz", blob)
         # small blocks put the corpus's few lines on block boundaries
-        with mock.patch.object(pio, "_XYZ_BLOCK_LINES", block_lines):
+        with mock.patch.object(pio, "_BLOCK_LINES", block_lines):
             got = _outcome(pio.read_xyz, path, feature_dim, has_label)
         assert got == _outcome(read_xyz_reference, path, feature_dim, has_label)
 
@@ -147,10 +170,21 @@ class TestTextReaders:
                            + (["--has-label"] if has_label else []))
 
     @FUZZ
-    @given(blob=_TEXT_BYTES)
-    def test_read_labels(self, tmp_path_factory, blob):
-        labels = _only_domain_errors(pio.read_labels, _write(tmp_path_factory, "l.txt", blob))
-        assert labels is None or labels.dtype == np.int64
+    @given(blob=_TEXT_BYTES, block_lines=st.sampled_from([1, 2, pio._BLOCK_LINES]))
+    def test_read_labels(self, tmp_path_factory, blob, block_lines):
+        """The block reader gives the line parser's labels or DomainError."""
+        path = _write(tmp_path_factory, "l.txt", blob)
+
+        def outcome(read):
+            try:
+                labels = read(path)
+            except DomainError as exc:
+                return exc.kind, str(exc)
+            return labels.tobytes(), labels.dtype, labels.shape
+
+        with mock.patch.object(pio, "_BLOCK_LINES", block_lines):
+            got = outcome(pio.read_labels)
+        assert got == outcome(read_labels_reference)
 
 
 _PLY_TYPES = st.sampled_from(["double", "float", "uchar", "int", "short", "half", "list", "x"])

@@ -90,6 +90,36 @@ class TestXyzBlocks:
         assert str(exc.value) == f"{kind}: {message.format(lineno)}"
 
 
+class TestLabelBlocks:
+    """Label files longer than one parse block."""
+
+    def test_round_trip_with_blank_lines(self, rng, tmp_path):
+        labels = rng.integers(-2**63, 2**63 - 1, size=3000, endpoint=True)
+        path = tmp_path / "l.txt"
+        pio.write_labels(path, labels)
+        lines = path.read_text().splitlines()
+        lines[1023:1023] = ["", "  "]  # blank lines straddling a block edge are skipped
+        path.write_text("\n".join(lines) + "\n")
+        back = pio.read_labels(path)
+        assert back.dtype == np.int64 and back.tobytes() == labels.astype(np.int64).tobytes()
+
+    @pytest.mark.parametrize("lineno", [1024, 1025, 2500])
+    @pytest.mark.parametrize("line, message", [
+        ("zero", "line {}: label 'zero' is not an integer"),
+        (f"{2**63}", f"line {{}}: label '{2**63}' is outside [{-2**63}, 2**63)"),
+        (f"{-2**63 - 1}", f"line {{}}: label '{-2**63 - 1}' is outside [{-2**63}, 2**63)"),
+    ])
+    def test_bad_line_reports_its_absolute_number(self, tmp_path, lineno, line, message):
+        lines = ["3"] * 3000
+        lines[lineno - 1] = line
+        lines[2900] = "late-error"  # only the first bad line is reported
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError) as exc:
+            pio.read_labels(path)
+        assert str(exc.value) == f"parse-error: {message.format(lineno)}"
+
+
 class TestPly:
     def _ascii_ply(self, body, count):
         return (

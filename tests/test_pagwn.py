@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgrain import (
     BatchNormState,
@@ -24,6 +25,10 @@ from pgrain import (
 )
 from pgrain import io as pio
 from pgrain.pagwn import (
+    _bn_backward,
+    _bn_forward,
+    _colsum,
+    _scatter_rows,
     aggregate_precomputed,
     baseline_backward,
     mlp_param_tensors,
@@ -267,6 +272,41 @@ class TestBackward:
             assert grad_close(analytic, fd_array(base, rebuild))
 
 
+class TestBatchNormConstantChannel:
+    """Training-mode batch norm where one channel is the same in every row.
+
+    Its batch variance is 0, so it is scaled by 1/sqrt(eps), about 316.
+    With a constant whose row sum is exact (2.5 over 8 or 4,096 rows) the
+    batch mean is the constant and x_hat is exactly 0.  Otherwise the mean
+    carries the rounding of the row sum and x_hat is that rounding times
+    316, tiny but not 0.
+    """
+
+    @pytest.mark.parametrize("rows", [2, 8, 4096])
+    @pytest.mark.parametrize("channels", [1, 3, 6])
+    def test_forward_backward_and_running_stats_are_finite(self, rng, rows, channels):
+        const = 1 if channels > 1 else 0  # the constant column, at C == 1 the only one
+        x = rng.normal(size=(rows, channels))
+        x[:, const] = 2.5
+        bn = BatchNormState(gamma=rng.uniform(0.5, 2.0, channels), beta=rng.normal(size=channels),
+                            running_mean=np.zeros(channels), running_var=np.ones(channels))
+        y, cache = _bn_forward(x, bn)
+        x_hat = cache[1]
+        dx, dgamma, dbeta = _bn_backward(rng.normal(size=(rows, channels)), bn, cache)
+        folded = bn.updated(cache[3], cache[4])
+        for arr in (y, x_hat, dx, dgamma, dbeta, folded.running_mean, folded.running_var):
+            assert np.isfinite(arr).all()
+        assert np.array_equal(x_hat[:, const], np.zeros(rows))
+        assert cache[4][const] == 0.0
+        assert folded.running_mean[const] == 0.1 * 2.5 and folded.running_var[const] == 0.9
+
+    def test_inexact_constant_gives_rounding_level_x_hat(self):
+        x = np.full((4096, 2), 0.1)
+        x[:, 1] = np.arange(4096.0)
+        _, cache = _bn_forward(x, BatchNormState.initial(2))
+        assert np.abs(cache[1][:, 0]).max() < 1e-10
+
+
 class TestBaselines:
     def _identity_mlp(self, n, mode="inference"):
         return MlpParams((MlpLayer(weight=np.eye(n), bias=np.zeros(n),
@@ -429,3 +469,72 @@ class TestCheckpoints:
         loaded = pagwn_input_from_tensors(pio.load_tensor_dir(tmp_path / "inp"))
         np.testing.assert_array_equal(loaded.neighbor_features, inp.neighbor_features)
         np.testing.assert_array_equal(loaded.center_coord, inp.center_coord)
+
+
+@st.composite
+def _colsum_operands(draw):
+    """(a, b) pairs shaped like the training step's column sums.
+
+    2-D (N, C) or 3-D (M, K, C); C == 1 and N == 1 included; values at
+    scales e^-5 to e^5 with signed zeros mixed in; and, as views, the last
+    axis cut out of a wider array (like ``dh[:, :, n:]``), that cut
+    reshaped to rows (like ``dh[:, :, :n].reshape(M*K, n)``), or every
+    other row.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.sampled_from([1, 1, 2, 3, 4, 6, 7, 12]))
+    lead = ((draw(st.integers(1, 600)),) if draw(st.booleans())
+            else (draw(st.integers(1, 40)), draw(st.integers(1, 24))))
+    view = draw(st.sampled_from(["contiguous", "last-axis cut", "cut as rows", "every other row"]))
+
+    def operand():
+        scale = np.exp(rng.uniform(-5.0, 5.0))
+        if view == "last-axis cut":
+            wide = rng.normal(size=(*lead, 2 * c)) * scale
+            arr = wide[..., c:]
+        elif view == "cut as rows" and len(lead) == 2:
+            wide = rng.normal(size=(*lead, 2 * c)) * scale
+            arr = wide[..., :c].reshape(lead[0] * lead[1], c)
+        elif view == "every other row":
+            arr = (rng.normal(size=(*lead[:-1], 2 * lead[-1], c)) * scale)[..., ::2, :]
+        else:
+            arr = rng.normal(size=(*lead, c)) * scale
+        zeros = rng.random(arr.shape) < 0.05
+        arr[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+        return arr
+
+    return operand(), operand()
+
+
+def _same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestSummationKernels:
+    """The training step's column sums and scatters must add in exactly the
+    order of the NumPy calls they replace; a NumPy upgrade that changes
+    einsum's or bincount's loop order fails here first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operands=_colsum_operands())
+    def test_colsum_matches_add_reduce_bit_for_bit(self, operands):
+        a, b = operands
+        assert _same_bytes(_colsum(a), np.add.reduce(a, axis=-2))
+        assert _same_bytes(_colsum(a, b), np.add.reduce(a * b, axis=-2))
+        assert _same_bytes(_colsum(a, a), np.add.reduce(a * a, axis=-2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), c=st.integers(1, 6),
+           count=st.sampled_from([0, 1, 2, 17, 500, 4000]), split=st.floats(0.0, 1.0))
+    def test_scatter_matches_add_at_bit_for_bit(self, seed, n, c, count, split):
+        rng = np.random.default_rng(seed)
+        # few distinct targets: many duplicates, and slots that receive nothing
+        idx = rng.integers(0, max(1, n // 3), size=count) * 3 % n
+        rows = rng.normal(size=(count, c)) * np.exp(rng.uniform(-5.0, 5.0))
+        rows[rng.random(rows.shape) < 0.05] = -0.0
+        expected = np.zeros((n, c))
+        # two calls, as the neighbor rows and then the center rows were added
+        cut = int(split * count)
+        np.add.at(expected, idx[:cut], rows[:cut])
+        np.add.at(expected, idx[cut:], rows[cut:])
+        assert _same_bytes(_scatter_rows(idx, rows, n), expected)
