@@ -32,11 +32,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def running_average(running: np.ndarray, batch: np.ndarray, momentum: float) -> np.ndarray:
-    """Fold one batch statistic into its running estimate."""
-    return (1.0 - momentum) * running + momentum * batch
-
-
 def _to_matrix(value, name: str, dtype=np.float64) -> np.ndarray:
     """Coerce to a 2-d array, naming the offending row on ragged input."""
     try:
@@ -208,8 +203,7 @@ class BatchNormState:
     """Per-channel batch-norm parameters and running statistics.
 
     Training mode normalizes with batch statistics; inference mode uses the
-    running statistics.  Running updates are functional: :meth:`updated`
-    returns a new state, the original is never mutated.
+    running statistics.
     """
 
     gamma: np.ndarray
@@ -265,11 +259,6 @@ class BatchNormState:
 
     def with_mode(self, mode: str) -> "BatchNormState":
         return replace(self, mode=mode)
-
-    def updated(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> "BatchNormState":
-        """Fold one batch's statistics into the running estimates."""
-        return replace(self, running_mean=running_average(self.running_mean, batch_mean, self.momentum),
-                       running_var=running_average(self.running_var, batch_var, self.momentum))
 
 
 @dataclass(frozen=True, eq=False)

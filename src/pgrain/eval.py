@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DomainError, MetricsReport, PointCloud, running_average
+from .core import DomainError, MetricsReport, PointCloud
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT
 from .pagwn import (
     _colsum,
@@ -445,7 +445,7 @@ class _Aggregator:
     init: Callable       # (n, seed, prefix) -> tensors of one n -> 2n stage
     read: Callable       # (tensors, prefix, mode) -> typed stage parameters
     neighbors: Callable  # (index, center coords, k, config) -> (M, k) indices, (M,) occupied
-    forward: Callable    # (params, prefix, stage plan, x, split, epsilon) -> (features, output, batch stats)
+    forward: Callable    # (params, stage plan, x, split, epsilon) -> (features, output with batch_stats)
     backward: Callable   # (output, prefix, stage plan, upstream) -> (grads, upstream of the stage input)
 
 
@@ -458,17 +458,11 @@ def _ball_neighbors(index, queries, k, config):
     return batch.indices, batch.occupied
 
 
-def _batch_stats(bn_caches: dict) -> dict:
-    """(mean, var) per batch-norm prefix, from training-mode forward caches only."""
-    return {prefix: cache[3:] for prefix, cache in bn_caches.items() if cache[0] == "training"}
-
-
-def _pagwn_forward(params, prefix, splan, x, split, epsilon):
+def _pagwn_forward(params, splan, x, split, epsilon):
     coords, centers, hoods, _ = splan
     out = pagwn_forward_batch(coords[hoods], x[hoods], coords[centers], x[centers],
                               params, split, epsilon)
-    stats = _batch_stats({prefix + "lb1_bn.": out.cache.bn1_cache, prefix + "lb2_bn.": out.cache.bn2_cache})
-    return out.aggregated, out, stats
+    return out.aggregated, out
 
 
 def _pagwn_backward(out, prefix, splan, g):
@@ -487,12 +481,10 @@ def _pagwn_backward(out, prefix, splan, g):
     }, d_prev
 
 
-def _mlp_forward(params, prefix, splan, x, split, epsilon):
+def _mlp_forward(params, splan, x, split, epsilon):
     _, _, hoods, occupied = splan
     out = aggregate_precomputed(x, hoods, occupied, params)
-    stats = _batch_stats({f"{prefix}layer{i}.bn.": bn_cache
-                          for i, (_, bn_cache, _) in enumerate(out.cache.mlp_caches)})
-    return out.features, out, stats
+    return out.features, out
 
 
 def _mlp_backward(out, prefix, splan, g):
@@ -539,13 +531,13 @@ class PipelineResult:
 
 
 def _encode(plan: _ScenePlan, stage_params, agg: _Aggregator, config: ToyPipelineConfig):
-    """Run the encoder over one scene; returns (final features, outputs, batch-norm (mean, var) by prefix)."""
+    """Run the encoder over one scene; returns (final features, outputs, batch-norm (mean, var) by checkpoint name)."""
     x = plan.scene.features
     outs, stats = [], {}
     for t, (splan, params, spec) in enumerate(zip(plan.stages, stage_params, config.stages)):
-        x, out, fresh = agg.forward(params, f"stage{t}.", splan, x, spec.split, config.epsilon)
+        x, out = agg.forward(params, splan, x, spec.split, config.epsilon)
         outs.append(out)
-        stats.update(fresh)
+        stats.update({f"stage{t}.{name}": pair for name, pair in out.batch_stats.items()})
     return x, outs, stats
 
 
@@ -635,7 +627,7 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
                     for prefix, (mean, var) in stats.items():
                         momentum = float(params[prefix + "momentum"])
                         for name, value in (("running_mean", mean), ("running_var", var)):
-                            params[prefix + name] = running_average(params[prefix + name], value, momentum)
+                            params[prefix + name] = (1.0 - momentum) * params[prefix + name] + momentum * value
                     epoch_loss += loss
                     # sum in scene order, then scale by 1/batch, then step
                     total = grads if total is None else {k: total[k] + g for k, g in grads.items()}
@@ -683,8 +675,9 @@ def ablate_m(config: ToyPipelineConfig, m_values: Sequence[int], train_scenes,
              test_scenes) -> List[Tuple[int, MetricsReport]]:
     """Rerun the pipeline varying only the group split m; fixed seeds.
 
-    Duplicate m values are dropped with a warning.  Each row mirrors the
-    grouping-size ablation layout: m, mIoU, mAcc, OA.
+    Duplicate m values are dropped with a warning; an empty sweep is
+    ``invalid-spec``.  Each row mirrors the grouping-size ablation layout:
+    m, mIoU, mAcc, OA.
     """
     seen = []
     for m in m_values:
@@ -692,6 +685,8 @@ def ablate_m(config: ToyPipelineConfig, m_values: Sequence[int], train_scenes,
             warnings.warn(f"duplicate m={m} ignored", stacklevel=2)
             continue
         seen.append(m)
+    if not seen:
+        raise DomainError("invalid-spec", "the m sweep needs at least one value")
     rows = []
     for m in seen:
         result = run_toy_pipeline(config.with_split(m), train_scenes, test_scenes)

@@ -234,6 +234,9 @@ def read_ply(path: PathLike) -> PointCloud:
     if unknown:
         raise DomainError("unsupported-format", f"vertex property types {unknown} are not supported")
     names = [p[0] for p in props]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise DomainError("parse-error", f"vertex property {name!r} is declared more than once")
     for axis in ("x", "y", "z"):
         if axis not in names:
             raise DomainError("missing-vertex-element", f"vertex lacks property {axis}")

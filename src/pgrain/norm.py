@@ -111,7 +111,14 @@ def _gwn_forward(windows: np.ndarray, centers: np.ndarray, m: Optional[int], eps
 
 
 def _gwn_backward(g: np.ndarray, cache):
-    """Gradient w.r.t. the (M, K, d) window rows; the centers' is minus its sum over K."""
+    """Gradient w.r.t. the (M, K, d) window rows; the centers' is minus its sum over K.
+
+    A group whose sigma is 0 (every entry equals the center) has no
+    derivative of sigma: along one entry it changes by |h| / sqrt(denom).
+    The backward takes the subgradient 0 for sigma there and keeps only the
+    direct path, g / epsilon.  That is the limit of a central difference,
+    because sigma is even in each entry's perturbation.
+    """
     dev, sigmas, groups, epsilon = cache
     ddev = np.empty_like(dev)
     for (rows, denom), sig in zip(groups, sigmas):

@@ -32,7 +32,7 @@ order, as ``np.add.at`` does.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,17 +163,16 @@ class PagwnCache:
 
 @dataclass(frozen=True, eq=False)
 class PagwnOutput:
-    """Aggregated features plus the cache retained for backward.
+    """Aggregated features, the cache retained for backward, and batch statistics.
 
-    ``updated_lb1_bn``/``updated_lb2_bn`` carry running statistics folded
-    with this batch (training mode only); adopt them before the next
-    inference pass.
+    ``batch_stats`` maps the checkpoint name of each training-mode batch
+    norm (``"lb1_bn."``, ``"lb2_bn."``) to its batch (mean, var); it is
+    empty in inference mode.
     """
 
     aggregated: np.ndarray
     cache: PagwnCache
-    updated_lb1_bn: Optional[BatchNormState] = None
-    updated_lb2_bn: Optional[BatchNormState] = None
+    batch_stats: Dict[str, Tuple[np.ndarray, np.ndarray]]
 
     def __post_init__(self):
         if not np.isfinite(self.aggregated).all():
@@ -260,13 +259,9 @@ def _forward_arrays(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float,
         bn1_cache=bn1_cache, h_rows=h_rows, bn2_cache=bn2_cache,
         pooled=pooled, argmax=argmax,
     )
-    bn1_new = bn2_new = None
-    if params.lb1_bn.mode == "training":
-        bn1_new = params.lb1_bn.updated(bn1_cache[3], bn1_cache[4])
-        bn2_new = params.lb2_bn.updated(bn2_cache[3], bn2_cache[4])
     return PagwnOutput(
-        aggregated=aggregated[0] if single_input else aggregated,
-        cache=cache, updated_lb1_bn=bn1_new, updated_lb2_bn=bn2_new,
+        aggregated=aggregated[0] if single_input else aggregated, cache=cache,
+        batch_stats={"lb1_bn.": bn1_cache[3:], "lb2_bn.": bn2_cache[3:]} if cache.mode == "training" else {},
     )
 
 
@@ -464,7 +459,7 @@ class BaselineOutput:
     features: np.ndarray          # (M, out)
     empty_region: np.ndarray      # (M,) bool
     cache: BaselineCache
-    updated_bn: Tuple[BatchNormState, ...]  # per layer, batch folded in if training; () if all empty
+    batch_stats: Dict[str, Tuple[np.ndarray, np.ndarray]]  # "layer{i}.bn." -> batch (mean, var), training only
 
 
 def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndarray,
@@ -492,10 +487,9 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
         neighbor_indices=neighbor_indices, occupied=occupied, mlp_caches=caches,
         argmax=argmax, k=k, num_source_points=source_features.shape[0],
     )
-    updated_bn = tuple(
-        layer.bn.updated(bn_cache[3], bn_cache[4]) if bn_cache[0] == "training" else layer.bn
-        for layer, (_, bn_cache, _) in zip(mlp_params.layers, caches))
-    return BaselineOutput(features=features, empty_region=~occupied, cache=cache, updated_bn=updated_bn)
+    batch_stats = {f"layer{i}.bn.": bn_cache[3:]
+                   for i, (_, bn_cache, _) in enumerate(caches) if bn_cache[0] == "training"}
+    return BaselineOutput(features=features, empty_region=~occupied, cache=cache, batch_stats=batch_stats)
 
 
 def aggregate_knn_baseline(cloud: PointCloud, sampled_indices, k: int,

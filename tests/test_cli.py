@@ -235,6 +235,19 @@ def toy_config(tmp_path, **kw):
 
 
 class TestTrainToy:
+    def test_neither_scipy_nor_numpy_ma_is_imported(self, tmp_path):
+        # each costs set-up time and resident memory that the benchmark bounds
+        config, out = toy_config(tmp_path, epochs=1), tmp_path / "metrics.csv"
+        script = (
+            "import sys\n"
+            "import pgrain.cli\n"
+            f"assert pgrain.cli.main(['train-toy', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0\n"
+            "print(sorted(name for name in ('scipy', 'numpy.ma') if name in sys.modules))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
     def test_train_writes_metrics_and_checkpoint(self, tmp_path):
         config = toy_config(tmp_path)
         out = tmp_path / "metrics.csv"
@@ -298,6 +311,15 @@ class TestTrainToy:
         assert result.returncode == 1
         assert result.stderr.startswith("pgrain: invalid-spec: ")
         assert "Traceback" not in result.stderr
+
+    def test_ablate_empty_m_list_rejected(self, tmp_path, capsys):
+        config = toy_config(tmp_path)
+        for m_list in ("", ","):
+            code, err = main_stderr(capsys, "ablate-m", "--config", str(config), "--m", m_list,
+                                    "--out", str(tmp_path / "ablation.csv"))
+            assert code == 1
+            assert err.startswith("pgrain: invalid-spec: "), err
+            assert not (tmp_path / "ablation.csv").exists()
 
     def test_ablate_emits_one_row_per_m(self, tmp_path):
         config = toy_config(tmp_path)

@@ -5,12 +5,15 @@ from hypothesis import given, strategies as st
 from pgrain import (
     BatchNormState,
     DomainError,
+    MlpLayer,
+    MlpParams,
     Neighborhood,
     PagwnParams,
     PointCloud,
     WindowStats,
     validate_cloud,
 )
+from pgrain.pagwn import aggregate_precomputed
 
 from conftest import random_cloud
 
@@ -130,13 +133,16 @@ class TestBatchNormState:
             BatchNormState(gamma=np.ones(2), beta=np.zeros(2),
                            running_mean=np.zeros(2), running_var=np.array([1.0, -0.5]))
 
-    def test_updated_folds_batch_statistics(self):
+    def test_training_forward_reports_batch_statistics_and_keeps_the_state(self):
+        # the training loop folds these into the checkpoint; the state itself never changes
         bn = BatchNormState.initial(2, momentum=0.1)
-        new = bn.updated(np.array([1.0, 2.0]), np.array([4.0, 9.0]))
-        np.testing.assert_allclose(new.running_mean, [0.1, 0.2])
-        np.testing.assert_allclose(new.running_var, [0.9 + 0.4, 0.9 + 0.9])
-        # original untouched
-        assert np.array_equal(bn.running_mean, np.zeros(2))
+        layer = MlpLayer(weight=np.eye(2), bias=np.zeros(2), bn=bn)
+        rows = np.array([[-1.0, -1.0], [3.0, 5.0]])
+        out = aggregate_precomputed(rows, np.array([[0, 1]]), np.array([True]), MlpParams((layer,)))
+        mean, var = out.batch_stats["layer0.bn."]
+        assert np.array_equal(mean, [1.0, 2.0]) and np.array_equal(var, [4.0, 9.0])
+        assert np.array_equal(bn.running_mean, np.zeros(2)) and np.array_equal(bn.running_var, np.ones(2))
+        assert not bn.running_mean.flags.writeable
 
 
 class TestPagwnParams:

@@ -357,6 +357,28 @@ class TestTrainingLossGradient:
                 assert err < self.TOL, (name, int(i), analytic, fd)
 
 
+class TestRunningStatisticsFold:
+    """The training loop is the one place that folds batch statistics into the checkpoint."""
+
+    @pytest.mark.parametrize("aggregator", ["pagwn", "knn_baseline", "bq_baseline"])
+    def test_one_scene_one_step_folds_the_initial_batch_statistics(self, aggregator):
+        config = ToyPipelineConfig(stages=(StageSpec(64, 8, 3), StageSpec(16, 4, 2)), num_classes=2,
+                                   epochs=1, batch_size=1, aggregator=aggregator, bq_radius=0.15)
+        scene = density_imbalanced_scene(5, dense_count=96, sparse_count=32)
+        agg = ev._AGGREGATOR_TABLE[aggregator]
+        initial = ev._init_params(config, scene.feature_dim)
+        stage_params = [agg.read(initial, f"stage{t}.", "training") for t in range(len(config.stages))]
+        _, _, stats = ev._encode(ev._plan_scene(scene, config, 0), stage_params, agg, config)
+        trained = run_toy_pipeline(config, [scene], [scene]).params
+        assert set(stats) == {name[:-len("running_mean")] for name in initial if name.endswith("running_mean")}
+        for prefix, (mean, var) in stats.items():
+            momentum = float(initial[prefix + "momentum"])
+            for name, batch in (("running_mean", mean), ("running_var", var)):
+                expected = (1 - momentum) * initial[prefix + name] + momentum * batch
+                assert np.array_equal(trained[prefix + name], expected), prefix + name
+                assert not np.array_equal(trained[prefix + name], initial[prefix + name]), prefix + name
+
+
 class TestAblateM:
     def _scenes(self):
         train = [density_imbalanced_scene(s, dense_count=96, sparse_count=48) for s in range(2)]

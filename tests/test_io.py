@@ -189,6 +189,7 @@ class TestPly:
         ("element vertex -1\nproperty double x\n", "parse-error"),
         ("element vertex\nproperty double x\n", "parse-error"),
         ("element vertex 1\nproperty half x\n", "unsupported-format"),
+        ("element vertex 1\nproperty double x\nproperty double x\n", "parse-error"),
     ])
     def test_malformed_header_rejected_alike_on_both_formats(self, tmp_path, fmt, header, kind):
         path = tmp_path / "bad.ply"
@@ -200,6 +201,20 @@ class TestPly:
         with pytest.raises(DomainError) as exc:
             pio.read_ply(path)
         assert exc.value.kind == kind
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_duplicate_property_is_rejected_by_name(self, tmp_path, binary):
+        # well-formed data for every declared column: only the repeated name is wrong
+        path = tmp_path / "dup.ply"
+        header = ("ply\nformat " + ("binary_little_endian" if binary else "ascii") + " 1.0\nelement vertex 1\n"
+                  "property double x\nproperty double y\nproperty double z\nproperty double y\n"
+                  "property uchar red\nproperty uchar green\nproperty uchar blue\nend_header\n")
+        body = np.array([1.0, 2.0, 3.0, 4.0], dtype="<f8").tobytes() + bytes([0, 255, 0]) if binary else b"1 2 3 4 0 255 0\n"
+        path.write_bytes(header.encode("ascii") + body)
+        with pytest.raises(DomainError) as exc:
+            pio.read_ply(path)
+        assert exc.value.kind == "parse-error"
+        assert "'y'" in str(exc.value)
 
     @pytest.mark.parametrize("body,kind,where", [
         ("0 0 0 1 2 3\n0 0 0 1 2\n", "token-count-mismatch", "row 1"),

@@ -24,6 +24,7 @@ from pgrain import (
     pre_abstract,
 )
 from pgrain import io as pio
+from pgrain.norm import DEFAULT_EPSILON, _gwn_backward, _gwn_forward
 from pgrain.pagwn import (
     _bn_backward,
     _bn_forward,
@@ -204,12 +205,24 @@ class TestForward:
             np.testing.assert_allclose(batch.aggregated[row], single, rtol=1e-12, atol=1e-14)
 
     def test_running_stats_update_only_in_training(self, rng):
+        # a training forward reports each batch norm's batch (mean, var) under its
+        # checkpoint name, for the training loop to fold; inference reports none
         n, k = 3, 6
         inp = random_input(rng, n, k)
-        train_out = pagwn_forward(inp, init_pagwn_params(n, seed=6), m=2)
-        assert train_out.updated_lb1_bn is not None
-        infer_out = pagwn_forward(inp, init_pagwn_params(n, seed=6).with_mode("inference"), m=2)
-        assert infer_out.updated_lb1_bn is None
+        params = init_pagwn_params(n, seed=6)
+        train_out = pagwn_forward(inp, params, m=2)
+        assert set(train_out.batch_stats) == {"lb1_bn.", "lb2_bn."}
+        tensors = pagwn_param_tensors(params)
+        assert all(name + "running_mean" in tensors for name in train_out.batch_stats)
+        cache = train_out.cache
+        z1 = cache.gwn_rows @ params.lb1_weight + params.lb1_bias
+        z2 = cache.h_rows @ params.lb2_weight + params.lb2_bias
+        for name, z in (("lb1_bn.", z1), ("lb2_bn.", z2)):
+            mean, var = train_out.batch_stats[name]
+            np.testing.assert_allclose(mean, z.mean(axis=0), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(var, z.var(axis=0), rtol=1e-12, atol=1e-15)
+        infer_out = pagwn_forward(inp, params.with_mode("inference"), m=2)
+        assert infer_out.batch_stats == {}
 
 
 class TestBackward:
@@ -272,6 +285,87 @@ class TestBackward:
             assert grad_close(analytic, fd_array(base, rebuild))
 
 
+class TestZeroSigmaWindows:
+    """The texture group (rows < m) at and near group sigma 0, where GWN scales by up to 1/eps.
+
+    Sigma 0 comes from duplicate points: every texture row equals the center
+    in coordinates and features.
+    """
+
+    N, K, M = 3, 6, 3
+
+    def _input(self, rng, sigma):
+        """A random window whose texture group has sigma ``sigma`` over [coords || features]."""
+        inp = random_input(rng, self.N, self.K)
+        dev = rng.normal(size=(self.M, self.N + 3))
+        dev *= sigma / np.sqrt(np.sum(dev * dev) / (dev.size - 1))
+        rows = np.concatenate([inp.neighbor_coords, inp.neighbor_features], axis=1)
+        rows[:self.M] = np.concatenate([inp.center_coord, inp.center_feature]) + dev
+        return PagwnInput(inp.center_coord, inp.center_feature, rows[:, :3], rows[:, 3:])
+
+    def test_duplicate_points_give_finite_forward_and_backward(self, rng):
+        params = init_pagwn_params(self.N, seed=31)
+        out = pagwn_forward(self._input(rng, 0.0), params, m=self.M)
+        sigmas = out.cache.gwn_cache[1]
+        assert sigmas[0][0] == 0.0 and sigmas[1][0] > 0.0
+        assert np.array_equal(out.cache.gwn_rows[:self.M], np.zeros((self.M, self.N + 3)))
+        assert np.isfinite(out.aggregated).all()
+        grads = pagwn_backward(out.cache, rng.normal(size=2 * self.N))
+        for name, value in vars(grads).items():
+            assert np.isfinite(value).all(), name
+
+    @pytest.mark.parametrize("sigma", [DEFAULT_EPSILON / 10, DEFAULT_EPSILON, 10 * DEFAULT_EPSILON])
+    def test_gradients_match_finite_differences_near_zero_sigma(self, rng, sigma):
+        params = init_pagwn_params(self.N, seed=32)
+        inp = self._input(rng, sigma)
+        upstream = rng.normal(size=2 * self.N)
+        out = pagwn_forward(inp, params, m=self.M)
+        np.testing.assert_allclose(out.cache.gwn_cache[1][0][0], sigma, rtol=1e-6)
+        grads = pagwn_backward(out.cache, upstream)
+        h = sigma * 1e-3  # a fixed step would be larger than sigma itself
+
+        def loss(rows, center):
+            moved = PagwnInput(center[:3], center[3:], rows[:, :3], rows[:, 3:])
+            return float(np.sum(pagwn_forward(moved, params, m=self.M).aggregated * upstream))
+
+        rows = np.concatenate([inp.neighbor_coords, inp.neighbor_features], axis=1)
+        center = np.concatenate([inp.center_coord, inp.center_feature])
+        fd_rows, fd_center = np.zeros((self.M, self.N + 3)), np.zeros(self.N + 3)
+        for ix in np.ndindex(fd_rows.shape):
+            delta = np.zeros_like(rows)
+            delta[ix] = h
+            fd_rows[ix] = (loss(rows + delta, center) - loss(rows - delta, center)) / (2 * h)
+        for c in range(self.N + 3):
+            delta = np.zeros_like(center)
+            delta[c] = h
+            fd_center[c] = (loss(rows, center + delta) - loss(rows, center - delta)) / (2 * h)
+        analytic_rows = np.concatenate([grads.neighbor_coords, grads.neighbor_features], axis=1)[:self.M]
+        assert grad_close(analytic_rows, fd_rows)
+        assert grad_close(np.concatenate([grads.center_coord, grads.center_feature]), fd_center)
+
+    def test_zero_sigma_subgradient_matches_central_differences(self, rng):
+        # sigma(h) = |h| / sqrt(denom) is even in h, so a central difference
+        # cancels the sigma path and leaves the direct path g / epsilon
+        d = self.N + 3
+        centers = rng.normal(size=(1, d))
+        windows = centers[:, None, :] + rng.normal(size=(1, self.K, d))
+        windows[:, :self.M] = centers[:, None, :]
+        g = rng.normal(size=(1, self.K, d))
+        _, cache = _gwn_forward(windows, centers, self.M, DEFAULT_EPSILON)
+        assert cache[1][0][0] == 0.0
+        analytic = _gwn_backward(g, cache)
+        np.testing.assert_array_equal(analytic[:, :self.M], g[:, :self.M] / DEFAULT_EPSILON)
+        h = DEFAULT_EPSILON * 1e-5
+        fd = np.zeros((self.M, d))
+        for ix in np.ndindex(fd.shape):
+            delta = np.zeros_like(windows)
+            delta[(0, *ix)] = h
+            plus = np.sum(g * _gwn_forward(windows + delta, centers, self.M, DEFAULT_EPSILON)[0])
+            minus = np.sum(g * _gwn_forward(windows - delta, centers, self.M, DEFAULT_EPSILON)[0])
+            fd[ix] = (plus - minus) / (2 * h)
+        assert grad_close(analytic[0, :self.M], fd)
+
+
 class TestBatchNormConstantChannel:
     """Training-mode batch norm where one channel is the same in every row.
 
@@ -293,12 +387,17 @@ class TestBatchNormConstantChannel:
         y, cache = _bn_forward(x, bn)
         x_hat = cache[1]
         dx, dgamma, dbeta = _bn_backward(rng.normal(size=(rows, channels)), bn, cache)
-        folded = bn.updated(cache[3], cache[4])
-        for arr in (y, x_hat, dx, dgamma, dbeta, folded.running_mean, folded.running_var):
+        # the batch statistics a training forward reports, folded as run_toy_pipeline folds them
+        layer = MlpLayer(weight=np.eye(channels), bias=np.zeros(channels), bn=bn)
+        out = aggregate_precomputed(x, np.arange(rows)[:, None], np.ones(rows, dtype=bool), MlpParams((layer,)))
+        mean, var = out.batch_stats["layer0.bn."]
+        running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mean
+        running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * var
+        for arr in (y, x_hat, dx, dgamma, dbeta, running_mean, running_var):
             assert np.isfinite(arr).all()
         assert np.array_equal(x_hat[:, const], np.zeros(rows))
-        assert cache[4][const] == 0.0
-        assert folded.running_mean[const] == 0.1 * 2.5 and folded.running_var[const] == 0.9
+        assert cache[4][const] == 0.0 and var[const] == 0.0
+        assert running_mean[const] == 0.1 * 2.5 and running_var[const] == 0.9
 
     def test_inexact_constant_gives_rounding_level_x_hat(self):
         x = np.full((4096, 2), 0.1)
@@ -351,26 +450,27 @@ class TestBaselines:
         assert np.all(out.features[1] == 0.0)
         assert not np.all(out.features[0] == 0.0)
 
-    def test_updated_bn_folds_the_batch_statistics(self, rng):
+    def test_batch_stats_name_each_training_layer(self, rng):
+        # every layer's batch (mean, var) over the occupied regions' rows, under
+        # its checkpoint name; none in inference mode or when every region is empty
         features = rng.normal(size=(12, 3))
         hoods = rng.integers(0, 12, size=(4, 5))
         occupied = np.array([True, False, True, True])
         mlp = init_mlp_params((3, 4, 6), seed=2)
         out = aggregate_precomputed(features, hoods, occupied, mlp)
+        assert list(out.batch_stats) == ["layer0.bn.", "layer1.bn."]
+        assert all(name + "running_mean" in mlp_param_tensors(mlp) for name in out.batch_stats)
         x = features[hoods[occupied].reshape(-1)]
-        for layer, bn in zip(mlp.layers, out.updated_bn):
+        for layer, (mean, var) in zip(mlp.layers, out.batch_stats.values()):
             z = x @ layer.weight + layer.bias
-            expected = layer.bn.updated(z.mean(axis=0), z.var(axis=0))
-            np.testing.assert_allclose(bn.running_mean, expected.running_mean, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(bn.running_var, expected.running_var, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(mean, z.mean(axis=0), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(var, z.var(axis=0), rtol=1e-12, atol=1e-15)
             y = layer.bn.gamma * (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + layer.bn.eps) + layer.bn.beta
             x = np.maximum(y, 0.0)
-        assert len(out.updated_bn) == 2
-        frozen = mlp.with_mode("inference")
-        inference = aggregate_precomputed(features, hoods, occupied, frozen)
-        assert list(inference.updated_bn) == [layer.bn for layer in frozen.layers]
+        inference = aggregate_precomputed(features, hoods, occupied, mlp.with_mode("inference"))
+        assert inference.batch_stats == {}
         empty = aggregate_precomputed(features, hoods, np.zeros(4, dtype=bool), mlp)
-        assert empty.updated_bn == ()
+        assert empty.batch_stats == {}
 
     def test_neighbor_permutation_invariance(self, rng):
         cloud = random_cloud(rng, n_points=30)
