@@ -10,7 +10,6 @@ from .core import (
     BatchNormState,
     DomainError,
     MetricsReport,
-    Neighborhood,
     PagwnParams,
     PointCloud,
     WindowStats,
@@ -40,8 +39,6 @@ from .pagwn import (
     MlpParams,
     PagwnInput,
     PagwnOutput,
-    aggregate_bq_baseline,
-    aggregate_knn_baseline,
     init_mlp_params,
     init_pagwn_params,
     pagwn_backward,
@@ -52,28 +49,23 @@ from .pagwn import (
 from .sampling import farthest_point_sample, random_sample
 from .spatial import (
     BallQueryBatch,
-    BallQueryResult,
     NeighborIndex,
-    ball_query,
     ball_query_batch,
     brute_force_knn,
     build_index,
     knn_batch,
-    knn_query,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BallQueryBatch",
-    "BallQueryResult",
     "BatchNormState",
     "DomainError",
     "MetricsReport",
     "MlpLayer",
     "MlpParams",
     "NeighborIndex",
-    "Neighborhood",
     "NormalizedWindow",
     "PagwnInput",
     "PagwnOutput",
@@ -86,9 +78,6 @@ __all__ = [
     "Window",
     "WindowStats",
     "ablate_m",
-    "aggregate_bq_baseline",
-    "aggregate_knn_baseline",
-    "ball_query",
     "ball_query_batch",
     "brute_force_knn",
     "build_index",
@@ -100,7 +89,6 @@ __all__ = [
     "init_mlp_params",
     "init_pagwn_params",
     "knn_batch",
-    "knn_query",
     "pagwn_backward",
     "pagwn_forward",
     "pagwn_forward_batch",

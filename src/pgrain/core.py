@@ -126,50 +126,6 @@ def validate_cloud(cloud: PointCloud) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class Neighborhood:
-    """K neighbors of one center point, sorted by ascending distance.
-
-    Ties in distance are broken by ascending neighbor index.  Duplicate
-    (index, distance) pairs are permitted: ball-query padding repeats the
-    nearest neighbor.  ``center_index`` is None when the query coordinate
-    is not itself a cloud member.
-    """
-
-    center_index: Optional[int]
-    neighbor_indices: np.ndarray
-    distances: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.neighbor_indices, dtype=np.int64)
-        dist = np.asarray(self.distances, dtype=np.float64)
-        if idx.ndim != 1 or dist.ndim != 1 or idx.shape != dist.shape:
-            raise DomainError("dimension-mismatch", "indices and distances must be matching 1-d arrays")
-        if idx.size < 1:
-            raise DomainError("empty-neighborhood", "a neighborhood needs at least one neighbor")
-        if (idx < 0).any():
-            raise DomainError("invalid-index", f"negative neighbor index at position {int(np.argmax(idx < 0))}")
-        if not np.isfinite(dist).all() or (dist < 0).any():
-            raise DomainError("non-finite-value", "distances must be finite and nonnegative")
-        diffs = np.diff(dist)
-        if (diffs < 0).any():
-            pos = int(np.flatnonzero(diffs < 0)[0])
-            raise DomainError("unsorted-distances", f"distance decreases at position {pos + 1}")
-        # equal distances must keep ascending index order (padding repeats allowed)
-        tied = diffs == 0
-        if tied.any() and (np.diff(idx)[tied] < 0).any():
-            raise DomainError("unsorted-distances", "tied distances are not in ascending index order")
-        if self.center_index is not None and int(self.center_index) < 0:
-            raise DomainError("invalid-index", f"center index must be >= 0, got {self.center_index}")
-        object.__setattr__(self, "center_index", None if self.center_index is None else int(self.center_index))
-        object.__setattr__(self, "neighbor_indices", _freeze(idx))
-        object.__setattr__(self, "distances", _freeze(dist))
-
-    @property
-    def k(self) -> int:
-        return self.neighbor_indices.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class WindowStats:
     """Scalar spread of one window: sigma, and lam = 1 / (sigma + epsilon).
 

@@ -230,6 +230,8 @@ def compute_metrics(pred_labels, true_labels, num_classes: int) -> MetricsReport
     if c < 1:
         raise DomainError("label-out-of-range", f"class count must be >= 1, got {c}")
     for name, arr in (("pred", pred), ("truth", truth)):
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise DomainError("dimension-mismatch", f"{name} labels must be integers, got {arr.dtype}")
         bad = (arr < 0) | (arr >= c)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])

@@ -384,7 +384,11 @@ def save_tensor_dir(path: PathLike, tensors: dict) -> None:
 
 
 def load_tensor_dir(path: PathLike) -> dict:
-    """Read back a tensor directory written by :func:`save_tensor_dir`."""
+    """Read back a tensor directory written by :func:`save_tensor_dir`.
+
+    Each manifest line must name a new tensor and give a rank equal to the
+    number of dims that follow it.
+    """
     root = Path(path)
     manifest = root / "manifest.txt"
     if not manifest.is_file():
@@ -396,12 +400,20 @@ def load_tensor_dir(path: PathLike) -> dict:
         if not fields:
             continue
         name = fields[0]
+        where = f"manifest line {lineno}: tensor {name!r}"
+        if name in out:
+            raise DomainError("parse-error", f"{where} repeats an earlier line")
+        if len(fields) < 2:
+            raise DomainError("parse-error", f"{where} has no rank")
         try:
-            declared = tuple(int(d) for d in fields[2:])
+            rank, *declared = (int(f) for f in fields[1:])
         except ValueError:
-            raise DomainError("parse-error", f"manifest line {lineno}: tensor {name!r} has a non-integer dim") from None
+            raise DomainError("parse-error", f"{where} has a non-integer rank or dim") from None
+        declared = tuple(declared)
+        if rank != len(declared):
+            raise DomainError("parse-error", f"{where} has rank {rank} but {len(declared)} dims")
         if not (root / f"{name}.pgtn").is_file():
-            raise DomainError("parse-error", f"manifest line {lineno}: tensor {name!r} has no file")
+            raise DomainError("parse-error", f"{where} has no file")
         arr = read_tensor(root / f"{name}.pgtn")
         if arr.shape != declared:
             raise DomainError("parse-error", f"tensor {name} has shape {arr.shape}, manifest says {declared}")

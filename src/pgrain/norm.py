@@ -174,7 +174,7 @@ def group_wise_window_normalize(window: Window, m: int = DEFAULT_SPLIT,
                                 epsilon: float = DEFAULT_EPSILON) -> NormalizedWindow:
     """Normalize the m nearest rows and the K-m remaining rows separately.
 
-    Rows must already be in ascending-distance order (Neighborhood order):
+    Rows must already be in ascending-distance order (a ``knn_batch`` row):
     the first m rows are the texture group, the rest the spatial group.
     Each group gets its own sigma with denominator (count*d - 1).
     """

@@ -14,8 +14,9 @@ backward pass is fully analytic, including the sigma path of the GWN,
 the batch-statistics path of batch norm, and argmax routing of the pool
 (ties to the lowest row index).
 
-Baseline aggregators (plain MLP + max pool over KNN or ball-query
-neighborhoods) live here too, sharing the layer primitives.
+The baseline aggregator (plain MLP + max pool over KNN or ball-query
+neighborhoods that the caller has already found) lives here too, sharing
+the layer primitives.
 
 Summation order is part of the output, which stays bit-identical.  Every
 column sum of the training step (batch-norm statistics and gradients, bias
@@ -36,9 +37,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BatchNormState, DomainError, PagwnParams, PointCloud
+from .core import BatchNormState, DomainError, PagwnParams
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT, _gwn_backward, _gwn_forward
-from .spatial import NeighborIndex, ball_query_batch, build_index, knn_batch
 
 
 # ---------------------------------------------------------------------------
@@ -490,29 +490,6 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
     batch_stats = {f"layer{i}.bn.": bn_cache[3:]
                    for i, (_, bn_cache, _) in enumerate(caches) if bn_cache[0] == "training"}
     return BaselineOutput(features=features, empty_region=~occupied, cache=cache, batch_stats=batch_stats)
-
-
-def aggregate_knn_baseline(cloud: PointCloud, sampled_indices, k: int,
-                           mlp_params: MlpParams, index: Optional[NeighborIndex] = None) -> BaselineOutput:
-    """MaxPool{ MLP(neighbor features) } over each center's KNN window."""
-    sampled = np.asarray(sampled_indices, dtype=np.int64)
-    idx = index if index is not None else build_index(cloud)
-    hoods, _ = knn_batch(idx, cloud.coords[sampled], k)
-    occupied = np.ones(sampled.size, dtype=bool)
-    return aggregate_precomputed(cloud.features, hoods, occupied, mlp_params)
-
-
-def aggregate_bq_baseline(cloud: PointCloud, sampled_indices, radius: float, k_max: int,
-                          mlp_params: MlpParams, index: Optional[NeighborIndex] = None) -> BaselineOutput:
-    """MaxPool{ MLP(neighbor features) } over ball-query windows.
-
-    Under-full regions come back padded by the spatial rules; regions with
-    no points at all produce a zero vector and an ``empty_region`` flag.
-    """
-    sampled = np.asarray(sampled_indices, dtype=np.int64)
-    idx = index if index is not None else build_index(cloud)
-    batch = ball_query_batch(idx, cloud.coords[sampled], radius, k_max)
-    return aggregate_precomputed(cloud.features, batch.indices, batch.occupied, mlp_params)
 
 
 def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):

@@ -2,8 +2,8 @@
 
 One batched engine answers every query: :func:`knn_batch` and
 :func:`ball_query_batch` take an (M, 3) array of query coordinates and
-return (M, K) neighbor indices and distances.  :func:`knn_query` and
-:func:`ball_query` are one-row calls into them.
+return (M, K) neighbor indices and distances.  :func:`brute_force_knn` is
+the independent scan oracle that tests compare :func:`knn_batch` against.
 
 Results are exact and fully deterministic.  Squared distances are
 accumulated as dx*dx + dy*dy + dz*dz, the K nearest are chosen by
@@ -33,7 +33,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .core import DomainError, Neighborhood, PointCloud, _to_matrix
+from .core import DomainError, PointCloud, _to_matrix
 
 _SAMPLE = 64  # points scanned to size the KNN grid cell; batches this small are scanned directly
 _BLOCK = 8192  # candidate entries per chunk
@@ -278,8 +278,10 @@ def knn_batch(index: NeighborIndex, queries, k: int,
     """The k exactly-nearest points of each query row.
 
     Returns (M, k) neighbor indices and distances, each row in ascending
-    distance with ties by index, exactly as :func:`knn_query` per row.
-    ``exclude_self`` drops every zero-distance match.
+    distance with ties by index, exactly as :func:`brute_force_knn`.  A
+    query that coincides with a cloud point gets that point first, at
+    distance zero, unless ``exclude_self`` is set, which drops every
+    zero-distance match.
     """
     q = _as_queries(queries)
     n = index.num_points
@@ -330,7 +332,9 @@ class BallQueryBatch:
 def ball_query_batch(index: NeighborIndex, queries, radius: float, k_max: int) -> BallQueryBatch:
     """Up to k_max points with distance <= radius for each query row, nearest first.
 
-    Follows the set-abstraction padding convention of :func:`ball_query`.
+    Follows the set-abstraction padding convention: an under-full region
+    repeats its nearest point up to k_max, and a region with no points at
+    all is a normal empty outcome (``occupied`` False), not an error.
     """
     q = _as_queries(queries)
     if not radius > 0:
@@ -357,91 +361,38 @@ def ball_query_batch(index: NeighborIndex, queries, radius: float, k_max: int) -
     return BallQueryBatch(indices=indices, distances=distances, num_in_radius=found)
 
 
-@dataclass(frozen=True)
-class BallQueryResult:
-    """Outcome of a ball query.
-
-    ``neighborhood`` is None for the empty-region outcome.  When fewer than
-    K_max points fall inside the radius, the nearest one is repeated to pad
-    the neighborhood and ``padded`` is set.
-    """
-
-    neighborhood: Optional[Neighborhood]
-    padded: bool
-    num_in_radius: int
-
-    @property
-    def empty(self) -> bool:
-        return self.neighborhood is None
-
-
 def build_index(cloud) -> NeighborIndex:
     """Index a PointCloud's coordinates, or a bare (N, 3) array, for exact queries."""
     return NeighborIndex(cloud)
 
 
-def _as_query(query_coord) -> np.ndarray:
-    q = np.asarray(query_coord, dtype=np.float64).reshape(-1)
-    if q.shape != (3,):
-        raise DomainError("dimension-mismatch", f"query coordinate must be a 3-vector, got shape {q.shape}")
-    if not np.isfinite(q).all():
-        raise DomainError("non-finite-value", "query coordinate contains a non-finite entry")
-    return q
+def brute_force_knn(cloud: PointCloud, queries, k: int,
+                    exclude_self: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """O(M·N) scan oracle for :func:`knn_batch`, one query row at a time.
 
-
-def _neighborhood(pairs: List[Tuple[float, int]], center_index: Optional[int]) -> Neighborhood:
-    idx = np.array([p[1] for p in pairs], dtype=np.int64)
-    dist = np.sqrt(np.array([p[0] for p in pairs], dtype=np.float64))
-    # order on the reported distances: sqrt can collapse adjacent squared
-    # distances onto one double, and ties must come out by ascending index
-    order = np.lexsort((idx, dist))
-    return Neighborhood(center_index=center_index, neighbor_indices=idx[order], distances=dist[order])
-
-
-def knn_query(index: NeighborIndex, query_coord, k: int, exclude_self: bool = False,
-              center_index: Optional[int] = None) -> Neighborhood:
-    """The k exactly-nearest points, ascending distance, ties by index.
-
-    When the query coordinate coincides with a cloud point, that point is
-    returned first at distance zero unless ``exclude_self`` is set, which
-    drops every zero-distance match.
+    Each row sorts all N points by (squared distance, index), drops the
+    zero distances under ``exclude_self``, keeps the first k and orders them
+    by (distance, index) on the square-rooted distances.  It shares no
+    search code with the engine, so tests can compare the two array to array.
     """
-    indices, distances = knn_batch(index, _as_query(query_coord)[None], k, exclude_self)
-    return Neighborhood(center_index=center_index, neighbor_indices=indices[0], distances=distances[0])
-
-
-def ball_query(index: NeighborIndex, query_coord, radius: float, k_max: int,
-               center_index: Optional[int] = None) -> BallQueryResult:
-    """Up to k_max points with distance <= radius, nearest first.
-
-    Follows the set-abstraction padding convention: an under-full region
-    repeats its nearest point up to k_max; a region with no points at all
-    is a normal empty outcome, not an error.
-    """
-    batch = ball_query_batch(index, _as_query(query_coord)[None], radius, k_max)
-    found = int(batch.num_in_radius[0])
-    if not found:
-        return BallQueryResult(neighborhood=None, padded=False, num_in_radius=0)
-    return BallQueryResult(
-        neighborhood=Neighborhood(center_index=center_index, neighbor_indices=batch.indices[0],
-                                  distances=batch.distances[0]),
-        padded=found < k_max,
-        num_in_radius=found,
-    )
-
-
-def brute_force_knn(cloud: PointCloud, query_coord, k: int, exclude_self: bool = False,
-                    center_index: Optional[int] = None) -> Neighborhood:
-    """O(N) scan oracle; definitionally correct under the same tie rule."""
-    q = _as_query(query_coord)
+    q = _as_queries(queries)
     n = cloud.num_points
     if not 1 <= k <= n:
         raise DomainError("k-out-of-range", f"k={k} outside [1, {n}]")
-    d2 = _sq_dist(cloud.coords, q)
-    order = np.lexsort((np.arange(n), d2))
-    if exclude_self:
-        order = order[d2[order] != 0.0]
-    if order.size < k:
-        raise DomainError("k-out-of-range", f"only {order.size} points remain after self-exclusion, need {k}")
-    chosen = order[:k]
-    return _neighborhood([(d2[i], int(i)) for i in chosen], center_index)
+    indices = np.empty((q.shape[0], k), dtype=np.int64)
+    distances = np.empty((q.shape[0], k))
+    for row, point in enumerate(q):
+        d2 = _sq_dist(cloud.coords, point)
+        order = np.lexsort((np.arange(n), d2))
+        if exclude_self:
+            order = order[d2[order] != 0.0]
+        if order.size < k:
+            raise DomainError("k-out-of-range", f"only {order.size} points remain after self-exclusion, need {k}")
+        chosen = order[:k]
+        dist = np.sqrt(d2[chosen])
+        # sqrt can collapse adjacent squared distances onto one double, and
+        # ties must come out by ascending index
+        resort = np.lexsort((chosen, dist))
+        indices[row] = chosen[resort]
+        distances[row] = dist[resort]
+    return indices, distances

@@ -18,14 +18,14 @@ from pgrain import (
     PagwnInput,
     PointCloud,
     Window,
-    ball_query,
+    ball_query_batch,
     brute_force_knn,
     build_index,
     calibrate,
     compute_metrics,
     farthest_point_sample,
     init_pagwn_params,
-    knn_query,
+    knn_batch,
     pagwn_backward,
     pagwn_forward,
     pre_abstract,
@@ -73,21 +73,20 @@ def test_criterion_01_geometry_oracles():
         index = build_index(cloud)
 
         for _ in range(2):
-            q = rng.integers(0, 8, size=3).astype(np.float64) if grid else rng.uniform(-1.2, 1.2, size=3)
+            q = rng.integers(0, 8, size=(1, 3)).astype(np.float64) if grid else rng.uniform(-1.2, 1.2, size=(1, 3))
             k = int(rng.integers(1, n + 1))
-            fast = knn_query(index, q, k)
+            fast = knn_batch(index, q, k)
             slow = brute_force_knn(cloud, q, k)
-            if not (np.array_equal(fast.neighbor_indices, slow.neighbor_indices)
-                    and np.array_equal(fast.distances, slow.distances)):
+            if not (np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])):
                 mismatches += 1
 
-        q = rng.uniform(-1.2, 1.2, size=3)
+        q = rng.uniform(-1.2, 1.2, size=(1, 3))
         radius = float(rng.uniform(0.05, 1.5))
-        result = ball_query(index, q, radius, k_max=n)
+        result = ball_query_batch(index, q, radius, k_max=n)
         d = coords - q
         d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
         expected = set(np.flatnonzero(d2 <= radius * radius).tolist())
-        got = set() if result.empty else set(result.neighborhood.neighbor_indices.tolist())
+        got = set(result.indices[0].tolist()) if result.occupied[0] else set()
         if got != expected:
             mismatches += 1
 

@@ -7,7 +7,6 @@ from pgrain import (
     DomainError,
     MlpLayer,
     MlpParams,
-    Neighborhood,
     PagwnParams,
     PointCloud,
     WindowStats,
@@ -63,31 +62,6 @@ class TestPointCloud:
         cloud = random_cloud(rng, n_points=4)
         with pytest.raises(ValueError):
             cloud.coords[0, 0] = 99.0
-
-
-class TestNeighborhood:
-    def test_unsorted_distances_rejected(self):
-        with pytest.raises(DomainError) as exc:
-            Neighborhood(center_index=0, neighbor_indices=[1, 2], distances=[2.0, 1.0])
-        assert exc.value.kind == "unsorted-distances"
-
-    def test_tied_distances_must_ascend_by_index(self):
-        with pytest.raises(DomainError) as exc:
-            Neighborhood(center_index=0, neighbor_indices=[5, 2], distances=[1.0, 1.0])
-        assert exc.value.kind == "unsorted-distances"
-
-    def test_padding_duplicates_are_allowed(self):
-        hood = Neighborhood(center_index=None, neighbor_indices=[3, 3, 3], distances=[1.0, 1.0, 1.0])
-        assert hood.k == 3
-
-    def test_needs_at_least_one_neighbor(self):
-        with pytest.raises(DomainError) as exc:
-            Neighborhood(center_index=0, neighbor_indices=[], distances=[])
-        assert exc.value.kind == "empty-neighborhood"
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(DomainError):
-            Neighborhood(center_index=0, neighbor_indices=[-1], distances=[0.0])
 
 
 class TestWindowStats:

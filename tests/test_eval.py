@@ -81,6 +81,13 @@ class TestComputeMetrics:
             compute_metrics([0, 2], [0, 1], 2)
         assert exc.value.kind == "label-out-of-range"
 
+    def test_non_integer_labels_rejected(self):
+        for pred, truth in ((np.array([1.0, 0.0]), [1, 0]), ([1, 0], np.array([1.0, 0.0]))):
+            with pytest.raises(DomainError) as exc:
+                compute_metrics(pred, truth, 2)
+            assert exc.value.kind == "dimension-mismatch"
+            assert "labels must be integers" in str(exc.value)
+
     def test_matches_oracle_on_random_cases(self, rng):
         for _ in range(200):
             c = int(rng.integers(2, 6))
@@ -160,18 +167,15 @@ class TestSceneGeneration:
         assert np.array_equal(a.features, b.features)
 
     def test_density_scales_separate_nn_distances(self):
-        from pgrain.spatial import build_index, knn_query
+        from pgrain.spatial import build_index, knn_batch
         dense, sparse = 10.0, 1.0
         spec = SyntheticSceneSpec(
             regions=(RegionSpec("plane", 400, dense, 0), RegionSpec("plane", 400, sparse, 1)),
             seed=3,
         )
         cloud = generate_scene(spec)
-        index = build_index(cloud)
-        mean_nn = np.empty(cloud.num_points)
-        for i in range(cloud.num_points):
-            hood = knn_query(index, cloud.coords[i], 9, center_index=i)
-            mean_nn[i] = hood.distances[1:].mean()  # skip self
+        _, distances = knn_batch(build_index(cloud), cloud.coords, 9)
+        mean_nn = distances[:, 1:].mean(axis=1)  # skip self
         ratio = mean_nn[cloud.labels == 1].mean() / mean_nn[cloud.labels == 0].mean()
         assert ratio >= (dense / sparse) ** (1.0 / 3.0) / 2.0
         assert ratio > 1.0

@@ -322,3 +322,18 @@ class TestTensorFile:
         assert set(back) == set(tensors)
         for name in tensors:
             np.testing.assert_array_equal(back[name], tensors[name])
+
+    @pytest.mark.parametrize("manifest, lineno", [
+        ("a 2 2 2\nb\n", 2),            # no rank
+        ("a x 2 2\nb 1 3\n", 1),        # rank is not an integer
+        ("a 7 2 2\nb 1 3\n", 1),        # rank disagrees with the dims listed
+        ("a 2 2 2\nb 2 3\n", 2),
+        ("a 2 2 2\nb 1 3\na 2 2 2\n", 3),  # a name seen before
+    ])
+    def test_malformed_manifest_line_is_parse_error(self, tmp_path, manifest, lineno):
+        pio.save_tensor_dir(tmp_path, {"a": np.zeros((2, 2)), "b": np.zeros(3)})
+        (tmp_path / "manifest.txt").write_text(manifest, encoding="utf-8")
+        with pytest.raises(DomainError) as exc:
+            pio.load_tensor_dir(tmp_path)
+        assert exc.value.kind == "parse-error"
+        assert f"manifest line {lineno}:" in str(exc.value)

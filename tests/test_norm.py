@@ -15,7 +15,7 @@ from pgrain import (
     window_sigma,
 )
 from pgrain.eval import RegionSpec, SyntheticSceneSpec, generate_scene
-from pgrain.spatial import build_index, knn_query
+from pgrain.spatial import build_index, knn_batch
 
 from conftest import random_cloud
 
@@ -264,15 +264,11 @@ class TestSigmaMap:
         )
         cloud = generate_scene(spec)
         k = 12
-        index = build_index(cloud)
+        indices, distances = knn_batch(build_index(cloud), cloud.coords, k)
         matrix = np.hstack([cloud.coords, cloud.features])
-        sigmas = np.empty(cloud.num_points)
-        mean_dist = np.empty(cloud.num_points)
-        for i in range(cloud.num_points):
-            hood = knn_query(index, cloud.coords[i], k, center_index=i)
-            dev = matrix[hood.neighbor_indices] - matrix[i]
-            sigmas[i] = np.sqrt((dev * dev).sum() / (k * matrix.shape[1] - 1))
-            mean_dist[i] = hood.distances.mean()
+        dev = matrix[indices] - matrix[:, None, :]
+        sigmas = np.sqrt((dev * dev).sum(axis=(1, 2)) / (k * matrix.shape[1] - 1))
+        mean_dist = distances.mean(axis=1)
 
         def ranks(x):
             r = np.empty_like(x)

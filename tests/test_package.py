@@ -1,0 +1,23 @@
+"""The package surface: the export list and the README's quick start."""
+
+import re
+import types
+from pathlib import Path
+
+import pgrain
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_all_is_sorted_unique_and_lists_every_public_callable():
+    assert pgrain.__all__ == sorted(set(pgrain.__all__))
+    bound = {name for name, value in vars(pgrain).items()
+             if not name.startswith("_") and isinstance(value, (type, types.FunctionType))
+             and value.__module__.startswith("pgrain.")}
+    assert set(pgrain.__all__) == bound
+
+
+def test_readme_python_quick_start_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

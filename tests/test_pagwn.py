@@ -13,11 +13,12 @@ from pgrain import (
     PagwnParams,
     PointCloud,
     Window,
-    aggregate_bq_baseline,
-    aggregate_knn_baseline,
+    ball_query_batch,
+    build_index,
     group_wise_window_normalize,
     init_mlp_params,
     init_pagwn_params,
+    knn_batch,
     pagwn_backward,
     pagwn_forward,
     pagwn_forward_batch,
@@ -406,6 +407,18 @@ class TestBatchNormConstantChannel:
         assert np.abs(cache[1][:, 0]).max() < 1e-10
 
 
+def _knn_baseline(cloud, centers, k, mlp):
+    """The MLP baseline over each center's KNN window."""
+    hoods, _ = knn_batch(build_index(cloud), cloud.coords[centers], k)
+    return aggregate_precomputed(cloud.features, hoods, np.ones(len(centers), dtype=bool), mlp)
+
+
+def _bq_baseline(cloud, centers, radius, k_max, mlp):
+    """The MLP baseline over each center's ball-query window; empty regions stay unoccupied."""
+    batch = ball_query_batch(build_index(cloud), cloud.coords[centers], radius, k_max)
+    return aggregate_precomputed(cloud.features, batch.indices, batch.occupied, mlp)
+
+
 class TestBaselines:
     def _identity_mlp(self, n, mode="inference"):
         return MlpParams((MlpLayer(weight=np.eye(n), bias=np.zeros(n),
@@ -414,30 +427,28 @@ class TestBaselines:
     def test_knn_identity_mlp_single_neighbor(self, rng):
         cloud = PointCloud(coords=rng.normal(size=(10, 3)),
                            features=rng.uniform(0.1, 1.0, size=(10, 3)))
-        out = aggregate_knn_baseline(cloud, [4], k=1, mlp_params=self._identity_mlp(3))
+        out = _knn_baseline(cloud, [4], 1, self._identity_mlp(3))
         # the nearest neighbor of an on-cloud center is the center itself
         np.testing.assert_allclose(out.features[0], cloud.features[4], rtol=1e-12)
 
     def test_bq_on_cloud_centers_never_empty(self, rng):
         cloud = random_cloud(rng, n_points=20)
-        out = aggregate_bq_baseline(cloud, [0, 5], radius=0.05, k_max=4,
-                                    mlp_params=self._identity_mlp(3))
+        out = _bq_baseline(cloud, [0, 5], 0.05, 4, self._identity_mlp(3))
         assert not out.empty_region.any()
 
     def test_bq_identity_mlp_lone_point_in_radius(self, rng):
         # the only point within a tiny radius of an on-cloud center is itself
         coords = np.array([[0, 0, 0], [5, 0, 0], [0, 5, 0], [0, 0, 5]], dtype=float)
         cloud = PointCloud(coords=coords, features=rng.uniform(0.1, 1.0, size=(4, 3)))
-        out = aggregate_bq_baseline(cloud, [1], radius=0.5, k_max=3,
-                                    mlp_params=self._identity_mlp(3))
+        out = _bq_baseline(cloud, [1], 0.5, 3, self._identity_mlp(3))
         np.testing.assert_allclose(out.features[0], cloud.features[1], rtol=1e-12)
 
     def test_bq_matches_knn_when_radius_covers_cloud(self, rng):
         # with every point in range and k_max = N, BQ and KNN windows coincide
         cloud = random_cloud(rng, n_points=15)
         mlp = init_mlp_params((3, 6), seed=4).with_mode("inference")
-        a = aggregate_bq_baseline(cloud, [0, 7], radius=50.0, k_max=15, mlp_params=mlp)
-        b = aggregate_knn_baseline(cloud, [0, 7], k=15, mlp_params=mlp)
+        a = _bq_baseline(cloud, [0, 7], 50.0, 15, mlp)
+        b = _knn_baseline(cloud, [0, 7], 15, mlp)
         np.testing.assert_allclose(a.features, b.features, rtol=1e-12)
 
     def test_empty_region_yields_zero_vector(self, rng):
@@ -475,7 +486,7 @@ class TestBaselines:
     def test_neighbor_permutation_invariance(self, rng):
         cloud = random_cloud(rng, n_points=30)
         mlp = init_mlp_params((3, 6), seed=1).with_mode("inference")
-        base = aggregate_knn_baseline(cloud, [2, 7], k=8, mlp_params=mlp)
+        base = _knn_baseline(cloud, [2, 7], 8, mlp)
         hoods = base.cache.neighbor_indices.copy()
         for row in hoods:
             rng.shuffle(row)
@@ -493,7 +504,7 @@ class TestBaselines:
                               running_mean=rng.normal(size=5), running_var=rng.uniform(0.5, 2, size=5),
                               mode="inference"),
         ),))
-        out = aggregate_knn_baseline(cloud, [0, 3, 9], k=4, mlp_params=mlp)
+        out = _knn_baseline(cloud, [0, 3, 9], 4, mlp)
         layer = mlp.layers[0]
         for row, hood in enumerate(out.cache.neighbor_indices):
             transformed = []
@@ -519,7 +530,7 @@ class TestBaselines:
                 np.ones(3, dtype=bool), params)
             return float(np.sum(out.features * upstream))
 
-        base = aggregate_knn_baseline(cloud, centers, k=5, mlp_params=mlp)
+        base = _knn_baseline(cloud, centers, 5, mlp)
         grads, d_features = baseline_backward(base.cache, upstream)
 
         fd_w = np.zeros_like(mlp.layers[0].weight)

@@ -5,12 +5,10 @@ from hypothesis import given, settings, strategies as st
 from pgrain import (
     DomainError,
     PointCloud,
-    ball_query,
     ball_query_batch,
     brute_force_knn,
     build_index,
     knn_batch,
-    knn_query,
 )
 from pgrain import spatial
 
@@ -29,48 +27,62 @@ def brute_radius_filter(cloud, q, radius):
     return set(np.flatnonzero(d2 <= radius * radius).tolist())
 
 
+def _knn_row(cloud, q, k, exclude_self=False):
+    """One-row knn_batch call: the row's (indices, distances)."""
+    indices, distances = knn_batch(build_index(cloud), np.reshape(q, (1, 3)), k, exclude_self)
+    return indices[0], distances[0]
+
+
+def _ball_row(cloud, q, radius, k_max):
+    """One-row ball_query_batch call: (indices, distances, num_in_radius)."""
+    batch = ball_query_batch(build_index(cloud), np.reshape(q, (1, 3)), radius, k_max)
+    return batch.indices[0], batch.distances[0], int(batch.num_in_radius[0])
+
+
 class TestKnn:
     def test_collinear_hand_case(self):
         cloud = _cloud_from_coords([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
-        hood = knn_query(build_index(cloud), [0, 0, 0], 2)
-        np.testing.assert_array_equal(hood.neighbor_indices, [0, 1])
-        np.testing.assert_array_equal(hood.distances, [0.0, 1.0])
+        indices, distances = _knn_row(cloud, [0, 0, 0], 2)
+        np.testing.assert_array_equal(indices, [0, 1])
+        np.testing.assert_array_equal(distances, [0.0, 1.0])
 
     def test_k_equals_n_returns_all_sorted(self, rng):
         cloud = random_cloud(rng, n_points=40)
-        hood = knn_query(build_index(cloud), rng.normal(size=3), 40)
-        assert sorted(hood.neighbor_indices.tolist()) == list(range(40))
-        assert np.all(np.diff(hood.distances) >= 0)
+        indices, distances = _knn_row(cloud, rng.normal(size=3), 40)
+        assert sorted(indices.tolist()) == list(range(40))
+        assert np.all(np.diff(distances) >= 0)
 
     def test_equidistant_tie_prefers_lower_index(self):
         # both orders of the same two points must give the same answer
         for order in ([[1, 0, 0], [-1, 0, 0]], [[-1, 0, 0], [1, 0, 0]]):
             cloud = _cloud_from_coords(order)
-            hood = knn_query(build_index(cloud), [0, 0, 0], 2)
-            np.testing.assert_array_equal(hood.neighbor_indices, [0, 1])
+            indices, _ = _knn_row(cloud, [0, 0, 0], 2)
+            np.testing.assert_array_equal(indices, [0, 1])
 
     def test_duplicate_points_are_distinct_indices(self):
         cloud = _cloud_from_coords([[1, 1, 1]] * 5)
-        hood = knn_query(build_index(cloud), [1, 1, 1], 5)
-        np.testing.assert_array_equal(hood.neighbor_indices, [0, 1, 2, 3, 4])
+        indices, _ = _knn_row(cloud, [1, 1, 1], 5)
+        np.testing.assert_array_equal(indices, [0, 1, 2, 3, 4])
 
     def test_single_point_cloud(self):
         cloud = _cloud_from_coords([[3, 4, 5]])
-        hood = knn_query(build_index(cloud), [0, 0, 0], 1)
-        np.testing.assert_array_equal(hood.neighbor_indices, [0])
+        indices, _ = _knn_row(cloud, [0, 0, 0], 1)
+        np.testing.assert_array_equal(indices, [0])
 
     def test_k_out_of_range(self, rng):
         cloud = random_cloud(rng, n_points=5)
         index = build_index(cloud)
         for k in (0, 6):
-            with pytest.raises(DomainError) as exc:
-                knn_query(index, [0, 0, 0], k)
-            assert exc.value.kind == "k-out-of-range"
+            for call in (lambda: knn_batch(index, [[0, 0, 0]], k),
+                         lambda: brute_force_knn(cloud, [[0, 0, 0]], k)):
+                with pytest.raises(DomainError) as exc:
+                    call()
+                assert exc.value.kind == "k-out-of-range"
 
     def test_exclude_self_drops_zero_distance(self):
         cloud = _cloud_from_coords([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
-        hood = knn_query(build_index(cloud), [0, 0, 0], 2, exclude_self=True)
-        np.testing.assert_array_equal(hood.neighbor_indices, [1, 2])
+        indices, _ = _knn_row(cloud, [0, 0, 0], 2, exclude_self=True)
+        np.testing.assert_array_equal(indices, [1, 2])
 
     def test_matches_brute_force_on_random_clouds(self, rng):
         for _ in range(60):
@@ -78,12 +90,12 @@ class TestKnn:
             index = build_index(cloud)
             n = cloud.num_points
             for _ in range(4):
-                q = rng.uniform(-1.2, 1.2, size=3)
+                q = rng.uniform(-1.2, 1.2, size=(1, 3))
                 k = int(rng.integers(1, n + 1))
-                fast = knn_query(index, q, k)
+                fast = knn_batch(index, q, k)
                 slow = brute_force_knn(cloud, q, k)
-                np.testing.assert_array_equal(fast.neighbor_indices, slow.neighbor_indices)
-                np.testing.assert_array_equal(fast.distances, slow.distances)
+                np.testing.assert_array_equal(fast[0], slow[0])
+                np.testing.assert_array_equal(fast[1], slow[1])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -100,29 +112,24 @@ class TestKnn:
             coords = rng.normal(size=(n, 3))
         cloud = _cloud_from_coords(coords)
         index = build_index(cloud)
-        q = rng.integers(0, 4, size=3).astype(np.float64) if grid else rng.normal(size=3)
+        q = rng.integers(0, 4, size=(1, 3)).astype(np.float64) if grid else rng.normal(size=(1, 3))
         k = int(rng.integers(1, n + 1))
-        fast = knn_query(index, q, k)
-        slow = brute_force_knn(cloud, q, k)
-        np.testing.assert_array_equal(fast.neighbor_indices, slow.neighbor_indices)
+        np.testing.assert_array_equal(knn_batch(index, q, k)[0], brute_force_knn(cloud, q, k)[0])
 
     def test_ten_thousand_point_cloud_agrees_with_brute_force(self, rng):
         cloud = _cloud_from_coords(rng.uniform(-1, 1, size=(10_000, 3)))
         index = build_index(cloud)
         for _ in range(50):
-            q = rng.uniform(-1.1, 1.1, size=3)
+            q = rng.uniform(-1.1, 1.1, size=(1, 3))
             k = int(rng.integers(1, 64))
-            fast = knn_query(index, q, k)
-            slow = brute_force_knn(cloud, q, k)
-            np.testing.assert_array_equal(fast.neighbor_indices, slow.neighbor_indices)
+            np.testing.assert_array_equal(knn_batch(index, q, k)[0], brute_force_knn(cloud, q, k)[0])
 
     def test_knn_monotonicity_prefix(self, rng):
         cloud = random_cloud(rng, n_points=50)
-        index = build_index(cloud)
         q = rng.normal(size=3)
-        previous = knn_query(index, q, 1).neighbor_indices
+        previous, _ = _knn_row(cloud, q, 1)
         for k in range(2, 51):
-            current = knn_query(index, q, k).neighbor_indices
+            current, _ = _knn_row(cloud, q, k)
             np.testing.assert_array_equal(current[: k - 1], previous)
             previous = current
 
@@ -130,63 +137,58 @@ class TestKnn:
 class TestBallQuery:
     def test_covering_radius_equals_knn(self, rng):
         cloud = random_cloud(rng, n_points=30)
-        index = build_index(cloud)
         q = rng.normal(size=3)
-        result = ball_query(index, q, radius=100.0, k_max=30)
-        hood = knn_query(index, q, 30)
-        np.testing.assert_array_equal(result.neighborhood.neighbor_indices, hood.neighbor_indices)
-        assert not result.padded
+        indices, _, found = _ball_row(cloud, q, radius=100.0, k_max=30)
+        np.testing.assert_array_equal(indices, _knn_row(cloud, q, 30)[0])
+        assert found == 30  # full, so not padded
 
     def test_empty_region_is_normal_outcome(self):
         cloud = _cloud_from_coords([[0, 0, 0], [1, 0, 0]])
-        result = ball_query(build_index(cloud), [10, 10, 10], radius=0.5, k_max=4)
-        assert result.empty
-        assert result.num_in_radius == 0
+        batch = ball_query_batch(build_index(cloud), [[10, 10, 10]], radius=0.5, k_max=4)
+        assert not batch.occupied[0] and not batch.padded[0]
+        assert batch.num_in_radius[0] == 0
 
     def test_underfull_region_pads_with_nearest(self):
         cloud = _cloud_from_coords([[0, 0, 0], [0.5, 0, 0], [9, 9, 9]])
-        result = ball_query(build_index(cloud), [0.1, 0, 0], radius=1.0, k_max=4)
-        assert result.padded
-        assert result.num_in_radius == 2
-        hood = result.neighborhood
-        assert hood.k == 4
+        batch = ball_query_batch(build_index(cloud), [[0.1, 0, 0]], radius=1.0, k_max=4)
+        assert batch.padded[0]
+        assert batch.num_in_radius[0] == 2
+        assert batch.indices.shape == (1, 4)
         # the nearest point (index 0) fills the remaining slots
-        assert np.count_nonzero(hood.neighbor_indices == 0) == 3
+        assert np.count_nonzero(batch.indices[0] == 0) == 3
 
     def test_distances_within_radius_before_padding(self, rng):
         for _ in range(40):
             cloud = random_cloud(rng)
-            index = build_index(cloud)
             q = rng.uniform(-1.2, 1.2, size=3)
             radius = float(rng.uniform(0.05, 1.0))
-            result = ball_query(index, q, radius=radius, k_max=8)
-            if result.empty:
+            _, distances, found = _ball_row(cloud, q, radius=radius, k_max=8)
+            if not found:
                 continue
-            assert np.all(result.neighborhood.distances <= radius)
+            assert np.all(distances <= radius)
 
     def test_membership_matches_brute_filter(self, rng):
         for _ in range(60):
             cloud = random_cloud(rng)
-            index = build_index(cloud)
             q = rng.uniform(-1.2, 1.2, size=3)
             radius = float(rng.uniform(0.05, 1.5))
             expected = brute_radius_filter(cloud, q, radius)
-            result = ball_query(index, q, radius=radius, k_max=cloud.num_points)
-            got = set() if result.empty else set(result.neighborhood.neighbor_indices.tolist())
+            indices, _, found = _ball_row(cloud, q, radius=radius, k_max=cloud.num_points)
+            got = set(indices.tolist()) if found else set()
             assert got == expected
 
     def test_truncates_to_nearest_k_max(self):
         cloud = _cloud_from_coords([[i, 0, 0] for i in range(6)])
-        result = ball_query(build_index(cloud), [0, 0, 0], radius=10.0, k_max=3)
-        np.testing.assert_array_equal(result.neighborhood.neighbor_indices, [0, 1, 2])
+        indices, _, _ = _ball_row(cloud, [0, 0, 0], radius=10.0, k_max=3)
+        np.testing.assert_array_equal(indices, [0, 1, 2])
 
     def test_parameter_validation(self, rng):
         cloud = random_cloud(rng, n_points=4)
         index = build_index(cloud)
         with pytest.raises(DomainError):
-            ball_query(index, [0, 0, 0], radius=0.0, k_max=2)
+            ball_query_batch(index, [[0, 0, 0]], radius=0.0, k_max=2)
         with pytest.raises(DomainError):
-            ball_query(index, [0, 0, 0], radius=1.0, k_max=0)
+            ball_query_batch(index, [[0, 0, 0]], radius=1.0, k_max=0)
 
 
 def _cloud_strategy(draw, n):
@@ -214,6 +216,31 @@ def _queries(rng, coords, m):
     return queries
 
 
+class TestBruteForceOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60), m=st.integers(1, 20))
+    def test_rows_are_well_formed_neighborhoods(self, data, n, m):
+        rng, coords = _cloud_strategy(data.draw, n)
+        cloud = _cloud_from_coords(coords)
+        k = data.draw(st.integers(1, n))
+        exclude_self = data.draw(st.booleans())
+        try:
+            indices, distances = brute_force_knn(cloud, _queries(rng, coords, m), k, exclude_self=exclude_self)
+        except DomainError as exc:
+            assert exc.kind == "k-out-of-range" and exclude_self
+            return
+        assert indices.shape == distances.shape == (m, k)
+        assert indices.dtype == np.int64
+        # every row ascends by (distance, index)
+        step = np.diff(distances, axis=1)
+        assert (step >= 0).all()
+        assert (np.diff(indices, axis=1)[step == 0] > 0).all()
+        assert np.isfinite(distances).all() and (distances >= 0).all()
+        assert ((indices >= 0) & (indices < n)).all()
+        if exclude_self:
+            assert (distances > 0).all()
+
+
 class TestBatchEngine:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 90), m=st.integers(1, 150))
@@ -223,21 +250,18 @@ class TestBatchEngine:
         k = data.draw(st.sampled_from([1, n, int(rng.integers(1, n + 1))]))
         exclude_self = data.draw(st.booleans())
         queries = _queries(rng, coords, m)
-        expected = []
-        for q in queries:
-            try:
-                expected.append(brute_force_knn(cloud, q, k, exclude_self=exclude_self))
-            except DomainError as exc:
-                assert exc.kind == "k-out-of-range"
-                with pytest.raises(DomainError) as batch_exc:
-                    knn_batch(build_index(cloud), queries, k, exclude_self=exclude_self)
-                assert batch_exc.value.kind == "k-out-of-range"
-                return
+        try:
+            expected = brute_force_knn(cloud, queries, k, exclude_self=exclude_self)
+        except DomainError as exc:
+            assert exc.kind == "k-out-of-range"
+            with pytest.raises(DomainError) as batch_exc:
+                knn_batch(build_index(cloud), queries, k, exclude_self=exclude_self)
+            assert batch_exc.value.kind == "k-out-of-range"
+            return
         indices, distances = knn_batch(build_index(cloud), queries, k, exclude_self=exclude_self)
         assert indices.shape == distances.shape == (m, k)
-        for row, hood in enumerate(expected):
-            np.testing.assert_array_equal(indices[row], hood.neighbor_indices)
-            assert distances[row].tobytes() == hood.distances.tobytes()
+        np.testing.assert_array_equal(indices, expected[0])
+        assert distances.tobytes() == expected[1].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(1, 90), m=st.integers(1, 150))
@@ -281,10 +305,9 @@ class TestBatchEngine:
         # neighbor lies beyond the 27 cells around them
         grid = spatial._knn_grid(index, k)
         assert (distances[100:, -1] >= spatial._MARGIN * grid.cell).all()
-        for row, q in enumerate(queries):
-            hood = brute_force_knn(cloud, q, k)
-            np.testing.assert_array_equal(indices[row], hood.neighbor_indices)
-            assert distances[row].tobytes() == hood.distances.tobytes()
+        expected = brute_force_knn(cloud, queries, k)
+        np.testing.assert_array_equal(indices, expected[0])
+        assert distances.tobytes() == expected[1].tobytes()
 
     def test_square_root_ties_come_out_by_index(self):
         # index 0 is one ulp farther in squared distance, but the square
