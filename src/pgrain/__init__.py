@@ -37,12 +37,10 @@ from .norm import (
 from .pagwn import (
     MlpLayer,
     MlpParams,
-    PagwnInput,
     PagwnOutput,
     init_mlp_params,
     init_pagwn_params,
     pagwn_backward,
-    pagwn_forward,
     pagwn_forward_batch,
     pre_abstract,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "MlpParams",
     "NeighborIndex",
     "NormalizedWindow",
-    "PagwnInput",
     "PagwnOutput",
     "PagwnParams",
     "PointCloud",
@@ -90,7 +87,6 @@ __all__ = [
     "init_pagwn_params",
     "knn_batch",
     "pagwn_backward",
-    "pagwn_forward",
     "pagwn_forward_batch",
     "pre_abstract",
     "random_sample",

@@ -23,7 +23,10 @@ def _load_cloud(path: str, feature_dim, has_label: bool) -> PointCloud:
         return pio.read_ply(path)
     if feature_dim is None:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            first = fh.readline().split()
+            first = fh.readline()
+            if first == "\n":  # read_xyz skips a blank first line
+                first = fh.readline()
+            first = first.split()
         # a short first line is reported by read_xyz, with its line number
         feature_dim = max(len(first) - 3 - (1 if has_label else 0), 0)
     return pio.read_xyz(path, feature_dim=feature_dim, has_label=has_label)
@@ -87,11 +90,11 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_pagwn_forward(args) -> int:
-    inp = pagwn.pagwn_input_from_tensors(pio.load_tensor_dir(args.input))
+    window = pagwn.pagwn_input_from_tensors(pio.load_tensor_dir(args.input))
     params = pagwn.pagwn_params_from_tensors(pio.load_tensor_dir(args.params), mode=args.mode)
-    out = pagwn.pagwn_forward(inp, params, m=args.m, epsilon=args.epsilon)
-    pio.write_tensor(args.out, out.aggregated)
-    print(f"aggregated {out.aggregated.shape[0]} channels -> {args.out}")
+    aggregated = pagwn.pagwn_forward_batch(*window, params, m=args.m, epsilon=args.epsilon).aggregated[0]
+    pio.write_tensor(args.out, aggregated)
+    print(f"aggregated {aggregated.shape[0]} channels -> {args.out}")
     return 0
 
 

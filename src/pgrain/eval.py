@@ -335,8 +335,10 @@ class ToyPipelineConfig:
             raise DomainError("invalid-spec", "bq_baseline needs a positive bq_radius")
         if self.epochs < 1 or self.batch_size < 1:
             raise DomainError("invalid-spec", "epochs and batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise DomainError("invalid-spec", f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise DomainError("invalid-spec", f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 < self.epsilon < np.inf:
+            raise DomainError("invalid-spec", f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.num_classes < 2:
             raise DomainError("invalid-spec", "segmentation needs at least 2 classes")
         if not all(isinstance(size, Integral) and size >= 1 for size in self.head_hidden):
@@ -448,7 +450,7 @@ class _Aggregator:
     read: Callable       # (tensors, prefix, mode) -> typed stage parameters
     neighbors: Callable  # (index, center coords, k, config) -> (M, k) indices, (M,) occupied
     forward: Callable    # (params, stage plan, x, split, epsilon) -> (features, output with batch_stats)
-    backward: Callable   # (output, prefix, stage plan, upstream) -> (grads, upstream of the stage input)
+    backward: Callable   # (output, stage plan, upstream) -> (grads by stage-local name, upstream of the stage input)
 
 
 def _knn_neighbors(index, queries, k, config):
@@ -467,20 +469,15 @@ def _pagwn_forward(params, splan, x, split, epsilon):
     return out.aggregated, out
 
 
-def _pagwn_backward(out, prefix, splan, g):
+def _pagwn_backward(out, splan, g):
     coords, centers, hoods, _ = splan
-    grads = pagwn_backward(out.cache, g)
-    n_prev = grads.neighbor_features.shape[-1]
+    grads, inputs = pagwn_backward(out.cache, g)
+    d_nf = inputs["neighbor_features"]
     # neighbor rows first, then centers: the order each slot adds them in
     d_prev = _scatter_rows(np.concatenate([hoods.reshape(-1), centers]),
-                           np.concatenate([grads.neighbor_features.reshape(-1, n_prev), grads.center_feature]),
+                           np.concatenate([d_nf.reshape(-1, d_nf.shape[-1]), inputs["center_features"]]),
                            coords.shape[0])
-    return {
-        prefix + "lb1_weight": grads.lb1_weight, prefix + "lb1_bias": grads.lb1_bias,
-        prefix + "lb1_bn.gamma": grads.lb1_gamma, prefix + "lb1_bn.beta": grads.lb1_beta,
-        prefix + "lb2_weight": grads.lb2_weight, prefix + "lb2_bias": grads.lb2_bias,
-        prefix + "lb2_bn.gamma": grads.lb2_gamma, prefix + "lb2_bn.beta": grads.lb2_beta,
-    }, d_prev
+    return grads, d_prev
 
 
 def _mlp_forward(params, splan, x, split, epsilon):
@@ -489,22 +486,11 @@ def _mlp_forward(params, splan, x, split, epsilon):
     return out.features, out
 
 
-def _mlp_backward(out, prefix, splan, g):
-    grads, d_prev = baseline_backward(out.cache, g)
-    flat = {}
-    for i in range(len(grads.weight)):
-        layer = f"{prefix}layer{i}."
-        flat[layer + "weight"] = grads.weight[i]
-        flat[layer + "bias"] = grads.bias[i]
-        flat[layer + "bn.gamma"] = grads.gamma[i]
-        flat[layer + "bn.beta"] = grads.beta[i]
-    return flat, d_prev
-
-
 _KNN_BASELINE = _Aggregator(
     init=lambda n, seed, prefix: mlp_param_tensors(init_mlp_params((n, 2 * n), seed), prefix),
     read=lambda tensors, prefix, mode: mlp_params_from_tensors(tensors, prefix, mode),
-    neighbors=_knn_neighbors, forward=_mlp_forward, backward=_mlp_backward,
+    neighbors=_knn_neighbors, forward=_mlp_forward,
+    backward=lambda out, splan, g: baseline_backward(out.cache, g),
 )
 _AGGREGATOR_TABLE = {
     "pagwn": _Aggregator(
@@ -547,8 +533,8 @@ def _backward_stages(plan: _ScenePlan, outs, d_final: np.ndarray, agg: _Aggregat
     """Gradient of the loss w.r.t. every stage's parameters."""
     grads, g = {}, d_final
     for t in range(len(plan.stages) - 1, -1, -1):
-        stage_grads, g = agg.backward(outs[t], f"stage{t}.", plan.stages[t], g)
-        grads.update(stage_grads)
+        stage_grads, g = agg.backward(outs[t], plan.stages[t], g)
+        grads.update({f"stage{t}.{name}": value for name, value in stage_grads.items()})
     return grads
 
 

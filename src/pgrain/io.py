@@ -387,7 +387,8 @@ def load_tensor_dir(path: PathLike) -> dict:
     """Read back a tensor directory written by :func:`save_tensor_dir`.
 
     Each manifest line must name a new tensor and give a rank equal to the
-    number of dims that follow it.
+    number of dims that follow it.  A name is a plain file name inside the
+    directory: no ``/`` or ``\\``, and not ``.`` or ``..``.
     """
     root = Path(path)
     manifest = root / "manifest.txt"
@@ -401,6 +402,8 @@ def load_tensor_dir(path: PathLike) -> dict:
             continue
         name = fields[0]
         where = f"manifest line {lineno}: tensor {name!r}"
+        if "/" in name or "\\" in name or name in (".", ".."):
+            raise DomainError("parse-error", f"{where} is not a plain file name")
         if name in out:
             raise DomainError("parse-error", f"{where} repeats an earlier line")
         if len(fields) < 2:

@@ -8,11 +8,13 @@ One block turns a center point plus its K nearest neighbors into a single
     out  = ReLU( channel-wise max over the K rows )                  (2n,)
 
 LB is a linear layer followed by batch norm, with no activation inside.
-Batch norm treats every (center, neighbor) row in the call as its batch,
-so a batched forward over M centers normalizes across all M*K rows.  The
-backward pass is fully analytic, including the sigma path of the GWN,
-the batch-statistics path of batch norm, and argmax routing of the pool
-(ties to the lowest row index).
+Every call takes a batch of M windows.  Batch norm treats every (center,
+neighbor) row in the call as its batch, so a forward over M centers
+normalizes across all M*K rows.  The backward pass is fully analytic,
+including the sigma path of the GWN, the batch-statistics path of batch
+norm, and argmax routing of the pool (ties to the lowest row index).
+Parameter gradients come back keyed by checkpoint name, the trainable
+names of :func:`pagwn_param_tensors` and :func:`mlp_param_tensors`.
 
 The baseline aggregator (plain MLP + max pool over KNN or ball-query
 neighborhoods that the caller has already found) lives here too, sharing
@@ -33,7 +35,7 @@ order, as ``np.add.at`` does.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,54 +105,12 @@ def _linear_backward(g: np.ndarray, x: np.ndarray, weight: np.ndarray):
 # PAGWN types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class PagwnInput:
-    """One center and its K neighbors, rows in ascending-distance order."""
-
-    center_coord: np.ndarray      # (3,)
-    center_feature: np.ndarray    # (n,)
-    neighbor_coords: np.ndarray   # (K, 3)
-    neighbor_features: np.ndarray  # (K, n)
-
-    def __post_init__(self):
-        cc = np.asarray(self.center_coord, dtype=np.float64).reshape(-1)
-        cf = np.asarray(self.center_feature, dtype=np.float64).reshape(-1)
-        nc = np.asarray(self.neighbor_coords, dtype=np.float64)
-        nf = np.asarray(self.neighbor_features, dtype=np.float64)
-        if cc.shape != (3,) or nc.ndim != 2 or nc.shape[1] != 3:
-            raise DomainError("shape-mismatch", "coordinates must be 3-vectors")
-        if nf.ndim != 2 or nf.shape[0] != nc.shape[0] or nf.shape[1] != cf.shape[0]:
-            raise DomainError(
-                "shape-mismatch",
-                f"neighbor features {nf.shape} inconsistent with coords {nc.shape} and center feature {cf.shape}",
-            )
-        if nc.shape[0] < 1:
-            raise DomainError("degenerate-window", "need at least one neighbor")
-        for name, arr in (("center_coord", cc), ("center_feature", cf),
-                          ("neighbor_coords", nc), ("neighbor_features", nf)):
-            if not np.isfinite(arr).all():
-                raise DomainError("non-finite-value", f"{name} contains a non-finite entry")
-        object.__setattr__(self, "center_coord", cc)
-        object.__setattr__(self, "center_feature", cf)
-        object.__setattr__(self, "neighbor_coords", nc)
-        object.__setattr__(self, "neighbor_features", nf)
-
-    @property
-    def k(self) -> int:
-        return self.neighbor_coords.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.center_feature.shape[0]
-
-
 @dataclass(eq=False)
 class PagwnCache:
     """Everything the analytic backward needs; holds references, not copies."""
 
     params: PagwnParams
     mode: str
-    single_input: bool
     shapes: Tuple[int, int, int]  # (M, K, n)
     gwn_rows: np.ndarray          # (M*K, n+3) GWN output, LB1 input
     gwn_cache: tuple
@@ -177,22 +137,6 @@ class PagwnOutput:
     def __post_init__(self):
         if not np.isfinite(self.aggregated).all():
             raise DomainError("non-finite-value", "aggregated output contains a non-finite entry")
-
-
-@dataclass(eq=False)
-class PagwnGradients:
-    lb1_weight: np.ndarray
-    lb1_bias: np.ndarray
-    lb1_gamma: np.ndarray
-    lb1_beta: np.ndarray
-    lb2_weight: np.ndarray
-    lb2_bias: np.ndarray
-    lb2_gamma: np.ndarray
-    lb2_beta: np.ndarray
-    neighbor_coords: np.ndarray
-    neighbor_features: np.ndarray
-    center_coord: np.ndarray
-    center_feature: np.ndarray
 
 
 def init_pagwn_params(n: int, seed: int, mode: str = "training") -> PagwnParams:
@@ -222,6 +166,8 @@ def _pre_rows(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float):
         raise DomainError("shape-mismatch", "coordinate arrays must have 3 channels")
     if nf.shape != (m_win, k, n) or cf.shape != (m_win, n):
         raise DomainError("shape-mismatch", f"feature arrays disagree with params n={n}")
+    if k < 1:
+        raise DomainError("degenerate-window", "need at least one neighbor")
     if params.lb1_bn.mode != params.lb2_bn.mode:
         raise DomainError("invalid-spec", "lb1 and lb2 batch norms are in different modes")
     windows = np.concatenate([nc, nf], axis=2)
@@ -238,8 +184,29 @@ def _pre_rows(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float):
     return bn1_out, (gwn_rows, gwn_cache, bn1_cache)
 
 
-def _forward_arrays(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float,
-                    single_input: bool) -> PagwnOutput:
+def pre_abstract(neighbor_coords, neighbor_features, center_coords, center_features,
+                 params: PagwnParams, m: int = DEFAULT_SPLIT,
+                 epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+    """LB1(GWN([c_j || x_j])) over M windows: an (M, K, n) array.
+
+    Reduces each (n+3)-channel normalized row back to n channels so the
+    neighbor rows carry the same dimensionality as the center feature.
+    """
+    nc, nf, cc, cf = (np.asarray(a, dtype=np.float64)
+                      for a in (neighbor_coords, neighbor_features, center_coords, center_features))
+    bn1_out, _ = _pre_rows(nc, nf, cc, cf, params, m, epsilon)
+    return bn1_out.reshape(nc.shape[0], nc.shape[1], params.n)
+
+
+def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, center_features,
+                        params: PagwnParams, m: int = DEFAULT_SPLIT,
+                        epsilon: float = DEFAULT_EPSILON) -> PagwnOutput:
+    """Full block over M windows at once: (M, K, 3), (M, K, n), (M, 3), (M, n) in, (M, 2n) out.
+
+    Batch norm sees all M*K rows.
+    """
+    nc, nf, cc, cf = (np.asarray(a, dtype=np.float64)
+                      for a in (neighbor_coords, neighbor_features, center_coords, center_features))
     bn1_out, (gwn_rows, gwn_cache, bn1_cache) = _pre_rows(nc, nf, cc, cf, params, m, epsilon)
     m_win, k, _ = nc.shape
     n = params.n
@@ -251,57 +218,25 @@ def _forward_arrays(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float,
     rows2 = bn2_out.reshape(m_win, k, 2 * n)
     argmax = rows2.argmax(axis=1)  # first occurrence: ties go to the lowest row
     pooled = np.take_along_axis(rows2, argmax[:, None, :], axis=1)[:, 0, :]
-    aggregated = np.maximum(pooled, 0.0)
 
     cache = PagwnCache(
-        params=params, mode=params.lb1_bn.mode, single_input=single_input,
-        shapes=(m_win, k, n), gwn_rows=gwn_rows, gwn_cache=gwn_cache,
-        bn1_cache=bn1_cache, h_rows=h_rows, bn2_cache=bn2_cache,
-        pooled=pooled, argmax=argmax,
+        params=params, mode=params.lb1_bn.mode, shapes=(m_win, k, n),
+        gwn_rows=gwn_rows, gwn_cache=gwn_cache, bn1_cache=bn1_cache,
+        h_rows=h_rows, bn2_cache=bn2_cache, pooled=pooled, argmax=argmax,
     )
     return PagwnOutput(
-        aggregated=aggregated[0] if single_input else aggregated, cache=cache,
+        aggregated=np.maximum(pooled, 0.0), cache=cache,
         batch_stats={"lb1_bn.": bn1_cache[3:], "lb2_bn.": bn2_cache[3:]} if cache.mode == "training" else {},
     )
 
 
-def pre_abstract(inp: PagwnInput, params: PagwnParams, m: int = DEFAULT_SPLIT,
-                 epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """LB1(GWN([c_j || x_j])) for one window: a (K, n) matrix.
-
-    Reduces each (n+3)-channel normalized row back to n channels so the
-    neighbor rows carry the same dimensionality as the center feature.
-    """
-    bn1_out, _ = _pre_rows(inp.neighbor_coords[None], inp.neighbor_features[None],
-                           inp.center_coord[None], inp.center_feature[None], params, m, epsilon)
-    return bn1_out.reshape(inp.k, params.n)
-
-
-def pagwn_forward(inp: PagwnInput, params: PagwnParams, m: int = DEFAULT_SPLIT,
-                  epsilon: float = DEFAULT_EPSILON) -> PagwnOutput:
-    """Full block for one center; aggregated output has 2n channels."""
-    return _forward_arrays(
-        inp.neighbor_coords[None], inp.neighbor_features[None],
-        inp.center_coord[None], inp.center_feature[None],
-        params, m, epsilon, single_input=True,
-    )
-
-
-def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, center_features,
-                        params: PagwnParams, m: int = DEFAULT_SPLIT,
-                        epsilon: float = DEFAULT_EPSILON) -> PagwnOutput:
-    """Full block over M centers at once; batch norm sees all M*K rows."""
-    return _forward_arrays(
-        np.asarray(neighbor_coords, dtype=np.float64),
-        np.asarray(neighbor_features, dtype=np.float64),
-        np.asarray(center_coords, dtype=np.float64),
-        np.asarray(center_features, dtype=np.float64),
-        params, m, epsilon, single_input=False,
-    )
-
-
-def pagwn_backward(cache: PagwnCache, upstream_grad: np.ndarray) -> PagwnGradients:
+def pagwn_backward(cache: PagwnCache, upstream_grad: np.ndarray):
     """Exact gradients for every parameter and input of a training forward.
+
+    Returns ``(grads, inputs)``.  ``grads`` maps each trainable name of
+    :func:`pagwn_param_tensors` (weights, biases, batch-norm gamma and beta)
+    to its gradient; ``inputs`` maps each window argument name of
+    :func:`pagwn_forward_batch` to the gradient of that array.
 
     ReLU uses subgradient 0 at 0; the max pool routes to the argmax row
     (ties already resolved to the lowest index by the forward); batch norm
@@ -313,38 +248,31 @@ def pagwn_backward(cache: PagwnCache, upstream_grad: np.ndarray) -> PagwnGradien
     params = cache.params
     m_win, k, n = cache.shapes
     g = np.asarray(upstream_grad, dtype=np.float64)
-    if cache.single_input:
-        g = g.reshape(1, 2 * n)
     if g.shape != (m_win, 2 * n):
         raise DomainError("shape-mismatch", f"upstream gradient must have shape {(m_win, 2 * n)}")
 
     g_pool = g * (cache.pooled > 0)
     g_rows2 = np.zeros((m_win, k, 2 * n))
     np.put_along_axis(g_rows2, cache.argmax[:, None, :], g_pool[:, None, :], axis=1)
-    dz2, dgamma2, dbeta2 = _bn_backward(g_rows2.reshape(m_win * k, 2 * n), params.lb2_bn, cache.bn2_cache)
-    dh, dw2, db2 = _linear_backward(dz2, cache.h_rows, params.lb2_weight)
+    grads = {}
+    dz2, grads["lb2_bn.gamma"], grads["lb2_bn.beta"] = _bn_backward(
+        g_rows2.reshape(m_win * k, 2 * n), params.lb2_bn, cache.bn2_cache)
+    dh, grads["lb2_weight"], grads["lb2_bias"] = _linear_backward(dz2, cache.h_rows, params.lb2_weight)
     dh = dh.reshape(m_win, k, 2 * n)
     d_pre = dh[:, :, :n].reshape(m_win * k, n)
     d_cf_broadcast = _colsum(dh[:, :, n:])
 
-    dz1, dgamma1, dbeta1 = _bn_backward(d_pre, params.lb1_bn, cache.bn1_cache)
-    d_gwn_rows, dw1, db1 = _linear_backward(dz1, cache.gwn_rows, params.lb1_weight)
+    dz1, grads["lb1_bn.gamma"], grads["lb1_bn.beta"] = _bn_backward(d_pre, params.lb1_bn, cache.bn1_cache)
+    d_gwn_rows, grads["lb1_weight"], grads["lb1_bias"] = _linear_backward(
+        dz1, cache.gwn_rows, params.lb1_weight)
     d_win = _gwn_backward(d_gwn_rows.reshape(m_win, k, n + 3), cache.gwn_cache)
     d_cen = -_colsum(d_win)
-
-    d_nc = d_win[:, :, :3]
-    d_nf = d_win[:, :, 3:]
-    d_cc = d_cen[:, :3]
-    d_cf = d_cen[:, 3:] + d_cf_broadcast
-
-    if cache.single_input:
-        d_nc, d_nf, d_cc, d_cf = d_nc[0], d_nf[0], d_cc[0], d_cf[0]
-    return PagwnGradients(
-        lb1_weight=dw1, lb1_bias=db1, lb1_gamma=dgamma1, lb1_beta=dbeta1,
-        lb2_weight=dw2, lb2_bias=db2, lb2_gamma=dgamma2, lb2_beta=dbeta2,
-        neighbor_coords=d_nc, neighbor_features=d_nf,
-        center_coord=d_cc, center_feature=d_cf,
-    )
+    return grads, {
+        "neighbor_coords": d_win[:, :, :3],
+        "neighbor_features": d_win[:, :, 3:],
+        "center_coords": d_cen[:, :3],
+        "center_features": d_cen[:, 3:] + d_cf_broadcast,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +317,6 @@ class MlpParams:
         return MlpParams(tuple(replace(l, bn=l.bn.with_mode(mode)) for l in self.layers))
 
 
-@dataclass(eq=False)
-class MlpGradients:
-    weight: List[np.ndarray]
-    bias: List[np.ndarray]
-    gamma: List[np.ndarray]
-    beta: List[np.ndarray]
-
-
 def init_mlp_params(dims: Sequence[int], seed: int, mode: str = "training") -> MlpParams:
     """Stack of linear+BN+ReLU layers sized dims[0] -> ... -> dims[-1]."""
     if len(dims) < 2:
@@ -426,17 +346,12 @@ def _mlp_rows_forward(rows: np.ndarray, params: MlpParams):
 
 
 def _mlp_rows_backward(g: np.ndarray, params: MlpParams, caches):
-    grads = MlpGradients(weight=[], bias=[], gamma=[], beta=[])
-    for layer, (x, bn_cache, mask) in zip(reversed(params.layers), reversed(caches)):
-        g = g * mask
-        dz, dgamma, dbeta = _bn_backward(g, layer.bn, bn_cache)
-        g, dw, db = _linear_backward(dz, x, layer.weight)
-        grads.weight.append(dw)
-        grads.bias.append(db)
-        grads.gamma.append(dgamma)
-        grads.beta.append(dbeta)
-    for field in (grads.weight, grads.bias, grads.gamma, grads.beta):
-        field.reverse()
+    grads = {}
+    for i in range(len(caches) - 1, -1, -1):
+        x, bn_cache, mask = caches[i]
+        layer = params.layers[i]
+        dz, grads[f"layer{i}.bn.gamma"], grads[f"layer{i}.bn.beta"] = _bn_backward(g * mask, layer.bn, bn_cache)
+        g, grads[f"layer{i}.weight"], grads[f"layer{i}.bias"] = _linear_backward(dz, x, layer.weight)
     return g, grads
 
 
@@ -495,8 +410,10 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
 def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):
     """Gradients for the MLP and the source cloud's features.
 
-    Returns (MlpGradients, d_features) where d_features has the source
-    cloud's (N, n) shape with neighbor contributions scatter-added.
+    Returns ``(grads, d_features)``.  ``grads`` maps each trainable name of
+    :func:`mlp_param_tensors` (``layer{i}.weight``, ``.bias``, ``.bn.gamma``,
+    ``.bn.beta``) to its gradient; ``d_features`` has the source cloud's
+    (N, n) shape with neighbor contributions scatter-added.
     """
     if cache.mode != "training":
         raise DomainError("stale-cache", "backward requires a training-mode forward cache")
@@ -504,12 +421,12 @@ def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):
     occ_idx = np.flatnonzero(cache.occupied)
     out_dim = cache.params.out_dim
     if occ_idx.size == 0:
-        grads = MlpGradients(
-            weight=[np.zeros_like(l.weight) for l in cache.params.layers],
-            bias=[np.zeros_like(l.bias) for l in cache.params.layers],
-            gamma=[np.zeros_like(l.bn.gamma) for l in cache.params.layers],
-            beta=[np.zeros_like(l.bn.beta) for l in cache.params.layers],
-        )
+        grads = {}
+        for i, layer in enumerate(cache.params.layers):
+            grads[f"layer{i}.weight"] = np.zeros_like(layer.weight)
+            grads[f"layer{i}.bias"] = np.zeros_like(layer.bias)
+            grads[f"layer{i}.bn.gamma"] = np.zeros_like(layer.bn.gamma)
+            grads[f"layer{i}.bn.beta"] = np.zeros_like(layer.bn.beta)
         return grads, np.zeros((cache.num_source_points, cache.params.in_dim))
     g_rows = np.zeros((occ_idx.size, cache.k, out_dim))
     np.put_along_axis(g_rows, cache.argmax[:, None, :], g[occ_idx][:, None, :], axis=1)
@@ -605,19 +522,23 @@ def mlp_params_from_tensors(tensors: dict, prefix: str = "", mode: str = "infere
     return MlpParams(tuple(layers))
 
 
-def pagwn_input_tensors(inp: PagwnInput) -> dict:
-    return {
-        "center_coord": inp.center_coord,
-        "center_feature": inp.center_feature,
-        "neighbor_coords": inp.neighbor_coords,
-        "neighbor_features": inp.neighbor_features,
-    }
+def pagwn_input_from_tensors(tensors: dict):
+    """The window of ``pgrain pagwn-forward`` as a batch of one.
 
-
-def pagwn_input_from_tensors(tensors: dict) -> PagwnInput:
-    return PagwnInput(
-        center_coord=_tensor(tensors, "center_coord"),
-        center_feature=_tensor(tensors, "center_feature"),
-        neighbor_coords=_tensor(tensors, "neighbor_coords"),
-        neighbor_features=_tensor(tensors, "neighbor_features"),
-    )
+    Reads ``neighbor_coords`` (K, 3), ``neighbor_features`` (K, n),
+    ``center_coord`` (3,) and ``center_feature`` (n,); returns them as the
+    (1, K, 3), (1, K, n), (1, 3) and (1, n) arrays that
+    :func:`pagwn_forward_batch` takes first.  Shapes the block cannot take
+    are left to its own checks.
+    """
+    window = []
+    for name in ("neighbor_coords", "neighbor_features", "center_coord", "center_feature"):
+        arr = np.asarray(_tensor(tensors, name), dtype=np.float64)
+        if name.startswith("center"):
+            arr = arr.reshape(-1)
+        elif arr.ndim != 2:
+            raise DomainError("shape-mismatch", f"{name} must be a (K, C) matrix, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise DomainError("non-finite-value", f"{name} contains a non-finite entry")
+        window.append(arr[None])
+    return tuple(window)

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,23 @@ def random_cloud(rng, n_points=None, feature_dim=3, labeled=False, num_classes=4
         features=rng.uniform(-1.0, 1.0, size=(n_points, feature_dim)),
         labels=labels,
     )
+
+
+class OneWindow(NamedTuple):
+    """One PAGWN window: a center and its K neighbors, rows in ascending-distance order.
+
+    ``_asdict()`` is the tensor set ``pgrain pagwn-forward --input`` reads.
+    """
+
+    center_coord: np.ndarray       # (3,)
+    center_feature: np.ndarray     # (n,)
+    neighbor_coords: np.ndarray    # (K, 3)
+    neighbor_features: np.ndarray  # (K, n)
+
+    def batch(self):
+        """The window as the first four arguments of ``pagwn_forward_batch``, a batch of one."""
+        return (self.neighbor_coords[None], self.neighbor_features[None],
+                self.center_coord[None], self.center_feature[None])
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 
 from pgrain import (
-    PagwnInput,
     PointCloud,
     Window,
     ball_query_batch,
@@ -27,7 +26,7 @@ from pgrain import (
     init_pagwn_params,
     knn_batch,
     pagwn_backward,
-    pagwn_forward,
+    pagwn_forward_batch,
     pre_abstract,
     window_normalize,
     window_sigma,
@@ -41,8 +40,9 @@ from pgrain.eval import (
     two_plane_boundary_scene,
 )
 from pgrain.norm import group_wise_window_normalize, sigma_map
-from pgrain.pagwn import pagwn_input_tensors, pagwn_param_tensors
+from pgrain.pagwn import pagwn_param_tensors
 
+from conftest import OneWindow
 from test_eval import metrics_oracle
 
 
@@ -194,13 +194,13 @@ def test_criterion_04_group_wise():
     n, k, m = 4, 9, 3
     params = init_pagwn_params(n, seed=44)
     for _ in range(1000):
-        inp = PagwnInput(rng.normal(size=3), rng.normal(size=n),
-                         rng.normal(size=(k, 3)), rng.normal(size=(k, n)))
+        inp = OneWindow(rng.normal(size=3), rng.normal(size=n),
+                        rng.normal(size=(k, 3)), rng.normal(size=(k, n)))
         perm = np.concatenate([rng.permutation(m), m + rng.permutation(k - m)])
-        permuted = PagwnInput(inp.center_coord, inp.center_feature,
-                              inp.neighbor_coords[perm], inp.neighbor_features[perm])
-        a = pagwn_forward(inp, params, m=m).aggregated
-        b = pagwn_forward(permuted, params, m=m).aggregated
+        permuted = inp._replace(neighbor_coords=inp.neighbor_coords[perm],
+                                neighbor_features=inp.neighbor_features[perm])
+        a = pagwn_forward_batch(*inp.batch(), params, m=m).aggregated[0]
+        b = pagwn_forward_batch(*permuted.batch(), params, m=m).aggregated[0]
         worst_perm = max(worst_perm, float(np.abs(a - b).max()))
 
     ok = worst_sigma < 1e-12 and worst_perm <= 1e-12
@@ -219,13 +219,13 @@ def test_criterion_05_dimension_contract():
     detail = []
     for n in (1, 4, 16, 64):
         k = 8
-        inp = PagwnInput(rng.normal(size=3), rng.normal(size=n),
-                         rng.normal(size=(k, 3)), rng.normal(size=(k, n)))
+        inp = OneWindow(rng.normal(size=3), rng.normal(size=n),
+                        rng.normal(size=(k, 3)), rng.normal(size=(k, n)))
         params = init_pagwn_params(n, seed=n)
-        pre = pre_abstract(inp, params, m=3)
-        out = pagwn_forward(inp, params, m=3)
-        ok &= pre.shape == (k, n) and out.aggregated.shape == (2 * n,)
-        detail.append(f"n={n}:{pre.shape}->{out.aggregated.shape}")
+        pre = pre_abstract(*inp.batch(), params, m=3)[0]
+        out = pagwn_forward_batch(*inp.batch(), params, m=3)
+        ok &= pre.shape == (k, n) and out.aggregated[0].shape == (2 * n,)
+        detail.append(f"n={n}:{pre.shape}->{out.aggregated[0].shape}")
     _report(5, ok, "; ".join(detail))
 
 
@@ -240,9 +240,9 @@ def _sample_smooth_case(rng):
         k = int(rng.integers(2, 9))
         m = int(rng.integers(1, k))
         params = init_pagwn_params(n, seed=int(rng.integers(0, 2**31)))
-        inp = PagwnInput(rng.normal(size=3), rng.normal(size=n),
-                         rng.normal(size=(k, 3)), rng.normal(size=(k, n)))
-        out = pagwn_forward(inp, params, m=m)
+        inp = OneWindow(rng.normal(size=3), rng.normal(size=n),
+                        rng.normal(size=(k, 3)), rng.normal(size=(k, n)))
+        out = pagwn_forward_batch(*inp.batch(), params, m=m)
         cache = out.cache
         pooled = cache.pooled[0]
         # nondifferentiable-adjacent: ReLU input near 0, near-tied maxpool,
@@ -272,10 +272,10 @@ def test_criterion_06_gradient_check():
     for _ in range(100):
         n, k, m, params, inp, out = _sample_smooth_case(rng)
         upstream = rng.normal(size=2 * n)
-        grads = pagwn_backward(out.cache, upstream)
+        grads, inputs = pagwn_backward(out.cache, upstream[None])
 
         def loss(p, i):
-            return float(np.sum(pagwn_forward(i, p, m=m).aggregated * upstream))
+            return float(np.sum(pagwn_forward_batch(*i.batch(), p, m=m).aggregated[0] * upstream))
 
         def check(analytic, base, rebuild):
             nonlocal worst
@@ -289,26 +289,26 @@ def test_criterion_06_gradient_check():
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-2)
             worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
 
-        check(grads.lb1_weight, params.lb1_weight, lambda a: (replace(params, lb1_weight=a), inp))
-        check(grads.lb1_bias, params.lb1_bias, lambda a: (replace(params, lb1_bias=a), inp))
-        check(grads.lb2_weight, params.lb2_weight, lambda a: (replace(params, lb2_weight=a), inp))
-        check(grads.lb2_bias, params.lb2_bias, lambda a: (replace(params, lb2_bias=a), inp))
-        check(grads.lb1_gamma, params.lb1_bn.gamma,
+        check(grads["lb1_weight"], params.lb1_weight, lambda a: (replace(params, lb1_weight=a), inp))
+        check(grads["lb1_bias"], params.lb1_bias, lambda a: (replace(params, lb1_bias=a), inp))
+        check(grads["lb2_weight"], params.lb2_weight, lambda a: (replace(params, lb2_weight=a), inp))
+        check(grads["lb2_bias"], params.lb2_bias, lambda a: (replace(params, lb2_bias=a), inp))
+        check(grads["lb1_bn.gamma"], params.lb1_bn.gamma,
               lambda a: (replace(params, lb1_bn=replace(params.lb1_bn, gamma=a)), inp))
-        check(grads.lb1_beta, params.lb1_bn.beta,
+        check(grads["lb1_bn.beta"], params.lb1_bn.beta,
               lambda a: (replace(params, lb1_bn=replace(params.lb1_bn, beta=a)), inp))
-        check(grads.lb2_gamma, params.lb2_bn.gamma,
+        check(grads["lb2_bn.gamma"], params.lb2_bn.gamma,
               lambda a: (replace(params, lb2_bn=replace(params.lb2_bn, gamma=a)), inp))
-        check(grads.lb2_beta, params.lb2_bn.beta,
+        check(grads["lb2_bn.beta"], params.lb2_bn.beta,
               lambda a: (replace(params, lb2_bn=replace(params.lb2_bn, beta=a)), inp))
-        check(grads.neighbor_features, inp.neighbor_features,
-              lambda a: (params, PagwnInput(inp.center_coord, inp.center_feature, inp.neighbor_coords, a)))
-        check(grads.neighbor_coords, inp.neighbor_coords,
-              lambda a: (params, PagwnInput(inp.center_coord, inp.center_feature, a, inp.neighbor_features)))
-        check(grads.center_feature, inp.center_feature,
-              lambda a: (params, PagwnInput(inp.center_coord, a, inp.neighbor_coords, inp.neighbor_features)))
-        check(grads.center_coord, inp.center_coord,
-              lambda a: (params, PagwnInput(a, inp.center_feature, inp.neighbor_coords, inp.neighbor_features)))
+        check(inputs["neighbor_features"][0], inp.neighbor_features,
+              lambda a: (params, inp._replace(neighbor_features=a)))
+        check(inputs["neighbor_coords"][0], inp.neighbor_coords,
+              lambda a: (params, inp._replace(neighbor_coords=a)))
+        check(inputs["center_features"][0], inp.center_feature,
+              lambda a: (params, inp._replace(center_feature=a)))
+        check(inputs["center_coords"][0], inp.center_coord,
+              lambda a: (params, inp._replace(center_coord=a)))
 
     elapsed = time.perf_counter() - start
     _report(6, worst < 1e-4 and elapsed < 120.0,
@@ -416,9 +416,9 @@ def test_criterion_10_cli_determinism(tmp_path):
     pio.write_tensor(tmp_path / "c.pgtn", center)
     pio.write_tensor(tmp_path / "n.pgtn", neighbors)
     params = init_pagwn_params(3, seed=2).with_mode("inference")
-    inp = PagwnInput(rng.normal(size=3), rng.normal(size=3),
-                     rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
-    pio.save_tensor_dir(tmp_path / "inp", pagwn_input_tensors(inp))
+    inp = OneWindow(rng.normal(size=3), rng.normal(size=3),
+                    rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
+    pio.save_tensor_dir(tmp_path / "inp", inp._asdict())
     pio.save_tensor_dir(tmp_path / "par", pagwn_param_tensors(params))
     pio.write_labels(tmp_path / "pred.txt", rng.integers(0, 2, size=40))
     pio.write_labels(tmp_path / "truth.txt", rng.integers(0, 2, size=40))

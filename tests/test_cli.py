@@ -11,12 +11,7 @@ from pgrain import io as pio
 from pgrain.cli import main
 from pgrain.eval import compute_metrics, density_imbalanced_scene, metrics_csv
 from pgrain.norm import Window, group_wise_window_normalize, sigma_map, window_normalize
-from pgrain.pagwn import (
-    init_pagwn_params,
-    pagwn_forward,
-    pagwn_input_tensors,
-    pagwn_param_tensors,
-)
+from pgrain.pagwn import init_pagwn_params, pagwn_forward_batch, pagwn_param_tensors
 
 from test_pagwn import random_input
 
@@ -78,6 +73,16 @@ class TestSample:
             assert code == 1
             assert err.startswith(f"pgrain: parse-error: line {line} "), err
 
+    def test_feature_dim_inferred_past_a_blank_first_line(self, tmp_path):
+        # read_xyz skips a blank first line, so the inference must too
+        path = tmp_path / "blank.xyz"
+        path.write_text("\n0 0 0 1 2 3\n1 0 0 4 5 6\n0 2 0 7 8 9\n", encoding="utf-8")
+        out = tmp_path / "o.xyz"
+        assert main(["sample", str(path), "--count", "2", "--out", str(out)]) == 0
+        cloud = pio.read_xyz(path, feature_dim=3)
+        picked = np.loadtxt(out.with_suffix(".xyz.idx"), dtype=np.int64)
+        np.testing.assert_array_equal(pio.read_xyz(out, feature_dim=3).features, cloud.features[picked])
+
     def test_single_point_output(self, scene_file, tmp_path):
         path, _ = scene_file
         out = tmp_path / "one.xyz"
@@ -130,17 +135,17 @@ class TestPagwnForward:
         n, k = 4, 6
         inp = random_input(rng, n, k)
         params = init_pagwn_params(n, seed=5).with_mode("inference")
-        pio.save_tensor_dir(tmp_path / "inp", pagwn_input_tensors(inp))
+        pio.save_tensor_dir(tmp_path / "inp", inp._asdict())
         pio.save_tensor_dir(tmp_path / "par", pagwn_param_tensors(params))
         out = tmp_path / "agg.pgtn"
         assert main(["pagwn-forward", "--input", str(tmp_path / "inp"),
                      "--params", str(tmp_path / "par"), "--m", "3", "--out", str(out)]) == 0
-        expected = pagwn_forward(inp, params, m=3).aggregated
+        expected = pagwn_forward_batch(*inp.batch(), params, m=3).aggregated[0]
         np.testing.assert_array_equal(pio.read_tensor(out), expected)
 
     def test_split_below_one_rejected_on_one_neighbor_window(self, rng, tmp_path):
         params = init_pagwn_params(3, seed=5).with_mode("inference")
-        pio.save_tensor_dir(tmp_path / "inp", pagwn_input_tensors(random_input(rng, 3, 1)))
+        pio.save_tensor_dir(tmp_path / "inp", random_input(rng, 3, 1)._asdict())
         pio.save_tensor_dir(tmp_path / "par", pagwn_param_tensors(params))
         result = run_cli("pagwn-forward", "--input", str(tmp_path / "inp"), "--params",
                          str(tmp_path / "par"), "--m", "0", "--out", str(tmp_path / "agg.pgtn"))
@@ -156,7 +161,7 @@ class TestPagwnForwardRejects:
     def _dirs(self, rng):
         # a valid window and parameter set; each test breaks one of them
         params = pagwn_param_tensors(init_pagwn_params(3, seed=5).with_mode("inference"))
-        return pagwn_input_tensors(random_input(rng, 3, 4)), params
+        return random_input(rng, 3, 4)._asdict(), params
 
     def _assert_rejected(self, capsys, tmp_path, inp, params, kind, name):
         pio.save_tensor_dir(tmp_path / "inp", inp)
@@ -196,6 +201,22 @@ class TestPagwnForwardRejects:
         lines = ["lb1_bias 1 x" if line.startswith("lb1_bias ") else line for line in lines]
         manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
         self._assert_rejected(capsys, tmp_path, inp, None, "parse-error", "lb1_bias")
+
+    @pytest.mark.parametrize("name", ["center_coord", "center_feature", "neighbor_coords", "neighbor_features"])
+    def test_nan_in_window_is_non_finite_value(self, rng, tmp_path, capsys, name):
+        inp, params = self._dirs(rng)
+        inp[name].flat[-1] = np.nan
+        self._assert_rejected(capsys, tmp_path, inp, params, "non-finite-value", name)
+
+    def test_window_without_neighbors_is_degenerate(self, rng, tmp_path, capsys):
+        inp, params = self._dirs(rng)
+        inp["neighbor_coords"], inp["neighbor_features"] = np.zeros((0, 3)), np.zeros((0, 3))
+        self._assert_rejected(capsys, tmp_path, inp, params, "degenerate-window", "neighbor")
+
+    def test_four_channel_neighbor_coords_are_shape_mismatch(self, rng, tmp_path, capsys):
+        inp, params = self._dirs(rng)
+        inp["neighbor_coords"] = rng.normal(size=(4, 4))
+        self._assert_rejected(capsys, tmp_path, inp, params, "shape-mismatch", "coordinate")
 
 
 class TestEval:
@@ -369,7 +390,7 @@ def _normalize_case(tmp_path, *extra):
 
 def _pagwn_case(tmp_path, k, *extra):
     rng = np.random.default_rng(4243)
-    pio.save_tensor_dir(tmp_path / "inp", pagwn_input_tensors(random_input(rng, 4, k)))
+    pio.save_tensor_dir(tmp_path / "inp", random_input(rng, 4, k)._asdict())
     pio.save_tensor_dir(tmp_path / "par", pagwn_param_tensors(init_pagwn_params(4, seed=5)))
     out = tmp_path / "agg.pgtn"
     return ["pagwn-forward", "--input", str(tmp_path / "inp"), "--params", str(tmp_path / "par"),

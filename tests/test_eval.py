@@ -299,6 +299,16 @@ class TestToyPipeline:
                 self._tiny_config(stages=(stage,))
             assert exc.value.kind == "invalid-spec", stage
 
+    @pytest.mark.parametrize("fields", [dict(learning_rate=float("inf")), dict(learning_rate=float("nan")),
+                                        dict(epsilon=0.0), dict(epsilon=-1.0), dict(epsilon=float("nan"))],
+                             ids=["lr-inf", "lr-nan", "eps-0", "eps-neg", "eps-nan"])
+    def test_non_finite_or_non_positive_step_and_epsilon_are_invalid_spec(self, fields):
+        # rejected by the config itself, before any scene is planned or trained on
+        with pytest.raises(DomainError) as exc:
+            self._tiny_config(**fields)
+        assert exc.value.kind == "invalid-spec"
+        assert next(iter(fields)) in str(exc.value)
+
     def test_wrong_typed_fields_are_invalid_spec(self):
         two_stages = (StageSpec("8", 4, 1), StageSpec(4, 2, 1))
         cases = [dict(stages=two_stages), dict(epochs=2.5), dict(num_classes="2"), dict(learning_rate="x")]

@@ -24,10 +24,13 @@ from pgrain.pagwn import (
     init_pagwn_params,
     mlp_param_tensors,
     mlp_params_from_tensors,
+    pagwn_forward_batch,
     pagwn_input_from_tensors,
     pagwn_param_tensors,
     pagwn_params_from_tensors,
 )
+
+from conftest import OneWindow
 
 FUZZ = settings(max_examples=30, deadline=None)
 _KIND_LINE = re.compile(r"pgrain: [a-z-]+: ")
@@ -244,9 +247,10 @@ class TestTensors:
         elif which == "mlp":
             tensors, load = mlp_param_tensors(init_mlp_params((2, 3, 4), seed=1)), mlp_params_from_tensors
         else:
-            tensors = {"center_coord": np.zeros(3), "center_feature": np.zeros(2),
-                       "neighbor_coords": np.ones((4, 3)), "neighbor_features": np.ones((4, 2))}
-            load = pagwn_input_from_tensors
+            tensors = OneWindow(np.zeros(3), np.zeros(2), np.ones((4, 3)), np.ones((4, 2)))._asdict()
+            # read, then run through the block, as ``pgrain pagwn-forward`` does
+            params = init_pagwn_params(2, seed=1).with_mode("inference")
+            load = lambda window: pagwn_forward_batch(*pagwn_input_from_tensors(window), params)  # noqa: E731
         names = sorted(tensors)
         for name in data.draw(st.lists(st.sampled_from(names), max_size=3)):
             action = data.draw(st.sampled_from(["drop", "reshape", "scalar", "nan"]))

@@ -337,3 +337,16 @@ class TestTensorFile:
             pio.load_tensor_dir(tmp_path)
         assert exc.value.kind == "parse-error"
         assert f"manifest line {lineno}:" in str(exc.value)
+
+    @pytest.mark.parametrize("name", ["../outside/secret", "sub/b", "..\\outside\\secret", ".", ".."])
+    def test_name_that_is_not_a_plain_file_name_is_parse_error(self, tmp_path, name):
+        # every named file exists and holds a (3,) tensor, so only the name is at fault
+        root = tmp_path / "dir"
+        for target in (tmp_path / "outside" / "secret.pgtn", root / "sub" / "b.pgtn", root / f"{name}.pgtn"):
+            target.parent.mkdir(parents=True, exist_ok=True)
+            pio.write_tensor(target, np.arange(3.0))
+        (root / "manifest.txt").write_text(f"{name} 1 3\n", encoding="utf-8")
+        with pytest.raises(DomainError) as exc:
+            pio.load_tensor_dir(root)
+        assert exc.value.kind == "parse-error"
+        assert f"manifest line 1: tensor {name!r} is not a plain file name" in str(exc.value)

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,6 @@ from pgrain import (
     DomainError,
     MlpLayer,
     MlpParams,
-    PagwnInput,
     PagwnParams,
     PointCloud,
     Window,
@@ -20,7 +20,6 @@ from pgrain import (
     init_pagwn_params,
     knn_batch,
     pagwn_backward,
-    pagwn_forward,
     pagwn_forward_batch,
     pre_abstract,
 )
@@ -36,12 +35,11 @@ from pgrain.pagwn import (
     mlp_param_tensors,
     mlp_params_from_tensors,
     pagwn_input_from_tensors,
-    pagwn_input_tensors,
     pagwn_param_tensors,
     pagwn_params_from_tensors,
 )
 
-from conftest import random_cloud
+from conftest import OneWindow, random_cloud
 
 
 def identity_params(n, mode="inference"):
@@ -57,7 +55,7 @@ def identity_params(n, mode="inference"):
 
 
 def random_input(rng, n, k):
-    return PagwnInput(
+    return OneWindow(
         center_coord=rng.normal(size=3),
         center_feature=rng.normal(size=n),
         neighbor_coords=rng.normal(size=(k, 3)),
@@ -77,8 +75,8 @@ class TestPreAbstract:
     def test_zero_weights_identity_bn_gives_zero_rows(self, rng):
         n, k = 4, 6
         inp = random_input(rng, n, k)
-        out = pre_abstract(inp, identity_params(n), m=3)
-        assert out.shape == (k, n)
+        out = pre_abstract(*inp.batch(), identity_params(n), m=3)
+        assert out.shape == (1, k, n)
         assert np.all(out == 0.0)
 
     def test_identity_like_lb1_reproduces_gwn_feature_channels(self, rng):
@@ -88,7 +86,7 @@ class TestPreAbstract:
         weight = np.zeros((n + 3, n))
         weight[3:, :] = np.eye(n)
         params = replace(identity_params(n), lb1_weight=weight)
-        got = pre_abstract(inp, params, m=m)
+        got = pre_abstract(*inp.batch(), params, m=m)[0]
         window = Window(
             center_feature=np.concatenate([inp.center_coord, inp.center_feature]),
             neighbor_features=np.hstack([inp.neighbor_coords, inp.neighbor_features]),
@@ -101,18 +99,18 @@ class TestPreAbstract:
     def test_output_shape_contract(self, rng, n, k):
         inp = random_input(rng, n, k)
         params = init_pagwn_params(n, seed=0).with_mode("inference")
-        assert pre_abstract(inp, params, m=2).shape == (k, n)
+        assert pre_abstract(*inp.batch(), params, m=2).shape == (1, k, n)
 
     def test_bad_split_rejected(self, rng):
         inp = random_input(rng, 3, 4)
         with pytest.raises(DomainError) as exc:
-            pre_abstract(inp, identity_params(3), m=4)
+            pre_abstract(*inp.batch(), identity_params(3), m=4)
         assert exc.value.kind == "bad-split"
         # a one-neighbor window is never split, but m < 1 is still no group size
         lone = random_input(rng, 3, 1)
         for m in (0, -2):
             with pytest.raises(DomainError) as exc:
-                pagwn_forward(lone, identity_params(3), m=m)
+                pagwn_forward_batch(*lone.batch(), identity_params(3), m=m)
             assert exc.value.kind == "bad-split"
 
 
@@ -121,8 +119,8 @@ class TestForward:
         n, k = 3, 5
         inp = random_input(rng, n, k)
         params = replace(identity_params(n), lb1_weight=rng.normal(size=(n + 3, n)))
-        out = pagwn_forward(inp, params, m=2)
-        assert out.aggregated.shape == (2 * n,)
+        out = pagwn_forward_batch(*inp.batch(), params, m=2)
+        assert out.aggregated.shape == (1, 2 * n)
         assert np.all(out.aggregated == 0.0)
 
     def test_single_neighbor_maxpool_is_identity(self, rng):
@@ -133,21 +131,21 @@ class TestForward:
         params = replace(params,
                          lb1_weight=rng.normal(size=(n + 3, n)),
                          lb2_weight=rng.normal(size=(2 * n, 2 * n)))
-        out = pagwn_forward(inp, params, m=1)
+        out = pagwn_forward_batch(*inp.batch(), params, m=1)
         dev = np.hstack([inp.neighbor_coords, inp.neighbor_features[None][0]]) \
             - np.concatenate([inp.center_coord, inp.center_feature])
         sigma = np.sqrt((dev * dev).sum() / (n + 3 - 1))
         gwn_row = dev / (sigma + 1e-5)
         row1 = gwn_row @ params.lb1_weight
         row2 = np.concatenate([row1.ravel(), inp.center_feature]) @ params.lb2_weight
-        np.testing.assert_allclose(out.aggregated, np.maximum(row2, 0.0), rtol=1e-12)
+        np.testing.assert_allclose(out.aggregated[0], np.maximum(row2, 0.0), rtol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 4, 16])
     def test_aggregated_dimension_is_2n(self, rng, n):
         inp = random_input(rng, n, 6)
         params = init_pagwn_params(n, seed=1).with_mode("inference")
-        out = pagwn_forward(inp, params, m=3)
-        assert out.aggregated.shape == (2 * n,)
+        out = pagwn_forward_batch(*inp.batch(), params, m=3)
+        assert out.aggregated.shape == (1, 2 * n)
         assert np.all(out.aggregated >= 0.0)
 
     def test_within_group_permutation_invariance(self, rng):
@@ -156,14 +154,10 @@ class TestForward:
         for _ in range(30):
             inp = random_input(rng, n, k)
             perm = np.concatenate([rng.permutation(m), m + rng.permutation(k - m)])
-            permuted = PagwnInput(
-                center_coord=inp.center_coord,
-                center_feature=inp.center_feature,
-                neighbor_coords=inp.neighbor_coords[perm],
-                neighbor_features=inp.neighbor_features[perm],
-            )
-            a = pagwn_forward(inp, params, m=m).aggregated
-            b = pagwn_forward(permuted, params, m=m).aggregated
+            permuted = inp._replace(neighbor_coords=inp.neighbor_coords[perm],
+                                    neighbor_features=inp.neighbor_features[perm])
+            a = pagwn_forward_batch(*inp.batch(), params, m=m).aggregated
+            b = pagwn_forward_batch(*permuted.batch(), params, m=m).aggregated
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_global_translation_invariance(self, rng):
@@ -171,22 +165,18 @@ class TestForward:
         inp = random_input(rng, n, k)
         params = init_pagwn_params(n, seed=3)
         shift = rng.uniform(-4, 4, size=3)
-        shifted = PagwnInput(
-            center_coord=inp.center_coord + shift,
-            center_feature=inp.center_feature,
-            neighbor_coords=inp.neighbor_coords + shift,
-            neighbor_features=inp.neighbor_features,
-        )
-        a = pagwn_forward(inp, params, m=3).aggregated
-        b = pagwn_forward(shifted, params, m=3).aggregated
+        shifted = inp._replace(center_coord=inp.center_coord + shift,
+                               neighbor_coords=inp.neighbor_coords + shift)
+        a = pagwn_forward_batch(*inp.batch(), params, m=3).aggregated
+        b = pagwn_forward_batch(*shifted.batch(), params, m=3).aggregated
         np.testing.assert_allclose(a, b, rtol=1e-8, atol=1e-10)
 
     def test_inference_forward_is_bit_deterministic(self, rng):
         n, k = 5, 6
         inp = random_input(rng, n, k)
         params = init_pagwn_params(n, seed=4).with_mode("inference")
-        a = pagwn_forward(inp, params, m=2).aggregated
-        b = pagwn_forward(inp, params, m=2).aggregated
+        a = pagwn_forward_batch(*inp.batch(), params, m=2).aggregated
+        b = pagwn_forward_batch(*inp.batch(), params, m=2).aggregated
         assert np.array_equal(a, b)
 
     def test_batch_matches_stacked_singles_in_inference(self, rng):
@@ -202,7 +192,7 @@ class TestForward:
             params, m=2,
         )
         for row, inp in enumerate(inputs):
-            single = pagwn_forward(inp, params, m=2).aggregated
+            single = pagwn_forward_batch(*inp.batch(), params, m=2).aggregated[0]
             np.testing.assert_allclose(batch.aggregated[row], single, rtol=1e-12, atol=1e-14)
 
     def test_running_stats_update_only_in_training(self, rng):
@@ -211,7 +201,7 @@ class TestForward:
         n, k = 3, 6
         inp = random_input(rng, n, k)
         params = init_pagwn_params(n, seed=6)
-        train_out = pagwn_forward(inp, params, m=2)
+        train_out = pagwn_forward_batch(*inp.batch(), params, m=2)
         assert set(train_out.batch_stats) == {"lb1_bn.", "lb2_bn."}
         tensors = pagwn_param_tensors(params)
         assert all(name + "running_mean" in tensors for name in train_out.batch_stats)
@@ -222,7 +212,7 @@ class TestForward:
             mean, var = train_out.batch_stats[name]
             np.testing.assert_allclose(mean, z.mean(axis=0), rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(var, z.var(axis=0), rtol=1e-12, atol=1e-15)
-        infer_out = pagwn_forward(inp, params.with_mode("inference"), m=2)
+        infer_out = pagwn_forward_batch(*inp.batch(), params.with_mode("inference"), m=2)
         assert infer_out.batch_stats == {}
 
 
@@ -230,17 +220,18 @@ class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self, rng):
         n, k = 3, 5
         inp = random_input(rng, n, k)
-        out = pagwn_forward(inp, init_pagwn_params(n, seed=7), m=2)
-        grads = pagwn_backward(out.cache, np.zeros(2 * n))
-        for field in ("lb1_weight", "lb2_weight", "neighbor_features", "center_feature"):
-            assert np.all(getattr(grads, field) == 0.0)
+        out = pagwn_forward_batch(*inp.batch(), init_pagwn_params(n, seed=7), m=2)
+        grads, inputs = pagwn_backward(out.cache, np.zeros((1, 2 * n)))
+        for value in (grads["lb1_weight"], grads["lb2_weight"], inputs["neighbor_features"],
+                      inputs["center_features"]):
+            assert np.all(value == 0.0)
 
     def test_inference_cache_is_stale(self, rng):
         n, k = 3, 5
         inp = random_input(rng, n, k)
-        out = pagwn_forward(inp, init_pagwn_params(n, seed=8).with_mode("inference"), m=2)
+        out = pagwn_forward_batch(*inp.batch(), init_pagwn_params(n, seed=8).with_mode("inference"), m=2)
         with pytest.raises(DomainError) as exc:
-            pagwn_backward(out.cache, np.zeros(2 * n))
+            pagwn_backward(out.cache, np.zeros((1, 2 * n)))
         assert exc.value.kind == "stale-cache"
 
     @pytest.mark.parametrize("n,k,m", [(2, 3, 1), (3, 5, 2), (4, 6, 3)])
@@ -251,10 +242,10 @@ class TestBackward:
         h = 1e-5
 
         def loss(p, i):
-            return float(np.sum(pagwn_forward(i, p, m=m).aggregated * upstream))
+            return float(np.sum(pagwn_forward_batch(*i.batch(), p, m=m).aggregated[0] * upstream))
 
-        out = pagwn_forward(inp, params, m=m)
-        grads = pagwn_backward(out.cache, upstream)
+        out = pagwn_forward_batch(*inp.batch(), params, m=m)
+        grads, inputs = pagwn_backward(out.cache, upstream[None])
 
         def fd_array(base, rebuild):
             fd = np.zeros_like(base)
@@ -267,20 +258,18 @@ class TestBackward:
             return fd
 
         checks = [
-            (grads.lb1_weight, params.lb1_weight,
+            (grads["lb1_weight"], params.lb1_weight,
              lambda a: (replace(params, lb1_weight=a), inp)),
-            (grads.lb2_weight, params.lb2_weight,
+            (grads["lb2_weight"], params.lb2_weight,
              lambda a: (replace(params, lb2_weight=a), inp)),
-            (grads.lb1_gamma, params.lb1_bn.gamma,
+            (grads["lb1_bn.gamma"], params.lb1_bn.gamma,
              lambda a: (replace(params, lb1_bn=replace(params.lb1_bn, gamma=a)), inp)),
-            (grads.lb2_beta, params.lb2_bn.beta,
+            (grads["lb2_bn.beta"], params.lb2_bn.beta,
              lambda a: (replace(params, lb2_bn=replace(params.lb2_bn, beta=a)), inp)),
-            (grads.neighbor_features, inp.neighbor_features,
-             lambda a: (params, PagwnInput(inp.center_coord, inp.center_feature,
-                                           inp.neighbor_coords, a))),
-            (grads.center_feature, inp.center_feature,
-             lambda a: (params, PagwnInput(inp.center_coord, a,
-                                           inp.neighbor_coords, inp.neighbor_features))),
+            (inputs["neighbor_features"][0], inp.neighbor_features,
+             lambda a: (params, inp._replace(neighbor_features=a))),
+            (inputs["center_features"][0], inp.center_feature,
+             lambda a: (params, inp._replace(center_feature=a))),
         ]
         for analytic, base, rebuild in checks:
             assert grad_close(analytic, fd_array(base, rebuild))
@@ -302,17 +291,17 @@ class TestZeroSigmaWindows:
         dev *= sigma / np.sqrt(np.sum(dev * dev) / (dev.size - 1))
         rows = np.concatenate([inp.neighbor_coords, inp.neighbor_features], axis=1)
         rows[:self.M] = np.concatenate([inp.center_coord, inp.center_feature]) + dev
-        return PagwnInput(inp.center_coord, inp.center_feature, rows[:, :3], rows[:, 3:])
+        return OneWindow(inp.center_coord, inp.center_feature, rows[:, :3], rows[:, 3:])
 
     def test_duplicate_points_give_finite_forward_and_backward(self, rng):
         params = init_pagwn_params(self.N, seed=31)
-        out = pagwn_forward(self._input(rng, 0.0), params, m=self.M)
+        out = pagwn_forward_batch(*self._input(rng, 0.0).batch(), params, m=self.M)
         sigmas = out.cache.gwn_cache[1]
         assert sigmas[0][0] == 0.0 and sigmas[1][0] > 0.0
         assert np.array_equal(out.cache.gwn_rows[:self.M], np.zeros((self.M, self.N + 3)))
         assert np.isfinite(out.aggregated).all()
-        grads = pagwn_backward(out.cache, rng.normal(size=2 * self.N))
-        for name, value in vars(grads).items():
+        grads, inputs = pagwn_backward(out.cache, rng.normal(size=2 * self.N)[None])
+        for name, value in {**grads, **inputs}.items():
             assert np.isfinite(value).all(), name
 
     @pytest.mark.parametrize("sigma", [DEFAULT_EPSILON / 10, DEFAULT_EPSILON, 10 * DEFAULT_EPSILON])
@@ -320,14 +309,14 @@ class TestZeroSigmaWindows:
         params = init_pagwn_params(self.N, seed=32)
         inp = self._input(rng, sigma)
         upstream = rng.normal(size=2 * self.N)
-        out = pagwn_forward(inp, params, m=self.M)
+        out = pagwn_forward_batch(*inp.batch(), params, m=self.M)
         np.testing.assert_allclose(out.cache.gwn_cache[1][0][0], sigma, rtol=1e-6)
-        grads = pagwn_backward(out.cache, upstream)
+        _, inputs = pagwn_backward(out.cache, upstream[None])
         h = sigma * 1e-3  # a fixed step would be larger than sigma itself
 
         def loss(rows, center):
-            moved = PagwnInput(center[:3], center[3:], rows[:, :3], rows[:, 3:])
-            return float(np.sum(pagwn_forward(moved, params, m=self.M).aggregated * upstream))
+            moved = OneWindow(center[:3], center[3:], rows[:, :3], rows[:, 3:])
+            return float(np.sum(pagwn_forward_batch(*moved.batch(), params, m=self.M).aggregated[0] * upstream))
 
         rows = np.concatenate([inp.neighbor_coords, inp.neighbor_features], axis=1)
         center = np.concatenate([inp.center_coord, inp.center_feature])
@@ -340,9 +329,10 @@ class TestZeroSigmaWindows:
             delta = np.zeros_like(center)
             delta[c] = h
             fd_center[c] = (loss(rows, center + delta) - loss(rows, center - delta)) / (2 * h)
-        analytic_rows = np.concatenate([grads.neighbor_coords, grads.neighbor_features], axis=1)[:self.M]
+        analytic_rows = np.concatenate([inputs["neighbor_coords"][0], inputs["neighbor_features"][0]],
+                                       axis=1)[:self.M]
         assert grad_close(analytic_rows, fd_rows)
-        assert grad_close(np.concatenate([grads.center_coord, grads.center_feature]), fd_center)
+        assert grad_close(np.concatenate([inputs["center_coords"][0], inputs["center_features"][0]]), fd_center)
 
     def test_zero_sigma_subgradient_matches_central_differences(self, rng):
         # sigma(h) = |h| / sqrt(denom) is even in h, so a central difference
@@ -542,7 +532,7 @@ class TestBaselines:
             up = MlpParams((replace(mlp.layers[0], weight=mlp.layers[0].weight + delta),))
             dn = MlpParams((replace(mlp.layers[0], weight=mlp.layers[0].weight - delta),))
             fd_w[ix] = (loss(cloud.features, up) - loss(cloud.features, dn)) / (2 * h)
-        assert grad_close(grads.weight[0], fd_w)
+        assert grad_close(grads["layer0.weight"], fd_w)
 
         fd_x = np.zeros_like(d_features)
         it = np.nditer(fd_x, flags=["multi_index"])
@@ -554,6 +544,48 @@ class TestBaselines:
         assert grad_close(d_features, fd_x)
 
 
+# checkpoint tensors that training folds or reads but never steps
+_UNTRAINED = ("running_mean", "running_var", "momentum", "eps", "num_layers")
+
+
+def _trainable(tensors):
+    return {name: value for name, value in tensors.items() if not name.endswith(_UNTRAINED)}
+
+
+class TestGradientKeys:
+    """Backward passes name their gradients as the checkpoint does."""
+
+    def test_pagwn_grads_are_the_trainable_checkpoint_tensors(self, rng):
+        n, k, m_win = 3, 5, 4
+        params = init_pagwn_params(n, seed=11)
+        window = (rng.normal(size=(m_win, k, 3)), rng.normal(size=(m_win, k, n)),
+                  rng.normal(size=(m_win, 3)), rng.normal(size=(m_win, n)))
+        out = pagwn_forward_batch(*window, params, m=2)
+        grads, inputs = pagwn_backward(out.cache, rng.normal(size=(m_win, 2 * n)))
+        trainable = _trainable(pagwn_param_tensors(params))
+        assert len(trainable) == 8 and set(grads) == set(trainable)
+        for name, value in grads.items():
+            assert value.shape == trainable[name].shape, name
+        arg_names = list(inspect.signature(pagwn_forward_batch).parameters)[:4]
+        assert list(inputs) == arg_names
+        for name, sent in zip(arg_names, window):
+            assert inputs[name].shape == sent.shape, name
+
+    @pytest.mark.parametrize("occupied", [[True, False, True], [False, False, False]],
+                             ids=["some-empty", "all-empty"])
+    def test_baseline_grads_are_the_trainable_checkpoint_tensors(self, rng, occupied):
+        features = rng.normal(size=(10, 3))
+        hoods = rng.integers(0, 10, size=(3, 4))
+        mlp = init_mlp_params((3, 4, 6), seed=12)
+        out = aggregate_precomputed(features, hoods, np.array(occupied), mlp)
+        grads, d_features = baseline_backward(out.cache, rng.normal(size=(3, 6)))
+        trainable = _trainable(mlp_param_tensors(mlp))
+        assert len(trainable) == 8 and set(grads) == set(trainable)
+        for name, value in grads.items():
+            assert value.shape == trainable[name].shape, name
+        assert d_features.shape == features.shape
+
+
 class TestCheckpoints:
     def test_pagwn_round_trip_preserves_forward(self, rng, tmp_path):
         n, k = 4, 6
@@ -561,8 +593,8 @@ class TestCheckpoints:
         pio.save_tensor_dir(tmp_path / "ckpt", pagwn_param_tensors(params))
         loaded = pagwn_params_from_tensors(pio.load_tensor_dir(tmp_path / "ckpt"))
         inp = random_input(rng, n, k)
-        a = pagwn_forward(inp, params, m=2).aggregated
-        b = pagwn_forward(inp, loaded, m=2).aggregated
+        a = pagwn_forward_batch(*inp.batch(), params, m=2).aggregated
+        b = pagwn_forward_batch(*inp.batch(), loaded, m=2).aggregated
         assert np.array_equal(a, b)
 
     def test_mlp_round_trip(self, tmp_path):
@@ -576,10 +608,10 @@ class TestCheckpoints:
 
     def test_input_round_trip(self, rng, tmp_path):
         inp = random_input(rng, 3, 5)
-        pio.save_tensor_dir(tmp_path / "inp", pagwn_input_tensors(inp))
+        pio.save_tensor_dir(tmp_path / "inp", inp._asdict())
         loaded = pagwn_input_from_tensors(pio.load_tensor_dir(tmp_path / "inp"))
-        np.testing.assert_array_equal(loaded.neighbor_features, inp.neighbor_features)
-        np.testing.assert_array_equal(loaded.center_coord, inp.center_coord)
+        for got, sent in zip(loaded, inp.batch()):
+            np.testing.assert_array_equal(got, sent)
 
 
 @st.composite
