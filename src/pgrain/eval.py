@@ -6,6 +6,12 @@ propagation back to full resolution, and a per-point classifier head
 trained with plain SGD and cross-entropy.  It exists to exercise the
 aggregators under controlled density imbalance, not to chase benchmark
 numbers.  Everything is deterministic for a fixed (config, scenes, seed).
+
+Each stage runs through an aggregator's parameter-free *lift* (for PAGWN
+the window normalization) and then its parametric forward; the backward
+gives the parameter gradients and then *lowers* the rest onto the stage's
+input.  The first stage's input is the raw scene, so training lifts it once
+per scene and stops its backward at the parameters.
 """
 
 from __future__ import annotations
@@ -20,16 +26,19 @@ import numpy as np
 from .core import DomainError, MetricsReport, PointCloud
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT
 from .pagwn import (
+    _baseline_lower,
+    _baseline_param_backward,
     _colsum,
+    _pagwn_block,
+    _pagwn_lift,
+    _pagwn_lower,
+    _pagwn_param_backward,
     _scatter_rows,
     aggregate_precomputed,
-    baseline_backward,
     init_mlp_params,
     init_pagwn_params,
     mlp_param_tensors,
     mlp_params_from_tensors,
-    pagwn_backward,
-    pagwn_forward_batch,
     pagwn_param_tensors,
     pagwn_params_from_tensors,
 )
@@ -449,8 +458,10 @@ class _Aggregator:
     init: Callable       # (n, seed, prefix) -> tensors of one n -> 2n stage
     read: Callable       # (tensors, prefix, mode) -> typed stage parameters
     neighbors: Callable  # (index, center coords, k, config) -> (M, k) indices, (M,) occupied
-    forward: Callable    # (params, stage plan, x, split, epsilon) -> (features, output with batch_stats)
-    backward: Callable   # (output, stage plan, upstream) -> (grads by stage-local name, upstream of the stage input)
+    lift: Callable       # (stage plan, x, split, epsilon, lowered) -> GWN windows or x; lowered keeps what lower reads
+    forward: Callable    # (params, stage plan, lifted, x) -> (features, output with batch_stats)
+    backward: Callable   # (output, upstream) -> (grads by stage-local name, upstream of the lifted input)
+    lower: Callable      # (output, stage plan, upstream of the lifted input) -> upstream of the stage input x
 
 
 def _knn_neighbors(index, queries, k, config):
@@ -462,41 +473,48 @@ def _ball_neighbors(index, queries, k, config):
     return batch.indices, batch.occupied
 
 
-def _pagwn_forward(params, splan, x, split, epsilon):
+def _pagwn_stage_lift(splan, x, split, epsilon, lowered):
     coords, centers, hoods, _ = splan
-    out = pagwn_forward_batch(coords[hoods], x[hoods], coords[centers], x[centers],
-                              params, split, epsilon)
+    gwn, gwn_cache = _pagwn_lift(coords[hoods], x[hoods], coords[centers], x[centers], x.shape[1],
+                                 split, epsilon)
+    # only _pagwn_lower reads the deviations, gwn_cache[0]; the sigmas stay
+    return gwn, gwn_cache if lowered else (None, *gwn_cache[1:])
+
+
+def _pagwn_stage_forward(params, splan, lifted, x):
+    out = _pagwn_block(*lifted, x[splan[1]], params)
     return out.aggregated, out
 
 
-def _pagwn_backward(out, splan, g):
+def _pagwn_stage_lower(out, splan, d_block):
     coords, centers, hoods, _ = splan
-    grads, inputs = pagwn_backward(out.cache, g)
+    inputs = _pagwn_lower(out.cache, d_block)
     d_nf = inputs["neighbor_features"]
     # neighbor rows first, then centers: the order each slot adds them in
-    d_prev = _scatter_rows(np.concatenate([hoods.reshape(-1), centers]),
-                           np.concatenate([d_nf.reshape(-1, d_nf.shape[-1]), inputs["center_features"]]),
-                           coords.shape[0])
-    return grads, d_prev
+    return _scatter_rows(np.concatenate([hoods.reshape(-1), centers]),
+                         np.concatenate([d_nf.reshape(-1, d_nf.shape[-1]), inputs["center_features"]]),
+                         coords.shape[0])
 
 
-def _mlp_forward(params, splan, x, split, epsilon):
+def _mlp_forward(params, splan, lifted, x):
     _, _, hoods, occupied = splan
-    out = aggregate_precomputed(x, hoods, occupied, params)
+    out = aggregate_precomputed(lifted, hoods, occupied, params)
     return out.features, out
 
 
 _KNN_BASELINE = _Aggregator(
     init=lambda n, seed, prefix: mlp_param_tensors(init_mlp_params((n, 2 * n), seed), prefix),
     read=lambda tensors, prefix, mode: mlp_params_from_tensors(tensors, prefix, mode),
-    neighbors=_knn_neighbors, forward=_mlp_forward,
-    backward=lambda out, splan, g: baseline_backward(out.cache, g),
+    neighbors=_knn_neighbors, lift=lambda splan, x, split, epsilon, lowered: x, forward=_mlp_forward,
+    backward=lambda out, g: _baseline_param_backward(out.cache, g),
+    lower=lambda out, splan, d_rows: _baseline_lower(out.cache, d_rows),
 )
 _AGGREGATOR_TABLE = {
     "pagwn": _Aggregator(
         init=lambda n, seed, prefix: pagwn_param_tensors(init_pagwn_params(n, seed), prefix),
         read=lambda tensors, prefix, mode: pagwn_params_from_tensors(tensors, prefix, mode),
-        neighbors=_knn_neighbors, forward=_pagwn_forward, backward=_pagwn_backward,
+        neighbors=_knn_neighbors, lift=_pagwn_stage_lift, forward=_pagwn_stage_forward,
+        backward=lambda out, g: _pagwn_param_backward(out.cache, g), lower=_pagwn_stage_lower,
     ),
     "knn_baseline": _KNN_BASELINE,
     "bq_baseline": replace(_KNN_BASELINE, neighbors=_ball_neighbors),
@@ -518,23 +536,31 @@ class PipelineResult:
     config: ToyPipelineConfig
 
 
-def _encode(plan: _ScenePlan, stage_params, agg: _Aggregator, config: ToyPipelineConfig):
-    """Run the encoder over one scene; returns (final features, outputs, batch-norm (mean, var) by checkpoint name)."""
+def _first_lift(plan: _ScenePlan, agg: _Aggregator, config: ToyPipelineConfig):
+    """The first stage's parameter-free input, without what only lower reads."""
+    return agg.lift(plan.stages[0], plan.scene.features, config.stages[0].split, config.epsilon, False)
+
+
+def _encode(plan: _ScenePlan, first, stage_params, agg: _Aggregator, config: ToyPipelineConfig):
+    """Run the encoder over one scene from its :func:`_first_lift`; returns (features, outputs, batch-norm stats)."""
     x = plan.scene.features
     outs, stats = [], {}
     for t, (splan, params, spec) in enumerate(zip(plan.stages, stage_params, config.stages)):
-        x, out = agg.forward(params, splan, x, spec.split, config.epsilon)
+        lifted = first if t == 0 else agg.lift(splan, x, spec.split, config.epsilon, True)
+        x, out = agg.forward(params, splan, lifted, x)
         outs.append(out)
         stats.update({f"stage{t}.{name}": pair for name, pair in out.batch_stats.items()})
     return x, outs, stats
 
 
 def _backward_stages(plan: _ScenePlan, outs, d_final: np.ndarray, agg: _Aggregator) -> dict:
-    """Gradient of the loss w.r.t. every stage's parameters."""
+    """Gradient of the loss w.r.t. every stage's parameters; the first stage's input, the raw scene, is not lowered."""
     grads, g = {}, d_final
     for t in range(len(plan.stages) - 1, -1, -1):
-        stage_grads, g = agg.backward(outs[t], plan.stages[t], g)
+        stage_grads, d_lifted = agg.backward(outs[t], g)
         grads.update({f"stage{t}.{name}": value for name, value in stage_grads.items()})
+        if t > 0:
+            g = agg.lower(outs[t], plan.stages[t], d_lifted)
     return grads
 
 
@@ -587,6 +613,8 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
     agg = _AGGREGATOR_TABLE[config.aggregator]
     train_plans = [_plan_scene(s, config, i) for i, s in enumerate(train_scenes)]
     test_plans = [_plan_scene(s, config, 10_000 + i) for i, s in enumerate(test_scenes)]
+    # the same bits every epoch: lift each training scene's first stage once
+    train_firsts = [_first_lift(plan, agg, config) for plan in train_plans]
 
     params = _init_params(config, feature_dim)
     depth = len(config.head_hidden) + 1
@@ -604,12 +632,12 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
         epoch_loss = 0.0
         try:
             for start in range(0, len(order), config.batch_size):
-                batch = [train_plans[i] for i in order[start:start + config.batch_size]]
+                batch = [(train_plans[i], train_firsts[i]) for i in order[start:start + config.batch_size]]
                 total = None
-                for plan in batch:
+                for plan, first in batch:
                     # the caches stay bound until the next forward returns: freeing them all
                     # per scene let glibc trim the heap and fault it back in (5x the faults)
-                    x_final, outs, stats = _encode(plan, stage_params, agg, config)
+                    x_final, outs, stats = _encode(plan, first, stage_params, agg, config)
                     loss, grads = _scene_grads(plan, params, x_final, outs, config, epoch)
                     # fold each scene's batch statistics in, in scene order
                     for prefix, (mean, var) in stats.items():
@@ -636,7 +664,7 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
     stage_params = read_stages("inference")
     preds = []
     for plan in test_plans:
-        x_final, _, _ = _encode(plan, stage_params, agg, config)
+        x_final, _, _ = _encode(plan, _first_lift(plan, agg, config), stage_params, agg, config)
         logits, _ = _head_forward(x_final[plan.full_map], params, depth)
         preds.append(logits.argmax(axis=1))
     pred_all = np.concatenate(preds)

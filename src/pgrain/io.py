@@ -371,8 +371,13 @@ def save_tensor_dir(path: PathLike, tensors: dict) -> None:
     """Write a named set of tensors: one TensorFile each plus a manifest.
 
     The manifest lists ``name rank dims...`` per line, sorted by name, so
-    directory contents are byte-stable for identical inputs.
+    directory contents are byte-stable for identical inputs.  Before anything
+    is written, each name must be one manifest field and one file inside the
+    directory: a string with no whitespace, ``/``, ``\\`` or NUL, not ``.`` or ``..``.
     """
+    for name in tensors:
+        if not isinstance(name, str) or name.split() != [name] or name in (".", "..") or set("/\\\0") & set(name):
+            raise DomainError("invalid-spec", f"tensor {name!r} is not a plain file name")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     lines = []

@@ -190,6 +190,8 @@ def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,
     how boundary points light up in real scenes; set ``use_coords`` False
     to restrict windows to raw features.
     """
+    if np.isnan(threshold):
+        raise DomainError("invalid-spec", "threshold must be a number, got nan")
     n_pts = cloud.num_points
     if not 1 <= k <= n_pts:
         raise DomainError("k-out-of-range", f"k={k} outside [1, {n_pts}]")

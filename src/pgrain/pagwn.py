@@ -16,6 +16,13 @@ norm, and argmax routing of the pool (ties to the lowest row index).
 Parameter gradients come back keyed by checkpoint name, the trainable
 names of :func:`pagwn_param_tensors` and :func:`mlp_param_tensors`.
 
+GWN has no parameters, so the block splits into a parameter-free *lift*
+(:func:`_pagwn_lift`) and a parametric part (:func:`_pagwn_block`), and
+its backward into the parameter gradients (:func:`_pagwn_param_backward`)
+and a *lower* to the window arrays (:func:`_pagwn_lower`); the baseline's
+backward splits the same way.  A caller may keep lifted rows for reuse
+and skip a lower it does not need.
+
 The baseline aggregator (plain MLP + max pool over KNN or ball-query
 neighborhoods that the caller has already found) lives here too, sharing
 the layer primitives.
@@ -156,20 +163,17 @@ def init_pagwn_params(n: int, seed: int, mode: str = "training") -> PagwnParams:
     )
 
 
-def _pre_rows(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float):
-    """Check a batch, then GWN + LB1 over it; returns ((M*K, n) rows, context)."""
+def _pagwn_lift(nc, nf, cc, cf, n: int, m: int, epsilon: float):
+    """Check a batch, then GWN its [c_j || x_j] rows: the (M, K, n+3) LB1 input and the GWN cache."""
     if nc.ndim != 3 or nf.ndim != 3 or cc.ndim != 2 or cf.ndim != 2:
         raise DomainError("shape-mismatch", "batched inputs must be (M,K,3), (M,K,n), (M,3), (M,n)")
     m_win, k, _ = nc.shape
-    n = params.n
     if nc.shape[2] != 3 or cc.shape != (m_win, 3):
         raise DomainError("shape-mismatch", "coordinate arrays must have 3 channels")
     if nf.shape != (m_win, k, n) or cf.shape != (m_win, n):
         raise DomainError("shape-mismatch", f"feature arrays disagree with params n={n}")
     if k < 1:
         raise DomainError("degenerate-window", "need at least one neighbor")
-    if params.lb1_bn.mode != params.lb2_bn.mode:
-        raise DomainError("invalid-spec", "lb1 and lb2 batch norms are in different modes")
     windows = np.concatenate([nc, nf], axis=2)
     centers = np.concatenate([cc, cf], axis=1)
     if k == 1:
@@ -177,39 +181,21 @@ def _pre_rows(nc, nf, cc, cf, params: PagwnParams, m: int, epsilon: float):
         if m < 1:
             raise DomainError("bad-split", f"m={m} must be >= 1")
         m = None
-    gwn, gwn_cache = _gwn_forward(windows, centers, m, epsilon)
+    return _gwn_forward(windows, centers, m, epsilon)
+
+
+def _lb1(gwn_rows: np.ndarray, params: PagwnParams):
+    """LB1 over the lifted rows; returns ((M*K, n) rows, batch-norm cache)."""
+    if params.lb1_bn.mode != params.lb2_bn.mode:
+        raise DomainError("invalid-spec", "lb1 and lb2 batch norms are in different modes")
+    return _bn_forward(_linear_forward(gwn_rows, params.lb1_weight, params.lb1_bias), params.lb1_bn)
+
+
+def _pagwn_block(gwn: np.ndarray, gwn_cache: tuple, cf: np.ndarray, params: PagwnParams) -> PagwnOutput:
+    """The block's parametric part, LB1 -> LB2 -> pool, over lifted windows and the (M, n) center features."""
+    m_win, k, n = gwn.shape[0], gwn.shape[1], params.n
     gwn_rows = gwn.reshape(m_win * k, n + 3)
-    z1 = _linear_forward(gwn_rows, params.lb1_weight, params.lb1_bias)
-    bn1_out, bn1_cache = _bn_forward(z1, params.lb1_bn)
-    return bn1_out, (gwn_rows, gwn_cache, bn1_cache)
-
-
-def pre_abstract(neighbor_coords, neighbor_features, center_coords, center_features,
-                 params: PagwnParams, m: int = DEFAULT_SPLIT,
-                 epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """LB1(GWN([c_j || x_j])) over M windows: an (M, K, n) array.
-
-    Reduces each (n+3)-channel normalized row back to n channels so the
-    neighbor rows carry the same dimensionality as the center feature.
-    """
-    nc, nf, cc, cf = (np.asarray(a, dtype=np.float64)
-                      for a in (neighbor_coords, neighbor_features, center_coords, center_features))
-    bn1_out, _ = _pre_rows(nc, nf, cc, cf, params, m, epsilon)
-    return bn1_out.reshape(nc.shape[0], nc.shape[1], params.n)
-
-
-def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, center_features,
-                        params: PagwnParams, m: int = DEFAULT_SPLIT,
-                        epsilon: float = DEFAULT_EPSILON) -> PagwnOutput:
-    """Full block over M windows at once: (M, K, 3), (M, K, n), (M, 3), (M, n) in, (M, 2n) out.
-
-    Batch norm sees all M*K rows.
-    """
-    nc, nf, cc, cf = (np.asarray(a, dtype=np.float64)
-                      for a in (neighbor_coords, neighbor_features, center_coords, center_features))
-    bn1_out, (gwn_rows, gwn_cache, bn1_cache) = _pre_rows(nc, nf, cc, cf, params, m, epsilon)
-    m_win, k, _ = nc.shape
-    n = params.n
+    bn1_out, bn1_cache = _lb1(gwn_rows, params)
     pre = bn1_out.reshape(m_win, k, n)
     h = np.concatenate([pre, np.broadcast_to(cf[:, None, :], (m_win, k, n))], axis=2)
     h_rows = h.reshape(m_win * k, 2 * n)
@@ -230,19 +216,35 @@ def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, cente
     )
 
 
-def pagwn_backward(cache: PagwnCache, upstream_grad: np.ndarray):
-    """Exact gradients for every parameter and input of a training forward.
+def pre_abstract(neighbor_coords, neighbor_features, center_coords, center_features,
+                 params: PagwnParams, m: int = DEFAULT_SPLIT,
+                 epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+    """LB1(GWN([c_j || x_j])) over M windows: an (M, K, n) array.
 
-    Returns ``(grads, inputs)``.  ``grads`` maps each trainable name of
-    :func:`pagwn_param_tensors` (weights, biases, batch-norm gamma and beta)
-    to its gradient; ``inputs`` maps each window argument name of
-    :func:`pagwn_forward_batch` to the gradient of that array.
-
-    ReLU uses subgradient 0 at 0; the max pool routes to the argmax row
-    (ties already resolved to the lowest index by the forward); batch norm
-    differentiates through its batch statistics; GWN differentiates through
-    each group sigma.
+    Reduces each (n+3)-channel normalized row back to n channels so the
+    neighbor rows carry the same dimensionality as the center feature.
     """
+    nc, nf, cc, cf = (np.asarray(a, dtype=np.float64)
+                      for a in (neighbor_coords, neighbor_features, center_coords, center_features))
+    gwn, _ = _pagwn_lift(nc, nf, cc, cf, params.n, m, epsilon)
+    return _lb1(gwn.reshape(-1, params.n + 3), params)[0].reshape(nc.shape[0], nc.shape[1], params.n)
+
+
+def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, center_features,
+                        params: PagwnParams, m: int = DEFAULT_SPLIT,
+                        epsilon: float = DEFAULT_EPSILON) -> PagwnOutput:
+    """Full block over M windows at once: (M, K, 3), (M, K, n), (M, 3), (M, n) in, (M, 2n) out.
+
+    Batch norm sees all M*K rows.
+    """
+    nc, nf, cc, cf = (np.asarray(a, dtype=np.float64)
+                      for a in (neighbor_coords, neighbor_features, center_coords, center_features))
+    return _pagwn_block(*_pagwn_lift(nc, nf, cc, cf, params.n, m, epsilon), cf, params)
+
+
+def _pagwn_param_backward(cache: PagwnCache, upstream_grad: np.ndarray):
+    """The parameter half of :func:`pagwn_backward`: ``(grads, (dz1, dh))``, the latter
+    the gradients at LB1's linear output and at LB2's input, for :func:`_pagwn_lower`."""
     if cache.mode != "training":
         raise DomainError("stale-cache", "backward requires a cache from a training-mode forward")
     params = cache.params
@@ -260,19 +262,42 @@ def pagwn_backward(cache: PagwnCache, upstream_grad: np.ndarray):
     dh, grads["lb2_weight"], grads["lb2_bias"] = _linear_backward(dz2, cache.h_rows, params.lb2_weight)
     dh = dh.reshape(m_win, k, 2 * n)
     d_pre = dh[:, :, :n].reshape(m_win * k, n)
-    d_cf_broadcast = _colsum(dh[:, :, n:])
-
     dz1, grads["lb1_bn.gamma"], grads["lb1_bn.beta"] = _bn_backward(d_pre, params.lb1_bn, cache.bn1_cache)
-    d_gwn_rows, grads["lb1_weight"], grads["lb1_bias"] = _linear_backward(
-        dz1, cache.gwn_rows, params.lb1_weight)
+    # the weight and bias gradients of _linear_backward; the input gradient is _pagwn_lower's
+    grads["lb1_weight"], grads["lb1_bias"] = cache.gwn_rows.T @ dz1, _colsum(dz1)
+    return grads, (dz1, dh)
+
+
+def _pagwn_lower(cache: PagwnCache, d_block) -> dict:
+    """The input half of :func:`pagwn_backward`: LB1's input, the GWN backward and the center paths."""
+    dz1, dh = d_block
+    m_win, k, n = cache.shapes
+    d_gwn_rows = dz1 @ cache.params.lb1_weight.T
     d_win = _gwn_backward(d_gwn_rows.reshape(m_win, k, n + 3), cache.gwn_cache)
     d_cen = -_colsum(d_win)
-    return grads, {
+    return {
         "neighbor_coords": d_win[:, :, :3],
         "neighbor_features": d_win[:, :, 3:],
         "center_coords": d_cen[:, :3],
-        "center_features": d_cen[:, 3:] + d_cf_broadcast,
+        "center_features": d_cen[:, 3:] + _colsum(dh[:, :, n:]),
     }
+
+
+def pagwn_backward(cache: PagwnCache, upstream_grad: np.ndarray):
+    """Exact gradients for every parameter and input of a training forward.
+
+    Returns ``(grads, inputs)``.  ``grads`` maps each trainable name of
+    :func:`pagwn_param_tensors` (weights, biases, batch-norm gamma and beta)
+    to its gradient; ``inputs`` maps each window argument name of
+    :func:`pagwn_forward_batch` to the gradient of that array.
+
+    ReLU uses subgradient 0 at 0; the max pool routes to the argmax row
+    (ties already resolved to the lowest index by the forward); batch norm
+    differentiates through its batch statistics; GWN differentiates through
+    each group sigma.
+    """
+    grads, d_block = _pagwn_param_backward(cache, upstream_grad)
+    return grads, _pagwn_lower(cache, d_block)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +432,8 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
     return BaselineOutput(features=features, empty_region=~occupied, cache=cache, batch_stats=batch_stats)
 
 
-def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):
-    """Gradients for the MLP and the source cloud's features.
-
-    Returns ``(grads, d_features)``.  ``grads`` maps each trainable name of
-    :func:`mlp_param_tensors` (``layer{i}.weight``, ``.bias``, ``.bn.gamma``,
-    ``.bn.beta``) to its gradient; ``d_features`` has the source cloud's
-    (N, n) shape with neighbor contributions scatter-added.
-    """
+def _baseline_param_backward(cache: BaselineCache, upstream_grad: np.ndarray):
+    """The parameter half of :func:`baseline_backward`: ``(grads, gradient of the gathered rows)``."""
     if cache.mode != "training":
         raise DomainError("stale-cache", "backward requires a training-mode forward cache")
     g = np.asarray(upstream_grad, dtype=np.float64)
@@ -427,12 +446,29 @@ def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):
             grads[f"layer{i}.bias"] = np.zeros_like(layer.bias)
             grads[f"layer{i}.bn.gamma"] = np.zeros_like(layer.bn.gamma)
             grads[f"layer{i}.bn.beta"] = np.zeros_like(layer.bn.beta)
-        return grads, np.zeros((cache.num_source_points, cache.params.in_dim))
+        return grads, np.zeros((0, cache.params.in_dim))
     g_rows = np.zeros((occ_idx.size, cache.k, out_dim))
     np.put_along_axis(g_rows, cache.argmax[:, None, :], g[occ_idx][:, None, :], axis=1)
     d_rows, grads = _mlp_rows_backward(g_rows.reshape(-1, out_dim), cache.params, cache.mlp_caches)
-    d_rows = d_rows.reshape(occ_idx.size * cache.k, -1)
-    return grads, _scatter_rows(cache.neighbor_indices[occ_idx].reshape(-1), d_rows, cache.num_source_points)
+    return grads, d_rows
+
+
+def _baseline_lower(cache: BaselineCache, d_rows: np.ndarray) -> np.ndarray:
+    """The input half of :func:`baseline_backward`: scatter-add the row gradients onto the source cloud."""
+    hoods = cache.neighbor_indices[np.flatnonzero(cache.occupied)].reshape(-1)
+    return _scatter_rows(hoods, d_rows, cache.num_source_points)
+
+
+def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):
+    """Gradients for the MLP and the source cloud's features.
+
+    Returns ``(grads, d_features)``.  ``grads`` maps each trainable name of
+    :func:`mlp_param_tensors` (``layer{i}.weight``, ``.bias``, ``.bn.gamma``,
+    ``.bn.beta``) to its gradient; ``d_features`` has the source cloud's
+    (N, n) shape with neighbor contributions scatter-added.
+    """
+    grads, d_rows = _baseline_param_backward(cache, upstream_grad)
+    return grads, _baseline_lower(cache, d_rows)
 
 
 # ---------------------------------------------------------------------------

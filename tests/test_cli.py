@@ -110,6 +110,19 @@ class TestSigmaMap:
                      "--threshold", "0", "--out", str(out)]) == 0
         assert f"{cloud.num_points} points" in capsys.readouterr().out
 
+    def test_nan_threshold_is_invalid_spec_before_any_neighbor_search(self, scene_file, tmp_path, capsys,
+                                                                      monkeypatch):
+        def no_search(*args):
+            raise AssertionError("sigma-map searched neighbors for a NaN threshold")
+
+        monkeypatch.setattr("pgrain.norm.build_index", no_search)
+        out = tmp_path / "flagged.xyz"
+        code, err = main_stderr(capsys, "sigma-map", str(scene_file[0]), "--has-label", "--k", "4",
+                                "--threshold", "nan", "--out", str(out))
+        assert code == 1
+        assert err.startswith("pgrain: invalid-spec: ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestNormalize:
     def test_matches_library_plain_and_grouped(self, rng, tmp_path):

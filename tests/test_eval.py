@@ -20,6 +20,7 @@ from pgrain.eval import (
     run_toy_pipeline,
     two_plane_boundary_scene,
 )
+from pgrain.pagwn import aggregate_precomputed, baseline_backward, pagwn_backward, pagwn_forward_batch
 
 
 def metrics_oracle(pred, truth, c):
@@ -346,10 +347,11 @@ class TestTrainingLossGradient:
         agg = ev._AGGREGATOR_TABLE[aggregator]
         # one epoch of training moves gamma, beta and the biases off their initial values
         params = run_toy_pipeline(replace(config, epochs=1), [scene], [scene]).params
+        first = ev._first_lift(plan, agg, config)
 
         def step(p):
             stage_params = [agg.read(p, f"stage{t}.", "training") for t in range(len(config.stages))]
-            x_final, outs, _ = ev._encode(plan, stage_params, agg, config)
+            x_final, outs, _ = ev._encode(plan, first, stage_params, agg, config)
             return ev._scene_grads(plan, p, x_final, outs, config, epoch=0)
 
         _, grads = step(params)
@@ -382,7 +384,8 @@ class TestRunningStatisticsFold:
         agg = ev._AGGREGATOR_TABLE[aggregator]
         initial = ev._init_params(config, scene.feature_dim)
         stage_params = [agg.read(initial, f"stage{t}.", "training") for t in range(len(config.stages))]
-        _, _, stats = ev._encode(ev._plan_scene(scene, config, 0), stage_params, agg, config)
+        plan = ev._plan_scene(scene, config, 0)
+        _, _, stats = ev._encode(plan, ev._first_lift(plan, agg, config), stage_params, agg, config)
         trained = run_toy_pipeline(config, [scene], [scene]).params
         assert set(stats) == {name[:-len("running_mean")] for name in initial if name.endswith("running_mean")}
         for prefix, (mean, var) in stats.items():
@@ -391,6 +394,62 @@ class TestRunningStatisticsFold:
                 expected = (1 - momentum) * initial[prefix + name] + momentum * batch
                 assert np.array_equal(trained[prefix + name], expected), prefix + name
                 assert not np.array_equal(trained[prefix + name], initial[prefix + name]), prefix + name
+
+
+_TWO_STAGES = (StageSpec(64, 8, 3), StageSpec(16, 4, 2))
+
+
+class TestFirstStageLift:
+    """The training loop lifts each scene's first stage once and never lowers it."""
+
+    @pytest.mark.parametrize("aggregator", ["pagwn", "knn_baseline", "bq_baseline"])
+    def test_kept_lift_gives_the_public_block_bit_for_bit(self, aggregator):
+        config = ToyPipelineConfig(stages=_TWO_STAGES, num_classes=2, aggregator=aggregator, bq_radius=0.15)
+        scene = density_imbalanced_scene(5, dense_count=96, sparse_count=32)
+        plan = ev._plan_scene(scene, config, 0)
+        agg = ev._AGGREGATOR_TABLE[aggregator]
+        params = agg.read(ev._init_params(config, scene.feature_dim), "stage0.", "training")
+        coords, centers, hoods, occupied = plan.stages[0]
+        x = scene.features
+        upstream = np.random.default_rng(3).normal(size=(centers.size, 2 * x.shape[1]))
+        if aggregator == "pagwn":
+            want = pagwn_forward_batch(coords[hoods], x[hoods], coords[centers], x[centers], params,
+                                       config.stages[0].split, config.epsilon)
+            want_features, (want_grads, _) = want.aggregated, pagwn_backward(want.cache, upstream)
+        else:
+            want = aggregate_precomputed(x, hoods, occupied, params)
+            want_features, (want_grads, _) = want.features, baseline_backward(want.cache, upstream)
+        first = ev._first_lift(plan, agg, config)
+        for _ in range(2):  # one lift serves every epoch
+            features, out = agg.forward(params, plan.stages[0], first, x)
+            assert np.array_equal(features, want_features)
+            assert list(out.batch_stats) == list(want.batch_stats)
+            for name, pair in want.batch_stats.items():
+                assert all(np.array_equal(a, b) for a, b in zip(out.batch_stats[name], pair)), name
+            grads, _ = agg.backward(out, upstream)
+            assert list(grads) == list(want_grads)
+            for name, value in want_grads.items():
+                assert np.array_equal(grads[name], value), name
+
+    @pytest.mark.parametrize("aggregator", ["pagwn", "knn_baseline", "bq_baseline"])
+    def test_only_later_stages_lower(self, aggregator, monkeypatch):
+        agg = ev._AGGREGATOR_TABLE[aggregator]
+        lowered = []
+
+        def lower(out, splan, d_lifted):
+            lowered.append(splan[0].shape[0])  # points in the stage's input
+            return agg.lower(out, splan, d_lifted)
+
+        monkeypatch.setitem(ev._AGGREGATOR_TABLE, aggregator, replace(agg, lower=lower))
+        train = [density_imbalanced_scene(s, dense_count=96, sparse_count=32) for s in range(2)]
+        test = [density_imbalanced_scene(60, dense_count=96, sparse_count=32)]
+        config = ToyPipelineConfig(stages=_TWO_STAGES[:1], num_classes=2, epochs=2, aggregator=aggregator,
+                                   bq_radius=0.15)
+        run_toy_pipeline(config, train, test)
+        assert lowered == []
+        run_toy_pipeline(replace(config, stages=_TWO_STAGES), train, test)
+        # stage 1 reads stage 0's 64 centers, once per training scene and epoch; the 128-point scenes never
+        assert lowered == [64] * 4
 
 
 class TestAblateM:

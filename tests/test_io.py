@@ -350,3 +350,32 @@ class TestTensorFile:
             pio.load_tensor_dir(root)
         assert exc.value.kind == "parse-error"
         assert f"manifest line 1: tensor {name!r} is not a plain file name" in str(exc.value)
+
+    @pytest.mark.parametrize("name", ["../leak", "sub/b", "a\\b", "a b", "", "x\ny", "tab\tname", "nul\0",
+                                      ".", ".."])
+    def test_save_rejects_a_name_the_loader_refuses_before_writing(self, tmp_path, name):
+        # "0ok" sorts before most bad names, so a late check would already have written it
+        with pytest.raises(DomainError) as exc:
+            pio.save_tensor_dir(tmp_path / "out" / "ck", {"0ok": np.zeros(2), name: np.zeros(3)})
+        assert exc.value.kind == "invalid-spec"
+        assert f"tensor {name!r} is not a plain file name" in str(exc.value)
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(names=st.lists(st.text(max_size=12), min_size=1, max_size=4, unique=True))
+    def test_every_name_save_accepts_loads_back(self, names, tmp_path_factory):
+        root = tmp_path_factory.mktemp("names") / "ck"
+        tensors = {name: np.arange(i + 1.0) * 0.1 for i, name in enumerate(names)}
+        refused = [n for n in names
+                   if n.split() != [n] or n in (".", "..") or any(c in n for c in "/\\\0")]
+        if refused:
+            with pytest.raises(DomainError) as exc:
+                pio.save_tensor_dir(root, tensors)
+            assert exc.value.kind == "invalid-spec"
+            assert list(root.parent.iterdir()) == []
+            return
+        pio.save_tensor_dir(root, tensors)
+        back = pio.load_tensor_dir(root)
+        assert list(back) == sorted(names)
+        for name, arr in tensors.items():
+            assert back[name].dtype == arr.dtype and back[name].tobytes() == arr.tobytes()

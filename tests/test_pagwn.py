@@ -29,6 +29,9 @@ from pgrain.pagwn import (
     _bn_backward,
     _bn_forward,
     _colsum,
+    _pagwn_block,
+    _pagwn_lift,
+    _pagwn_param_backward,
     _scatter_rows,
     aggregate_precomputed,
     baseline_backward,
@@ -584,6 +587,32 @@ class TestGradientKeys:
         for name, value in grads.items():
             assert value.shape == trainable[name].shape, name
         assert d_features.shape == features.shape
+
+
+class TestLiftedRows:
+    """Rows lifted once, without the deviations only the lower reads, serve many parameter sets."""
+
+    def test_block_on_kept_rows_matches_fresh_forward_and_backward(self, rng):
+        n, k, m_win, m = 3, 6, 5, 2
+        window = (rng.normal(size=(m_win, k, 3)), rng.normal(size=(m_win, k, n)),
+                  rng.normal(size=(m_win, 3)), rng.normal(size=(m_win, n)))
+        gwn, gwn_cache = _pagwn_lift(*window, n, m, DEFAULT_EPSILON)
+        kept = (gwn, (None, *gwn_cache[1:]))
+        for seed in (1, 2):
+            params = init_pagwn_params(n, seed)
+            upstream = rng.normal(size=(m_win, 2 * n))
+            fresh = pagwn_forward_batch(*window, params, m=m)
+            out = _pagwn_block(*kept, window[3], params)
+            assert np.array_equal(out.aggregated, fresh.aggregated)
+            assert list(out.batch_stats) == list(fresh.batch_stats)
+            for name, pair in fresh.batch_stats.items():
+                assert all(np.array_equal(a, b) for a, b in zip(out.batch_stats[name], pair)), name
+            assert all(np.array_equal(a, b) for a, b in zip(out.cache.gwn_cache[1], fresh.cache.gwn_cache[1]))
+            grads, _ = _pagwn_param_backward(out.cache, upstream)
+            want, _ = pagwn_backward(fresh.cache, upstream)
+            assert list(grads) == list(want)
+            for name, value in want.items():
+                assert np.array_equal(grads[name], value), name
 
 
 class TestCheckpoints:
