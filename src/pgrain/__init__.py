@@ -7,10 +7,8 @@ desk-scale synthetic segmentation pipeline for evaluating them.
 """
 
 from .core import (
-    BatchNormState,
     DomainError,
     MetricsReport,
-    PagwnParams,
     PointCloud,
     WindowStats,
     validate_cloud,
@@ -35,8 +33,6 @@ from .norm import (
     window_sigma,
 )
 from .pagwn import (
-    MlpLayer,
-    MlpParams,
     PagwnOutput,
     init_mlp_params,
     init_pagwn_params,
@@ -58,15 +54,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallQueryBatch",
-    "BatchNormState",
     "DomainError",
     "MetricsReport",
-    "MlpLayer",
-    "MlpParams",
     "NeighborIndex",
     "NormalizedWindow",
     "PagwnOutput",
-    "PagwnParams",
     "PointCloud",
     "RegionSpec",
     "StageSpec",

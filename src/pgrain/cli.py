@@ -91,8 +91,9 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_pagwn_forward(args) -> int:
     window = pagwn.pagwn_input_from_tensors(pio.load_tensor_dir(args.input))
-    params = pagwn.pagwn_params_from_tensors(pio.load_tensor_dir(args.params), mode=args.mode)
-    aggregated = pagwn.pagwn_forward_batch(*window, params, m=args.m, epsilon=args.epsilon).aggregated[0]
+    params = pio.load_tensor_dir(args.params)
+    aggregated = pagwn.pagwn_forward_batch(*window, params, m=args.m, epsilon=args.epsilon,
+                                           mode=args.mode).aggregated[0]
     pio.write_tensor(args.out, aggregated)
     print(f"aggregated {aggregated.shape[0]} channels -> {args.out}")
     return 0

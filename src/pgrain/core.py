@@ -4,11 +4,14 @@ All value types are immutable after construction (frozen dataclasses whose
 array fields are marked read-only), so they can be shared freely between
 threads.  Validation happens at construction time; every violation raises
 :class:`DomainError` with a stable kind tag.
+
+Learnable parameters are not value types here: they are flat
+``name -> array`` dicts of checkpoint tensors (see :mod:`pgrain.pagwn`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -152,113 +155,6 @@ class WindowStats:
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "m", None if self.m is None else int(self.m))
         object.__setattr__(self, "lam", 1.0 / (sigma + epsilon))
-
-
-@dataclass(frozen=True, eq=False)
-class BatchNormState:
-    """Per-channel batch-norm parameters and running statistics.
-
-    Training mode normalizes with batch statistics; inference mode uses the
-    running statistics.
-    """
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
-    mode: str = "training"
-
-    def __post_init__(self):
-        arrs = {}
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1:
-                raise DomainError("dimension-mismatch", f"{name} must be 1-d")
-            arrs[name] = arr
-        chans = {a.shape[0] for a in arrs.values()}
-        if len(chans) != 1:
-            raise DomainError("dimension-mismatch", "batch-norm arrays disagree on channel count")
-        if (arrs["running_var"] < 0).any():
-            raise DomainError("non-finite-value", "running_var entries must be >= 0")
-        if not (0.0 < self.momentum < 1.0):
-            raise DomainError("invalid-spec", f"momentum must be in (0, 1), got {self.momentum}")
-        if not 0.0 <= self.eps < np.inf:
-            raise DomainError("invalid-spec", f"eps must be finite and >= 0, got {self.eps}")
-        if self.mode not in ("training", "inference"):
-            raise DomainError("invalid-spec", f"mode must be 'training' or 'inference', got {self.mode!r}")
-        for name, arr in arrs.items():
-            object.__setattr__(self, name, _freeze(arr))
-
-    @property
-    def channels(self) -> int:
-        return self.gamma.shape[0]
-
-    @classmethod
-    def initial(cls, channels: int, momentum: float = 0.1, eps: float = 1e-5,
-                mode: str = "training") -> "BatchNormState":
-        return cls(
-            gamma=np.ones(channels),
-            beta=np.zeros(channels),
-            running_mean=np.zeros(channels),
-            running_var=np.ones(channels),
-            momentum=momentum,
-            eps=eps,
-            mode=mode,
-        )
-
-    @classmethod
-    def identity(cls, channels: int, mode: str = "inference") -> "BatchNormState":
-        """A state that passes inputs through unchanged in inference mode."""
-        return cls.initial(channels, eps=0.0, mode=mode)
-
-    def with_mode(self, mode: str) -> "BatchNormState":
-        return replace(self, mode=mode)
-
-
-@dataclass(frozen=True, eq=False)
-class PagwnParams:
-    """Learnable weights for the two linear+batch-norm blocks of PAGWN.
-
-    LB1 maps the (n+3)-channel normalized window rows down to n channels;
-    LB2 maps the 2n-channel concatenation of row and center feature to 2n.
-    """
-
-    lb1_weight: np.ndarray  # (n+3, n)
-    lb1_bias: np.ndarray    # (n,)
-    lb1_bn: BatchNormState  # n channels
-    lb2_weight: np.ndarray  # (2n, 2n)
-    lb2_bias: np.ndarray    # (2n,)
-    lb2_bn: BatchNormState  # 2n channels
-
-    def __post_init__(self):
-        w1 = np.asarray(self.lb1_weight, dtype=np.float64)
-        b1 = np.asarray(self.lb1_bias, dtype=np.float64)
-        w2 = np.asarray(self.lb2_weight, dtype=np.float64)
-        b2 = np.asarray(self.lb2_bias, dtype=np.float64)
-        if w1.ndim != 2 or w1.shape[0] != w1.shape[1] + 3:
-            raise DomainError("shape-mismatch", f"lb1_weight must be (n+3, n), got {w1.shape}")
-        n = w1.shape[1]
-        if b1.shape != (n,) or self.lb1_bn.channels != n:
-            raise DomainError("shape-mismatch", "lb1 bias/batch-norm disagree with weight shape")
-        if w2.shape != (2 * n, 2 * n) or b2.shape != (2 * n,) or self.lb2_bn.channels != 2 * n:
-            raise DomainError("shape-mismatch", f"lb2 arrays must all be sized for 2n={2 * n} channels")
-        for name, arr in (("lb1_weight", w1), ("lb1_bias", b1), ("lb2_weight", w2), ("lb2_bias", b2)):
-            if not np.isfinite(arr).all():
-                raise DomainError("non-finite-value", f"{name} contains a non-finite entry")
-        object.__setattr__(self, "lb1_weight", _freeze(w1))
-        object.__setattr__(self, "lb1_bias", _freeze(b1))
-        object.__setattr__(self, "lb2_weight", _freeze(w2))
-        object.__setattr__(self, "lb2_bias", _freeze(b2))
-
-    @property
-    def n(self) -> int:
-        """Feature dimension served by this parameter set."""
-        return self.lb1_weight.shape[1]
-
-    def with_mode(self, mode: str) -> "PagwnParams":
-        return replace(self, lb1_bn=self.lb1_bn.with_mode(mode), lb2_bn=self.lb2_bn.with_mode(mode))
 
 
 @dataclass(frozen=True, eq=False)

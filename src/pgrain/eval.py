@@ -12,11 +12,16 @@ the window normalization) and then its parametric forward; the backward
 gives the parameter gradients and then *lowers* the rest onto the stage's
 input.  The first stage's input is the raw scene, so training lifts it once
 per scene and stops its backward at the parameters.
+
+The parameters are one flat dict of checkpoint tensors: the SGD step and the
+running-statistics fold update it, and ``train-toy --checkpoint`` saves it.
+Each stage reads a view of it under stage-local names, with no copies.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -37,10 +42,6 @@ from .pagwn import (
     aggregate_precomputed,
     init_mlp_params,
     init_pagwn_params,
-    mlp_param_tensors,
-    mlp_params_from_tensors,
-    pagwn_param_tensors,
-    pagwn_params_from_tensors,
 )
 from .sampling import fps_coords
 from .spatial import ball_query_batch, build_index, knn_batch
@@ -448,18 +449,18 @@ def _plan_scene(scene: PointCloud, config: ToyPipelineConfig, scene_id: int) -> 
 # Aggregators: one table entry per ``config.aggregator``
 # ---------------------------------------------------------------------------
 #
-# Parameters and gradients travel as flat ``name -> array`` dicts keyed by
-# checkpoint names: ``stage{t}.`` plus a pagwn_param_tensors or
-# mlp_param_tensors name, and ``head.layer{i}.*``.  Entries call the pagwn
-# and spatial functions through this module's globals.
+# Parameters and gradients travel as one flat ``name -> array`` dict keyed by
+# checkpoint names: ``stage{t}.`` plus an init_pagwn_params or
+# init_mlp_params name, and ``head.layer{i}.*``.  Each stage reads a
+# stage-local view of it (:func:`_stage_views`).  Entries call the pagwn and
+# spatial functions through this module's globals.
 
 @dataclass(frozen=True)
 class _Aggregator:
-    init: Callable       # (n, seed, prefix) -> tensors of one n -> 2n stage
-    read: Callable       # (tensors, prefix, mode) -> typed stage parameters
+    init: Callable       # (n, seed) -> stage-local tensors of one n -> 2n stage
     neighbors: Callable  # (index, center coords, k, config) -> (M, k) indices, (M,) occupied
     lift: Callable       # (stage plan, x, split, epsilon, lowered) -> GWN windows or x; lowered keeps what lower reads
-    forward: Callable    # (params, stage plan, lifted, x) -> (features, output with batch_stats)
+    forward: Callable    # (stage tensors, stage plan, lifted, x, mode) -> (features, output with batch_stats)
     backward: Callable   # (output, upstream) -> (grads by stage-local name, upstream of the lifted input)
     lower: Callable      # (output, stage plan, upstream of the lifted input) -> upstream of the stage input x
 
@@ -481,8 +482,8 @@ def _pagwn_stage_lift(splan, x, split, epsilon, lowered):
     return gwn, gwn_cache if lowered else (None, *gwn_cache[1:])
 
 
-def _pagwn_stage_forward(params, splan, lifted, x):
-    out = _pagwn_block(*lifted, x[splan[1]], params)
+def _pagwn_stage_forward(params, splan, lifted, x, mode):
+    out = _pagwn_block(*lifted, x[splan[1]], params, mode)
     return out.aggregated, out
 
 
@@ -496,23 +497,21 @@ def _pagwn_stage_lower(out, splan, d_block):
                          coords.shape[0])
 
 
-def _mlp_forward(params, splan, lifted, x):
+def _mlp_forward(params, splan, lifted, x, mode):
     _, _, hoods, occupied = splan
-    out = aggregate_precomputed(lifted, hoods, occupied, params)
+    out = aggregate_precomputed(lifted, hoods, occupied, params, mode=mode)
     return out.features, out
 
 
 _KNN_BASELINE = _Aggregator(
-    init=lambda n, seed, prefix: mlp_param_tensors(init_mlp_params((n, 2 * n), seed), prefix),
-    read=lambda tensors, prefix, mode: mlp_params_from_tensors(tensors, prefix, mode),
+    init=lambda n, seed: init_mlp_params((n, 2 * n), seed),
     neighbors=_knn_neighbors, lift=lambda splan, x, split, epsilon, lowered: x, forward=_mlp_forward,
     backward=lambda out, g: _baseline_param_backward(out.cache, g),
     lower=lambda out, splan, d_rows: _baseline_lower(out.cache, d_rows),
 )
 _AGGREGATOR_TABLE = {
     "pagwn": _Aggregator(
-        init=lambda n, seed, prefix: pagwn_param_tensors(init_pagwn_params(n, seed), prefix),
-        read=lambda tensors, prefix, mode: pagwn_params_from_tensors(tensors, prefix, mode),
+        init=lambda n, seed: init_pagwn_params(n, seed),
         neighbors=_knn_neighbors, lift=_pagwn_stage_lift, forward=_pagwn_stage_forward,
         backward=lambda out, g: _pagwn_param_backward(out.cache, g), lower=_pagwn_stage_lower,
     ),
@@ -541,13 +540,20 @@ def _first_lift(plan: _ScenePlan, agg: _Aggregator, config: ToyPipelineConfig):
     return agg.lift(plan.stages[0], plan.scene.features, config.stages[0].split, config.epsilon, False)
 
 
-def _encode(plan: _ScenePlan, first, stage_params, agg: _Aggregator, config: ToyPipelineConfig):
+def _stage_views(params: dict, count: int) -> list:
+    """Each of ``count`` stages' tensors under stage-local names: views of the flat dict, no copies."""
+    prefixes = [f"stage{t}." for t in range(count)]
+    return [{name[len(p):]: value for name, value in params.items() if name.startswith(p)} for p in prefixes]
+
+
+def _encode(plan: _ScenePlan, first, stage_params, agg: _Aggregator, config: ToyPipelineConfig,
+            mode: str = "training"):
     """Run the encoder over one scene from its :func:`_first_lift`; returns (features, outputs, batch-norm stats)."""
     x = plan.scene.features
     outs, stats = [], {}
     for t, (splan, params, spec) in enumerate(zip(plan.stages, stage_params, config.stages)):
         lifted = first if t == 0 else agg.lift(splan, x, spec.split, config.epsilon, True)
-        x, out = agg.forward(params, splan, lifted, x)
+        x, out = agg.forward(params, splan, lifted, x, mode)
         outs.append(out)
         stats.update({f"stage{t}.{name}": pair for name, pair in out.batch_stats.items()})
     return x, outs, stats
@@ -569,10 +575,26 @@ def _init_params(config: ToyPipelineConfig, feature_dim: int) -> dict:
     agg = _AGGREGATOR_TABLE[config.aggregator]
     params, n = {}, feature_dim
     for t in range(len(config.stages)):
-        params.update(agg.init(n, _derived_seed(config.seed, 7919, t), f"stage{t}."))
+        stage = agg.init(n, _derived_seed(config.seed, 7919, t))
+        params.update({f"stage{t}.{name}": value for name, value in stage.items()})
         n = 2 * n
     params.update(_init_head([n, *config.head_hidden, config.num_classes], _derived_seed(config.seed, 104729)))
     return params
+
+
+@contextmanager
+def _divergence_at(epoch: int):
+    """Report a ``non-finite-value`` raised inside as ``divergence`` at ``epoch``.
+
+    Exploding parameters surface as non-finite activations, mid-epoch or in
+    the test forward after the last epoch.
+    """
+    try:
+        yield
+    except DomainError as exc:
+        if exc.kind == "non-finite-value":
+            raise DomainError("divergence", f"non-finite values at epoch {epoch}") from exc
+        raise
 
 
 def _scene_grads(plan: _ScenePlan, params: dict, x_final: np.ndarray, outs, config: ToyPipelineConfig,
@@ -595,8 +617,8 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
     """Train the encoder + head on labeled scenes and score the test set.
 
     Deterministic per (config, scenes): identical inputs give bit-identical
-    metrics.  Raises ``divergence`` naming the epoch if the loss leaves the
-    finite range.
+    metrics.  Raises ``divergence`` naming the epoch if the loss or an
+    activation leaves the finite range; the test forward names the last epoch.
     """
     if not train_scenes or not test_scenes:
         raise DomainError("invalid-spec", "need at least one training and one test scene")
@@ -620,17 +642,16 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
     depth = len(config.head_hidden) + 1
     order_rng = np.random.default_rng(_derived_seed(config.seed, 15485863))
 
-    def read_stages(mode: str) -> list:
-        # builds and validates the typed parameters; a training-mode forward reads
-        # no running statistics, so this runs once per SGD step, not per scene
-        return [agg.read(params, f"stage{t}.", mode) for t in range(len(config.stages))]
-
-    stage_params = read_stages("training")
+    stages = len(config.stages)
+    # a training-mode forward reads no running statistics, so the views of the
+    # tensors the folds rebind are renewed after each SGD step, not per scene;
+    # the test forward reads the views of the last step
+    stage_params = _stage_views(params, stages)
     losses = []
     for epoch in range(config.epochs):
         order = order_rng.permutation(len(train_plans))
         epoch_loss = 0.0
-        try:
+        with _divergence_at(epoch):
             for start in range(0, len(order), config.batch_size):
                 batch = [(train_plans[i], train_firsts[i]) for i in order[start:start + config.batch_size]]
                 total = None
@@ -650,23 +671,19 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
                 scale = 1.0 / len(batch)
                 for name, g in total.items():
                     params[name] = params[name] - config.learning_rate * (g * scale)
-                stage_params = read_stages("training")
-        except DomainError as exc:
-            # exploding parameters surface as non-finite activations mid-epoch
-            if exc.kind == "non-finite-value":
-                raise DomainError("divergence", f"non-finite values at epoch {epoch}") from exc
-            raise
+                stage_params = _stage_views(params, stages)
         epoch_loss /= len(train_plans)
         if not np.isfinite(epoch_loss):
             raise DomainError("divergence", f"loss became non-finite at epoch {epoch}")
         losses.append(epoch_loss)
 
-    stage_params = read_stages("inference")
     preds = []
-    for plan in test_plans:
-        x_final, _, _ = _encode(plan, _first_lift(plan, agg, config), stage_params, agg, config)
-        logits, _ = _head_forward(x_final[plan.full_map], params, depth)
-        preds.append(logits.argmax(axis=1))
+    # finite weights from the last step can still overflow on the test scenes
+    with _divergence_at(config.epochs - 1):
+        for plan in test_plans:
+            x_final, _, _ = _encode(plan, _first_lift(plan, agg, config), stage_params, agg, config, "inference")
+            logits, _ = _head_forward(x_final[plan.full_map], params, depth)
+            preds.append(logits.argmax(axis=1))
     pred_all = np.concatenate(preds)
     truth_all = np.concatenate([p.scene.labels for p in test_plans])
     metrics = compute_metrics(pred_all, truth_all, config.num_classes)

@@ -310,8 +310,8 @@ def write_ply(path: PathLike, cloud: PointCloud, binary: bool = True) -> None:
 # TensorFile
 # ---------------------------------------------------------------------------
 
-def write_tensor(path: PathLike, array: np.ndarray) -> None:
-    """Serialize one array: magic, header line, little-endian payload."""
+def _storable(array) -> tuple:
+    """The dtype tag and array a TensorFile stores for ``array``; raises if it cannot store it."""
     arr = np.asarray(array)
     if arr.dtype == np.float64:
         tag = "f8"
@@ -323,6 +323,12 @@ def write_tensor(path: PathLike, array: np.ndarray) -> None:
         raise DomainError("unsupported-format", f"tensor dtype {arr.dtype} is not storable")
     if arr.size > _DIMS_PRODUCT_CAP:
         raise DomainError("dims-overflow", f"tensor with {arr.size} elements exceeds the format cap")
+    return tag, arr
+
+
+def write_tensor(path: PathLike, array: np.ndarray) -> None:
+    """Serialize one array: magic, header line, little-endian payload."""
+    tag, arr = _storable(array)
     header = " ".join([tag, str(arr.ndim)] + [str(d) for d in arr.shape])
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
@@ -373,11 +379,13 @@ def save_tensor_dir(path: PathLike, tensors: dict) -> None:
     The manifest lists ``name rank dims...`` per line, sorted by name, so
     directory contents are byte-stable for identical inputs.  Before anything
     is written, each name must be one manifest field and one file inside the
-    directory: a string with no whitespace, ``/``, ``\\`` or NUL, not ``.`` or ``..``.
+    directory: a string with no whitespace, ``/``, ``\\`` or NUL, not ``.`` or ``..``;
+    and each tensor must be storable, as :func:`write_tensor` requires.
     """
-    for name in tensors:
+    for name, value in tensors.items():
         if not isinstance(name, str) or name.split() != [name] or name in (".", "..") or set("/\\\0") & set(name):
             raise DomainError("invalid-spec", f"tensor {name!r} is not a plain file name")
+        _storable(value)
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     lines = []

@@ -13,8 +13,14 @@ neighbor) row in the call as its batch, so a forward over M centers
 normalizes across all M*K rows.  The backward pass is fully analytic,
 including the sigma path of the GWN, the batch-statistics path of batch
 norm, and argmax routing of the pool (ties to the lowest row index).
-Parameter gradients come back keyed by checkpoint name, the trainable
-names of :func:`pagwn_param_tensors` and :func:`mlp_param_tensors`.
+
+Parameters have one form: the flat ``name -> array`` dict of checkpoint
+tensors that :func:`init_pagwn_params` and :func:`init_mlp_params` return,
+and parameter gradients come back under the same names.  Whether batch
+norm uses batch or running statistics is the forwards' ``mode`` keyword,
+not part of the parameters.  :func:`check_pagwn_tensors` checks a block's
+tensors where they arrive from outside, inside the public PAGWN forwards;
+the private functions the training loop calls never re-check.
 
 GWN has no parameters, so the block splits into a parameter-free *lift*
 (:func:`_pagwn_lift`) and a parametric part (:func:`_pagwn_block`), and
@@ -41,12 +47,12 @@ order, as ``np.add.at`` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BatchNormState, DomainError, PagwnParams
+from .core import DomainError
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT, _gwn_backward, _gwn_forward
 
 
@@ -73,31 +79,50 @@ def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _bn_forward(x: np.ndarray, bn: BatchNormState):
-    """Returns (y, cache).  Training mode normalizes with batch statistics."""
-    if bn.mode == "training":
+def _bn_forward(x: np.ndarray, params: dict, prefix: str, mode: str):
+    """Batch norm by the ``prefix`` tensors of ``params``; returns (y, cache).
+
+    Training mode normalizes with batch statistics, inference mode with the
+    running statistics.
+    """
+    gamma, beta, eps = params[prefix + "gamma"], params[prefix + "beta"], params[prefix + "eps"]
+    if mode == "training":
         if x.shape[0] < 2:
             raise DomainError("degenerate-window", "training-mode batch norm needs at least 2 rows")
         # the ufunc sequence of NumPy's mean and var, sharing one mean
         mean = _colsum(x) / x.shape[0]
         centered = x - mean
         var = _colsum(centered, centered) / x.shape[0]
-        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        inv_std = 1.0 / np.sqrt(var + eps)
         x_hat = centered * inv_std
-        return bn.gamma * x_hat + bn.beta, ("training", x_hat, inv_std, mean, var)
-    inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
-    x_hat = (x - bn.running_mean) * inv_std
-    return bn.gamma * x_hat + bn.beta, ("inference", x_hat, inv_std, None, None)
+        return gamma * x_hat + beta, ("training", x_hat, inv_std, mean, var)
+    if mode != "inference":
+        raise DomainError("invalid-spec", f"mode must be 'training' or 'inference', got {mode!r}")
+    inv_std = 1.0 / np.sqrt(params[prefix + "running_var"] + eps)
+    x_hat = (x - params[prefix + "running_mean"]) * inv_std
+    return gamma * x_hat + beta, ("inference", x_hat, inv_std, None, None)
 
 
-def _bn_backward(g: np.ndarray, bn: BatchNormState, cache):
+def _bn_backward(g: np.ndarray, gamma: np.ndarray, cache):
     mode, x_hat, inv_std, _, _ = cache
     if mode != "training":
         raise DomainError("stale-cache", "backward requires a training-mode forward cache")
     rows = g.shape[0]
-    dxhat = g * bn.gamma
+    dxhat = g * gamma
     dx = inv_std * (dxhat - _colsum(dxhat) / rows - x_hat * (_colsum(dxhat, x_hat) / rows))
     return dx, _colsum(g, x_hat), _colsum(g)
+
+
+def _bn_init(prefix: str, channels: int) -> dict:
+    """The tensors of one unit batch norm: gamma 1, beta 0, running mean 0 and variance 1."""
+    return {
+        prefix + "gamma": np.ones(channels),
+        prefix + "beta": np.zeros(channels),
+        prefix + "running_mean": np.zeros(channels),
+        prefix + "running_var": np.ones(channels),
+        prefix + "momentum": np.float64(0.1),
+        prefix + "eps": np.float64(1e-5),
+    }
 
 
 def _linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -116,7 +141,7 @@ def _linear_backward(g: np.ndarray, x: np.ndarray, weight: np.ndarray):
 class PagwnCache:
     """Everything the analytic backward needs; holds references, not copies."""
 
-    params: PagwnParams
+    params: dict                  # the block's checkpoint tensors
     mode: str
     shapes: Tuple[int, int, int]  # (M, K, n)
     gwn_rows: np.ndarray          # (M*K, n+3) GWN output, LB1 input
@@ -146,21 +171,28 @@ class PagwnOutput:
             raise DomainError("non-finite-value", "aggregated output contains a non-finite entry")
 
 
-def init_pagwn_params(n: int, seed: int, mode: str = "training") -> PagwnParams:
-    """Uniform(+-sqrt(1/fan_in)) weights, zero biases, unit batch norm."""
+def init_pagwn_params(n: int, seed: int) -> dict:
+    """One block's checkpoint tensors: Uniform(+-sqrt(1/fan_in)) weights, zero biases, unit batch norm.
+
+    The names are ``lb1_weight`` (n+3, n), ``lb1_bias`` (n,), ``lb2_weight``
+    (2n, 2n) and ``lb2_bias`` (2n,), and for each of ``lb1_bn.`` (n
+    channels) and ``lb2_bn.`` (2n channels) the vectors ``gamma``, ``beta``,
+    ``running_mean`` and ``running_var`` and the float64 scalars
+    ``momentum`` (0.1) and ``eps`` (1e-5).
+    """
     if n < 1:
         raise DomainError("shape-mismatch", f"feature dimension must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     s1 = np.sqrt(1.0 / (n + 3))
     s2 = np.sqrt(1.0 / (2 * n))
-    return PagwnParams(
-        lb1_weight=rng.uniform(-s1, s1, size=(n + 3, n)),
-        lb1_bias=np.zeros(n),
-        lb1_bn=BatchNormState.initial(n, mode=mode),
-        lb2_weight=rng.uniform(-s2, s2, size=(2 * n, 2 * n)),
-        lb2_bias=np.zeros(2 * n),
-        lb2_bn=BatchNormState.initial(2 * n, mode=mode),
-    )
+    return {
+        "lb1_weight": rng.uniform(-s1, s1, size=(n + 3, n)),
+        "lb1_bias": np.zeros(n),
+        "lb2_weight": rng.uniform(-s2, s2, size=(2 * n, 2 * n)),
+        "lb2_bias": np.zeros(2 * n),
+        **_bn_init("lb1_bn.", n),
+        **_bn_init("lb2_bn.", 2 * n),
+    }
 
 
 def _pagwn_lift(nc, nf, cc, cf, n: int, m: int, epsilon: float):
@@ -184,62 +216,65 @@ def _pagwn_lift(nc, nf, cc, cf, n: int, m: int, epsilon: float):
     return _gwn_forward(windows, centers, m, epsilon)
 
 
-def _lb1(gwn_rows: np.ndarray, params: PagwnParams):
+def _lb1(gwn_rows: np.ndarray, params: dict, mode: str):
     """LB1 over the lifted rows; returns ((M*K, n) rows, batch-norm cache)."""
-    if params.lb1_bn.mode != params.lb2_bn.mode:
-        raise DomainError("invalid-spec", "lb1 and lb2 batch norms are in different modes")
-    return _bn_forward(_linear_forward(gwn_rows, params.lb1_weight, params.lb1_bias), params.lb1_bn)
+    return _bn_forward(_linear_forward(gwn_rows, params["lb1_weight"], params["lb1_bias"]), params, "lb1_bn.", mode)
 
 
-def _pagwn_block(gwn: np.ndarray, gwn_cache: tuple, cf: np.ndarray, params: PagwnParams) -> PagwnOutput:
+def _pagwn_block(gwn: np.ndarray, gwn_cache: tuple, cf: np.ndarray, params: dict, mode: str) -> PagwnOutput:
     """The block's parametric part, LB1 -> LB2 -> pool, over lifted windows and the (M, n) center features."""
-    m_win, k, n = gwn.shape[0], gwn.shape[1], params.n
+    m_win, k, n = gwn.shape[0], gwn.shape[1], cf.shape[1]
     gwn_rows = gwn.reshape(m_win * k, n + 3)
-    bn1_out, bn1_cache = _lb1(gwn_rows, params)
+    bn1_out, bn1_cache = _lb1(gwn_rows, params, mode)
     pre = bn1_out.reshape(m_win, k, n)
     h = np.concatenate([pre, np.broadcast_to(cf[:, None, :], (m_win, k, n))], axis=2)
     h_rows = h.reshape(m_win * k, 2 * n)
-    z2 = _linear_forward(h_rows, params.lb2_weight, params.lb2_bias)
-    bn2_out, bn2_cache = _bn_forward(z2, params.lb2_bn)
+    z2 = _linear_forward(h_rows, params["lb2_weight"], params["lb2_bias"])
+    bn2_out, bn2_cache = _bn_forward(z2, params, "lb2_bn.", mode)
     rows2 = bn2_out.reshape(m_win, k, 2 * n)
     argmax = rows2.argmax(axis=1)  # first occurrence: ties go to the lowest row
     pooled = np.take_along_axis(rows2, argmax[:, None, :], axis=1)[:, 0, :]
 
     cache = PagwnCache(
-        params=params, mode=params.lb1_bn.mode, shapes=(m_win, k, n),
+        params=params, mode=mode, shapes=(m_win, k, n),
         gwn_rows=gwn_rows, gwn_cache=gwn_cache, bn1_cache=bn1_cache,
         h_rows=h_rows, bn2_cache=bn2_cache, pooled=pooled, argmax=argmax,
     )
     return PagwnOutput(
         aggregated=np.maximum(pooled, 0.0), cache=cache,
-        batch_stats={"lb1_bn.": bn1_cache[3:], "lb2_bn.": bn2_cache[3:]} if cache.mode == "training" else {},
+        batch_stats={"lb1_bn.": bn1_cache[3:], "lb2_bn.": bn2_cache[3:]} if mode == "training" else {},
     )
 
 
 def pre_abstract(neighbor_coords, neighbor_features, center_coords, center_features,
-                 params: PagwnParams, m: int = DEFAULT_SPLIT,
-                 epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+                 params: dict, m: int = DEFAULT_SPLIT, epsilon: float = DEFAULT_EPSILON, *,
+                 mode: str = "training") -> np.ndarray:
     """LB1(GWN([c_j || x_j])) over M windows: an (M, K, n) array.
 
     Reduces each (n+3)-channel normalized row back to n channels so the
     neighbor rows carry the same dimensionality as the center feature.
     """
+    params = check_pagwn_tensors(params)
+    n = params["lb1_bias"].shape[0]
     nc, nf, cc, cf = (np.asarray(a, dtype=np.float64)
                       for a in (neighbor_coords, neighbor_features, center_coords, center_features))
-    gwn, _ = _pagwn_lift(nc, nf, cc, cf, params.n, m, epsilon)
-    return _lb1(gwn.reshape(-1, params.n + 3), params)[0].reshape(nc.shape[0], nc.shape[1], params.n)
+    gwn, _ = _pagwn_lift(nc, nf, cc, cf, n, m, epsilon)
+    return _lb1(gwn.reshape(-1, n + 3), params, mode)[0].reshape(nc.shape[0], nc.shape[1], n)
 
 
 def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, center_features,
-                        params: PagwnParams, m: int = DEFAULT_SPLIT,
-                        epsilon: float = DEFAULT_EPSILON) -> PagwnOutput:
+                        params: dict, m: int = DEFAULT_SPLIT, epsilon: float = DEFAULT_EPSILON, *,
+                        mode: str = "training") -> PagwnOutput:
     """Full block over M windows at once: (M, K, 3), (M, K, n), (M, 3), (M, n) in, (M, 2n) out.
 
-    Batch norm sees all M*K rows.
+    Batch norm sees all M*K rows.  ``params`` is the block's checkpoint
+    dict (see :func:`check_pagwn_tensors`); ``mode`` is ``"training"``
+    (batch statistics) or ``"inference"`` (running statistics).
     """
+    params = check_pagwn_tensors(params)
     nc, nf, cc, cf = (np.asarray(a, dtype=np.float64)
                       for a in (neighbor_coords, neighbor_features, center_coords, center_features))
-    return _pagwn_block(*_pagwn_lift(nc, nf, cc, cf, params.n, m, epsilon), cf, params)
+    return _pagwn_block(*_pagwn_lift(nc, nf, cc, cf, params["lb1_bias"].shape[0], m, epsilon), cf, params, mode)
 
 
 def _pagwn_param_backward(cache: PagwnCache, upstream_grad: np.ndarray):
@@ -258,11 +293,11 @@ def _pagwn_param_backward(cache: PagwnCache, upstream_grad: np.ndarray):
     np.put_along_axis(g_rows2, cache.argmax[:, None, :], g_pool[:, None, :], axis=1)
     grads = {}
     dz2, grads["lb2_bn.gamma"], grads["lb2_bn.beta"] = _bn_backward(
-        g_rows2.reshape(m_win * k, 2 * n), params.lb2_bn, cache.bn2_cache)
-    dh, grads["lb2_weight"], grads["lb2_bias"] = _linear_backward(dz2, cache.h_rows, params.lb2_weight)
+        g_rows2.reshape(m_win * k, 2 * n), params["lb2_bn.gamma"], cache.bn2_cache)
+    dh, grads["lb2_weight"], grads["lb2_bias"] = _linear_backward(dz2, cache.h_rows, params["lb2_weight"])
     dh = dh.reshape(m_win, k, 2 * n)
     d_pre = dh[:, :, :n].reshape(m_win * k, n)
-    dz1, grads["lb1_bn.gamma"], grads["lb1_bn.beta"] = _bn_backward(d_pre, params.lb1_bn, cache.bn1_cache)
+    dz1, grads["lb1_bn.gamma"], grads["lb1_bn.beta"] = _bn_backward(d_pre, params["lb1_bn.gamma"], cache.bn1_cache)
     # the weight and bias gradients of _linear_backward; the input gradient is _pagwn_lower's
     grads["lb1_weight"], grads["lb1_bias"] = cache.gwn_rows.T @ dz1, _colsum(dz1)
     return grads, (dz1, dh)
@@ -272,7 +307,7 @@ def _pagwn_lower(cache: PagwnCache, d_block) -> dict:
     """The input half of :func:`pagwn_backward`: LB1's input, the GWN backward and the center paths."""
     dz1, dh = d_block
     m_win, k, n = cache.shapes
-    d_gwn_rows = dz1 @ cache.params.lb1_weight.T
+    d_gwn_rows = dz1 @ cache.params["lb1_weight"].T
     d_win = _gwn_backward(d_gwn_rows.reshape(m_win, k, n + 3), cache.gwn_cache)
     d_cen = -_colsum(d_win)
     return {
@@ -287,7 +322,7 @@ def pagwn_backward(cache: PagwnCache, upstream_grad: np.ndarray):
     """Exact gradients for every parameter and input of a training forward.
 
     Returns ``(grads, inputs)``.  ``grads`` maps each trainable name of
-    :func:`pagwn_param_tensors` (weights, biases, batch-norm gamma and beta)
+    :func:`init_pagwn_params` (weights, biases, batch-norm gamma and beta)
     to its gradient; ``inputs`` maps each window argument name of
     :func:`pagwn_forward_batch` to the gradient of that array.
 
@@ -304,85 +339,50 @@ def pagwn_backward(cache: PagwnCache, upstream_grad: np.ndarray):
 # Baseline aggregators: MLP + max pool over BQ / KNN neighborhoods
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class MlpLayer:
-    """Linear + batch norm + ReLU, the classic aggregation MLP layer."""
+def init_mlp_params(dims: Sequence[int], seed: int) -> dict:
+    """Checkpoint tensors of a stack of linear+BN+ReLU layers sized dims[0] -> ... -> dims[-1].
 
-    weight: np.ndarray  # (in, out)
-    bias: np.ndarray    # (out,)
-    bn: BatchNormState  # out channels
-
-    def __post_init__(self):
-        w = np.asarray(self.weight, dtype=np.float64)
-        b = np.asarray(self.bias, dtype=np.float64)
-        if w.ndim != 2 or b.shape != (w.shape[1],) or self.bn.channels != w.shape[1]:
-            raise DomainError("shape-mismatch", "MLP layer arrays disagree on output channels")
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "bias", b)
-
-
-@dataclass(frozen=True, eq=False)
-class MlpParams:
-    layers: Tuple[MlpLayer, ...]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise DomainError("shape-mismatch", "an MLP needs at least one layer")
-        object.__setattr__(self, "layers", tuple(self.layers))
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].weight.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[1]
-
-    def with_mode(self, mode: str) -> "MlpParams":
-        return MlpParams(tuple(replace(l, bn=l.bn.with_mode(mode)) for l in self.layers))
-
-
-def init_mlp_params(dims: Sequence[int], seed: int, mode: str = "training") -> MlpParams:
-    """Stack of linear+BN+ReLU layers sized dims[0] -> ... -> dims[-1]."""
+    The names are the int64 scalar ``num_layers`` and, per layer i,
+    ``layer{i}.weight`` (in, out), ``layer{i}.bias`` (out,) and the
+    ``layer{i}.bn.`` batch-norm tensors named as in :func:`init_pagwn_params`.
+    """
     if len(dims) < 2:
         raise DomainError("shape-mismatch", "dims must name at least an input and an output size")
     rng = np.random.default_rng(seed)
-    layers = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    tensors = {"num_layers": np.int64(len(dims) - 1)}
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         s = np.sqrt(1.0 / fan_in)
-        layers.append(MlpLayer(
-            weight=rng.uniform(-s, s, size=(fan_in, fan_out)),
-            bias=np.zeros(fan_out),
-            bn=BatchNormState.initial(fan_out, mode=mode),
-        ))
-    return MlpParams(tuple(layers))
+        tensors[f"layer{i}.weight"] = rng.uniform(-s, s, size=(fan_in, fan_out))
+        tensors[f"layer{i}.bias"] = np.zeros(fan_out)
+        tensors.update(_bn_init(f"layer{i}.bn.", fan_out))
+    return tensors
 
 
-def _mlp_rows_forward(rows: np.ndarray, params: MlpParams):
+def _mlp_rows_forward(rows: np.ndarray, params: dict, mode: str):
     caches = []
     x = rows
-    for layer in params.layers:
-        z = _linear_forward(x, layer.weight, layer.bias)
-        y, bn_cache = _bn_forward(z, layer.bn)
+    for i in range(int(params["num_layers"])):
+        z = _linear_forward(x, params[f"layer{i}.weight"], params[f"layer{i}.bias"])
+        y, bn_cache = _bn_forward(z, params, f"layer{i}.bn.", mode)
         mask = y > 0
         caches.append((x, bn_cache, mask))
         x = y * mask
     return x, caches
 
 
-def _mlp_rows_backward(g: np.ndarray, params: MlpParams, caches):
+def _mlp_rows_backward(g: np.ndarray, params: dict, caches):
     grads = {}
     for i in range(len(caches) - 1, -1, -1):
         x, bn_cache, mask = caches[i]
-        layer = params.layers[i]
-        dz, grads[f"layer{i}.bn.gamma"], grads[f"layer{i}.bn.beta"] = _bn_backward(g * mask, layer.bn, bn_cache)
-        g, grads[f"layer{i}.weight"], grads[f"layer{i}.bias"] = _linear_backward(dz, x, layer.weight)
+        dz, grads[f"layer{i}.bn.gamma"], grads[f"layer{i}.bn.beta"] = _bn_backward(
+            g * mask, params[f"layer{i}.bn.gamma"], bn_cache)
+        g, grads[f"layer{i}.weight"], grads[f"layer{i}.bias"] = _linear_backward(dz, x, params[f"layer{i}.weight"])
     return g, grads
 
 
 @dataclass(eq=False)
 class BaselineCache:
-    params: MlpParams
+    params: dict                  # the MLP's checkpoint tensors
     mode: str
     neighbor_indices: np.ndarray  # (M, K) into the source cloud
     occupied: np.ndarray          # (M,) False where the region was empty
@@ -397,25 +397,26 @@ class BaselineOutput:
     """Per-center aggregated features; empty regions yield zero vectors."""
 
     features: np.ndarray          # (M, out)
-    empty_region: np.ndarray      # (M,) bool
     cache: BaselineCache
     batch_stats: Dict[str, Tuple[np.ndarray, np.ndarray]]  # "layer{i}.bn." -> batch (mean, var), training only
 
 
 def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndarray,
-                          occupied: np.ndarray, mlp_params: MlpParams) -> BaselineOutput:
+                          occupied: np.ndarray, mlp_params: dict, *, mode: str = "training") -> BaselineOutput:
     """MLP + max pool over already-resolved neighborhoods.
 
     ``source_features`` is the (N, n) matrix rows are gathered from;
     centers whose ``occupied`` flag is False get a zero output.
+    ``mlp_params`` is a dict of :func:`init_mlp_params` tensors; ``mode`` is
+    ``"training"`` (batch statistics) or ``"inference"`` (running statistics).
     """
     m_cnt, k = neighbor_indices.shape
-    out_dim = mlp_params.out_dim
+    out_dim = mlp_params[f"layer{int(mlp_params['num_layers']) - 1}.weight"].shape[1]
     features = np.zeros((m_cnt, out_dim))
     occ_idx = np.flatnonzero(occupied)
     if occ_idx.size:
         rows = source_features[neighbor_indices[occ_idx].reshape(-1)]
-        pooled_rows, caches = _mlp_rows_forward(rows, mlp_params)
+        pooled_rows, caches = _mlp_rows_forward(rows, mlp_params, mode)
         grouped = pooled_rows.reshape(occ_idx.size, k, out_dim)
         argmax = grouped.argmax(axis=1)
         features[occ_idx] = np.take_along_axis(grouped, argmax[:, None, :], axis=1)[:, 0, :]
@@ -423,13 +424,13 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
         caches = []
         argmax = np.zeros((0, out_dim), dtype=np.int64)
     cache = BaselineCache(
-        params=mlp_params, mode=mlp_params.layers[0].bn.mode,
+        params=mlp_params, mode=mode,
         neighbor_indices=neighbor_indices, occupied=occupied, mlp_caches=caches,
         argmax=argmax, k=k, num_source_points=source_features.shape[0],
     )
     batch_stats = {f"layer{i}.bn.": bn_cache[3:]
                    for i, (_, bn_cache, _) in enumerate(caches) if bn_cache[0] == "training"}
-    return BaselineOutput(features=features, empty_region=~occupied, cache=cache, batch_stats=batch_stats)
+    return BaselineOutput(features=features, cache=cache, batch_stats=batch_stats)
 
 
 def _baseline_param_backward(cache: BaselineCache, upstream_grad: np.ndarray):
@@ -438,18 +439,14 @@ def _baseline_param_backward(cache: BaselineCache, upstream_grad: np.ndarray):
         raise DomainError("stale-cache", "backward requires a training-mode forward cache")
     g = np.asarray(upstream_grad, dtype=np.float64)
     occ_idx = np.flatnonzero(cache.occupied)
-    out_dim = cache.params.out_dim
+    params, out_dim = cache.params, cache.argmax.shape[1]
     if occ_idx.size == 0:
-        grads = {}
-        for i, layer in enumerate(cache.params.layers):
-            grads[f"layer{i}.weight"] = np.zeros_like(layer.weight)
-            grads[f"layer{i}.bias"] = np.zeros_like(layer.bias)
-            grads[f"layer{i}.bn.gamma"] = np.zeros_like(layer.bn.gamma)
-            grads[f"layer{i}.bn.beta"] = np.zeros_like(layer.bn.beta)
-        return grads, np.zeros((0, cache.params.in_dim))
+        names = [f"layer{i}.{name}" for i in range(int(params["num_layers"]))
+                 for name in ("weight", "bias", "bn.gamma", "bn.beta")]
+        return {name: np.zeros_like(params[name]) for name in names}, np.zeros((0, params["layer0.weight"].shape[0]))
     g_rows = np.zeros((occ_idx.size, cache.k, out_dim))
     np.put_along_axis(g_rows, cache.argmax[:, None, :], g[occ_idx][:, None, :], axis=1)
-    d_rows, grads = _mlp_rows_backward(g_rows.reshape(-1, out_dim), cache.params, cache.mlp_caches)
+    d_rows, grads = _mlp_rows_backward(g_rows.reshape(-1, out_dim), params, cache.mlp_caches)
     return grads, d_rows
 
 
@@ -463,7 +460,7 @@ def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):
     """Gradients for the MLP and the source cloud's features.
 
     Returns ``(grads, d_features)``.  ``grads`` maps each trainable name of
-    :func:`mlp_param_tensors` (``layer{i}.weight``, ``.bias``, ``.bn.gamma``,
+    :func:`init_mlp_params` (``layer{i}.weight``, ``.bias``, ``.bn.gamma``,
     ``.bn.beta``) to its gradient; ``d_features`` has the source cloud's
     (N, n) shape with neighbor contributions scatter-added.
     """
@@ -472,19 +469,8 @@ def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint serialization (tensor dictionaries for io.save_tensor_dir)
+# Tensors read from outside
 # ---------------------------------------------------------------------------
-
-def _bn_tensors(bn: BatchNormState, prefix: str) -> dict:
-    return {
-        prefix + "gamma": bn.gamma,
-        prefix + "beta": bn.beta,
-        prefix + "running_mean": bn.running_mean,
-        prefix + "running_var": bn.running_var,
-        prefix + "momentum": np.float64(bn.momentum),
-        prefix + "eps": np.float64(bn.eps),
-    }
-
 
 def _tensor(tensors: dict, name: str) -> np.ndarray:
     if name not in tensors:
@@ -492,70 +478,51 @@ def _tensor(tensors: dict, name: str) -> np.ndarray:
     return tensors[name]
 
 
-def _scalar(tensors: dict, name: str) -> float:
-    value = np.asarray(_tensor(tensors, name))
-    if value.shape != ():
-        raise DomainError("shape-mismatch", f"tensor {name!r} must be a scalar, got shape {value.shape}")
-    return float(value)
+def _pagwn_shapes(n: int) -> dict:
+    """The shape of every tensor of a block over n feature channels, in checkpoint order."""
+    shapes = {"lb1_weight": (n + 3, n), "lb1_bias": (n,), "lb2_weight": (2 * n, 2 * n), "lb2_bias": (2 * n,)}
+    for prefix, channels in (("lb1_bn.", n), ("lb2_bn.", 2 * n)):
+        shapes.update({prefix + name: (channels,) for name in ("gamma", "beta", "running_mean", "running_var")})
+        shapes.update({prefix + "momentum": (), prefix + "eps": ()})
+    return shapes
 
 
-def _bn_from_tensors(tensors: dict, prefix: str, mode: str) -> BatchNormState:
-    return BatchNormState(
-        gamma=_tensor(tensors, prefix + "gamma"),
-        beta=_tensor(tensors, prefix + "beta"),
-        running_mean=_tensor(tensors, prefix + "running_mean"),
-        running_var=_tensor(tensors, prefix + "running_var"),
-        momentum=_scalar(tensors, prefix + "momentum"),
-        eps=_scalar(tensors, prefix + "eps"),
-        mode=mode,
-    )
+def check_pagwn_tensors(tensors: dict) -> dict:
+    """Check one block's tensors where they arrive from outside; returns them as float64 arrays.
 
+    ``tensors`` must hold every name of :func:`init_pagwn_params`; other
+    names are ignored, and ``f4`` or ``i8`` tensors are read as float64.
+    The public forwards run this check.  The training loop, whose tensors
+    come from :func:`init_pagwn_params` and its own SGD steps, never does.
 
-def pagwn_param_tensors(params: PagwnParams, prefix: str = "") -> dict:
-    """Flatten a parameter set into named tensors (mode is a runtime flag)."""
-    out = {
-        prefix + "lb1_weight": params.lb1_weight,
-        prefix + "lb1_bias": params.lb1_bias,
-        prefix + "lb2_weight": params.lb2_weight,
-        prefix + "lb2_bias": params.lb2_bias,
-    }
-    out.update(_bn_tensors(params.lb1_bn, prefix + "lb1_bn."))
-    out.update(_bn_tensors(params.lb2_bn, prefix + "lb2_bn."))
+    Raises:
+        DomainError: ``parse-error`` naming a missing tensor;
+            ``shape-mismatch`` for a weight, bias or batch-norm tensor of the
+            wrong shape, a non-scalar ``momentum`` or ``eps`` included;
+            ``invalid-spec`` for a ``momentum`` outside (0, 1) or an ``eps``
+            that is not finite and >= 0; ``non-finite-value`` for a
+            non-finite entry or a ``running_var`` entry below 0.
+    """
+    w1 = np.asarray(_tensor(tensors, "lb1_weight"), dtype=np.float64)
+    if w1.ndim != 2 or w1.shape[0] != w1.shape[1] + 3 or w1.shape[1] < 1:
+        raise DomainError("shape-mismatch", f"lb1_weight must be (n+3, n) with n >= 1, got {w1.shape}")
+    out = {}
+    for name, shape in _pagwn_shapes(w1.shape[1]).items():
+        out[name] = np.asarray(_tensor(tensors, name), dtype=np.float64)
+        if out[name].shape != shape:
+            raise DomainError("shape-mismatch", f"tensor {name!r} must have shape {shape}, got {out[name].shape}")
+    for prefix in ("lb1_bn.", "lb2_bn."):
+        momentum, eps = out[prefix + "momentum"], out[prefix + "eps"]
+        if not 0.0 < momentum < 1.0:
+            raise DomainError("invalid-spec", f"{prefix}momentum must be in (0, 1), got {momentum}")
+        if not 0.0 <= eps < np.inf:
+            raise DomainError("invalid-spec", f"{prefix}eps must be finite and >= 0, got {eps}")
+    for name, arr in out.items():
+        if not np.isfinite(arr).all():
+            raise DomainError("non-finite-value", f"{name} contains a non-finite entry")
+        if name.endswith("running_var") and (arr < 0).any():
+            raise DomainError("non-finite-value", f"{name} entries must be >= 0")
     return out
-
-
-def pagwn_params_from_tensors(tensors: dict, prefix: str = "", mode: str = "inference") -> PagwnParams:
-    return PagwnParams(
-        lb1_weight=_tensor(tensors, prefix + "lb1_weight"),
-        lb1_bias=_tensor(tensors, prefix + "lb1_bias"),
-        lb1_bn=_bn_from_tensors(tensors, prefix + "lb1_bn.", mode),
-        lb2_weight=_tensor(tensors, prefix + "lb2_weight"),
-        lb2_bias=_tensor(tensors, prefix + "lb2_bias"),
-        lb2_bn=_bn_from_tensors(tensors, prefix + "lb2_bn.", mode),
-    )
-
-
-def mlp_param_tensors(params: MlpParams, prefix: str = "") -> dict:
-    out = {prefix + "num_layers": np.int64(len(params.layers))}
-    for i, layer in enumerate(params.layers):
-        out[f"{prefix}layer{i}.weight"] = layer.weight
-        out[f"{prefix}layer{i}.bias"] = layer.bias
-        out.update(_bn_tensors(layer.bn, f"{prefix}layer{i}.bn."))
-    return out
-
-
-def mlp_params_from_tensors(tensors: dict, prefix: str = "", mode: str = "inference") -> MlpParams:
-    count = _scalar(tensors, prefix + "num_layers")
-    if not count.is_integer():
-        raise DomainError("parse-error", f"tensor {prefix + 'num_layers'!r} holds {count}, not a layer count")
-    layers = []
-    for i in range(int(count)):
-        layers.append(MlpLayer(
-            weight=_tensor(tensors, f"{prefix}layer{i}.weight"),
-            bias=_tensor(tensors, f"{prefix}layer{i}.bias"),
-            bn=_bn_from_tensors(tensors, f"{prefix}layer{i}.bn.", mode),
-        ))
-    return MlpParams(tuple(layers))
 
 
 def pagwn_input_from_tensors(tensors: dict):

@@ -10,7 +10,6 @@ import math
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from pgrain.eval import (
     two_plane_boundary_scene,
 )
 from pgrain.norm import group_wise_window_normalize, sigma_map
-from pgrain.pagwn import pagwn_param_tensors
 
 from conftest import OneWindow
 from test_eval import metrics_oracle
@@ -255,7 +253,7 @@ def _sample_smooth_case(rng):
             continue
         if min(float(cache.bn1_cache[4].min()), float(cache.bn2_cache[4].min())) < 1e-3:
             continue
-        bn2_rows = (cache.bn2_cache[1] * params.lb2_bn.gamma + params.lb2_bn.beta)
+        bn2_rows = (cache.bn2_cache[1] * params["lb2_bn.gamma"] + params["lb2_bn.beta"])
         rows2 = bn2_rows.reshape(k, 2 * n)
         top2 = np.sort(rows2, axis=0)[-2:, :]
         if k > 1 and float((top2[1] - top2[0]).min()) < 1e-4:
@@ -289,18 +287,9 @@ def test_criterion_06_gradient_check():
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-2)
             worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
 
-        check(grads["lb1_weight"], params.lb1_weight, lambda a: (replace(params, lb1_weight=a), inp))
-        check(grads["lb1_bias"], params.lb1_bias, lambda a: (replace(params, lb1_bias=a), inp))
-        check(grads["lb2_weight"], params.lb2_weight, lambda a: (replace(params, lb2_weight=a), inp))
-        check(grads["lb2_bias"], params.lb2_bias, lambda a: (replace(params, lb2_bias=a), inp))
-        check(grads["lb1_bn.gamma"], params.lb1_bn.gamma,
-              lambda a: (replace(params, lb1_bn=replace(params.lb1_bn, gamma=a)), inp))
-        check(grads["lb1_bn.beta"], params.lb1_bn.beta,
-              lambda a: (replace(params, lb1_bn=replace(params.lb1_bn, beta=a)), inp))
-        check(grads["lb2_bn.gamma"], params.lb2_bn.gamma,
-              lambda a: (replace(params, lb2_bn=replace(params.lb2_bn, gamma=a)), inp))
-        check(grads["lb2_bn.beta"], params.lb2_bn.beta,
-              lambda a: (replace(params, lb2_bn=replace(params.lb2_bn, beta=a)), inp))
+        for name in ("lb1_weight", "lb1_bias", "lb2_weight", "lb2_bias",
+                     "lb1_bn.gamma", "lb1_bn.beta", "lb2_bn.gamma", "lb2_bn.beta"):
+            check(grads[name], params[name], lambda a, name=name: ({**params, name: a}, inp))
         check(inputs["neighbor_features"][0], inp.neighbor_features,
               lambda a: (params, inp._replace(neighbor_features=a)))
         check(inputs["neighbor_coords"][0], inp.neighbor_coords,
@@ -415,11 +404,11 @@ def test_criterion_10_cli_determinism(tmp_path):
     center, neighbors = rng.normal(size=3), rng.normal(size=(5, 3))
     pio.write_tensor(tmp_path / "c.pgtn", center)
     pio.write_tensor(tmp_path / "n.pgtn", neighbors)
-    params = init_pagwn_params(3, seed=2).with_mode("inference")
+    params = init_pagwn_params(3, seed=2)
     inp = OneWindow(rng.normal(size=3), rng.normal(size=3),
                     rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
     pio.save_tensor_dir(tmp_path / "inp", inp._asdict())
-    pio.save_tensor_dir(tmp_path / "par", pagwn_param_tensors(params))
+    pio.save_tensor_dir(tmp_path / "par", params)
     pio.write_labels(tmp_path / "pred.txt", rng.integers(0, 2, size=40))
     pio.write_labels(tmp_path / "truth.txt", rng.integers(0, 2, size=40))
     toy = {

@@ -11,7 +11,7 @@ from pgrain import io as pio
 from pgrain.cli import main
 from pgrain.eval import compute_metrics, density_imbalanced_scene, metrics_csv
 from pgrain.norm import Window, group_wise_window_normalize, sigma_map, window_normalize
-from pgrain.pagwn import init_pagwn_params, pagwn_forward_batch, pagwn_param_tensors
+from pgrain.pagwn import init_pagwn_params, pagwn_forward_batch
 
 from test_pagwn import random_input
 
@@ -147,19 +147,18 @@ class TestPagwnForward:
     def test_serialized_round_trip_equals_in_process(self, rng, tmp_path):
         n, k = 4, 6
         inp = random_input(rng, n, k)
-        params = init_pagwn_params(n, seed=5).with_mode("inference")
+        params = init_pagwn_params(n, seed=5)
         pio.save_tensor_dir(tmp_path / "inp", inp._asdict())
-        pio.save_tensor_dir(tmp_path / "par", pagwn_param_tensors(params))
+        pio.save_tensor_dir(tmp_path / "par", params)
         out = tmp_path / "agg.pgtn"
         assert main(["pagwn-forward", "--input", str(tmp_path / "inp"),
                      "--params", str(tmp_path / "par"), "--m", "3", "--out", str(out)]) == 0
-        expected = pagwn_forward_batch(*inp.batch(), params, m=3).aggregated[0]
+        expected = pagwn_forward_batch(*inp.batch(), params, m=3, mode="inference").aggregated[0]
         np.testing.assert_array_equal(pio.read_tensor(out), expected)
 
     def test_split_below_one_rejected_on_one_neighbor_window(self, rng, tmp_path):
-        params = init_pagwn_params(3, seed=5).with_mode("inference")
         pio.save_tensor_dir(tmp_path / "inp", random_input(rng, 3, 1)._asdict())
-        pio.save_tensor_dir(tmp_path / "par", pagwn_param_tensors(params))
+        pio.save_tensor_dir(tmp_path / "par", init_pagwn_params(3, seed=5))
         result = run_cli("pagwn-forward", "--input", str(tmp_path / "inp"), "--params",
                          str(tmp_path / "par"), "--m", "0", "--out", str(tmp_path / "agg.pgtn"))
         assert result.returncode == 1
@@ -169,12 +168,12 @@ class TestPagwnForward:
 
 class TestPagwnForwardRejects:
     """Tensor directories that are missing a tensor, hold a vector where a
-    scalar belongs, or carry a malformed manifest line."""
+    scalar belongs, a wrong shape or a non-finite value, or carry a
+    malformed manifest line."""
 
     def _dirs(self, rng):
         # a valid window and parameter set; each test breaks one of them
-        params = pagwn_param_tensors(init_pagwn_params(3, seed=5).with_mode("inference"))
-        return random_input(rng, 3, 4)._asdict(), params
+        return random_input(rng, 3, 4)._asdict(), init_pagwn_params(3, seed=5)
 
     def _assert_rejected(self, capsys, tmp_path, inp, params, kind, name):
         pio.save_tensor_dir(tmp_path / "inp", inp)
@@ -205,6 +204,37 @@ class TestPagwnForwardRejects:
         inp, params = self._dirs(rng)
         params["lb1_bn.momentum"] = np.array([0.1, 0.1])
         self._assert_rejected(capsys, tmp_path, inp, params, "shape-mismatch", "lb1_bn.momentum")
+
+    @pytest.mark.parametrize("name", ["lb2_weight", "lb1_bn.gamma", "lb2_bn.running_mean"])
+    def test_nan_in_params_is_non_finite_value(self, rng, tmp_path, capsys, name):
+        inp, params = self._dirs(rng)
+        params[name].flat[-1] = np.nan
+        self._assert_rejected(capsys, tmp_path, inp, params, "non-finite-value", name)
+
+    def test_negative_running_var_is_non_finite_value(self, rng, tmp_path, capsys):
+        inp, params = self._dirs(rng)
+        params["lb1_bn.running_var"] = np.array([1.0, -1.0, 1.0])
+        self._assert_rejected(capsys, tmp_path, inp, params, "non-finite-value", "lb1_bn.running_var")
+
+    def test_short_lb1_weight_is_shape_mismatch(self, rng, tmp_path, capsys):
+        inp, params = self._dirs(rng)
+        params["lb1_weight"] = np.zeros((5, 3))  # (n+2, n); the block needs (n+3, n)
+        self._assert_rejected(capsys, tmp_path, inp, params, "shape-mismatch", "lb1_weight")
+
+    def test_f4_params_give_the_output_of_their_f8_values(self, rng, tmp_path):
+        inp, params = self._dirs(rng)
+        pio.save_tensor_dir(tmp_path / "inp", inp)
+        outputs = []
+        for dtype in (np.float32, np.float64):
+            # the same values, stored as f4 and as f8
+            pio.save_tensor_dir(tmp_path / dtype.__name__,
+                                {name: value.astype(np.float32).astype(dtype) for name, value in params.items()})
+            out = tmp_path / f"{dtype.__name__}.pgtn"
+            assert main(["pagwn-forward", "--input", str(tmp_path / "inp"), "--params",
+                         str(tmp_path / dtype.__name__), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert (tmp_path / "float32" / "lb1_weight.pgtn").read_bytes().startswith(pio.TENSOR_MAGIC + b"f4 ")
+        assert outputs[0] == outputs[1]
 
     def test_malformed_manifest_line_is_parse_error(self, rng, tmp_path, capsys):
         inp, params = self._dirs(rng)
@@ -404,7 +434,7 @@ def _normalize_case(tmp_path, *extra):
 def _pagwn_case(tmp_path, k, *extra):
     rng = np.random.default_rng(4243)
     pio.save_tensor_dir(tmp_path / "inp", random_input(rng, 4, k)._asdict())
-    pio.save_tensor_dir(tmp_path / "par", pagwn_param_tensors(init_pagwn_params(4, seed=5)))
+    pio.save_tensor_dir(tmp_path / "par", init_pagwn_params(4, seed=5))
     out = tmp_path / "agg.pgtn"
     return ["pagwn-forward", "--input", str(tmp_path / "inp"), "--params", str(tmp_path / "par"),
             *extra, "--out", str(out)], [out]

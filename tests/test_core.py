@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pgrain import (
-    BatchNormState,
     DomainError,
-    MlpLayer,
-    MlpParams,
-    PagwnParams,
     PointCloud,
     WindowStats,
+    init_mlp_params,
+    init_pagwn_params,
     validate_cloud,
 )
-from pgrain.pagwn import aggregate_precomputed
+from pgrain.pagwn import aggregate_precomputed, check_pagwn_tensors
 
 from conftest import random_cloud
 
@@ -82,66 +80,84 @@ class TestWindowStats:
         assert stats.m == 3
 
 
-class TestBatchNormState:
+def _rejected(tensors):
+    with pytest.raises(DomainError) as exc:
+        check_pagwn_tensors(tensors)
+    return exc.value
+
+
+class TestBatchNormTensors:
+    """Batch-norm tensors as the inits make them and as ``check_pagwn_tensors`` accepts them."""
+
     def test_initial_is_identity_stats(self):
-        bn = BatchNormState.initial(4)
-        assert np.array_equal(bn.gamma, np.ones(4))
-        assert np.array_equal(bn.running_var, np.ones(4))
-        assert bn.mode == "training"
+        params = init_pagwn_params(4, seed=0)
+        assert np.array_equal(params["lb1_bn.gamma"], np.ones(4))
+        assert np.array_equal(params["lb1_bn.running_var"], np.ones(4))
+        assert np.array_equal(params["lb2_bn.running_mean"], np.zeros(8))
+        for prefix in ("lb1_bn.", "lb2_bn."):
+            assert type(params[prefix + "momentum"]) is np.float64 and params[prefix + "momentum"] == 0.1
+            assert type(params[prefix + "eps"]) is np.float64 and params[prefix + "eps"] == 1e-5
+        mlp = init_mlp_params((3, 5, 2), seed=0)
+        assert type(mlp["num_layers"]) is np.int64 and mlp["num_layers"] == 2
+        assert np.array_equal(mlp["layer1.bn.gamma"], np.ones(2)) and mlp["layer1.bn.eps"] == 1e-5
 
     def test_momentum_bounds(self):
-        with pytest.raises(DomainError):
-            BatchNormState.initial(2, momentum=0.0)
-        with pytest.raises(DomainError):
-            BatchNormState.initial(2, momentum=1.0)
+        for momentum in (0.0, 1.0):
+            err = _rejected({**init_pagwn_params(2, seed=0), "lb2_bn.momentum": np.float64(momentum)})
+            assert err.kind == "invalid-spec" and "lb2_bn.momentum" in str(err)
 
     def test_eps_must_be_finite_and_nonnegative(self):
         for eps in (-0.5, np.nan, np.inf):
-            with pytest.raises(DomainError) as exc:
-                BatchNormState.initial(2, eps=eps)
-            assert exc.value.kind == "invalid-spec"
-        assert BatchNormState.identity(2).eps == 0.0
+            err = _rejected({**init_pagwn_params(2, seed=0), "lb1_bn.eps": np.float64(eps)})
+            assert err.kind == "invalid-spec" and "lb1_bn.eps" in str(err)
+        assert check_pagwn_tensors({**init_pagwn_params(2, seed=0), "lb1_bn.eps": np.float64(0.0)})["lb1_bn.eps"] == 0.0
 
     def test_negative_running_var_rejected(self):
-        with pytest.raises(DomainError):
-            BatchNormState(gamma=np.ones(2), beta=np.zeros(2),
-                           running_mean=np.zeros(2), running_var=np.array([1.0, -0.5]))
+        err = _rejected({**init_pagwn_params(2, seed=0), "lb1_bn.running_var": np.array([1.0, -0.5])})
+        assert err.kind == "non-finite-value" and "lb1_bn.running_var" in str(err)
 
     def test_training_forward_reports_batch_statistics_and_keeps_the_state(self):
-        # the training loop folds these into the checkpoint; the state itself never changes
-        bn = BatchNormState.initial(2, momentum=0.1)
-        layer = MlpLayer(weight=np.eye(2), bias=np.zeros(2), bn=bn)
+        # the training loop folds these into the checkpoint; the forward never changes a tensor
+        mlp = {**init_mlp_params((2, 2), seed=0), "layer0.weight": np.eye(2)}
+        before = {name: np.copy(value) for name, value in mlp.items()}
         rows = np.array([[-1.0, -1.0], [3.0, 5.0]])
-        out = aggregate_precomputed(rows, np.array([[0, 1]]), np.array([True]), MlpParams((layer,)))
+        out = aggregate_precomputed(rows, np.array([[0, 1]]), np.array([True]), mlp)
         mean, var = out.batch_stats["layer0.bn."]
         assert np.array_equal(mean, [1.0, 2.0]) and np.array_equal(var, [4.0, 9.0])
-        assert np.array_equal(bn.running_mean, np.zeros(2)) and np.array_equal(bn.running_var, np.ones(2))
-        assert not bn.running_mean.flags.writeable
+        assert all(np.array_equal(mlp[name], value) for name, value in before.items())
+        assert np.array_equal(mlp["layer0.bn.running_mean"], np.zeros(2))
 
 
-class TestPagwnParams:
+class TestPagwnTensors:
+    """``check_pagwn_tensors``, the one check of a block's tensors from outside."""
+
     def test_dimension_contract_enforced(self):
         n = 4
-        with pytest.raises(DomainError) as exc:
-            PagwnParams(
-                lb1_weight=np.zeros((n + 2, n)),  # must be n+3 rows
-                lb1_bias=np.zeros(n),
-                lb1_bn=BatchNormState.initial(n),
-                lb2_weight=np.zeros((2 * n, 2 * n)),
-                lb2_bias=np.zeros(2 * n),
-                lb2_bn=BatchNormState.initial(2 * n),
-            )
-        assert exc.value.kind == "shape-mismatch"
+        err = _rejected({**init_pagwn_params(n, seed=0), "lb1_weight": np.zeros((n + 2, n))})  # must be n+3 rows
+        assert err.kind == "shape-mismatch" and "lb1_weight" in str(err)
+        # no block has zero feature channels, as init_pagwn_params refuses n = 0
+        err = _rejected({**init_pagwn_params(1, seed=0), "lb1_weight": np.zeros((3, 0))})
+        assert err.kind == "shape-mismatch" and "n >= 1" in str(err)
 
-    def test_n_property(self):
-        n = 5
-        params = PagwnParams(
-            lb1_weight=np.zeros((n + 3, n)),
-            lb1_bias=np.zeros(n),
-            lb1_bn=BatchNormState.initial(n),
-            lb2_weight=np.zeros((2 * n, 2 * n)),
-            lb2_bias=np.zeros(2 * n),
-            lb2_bn=BatchNormState.initial(2 * n),
-        )
-        assert params.n == n
-        assert params.with_mode("inference").lb1_bn.mode == "inference"
+    @pytest.mark.parametrize("name, shape", [("lb1_bias", (5,)), ("lb2_weight", (8, 4)), ("lb2_bias", (4,)),
+                                             ("lb1_bn.beta", (8,)), ("lb2_bn.running_mean", (4,)),
+                                             ("lb2_bn.eps", (1,))], ids=lambda value: str(value))
+    def test_every_tensor_shape_is_checked(self, name, shape):
+        err = _rejected({**init_pagwn_params(4, seed=0), name: np.ones(shape)})
+        assert err.kind == "shape-mismatch" and name in str(err)
+
+    def test_missing_tensor_is_parse_error(self):
+        params = init_pagwn_params(3, seed=0)
+        del params["lb2_bn.beta"]
+        err = _rejected(params)
+        assert err.kind == "parse-error" and "lb2_bn.beta" in str(err)
+
+    def test_f4_and_i8_tensors_read_as_float64(self):
+        params = init_pagwn_params(5, seed=0)
+        sent = {name: value.astype(np.float32) for name, value in params.items()}
+        sent["lb1_bias"] = np.arange(5, dtype=np.int64)
+        sent["other"] = np.zeros(2)  # names outside the block are left out
+        checked = check_pagwn_tensors(sent)
+        assert list(checked) == list(params)
+        for name, value in checked.items():
+            assert value.dtype == np.float64 and np.array_equal(value, sent[name].astype(np.float64)), name

@@ -255,6 +255,14 @@ class TestToyPipeline:
         assert exc.value.kind == "divergence"
         assert "epoch" in str(exc.value)
 
+    def test_overflow_in_the_test_forward_is_divergence_at_the_last_epoch(self):
+        # one step leaves finite weights near 1e200; the test scenes' forward overflows
+        train = [density_imbalanced_scene(0, dense_count=96, sparse_count=48)]
+        test = [density_imbalanced_scene(1, dense_count=96, sparse_count=48)]
+        with np.errstate(all="ignore"), pytest.raises(DomainError) as exc:
+            run_toy_pipeline(self._tiny_config(learning_rate=1e200, epochs=1), train, test)
+        assert str(exc.value) == "divergence: non-finite values at epoch 0"
+
     def test_baseline_aggregators_run(self):
         train = [density_imbalanced_scene(s, dense_count=96, sparse_count=48) for s in range(2)]
         test = [density_imbalanced_scene(50, dense_count=96, sparse_count=48)]
@@ -350,8 +358,7 @@ class TestTrainingLossGradient:
         first = ev._first_lift(plan, agg, config)
 
         def step(p):
-            stage_params = [agg.read(p, f"stage{t}.", "training") for t in range(len(config.stages))]
-            x_final, outs, _ = ev._encode(plan, first, stage_params, agg, config)
+            x_final, outs, _ = ev._encode(plan, first, ev._stage_views(p, len(config.stages)), agg, config)
             return ev._scene_grads(plan, p, x_final, outs, config, epoch=0)
 
         _, grads = step(params)
@@ -383,7 +390,7 @@ class TestRunningStatisticsFold:
         scene = density_imbalanced_scene(5, dense_count=96, sparse_count=32)
         agg = ev._AGGREGATOR_TABLE[aggregator]
         initial = ev._init_params(config, scene.feature_dim)
-        stage_params = [agg.read(initial, f"stage{t}.", "training") for t in range(len(config.stages))]
+        stage_params = ev._stage_views(initial, len(config.stages))
         plan = ev._plan_scene(scene, config, 0)
         _, _, stats = ev._encode(plan, ev._first_lift(plan, agg, config), stage_params, agg, config)
         trained = run_toy_pipeline(config, [scene], [scene]).params
@@ -408,7 +415,7 @@ class TestFirstStageLift:
         scene = density_imbalanced_scene(5, dense_count=96, sparse_count=32)
         plan = ev._plan_scene(scene, config, 0)
         agg = ev._AGGREGATOR_TABLE[aggregator]
-        params = agg.read(ev._init_params(config, scene.feature_dim), "stage0.", "training")
+        params = ev._stage_views(ev._init_params(config, scene.feature_dim), 1)[0]
         coords, centers, hoods, occupied = plan.stages[0]
         x = scene.features
         upstream = np.random.default_rng(3).normal(size=(centers.size, 2 * x.shape[1]))
@@ -421,7 +428,7 @@ class TestFirstStageLift:
             want_features, (want_grads, _) = want.features, baseline_backward(want.cache, upstream)
         first = ev._first_lift(plan, agg, config)
         for _ in range(2):  # one lift serves every epoch
-            features, out = agg.forward(params, plan.stages[0], first, x)
+            features, out = agg.forward(params, plan.stages[0], first, x, "training")
             assert np.array_equal(features, want_features)
             assert list(out.batch_stats) == list(want.batch_stats)
             for name, pair in want.batch_stats.items():

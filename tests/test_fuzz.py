@@ -20,14 +20,11 @@ from pgrain import eval as ev
 from pgrain import io as pio
 from pgrain.cli import main
 from pgrain.pagwn import (
+    check_pagwn_tensors,
     init_mlp_params,
     init_pagwn_params,
-    mlp_param_tensors,
-    mlp_params_from_tensors,
     pagwn_forward_batch,
     pagwn_input_from_tensors,
-    pagwn_param_tensors,
-    pagwn_params_from_tensors,
 )
 
 from conftest import OneWindow
@@ -243,14 +240,16 @@ class TestTensors:
     @given(which=st.sampled_from(["pagwn", "mlp", "input"]), data=st.data())
     def test_tensor_dir_loaders(self, tmp_path_factory, which, data):
         if which == "pagwn":
-            tensors, load = pagwn_param_tensors(init_pagwn_params(2, seed=1)), pagwn_params_from_tensors
+            tensors, load = init_pagwn_params(2, seed=1), check_pagwn_tensors
         elif which == "mlp":
-            tensors, load = mlp_param_tensors(init_mlp_params((2, 3, 4), seed=1)), mlp_params_from_tensors
+            # no command reads an MLP checkpoint back, so only the directory reader meets it
+            tensors, load = init_mlp_params((2, 3, 4), seed=1), None
         else:
             tensors = OneWindow(np.zeros(3), np.zeros(2), np.ones((4, 3)), np.ones((4, 2)))._asdict()
             # read, then run through the block, as ``pgrain pagwn-forward`` does
-            params = init_pagwn_params(2, seed=1).with_mode("inference")
-            load = lambda window: pagwn_forward_batch(*pagwn_input_from_tensors(window), params)  # noqa: E731
+            params = init_pagwn_params(2, seed=1)
+            load = lambda window: pagwn_forward_batch(  # noqa: E731
+                *pagwn_input_from_tensors(window), params, mode="inference")
         names = sorted(tensors)
         for name in data.draw(st.lists(st.sampled_from(names), max_size=3)):
             action = data.draw(st.sampled_from(["drop", "reshape", "scalar", "nan"]))
@@ -274,7 +273,7 @@ class TestTensors:
                 lines.append(extra)
         manifest.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
         loaded = _only_domain_errors(pio.load_tensor_dir, root)
-        if loaded is not None:
+        if loaded is not None and load is not None:
             _only_domain_errors(load, loaded)
 
 

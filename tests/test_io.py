@@ -361,6 +361,13 @@ class TestTensorFile:
         assert f"tensor {name!r} is not a plain file name" in str(exc.value)
         assert list(tmp_path.iterdir()) == []
 
+    def test_save_rejects_an_unstorable_tensor_before_writing(self, tmp_path):
+        # "a" sorts first and is storable, so a check at write time would already have written it
+        with pytest.raises(DomainError) as exc:
+            pio.save_tensor_dir(tmp_path / "t" / "ck", {"a": np.zeros(2), "b": np.array(["x"])})
+        assert exc.value.kind == "unsupported-format"
+        assert not (tmp_path / "t").exists()
+
     @settings(max_examples=80, deadline=None)
     @given(names=st.lists(st.text(max_size=12), min_size=1, max_size=4, unique=True))
     def test_every_name_save_accepts_loads_back(self, names, tmp_path_factory):

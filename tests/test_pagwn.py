@@ -1,16 +1,11 @@
 import inspect
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgrain import (
-    BatchNormState,
     DomainError,
-    MlpLayer,
-    MlpParams,
-    PagwnParams,
     PointCloud,
     Window,
     ball_query_batch,
@@ -35,26 +30,17 @@ from pgrain.pagwn import (
     _scatter_rows,
     aggregate_precomputed,
     baseline_backward,
-    mlp_param_tensors,
-    mlp_params_from_tensors,
+    check_pagwn_tensors,
     pagwn_input_from_tensors,
-    pagwn_param_tensors,
-    pagwn_params_from_tensors,
 )
 
 from conftest import OneWindow, random_cloud
 
 
-def identity_params(n, mode="inference"):
-    """Zero-ish params whose batch norms pass values through unchanged."""
-    return PagwnParams(
-        lb1_weight=np.zeros((n + 3, n)),
-        lb1_bias=np.zeros(n),
-        lb1_bn=BatchNormState.identity(n, mode=mode),
-        lb2_weight=np.zeros((2 * n, 2 * n)),
-        lb2_bias=np.zeros(2 * n),
-        lb2_bn=BatchNormState.identity(2 * n, mode=mode),
-    )
+def identity_params(n):
+    """Zero weights and biases, and batch norms that pass values through unchanged in inference mode."""
+    return {**init_pagwn_params(n, seed=0), "lb1_weight": np.zeros((n + 3, n)), "lb2_weight": np.zeros((2 * n, 2 * n)),
+            "lb1_bn.eps": np.float64(0.0), "lb2_bn.eps": np.float64(0.0)}
 
 
 def random_input(rng, n, k):
@@ -78,7 +64,7 @@ class TestPreAbstract:
     def test_zero_weights_identity_bn_gives_zero_rows(self, rng):
         n, k = 4, 6
         inp = random_input(rng, n, k)
-        out = pre_abstract(*inp.batch(), identity_params(n), m=3)
+        out = pre_abstract(*inp.batch(), identity_params(n), m=3, mode="inference")
         assert out.shape == (1, k, n)
         assert np.all(out == 0.0)
 
@@ -88,8 +74,8 @@ class TestPreAbstract:
         inp = random_input(rng, n, k)
         weight = np.zeros((n + 3, n))
         weight[3:, :] = np.eye(n)
-        params = replace(identity_params(n), lb1_weight=weight)
-        got = pre_abstract(*inp.batch(), params, m=m)[0]
+        params = {**identity_params(n), "lb1_weight": weight}
+        got = pre_abstract(*inp.batch(), params, m=m, mode="inference")[0]
         window = Window(
             center_feature=np.concatenate([inp.center_coord, inp.center_feature]),
             neighbor_features=np.hstack([inp.neighbor_coords, inp.neighbor_features]),
@@ -101,19 +87,19 @@ class TestPreAbstract:
     @pytest.mark.parametrize("k", [4, 8, 16])
     def test_output_shape_contract(self, rng, n, k):
         inp = random_input(rng, n, k)
-        params = init_pagwn_params(n, seed=0).with_mode("inference")
-        assert pre_abstract(*inp.batch(), params, m=2).shape == (1, k, n)
+        params = init_pagwn_params(n, seed=0)
+        assert pre_abstract(*inp.batch(), params, m=2, mode="inference").shape == (1, k, n)
 
     def test_bad_split_rejected(self, rng):
         inp = random_input(rng, 3, 4)
         with pytest.raises(DomainError) as exc:
-            pre_abstract(*inp.batch(), identity_params(3), m=4)
+            pre_abstract(*inp.batch(), identity_params(3), m=4, mode="inference")
         assert exc.value.kind == "bad-split"
         # a one-neighbor window is never split, but m < 1 is still no group size
         lone = random_input(rng, 3, 1)
         for m in (0, -2):
             with pytest.raises(DomainError) as exc:
-                pagwn_forward_batch(*lone.batch(), identity_params(3), m=m)
+                pagwn_forward_batch(*lone.batch(), identity_params(3), m=m, mode="inference")
             assert exc.value.kind == "bad-split"
 
 
@@ -121,8 +107,8 @@ class TestForward:
     def test_zero_lb2_gives_zero_output(self, rng):
         n, k = 3, 5
         inp = random_input(rng, n, k)
-        params = replace(identity_params(n), lb1_weight=rng.normal(size=(n + 3, n)))
-        out = pagwn_forward_batch(*inp.batch(), params, m=2)
+        params = {**identity_params(n), "lb1_weight": rng.normal(size=(n + 3, n))}
+        out = pagwn_forward_batch(*inp.batch(), params, m=2, mode="inference")
         assert out.aggregated.shape == (1, 2 * n)
         assert np.all(out.aggregated == 0.0)
 
@@ -130,24 +116,23 @@ class TestForward:
         # K=1: the pooled row IS the single LB2 row
         n = 3
         inp = random_input(rng, n, 1)
-        params = identity_params(n)
-        params = replace(params,
-                         lb1_weight=rng.normal(size=(n + 3, n)),
-                         lb2_weight=rng.normal(size=(2 * n, 2 * n)))
-        out = pagwn_forward_batch(*inp.batch(), params, m=1)
+        params = {**identity_params(n),
+                  "lb1_weight": rng.normal(size=(n + 3, n)),
+                  "lb2_weight": rng.normal(size=(2 * n, 2 * n))}
+        out = pagwn_forward_batch(*inp.batch(), params, m=1, mode="inference")
         dev = np.hstack([inp.neighbor_coords, inp.neighbor_features[None][0]]) \
             - np.concatenate([inp.center_coord, inp.center_feature])
         sigma = np.sqrt((dev * dev).sum() / (n + 3 - 1))
         gwn_row = dev / (sigma + 1e-5)
-        row1 = gwn_row @ params.lb1_weight
-        row2 = np.concatenate([row1.ravel(), inp.center_feature]) @ params.lb2_weight
+        row1 = gwn_row @ params["lb1_weight"]
+        row2 = np.concatenate([row1.ravel(), inp.center_feature]) @ params["lb2_weight"]
         np.testing.assert_allclose(out.aggregated[0], np.maximum(row2, 0.0), rtol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 4, 16])
     def test_aggregated_dimension_is_2n(self, rng, n):
         inp = random_input(rng, n, 6)
-        params = init_pagwn_params(n, seed=1).with_mode("inference")
-        out = pagwn_forward_batch(*inp.batch(), params, m=3)
+        params = init_pagwn_params(n, seed=1)
+        out = pagwn_forward_batch(*inp.batch(), params, m=3, mode="inference")
         assert out.aggregated.shape == (1, 2 * n)
         assert np.all(out.aggregated >= 0.0)
 
@@ -177,26 +162,33 @@ class TestForward:
     def test_inference_forward_is_bit_deterministic(self, rng):
         n, k = 5, 6
         inp = random_input(rng, n, k)
-        params = init_pagwn_params(n, seed=4).with_mode("inference")
-        a = pagwn_forward_batch(*inp.batch(), params, m=2).aggregated
-        b = pagwn_forward_batch(*inp.batch(), params, m=2).aggregated
+        params = init_pagwn_params(n, seed=4)
+        a = pagwn_forward_batch(*inp.batch(), params, m=2, mode="inference").aggregated
+        b = pagwn_forward_batch(*inp.batch(), params, m=2, mode="inference").aggregated
         assert np.array_equal(a, b)
 
     def test_batch_matches_stacked_singles_in_inference(self, rng):
         # inference-mode batch norm has no cross-window coupling
         n, k, m_windows = 3, 5, 4
-        params = init_pagwn_params(n, seed=5).with_mode("inference")
+        params = init_pagwn_params(n, seed=5)
         inputs = [random_input(rng, n, k) for _ in range(m_windows)]
         batch = pagwn_forward_batch(
             np.stack([i.neighbor_coords for i in inputs]),
             np.stack([i.neighbor_features for i in inputs]),
             np.stack([i.center_coord for i in inputs]),
             np.stack([i.center_feature for i in inputs]),
-            params, m=2,
+            params, m=2, mode="inference",
         )
         for row, inp in enumerate(inputs):
-            single = pagwn_forward_batch(*inp.batch(), params, m=2).aggregated[0]
+            single = pagwn_forward_batch(*inp.batch(), params, m=2, mode="inference").aggregated[0]
             np.testing.assert_allclose(batch.aggregated[row], single, rtol=1e-12, atol=1e-14)
+
+    def test_unknown_mode_is_invalid_spec(self, rng):
+        inp = random_input(rng, 3, 4)
+        for forward in (pagwn_forward_batch, pre_abstract):
+            with pytest.raises(DomainError) as exc:
+                forward(*inp.batch(), init_pagwn_params(3, seed=0), m=2, mode="eval")
+            assert exc.value.kind == "invalid-spec" and "'eval'" in str(exc.value)
 
     def test_running_stats_update_only_in_training(self, rng):
         # a training forward reports each batch norm's batch (mean, var) under its
@@ -206,16 +198,15 @@ class TestForward:
         params = init_pagwn_params(n, seed=6)
         train_out = pagwn_forward_batch(*inp.batch(), params, m=2)
         assert set(train_out.batch_stats) == {"lb1_bn.", "lb2_bn."}
-        tensors = pagwn_param_tensors(params)
-        assert all(name + "running_mean" in tensors for name in train_out.batch_stats)
+        assert all(name + "running_mean" in params for name in train_out.batch_stats)
         cache = train_out.cache
-        z1 = cache.gwn_rows @ params.lb1_weight + params.lb1_bias
-        z2 = cache.h_rows @ params.lb2_weight + params.lb2_bias
+        z1 = cache.gwn_rows @ params["lb1_weight"] + params["lb1_bias"]
+        z2 = cache.h_rows @ params["lb2_weight"] + params["lb2_bias"]
         for name, z in (("lb1_bn.", z1), ("lb2_bn.", z2)):
             mean, var = train_out.batch_stats[name]
             np.testing.assert_allclose(mean, z.mean(axis=0), rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(var, z.var(axis=0), rtol=1e-12, atol=1e-15)
-        infer_out = pagwn_forward_batch(*inp.batch(), params.with_mode("inference"), m=2)
+        infer_out = pagwn_forward_batch(*inp.batch(), params, m=2, mode="inference")
         assert infer_out.batch_stats == {}
 
 
@@ -232,7 +223,7 @@ class TestBackward:
     def test_inference_cache_is_stale(self, rng):
         n, k = 3, 5
         inp = random_input(rng, n, k)
-        out = pagwn_forward_batch(*inp.batch(), init_pagwn_params(n, seed=8).with_mode("inference"), m=2)
+        out = pagwn_forward_batch(*inp.batch(), init_pagwn_params(n, seed=8), m=2, mode="inference")
         with pytest.raises(DomainError) as exc:
             pagwn_backward(out.cache, np.zeros((1, 2 * n)))
         assert exc.value.kind == "stale-cache"
@@ -261,14 +252,9 @@ class TestBackward:
             return fd
 
         checks = [
-            (grads["lb1_weight"], params.lb1_weight,
-             lambda a: (replace(params, lb1_weight=a), inp)),
-            (grads["lb2_weight"], params.lb2_weight,
-             lambda a: (replace(params, lb2_weight=a), inp)),
-            (grads["lb1_bn.gamma"], params.lb1_bn.gamma,
-             lambda a: (replace(params, lb1_bn=replace(params.lb1_bn, gamma=a)), inp)),
-            (grads["lb2_bn.beta"], params.lb2_bn.beta,
-             lambda a: (replace(params, lb2_bn=replace(params.lb2_bn, beta=a)), inp)),
+            (grads[name], params[name], lambda a, name=name: ({**params, name: a}, inp))
+            for name in ("lb1_weight", "lb2_weight", "lb1_bn.gamma", "lb2_bn.beta")
+        ] + [
             (inputs["neighbor_features"][0], inp.neighbor_features,
              lambda a: (params, inp._replace(neighbor_features=a))),
             (inputs["center_features"][0], inp.center_feature,
@@ -376,17 +362,17 @@ class TestBatchNormConstantChannel:
         const = 1 if channels > 1 else 0  # the constant column, at C == 1 the only one
         x = rng.normal(size=(rows, channels))
         x[:, const] = 2.5
-        bn = BatchNormState(gamma=rng.uniform(0.5, 2.0, channels), beta=rng.normal(size=channels),
-                            running_mean=np.zeros(channels), running_var=np.ones(channels))
-        y, cache = _bn_forward(x, bn)
+        mlp = {**init_mlp_params((channels, channels), seed=0), "layer0.weight": np.eye(channels),
+               "layer0.bn.gamma": rng.uniform(0.5, 2.0, channels), "layer0.bn.beta": rng.normal(size=channels)}
+        y, cache = _bn_forward(x, mlp, "layer0.bn.", "training")
         x_hat = cache[1]
-        dx, dgamma, dbeta = _bn_backward(rng.normal(size=(rows, channels)), bn, cache)
+        dx, dgamma, dbeta = _bn_backward(rng.normal(size=(rows, channels)), mlp["layer0.bn.gamma"], cache)
         # the batch statistics a training forward reports, folded as run_toy_pipeline folds them
-        layer = MlpLayer(weight=np.eye(channels), bias=np.zeros(channels), bn=bn)
-        out = aggregate_precomputed(x, np.arange(rows)[:, None], np.ones(rows, dtype=bool), MlpParams((layer,)))
+        out = aggregate_precomputed(x, np.arange(rows)[:, None], np.ones(rows, dtype=bool), mlp)
         mean, var = out.batch_stats["layer0.bn."]
-        running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mean
-        running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * var
+        momentum = float(mlp["layer0.bn.momentum"])
+        running_mean = (1.0 - momentum) * mlp["layer0.bn.running_mean"] + momentum * mean
+        running_var = (1.0 - momentum) * mlp["layer0.bn.running_var"] + momentum * var
         for arr in (y, x_hat, dx, dgamma, dbeta, running_mean, running_var):
             assert np.isfinite(arr).all()
         assert np.array_equal(x_hat[:, const], np.zeros(rows))
@@ -396,26 +382,26 @@ class TestBatchNormConstantChannel:
     def test_inexact_constant_gives_rounding_level_x_hat(self):
         x = np.full((4096, 2), 0.1)
         x[:, 1] = np.arange(4096.0)
-        _, cache = _bn_forward(x, BatchNormState.initial(2))
+        _, cache = _bn_forward(x, init_mlp_params((2, 2), seed=0), "layer0.bn.", "training")
         assert np.abs(cache[1][:, 0]).max() < 1e-10
 
 
-def _knn_baseline(cloud, centers, k, mlp):
+def _knn_baseline(cloud, centers, k, mlp, mode="inference"):
     """The MLP baseline over each center's KNN window."""
     hoods, _ = knn_batch(build_index(cloud), cloud.coords[centers], k)
-    return aggregate_precomputed(cloud.features, hoods, np.ones(len(centers), dtype=bool), mlp)
+    return aggregate_precomputed(cloud.features, hoods, np.ones(len(centers), dtype=bool), mlp, mode=mode)
 
 
 def _bq_baseline(cloud, centers, radius, k_max, mlp):
-    """The MLP baseline over each center's ball-query window; empty regions stay unoccupied."""
+    """The MLP baseline in inference mode over each center's ball-query window; empty regions stay unoccupied."""
     batch = ball_query_batch(build_index(cloud), cloud.coords[centers], radius, k_max)
-    return aggregate_precomputed(cloud.features, batch.indices, batch.occupied, mlp)
+    return aggregate_precomputed(cloud.features, batch.indices, batch.occupied, mlp, mode="inference")
 
 
 class TestBaselines:
-    def _identity_mlp(self, n, mode="inference"):
-        return MlpParams((MlpLayer(weight=np.eye(n), bias=np.zeros(n),
-                                   bn=BatchNormState.identity(n, mode=mode)),))
+    def _identity_mlp(self, n):
+        """One layer whose weight and inference-mode batch norm pass values through unchanged."""
+        return {**init_mlp_params((n, n), seed=0), "layer0.weight": np.eye(n), "layer0.bn.eps": np.float64(0.0)}
 
     def test_knn_identity_mlp_single_neighbor(self, rng):
         cloud = PointCloud(coords=rng.normal(size=(10, 3)),
@@ -427,7 +413,7 @@ class TestBaselines:
     def test_bq_on_cloud_centers_never_empty(self, rng):
         cloud = random_cloud(rng, n_points=20)
         out = _bq_baseline(cloud, [0, 5], 0.05, 4, self._identity_mlp(3))
-        assert not out.empty_region.any()
+        assert out.cache.occupied.all()
 
     def test_bq_identity_mlp_lone_point_in_radius(self, rng):
         # the only point within a tiny radius of an on-cloud center is itself
@@ -439,7 +425,7 @@ class TestBaselines:
     def test_bq_matches_knn_when_radius_covers_cloud(self, rng):
         # with every point in range and k_max = N, BQ and KNN windows coincide
         cloud = random_cloud(rng, n_points=15)
-        mlp = init_mlp_params((3, 6), seed=4).with_mode("inference")
+        mlp = init_mlp_params((3, 6), seed=4)
         a = _bq_baseline(cloud, [0, 7], 50.0, 15, mlp)
         b = _knn_baseline(cloud, [0, 7], 15, mlp)
         np.testing.assert_allclose(a.features, b.features, rtol=1e-12)
@@ -449,8 +435,8 @@ class TestBaselines:
         hoods = np.zeros((2, 3), dtype=np.int64)
         hoods[0] = [1, 2, 3]
         occupied = np.array([True, False])
-        out = aggregate_precomputed(features, hoods, occupied, self._identity_mlp(3))
-        assert out.empty_region[1]
+        out = aggregate_precomputed(features, hoods, occupied, self._identity_mlp(3), mode="inference")
+        assert not out.cache.occupied[1]
         assert np.all(out.features[1] == 0.0)
         assert not np.all(out.features[0] == 0.0)
 
@@ -463,48 +449,44 @@ class TestBaselines:
         mlp = init_mlp_params((3, 4, 6), seed=2)
         out = aggregate_precomputed(features, hoods, occupied, mlp)
         assert list(out.batch_stats) == ["layer0.bn.", "layer1.bn."]
-        assert all(name + "running_mean" in mlp_param_tensors(mlp) for name in out.batch_stats)
+        assert all(name + "running_mean" in mlp for name in out.batch_stats)
         x = features[hoods[occupied].reshape(-1)]
-        for layer, (mean, var) in zip(mlp.layers, out.batch_stats.values()):
-            z = x @ layer.weight + layer.bias
+        for i, (mean, var) in enumerate(out.batch_stats.values()):
+            z = x @ mlp[f"layer{i}.weight"] + mlp[f"layer{i}.bias"]
             np.testing.assert_allclose(mean, z.mean(axis=0), rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(var, z.var(axis=0), rtol=1e-12, atol=1e-15)
-            y = layer.bn.gamma * (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + layer.bn.eps) + layer.bn.beta
+            y = (mlp[f"layer{i}.bn.gamma"] * (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + mlp[f"layer{i}.bn.eps"])
+                 + mlp[f"layer{i}.bn.beta"])
             x = np.maximum(y, 0.0)
-        inference = aggregate_precomputed(features, hoods, occupied, mlp.with_mode("inference"))
+        inference = aggregate_precomputed(features, hoods, occupied, mlp, mode="inference")
         assert inference.batch_stats == {}
         empty = aggregate_precomputed(features, hoods, np.zeros(4, dtype=bool), mlp)
         assert empty.batch_stats == {}
 
     def test_neighbor_permutation_invariance(self, rng):
         cloud = random_cloud(rng, n_points=30)
-        mlp = init_mlp_params((3, 6), seed=1).with_mode("inference")
+        mlp = init_mlp_params((3, 6), seed=1)
         base = _knn_baseline(cloud, [2, 7], 8, mlp)
         hoods = base.cache.neighbor_indices.copy()
         for row in hoods:
             rng.shuffle(row)
         permuted = aggregate_precomputed(cloud.features, hoods,
-                                         np.ones(2, dtype=bool), mlp)
+                                         np.ones(2, dtype=bool), mlp, mode="inference")
         np.testing.assert_allclose(base.features, permuted.features, rtol=1e-12, atol=1e-14)
 
     def test_matches_direct_reference_evaluation(self, rng):
         # independent per-row loop with explicit inference batch norm math
         cloud = random_cloud(rng, n_points=25)
-        mlp = init_mlp_params((3, 5), seed=3, mode="inference")
-        mlp = MlpParams((replace(
-            mlp.layers[0],
-            bn=BatchNormState(gamma=rng.uniform(0.5, 2, size=5), beta=rng.normal(size=5),
-                              running_mean=rng.normal(size=5), running_var=rng.uniform(0.5, 2, size=5),
-                              mode="inference"),
-        ),))
+        mlp = {**init_mlp_params((3, 5), seed=3),
+               "layer0.bn.gamma": rng.uniform(0.5, 2, size=5), "layer0.bn.beta": rng.normal(size=5),
+               "layer0.bn.running_mean": rng.normal(size=5), "layer0.bn.running_var": rng.uniform(0.5, 2, size=5)}
         out = _knn_baseline(cloud, [0, 3, 9], 4, mlp)
-        layer = mlp.layers[0]
         for row, hood in enumerate(out.cache.neighbor_indices):
             transformed = []
             for j in hood:
-                z = cloud.features[j] @ layer.weight + layer.bias
-                zn = layer.bn.gamma * (z - layer.bn.running_mean) / np.sqrt(
-                    layer.bn.running_var + layer.bn.eps) + layer.bn.beta
+                z = cloud.features[j] @ mlp["layer0.weight"] + mlp["layer0.bias"]
+                zn = mlp["layer0.bn.gamma"] * (z - mlp["layer0.bn.running_mean"]) / np.sqrt(
+                    mlp["layer0.bn.running_var"] + mlp["layer0.bn.eps"]) + mlp["layer0.bn.beta"]
                 transformed.append(np.maximum(zn, 0.0))
             expected = np.max(np.stack(transformed), axis=0)
             np.testing.assert_allclose(out.features[row], expected, rtol=1e-12)
@@ -523,17 +505,17 @@ class TestBaselines:
                 np.ones(3, dtype=bool), params)
             return float(np.sum(out.features * upstream))
 
-        base = _knn_baseline(cloud, centers, 5, mlp)
+        base = _knn_baseline(cloud, centers, 5, mlp, mode="training")
         grads, d_features = baseline_backward(base.cache, upstream)
 
-        fd_w = np.zeros_like(mlp.layers[0].weight)
+        fd_w = np.zeros_like(mlp["layer0.weight"])
         it = np.nditer(fd_w, flags=["multi_index"])
         for _ in it:
             ix = it.multi_index
             delta = np.zeros_like(fd_w)
             delta[ix] = h
-            up = MlpParams((replace(mlp.layers[0], weight=mlp.layers[0].weight + delta),))
-            dn = MlpParams((replace(mlp.layers[0], weight=mlp.layers[0].weight - delta),))
+            up = {**mlp, "layer0.weight": mlp["layer0.weight"] + delta}
+            dn = {**mlp, "layer0.weight": mlp["layer0.weight"] - delta}
             fd_w[ix] = (loss(cloud.features, up) - loss(cloud.features, dn)) / (2 * h)
         assert grad_close(grads["layer0.weight"], fd_w)
 
@@ -565,7 +547,7 @@ class TestGradientKeys:
                   rng.normal(size=(m_win, 3)), rng.normal(size=(m_win, n)))
         out = pagwn_forward_batch(*window, params, m=2)
         grads, inputs = pagwn_backward(out.cache, rng.normal(size=(m_win, 2 * n)))
-        trainable = _trainable(pagwn_param_tensors(params))
+        trainable = _trainable(params)
         assert len(trainable) == 8 and set(grads) == set(trainable)
         for name, value in grads.items():
             assert value.shape == trainable[name].shape, name
@@ -582,7 +564,7 @@ class TestGradientKeys:
         mlp = init_mlp_params((3, 4, 6), seed=12)
         out = aggregate_precomputed(features, hoods, np.array(occupied), mlp)
         grads, d_features = baseline_backward(out.cache, rng.normal(size=(3, 6)))
-        trainable = _trainable(mlp_param_tensors(mlp))
+        trainable = _trainable(mlp)
         assert len(trainable) == 8 and set(grads) == set(trainable)
         for name, value in grads.items():
             assert value.shape == trainable[name].shape, name
@@ -602,7 +584,7 @@ class TestLiftedRows:
             params = init_pagwn_params(n, seed)
             upstream = rng.normal(size=(m_win, 2 * n))
             fresh = pagwn_forward_batch(*window, params, m=m)
-            out = _pagwn_block(*kept, window[3], params)
+            out = _pagwn_block(*kept, window[3], params, "training")
             assert np.array_equal(out.aggregated, fresh.aggregated)
             assert list(out.batch_stats) == list(fresh.batch_stats)
             for name, pair in fresh.batch_stats.items():
@@ -618,22 +600,24 @@ class TestLiftedRows:
 class TestCheckpoints:
     def test_pagwn_round_trip_preserves_forward(self, rng, tmp_path):
         n, k = 4, 6
-        params = init_pagwn_params(n, seed=9).with_mode("inference")
-        pio.save_tensor_dir(tmp_path / "ckpt", pagwn_param_tensors(params))
-        loaded = pagwn_params_from_tensors(pio.load_tensor_dir(tmp_path / "ckpt"))
+        params = init_pagwn_params(n, seed=9)
+        pio.save_tensor_dir(tmp_path / "ckpt", params)
+        loaded = pio.load_tensor_dir(tmp_path / "ckpt")
+        checked = check_pagwn_tensors(loaded)
+        assert list(checked) == list(params)
+        assert all(_same_bytes(checked[name], np.asarray(value)) for name, value in params.items())
         inp = random_input(rng, n, k)
-        a = pagwn_forward_batch(*inp.batch(), params, m=2).aggregated
-        b = pagwn_forward_batch(*inp.batch(), loaded, m=2).aggregated
+        a = pagwn_forward_batch(*inp.batch(), params, m=2, mode="inference").aggregated
+        b = pagwn_forward_batch(*inp.batch(), loaded, m=2, mode="inference").aggregated
         assert np.array_equal(a, b)
 
     def test_mlp_round_trip(self, tmp_path):
         mlp = init_mlp_params((3, 8, 4), seed=2)
-        pio.save_tensor_dir(tmp_path / "m", mlp_param_tensors(mlp))
-        loaded = mlp_params_from_tensors(pio.load_tensor_dir(tmp_path / "m"))
-        assert len(loaded.layers) == 2
-        for a, b in zip(mlp.layers, loaded.layers):
-            np.testing.assert_array_equal(a.weight, b.weight)
-            np.testing.assert_array_equal(a.bn.running_var, b.bn.running_var)
+        pio.save_tensor_dir(tmp_path / "m", mlp)
+        loaded = pio.load_tensor_dir(tmp_path / "m")
+        assert list(loaded) == sorted(mlp) and int(loaded["num_layers"]) == 2
+        for name, value in mlp.items():
+            assert _same_bytes(loaded[name], np.asarray(value)), name
 
     def test_input_round_trip(self, rng, tmp_path):
         inp = random_input(rng, 3, 5)
