@@ -10,7 +10,6 @@ from .core import (
     DomainError,
     MetricsReport,
     PointCloud,
-    WindowStats,
     validate_cloud,
 )
 from .eval import (
@@ -24,13 +23,8 @@ from .eval import (
     run_toy_pipeline,
 )
 from .norm import (
-    NormalizedWindow,
-    Window,
-    calibrate,
-    group_wise_window_normalize,
     sigma_map,
     window_normalize,
-    window_sigma,
 )
 from .pagwn import (
     PagwnOutput,
@@ -57,24 +51,19 @@ __all__ = [
     "DomainError",
     "MetricsReport",
     "NeighborIndex",
-    "NormalizedWindow",
     "PagwnOutput",
     "PointCloud",
     "RegionSpec",
     "StageSpec",
     "SyntheticSceneSpec",
     "ToyPipelineConfig",
-    "Window",
-    "WindowStats",
     "ablate_m",
     "ball_query_batch",
     "brute_force_knn",
     "build_index",
-    "calibrate",
     "compute_metrics",
     "farthest_point_sample",
     "generate_scene",
-    "group_wise_window_normalize",
     "init_mlp_params",
     "init_pagwn_params",
     "knn_batch",
@@ -86,5 +75,4 @@ __all__ = [
     "sigma_map",
     "validate_cloud",
     "window_normalize",
-    "window_sigma",
 ]

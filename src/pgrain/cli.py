@@ -77,15 +77,9 @@ def _cmd_sigma_map(args) -> int:
 def _cmd_normalize(args) -> int:
     center = pio.read_tensor(args.center)
     neighbors = pio.read_tensor(args.neighbors)
-    window = norm.Window(center_feature=center, neighbor_features=neighbors)
-    if args.m is None:
-        result = norm.window_normalize(window, epsilon=args.epsilon)
-        sigmas = [result.stats.sigma]
-    else:
-        result = norm.group_wise_window_normalize(window, m=args.m, epsilon=args.epsilon)
-        sigmas = [s.sigma for s in result.stats]
-    pio.write_tensor(args.out, result.values)
-    print("sigma " + " ".join(repr(float(s)) for s in sigmas))
+    values, sigmas = norm.window_normalize(neighbors[None], center[None], m=args.m, epsilon=args.epsilon)
+    pio.write_tensor(args.out, values[0])
+    print("sigma " + " ".join(repr(float(s[0])) for s in sigmas))
     return 0
 
 

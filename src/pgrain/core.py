@@ -1,9 +1,8 @@
 """Domain types shared by every pgrain module.
 
 All value types are immutable after construction (frozen dataclasses whose
-array fields are marked read-only), so they can be shared freely between
-threads.  Validation happens at construction time; every violation raises
-:class:`DomainError` with a stable kind tag.
+array fields are marked read-only).  Validation happens at construction
+time; every violation raises :class:`DomainError` with a stable kind tag.
 
 Learnable parameters are not value types here: they are flat
 ``name -> array`` dicts of checkpoint tensors (see :mod:`pgrain.pagwn`).
@@ -126,35 +125,6 @@ def validate_cloud(cloud: PointCloud) -> None:
         if not finite.all():
             idx = int(np.flatnonzero(~finite)[0])
             raise DomainError("non-finite-value", f"{name} row {idx} contains a non-finite entry")
-
-
-@dataclass(frozen=True, eq=False)
-class WindowStats:
-    """Scalar spread of one window: sigma, and lam = 1 / (sigma + epsilon).
-
-    ``m`` records the texture-group size for group-wise normalization and is
-    None for ungrouped windows.  ``lam`` is always derived from sigma and
-    epsilon at construction, never supplied.
-    """
-
-    sigma: float
-    epsilon: float
-    m: Optional[int] = None
-    lam: float = None  # type: ignore[assignment]  # computed in __post_init__
-
-    def __post_init__(self):
-        sigma = float(self.sigma)
-        epsilon = float(self.epsilon)
-        if not np.isfinite(sigma) or sigma < 0:
-            raise DomainError("non-finite-value", f"sigma must be finite and >= 0, got {sigma}")
-        if not np.isfinite(epsilon) or epsilon <= 0:
-            raise DomainError("invalid-spec", f"epsilon must be finite and > 0, got {epsilon}")
-        if self.m is not None and self.m < 1:
-            raise DomainError("bad-split", f"group size m must be >= 1, got {self.m}")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "m", None if self.m is None else int(self.m))
-        object.__setattr__(self, "lam", 1.0 / (sigma + epsilon))
 
 
 @dataclass(frozen=True, eq=False)

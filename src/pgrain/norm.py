@@ -1,9 +1,10 @@
 """Window normalization of local feature neighborhoods.
 
 A window is one center feature plus its K neighbor features (rows in
-ascending-distance order).  Normalization subtracts the CENTER feature —
-prior knowledge standing in for the window mean — and divides by a single
-scalar sigma plus epsilon:
+ascending-distance order); a batch of M windows is an (M, K, d) array of
+rows beside an (M, d) array of centers.  Normalization subtracts the
+CENTER feature — prior knowledge standing in for the window mean — and
+divides by a single scalar sigma plus epsilon:
 
     sigma = sqrt( sum_j ||x_j - x_center||^2 / (K*d - 1) )
 
@@ -11,65 +12,22 @@ summed over all K rows and all d channels.  Sigma is deliberately one
 scalar per window, not per channel: the K*d - 1 denominator counts every
 entry of the window.  The group-wise variant splits the rows at m (the m
 nearest rows form the texture group) and normalizes each group with its
-own sigma.  No learnable parameters anywhere.
+own sigma, so a batch yields one (M,) sigma array per group.  No learnable
+parameters anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import DomainError, PointCloud, WindowStats
+from .core import DomainError, PointCloud
 from .spatial import build_index, knn_batch
 
 DEFAULT_EPSILON = 1e-5
 DEFAULT_SPLIT = 3  # grouping size with the best reported ablation accuracy
 _SIGMA_CHUNK = 256  # sigma_map centers per neighbor batch and window gather; bounds its working memory
-
-
-@dataclass(frozen=True, eq=False)
-class Window:
-    """One center feature and its K neighbor features, all finite.
-
-    ``d`` is the working dimension: the raw feature dimension n, or n+3
-    when coordinates are concatenated in front of the features.
-    """
-
-    center_feature: np.ndarray  # (d,)
-    neighbor_features: np.ndarray  # (K, d)
-
-    def __post_init__(self):
-        center = np.asarray(self.center_feature, dtype=np.float64).reshape(-1)
-        rows = np.asarray(self.neighbor_features, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != center.shape[0]:
-            raise DomainError(
-                "shape-mismatch",
-                f"neighbors {rows.shape} incompatible with center of dimension {center.shape[0]}",
-            )
-        if center.shape[0] < 1 or rows.shape[0] < 1:
-            raise DomainError("degenerate-window", "windows need K >= 1 and d >= 1")
-        if not (np.isfinite(center).all() and np.isfinite(rows).all()):
-            raise DomainError("non-finite-value", "window entries must be finite")
-        object.__setattr__(self, "center_feature", center)
-        object.__setattr__(self, "neighbor_features", rows)
-
-    @property
-    def k(self) -> int:
-        return self.neighbor_features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.neighbor_features.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedWindow:
-    """Normalized window rows plus the statistics that produced them."""
-
-    values: np.ndarray  # (K, d)
-    stats: Union[WindowStats, Tuple[WindowStats, WindowStats]]
 
 
 def _sigmas(dev: np.ndarray, denom: int) -> np.ndarray:
@@ -133,52 +91,29 @@ def _gwn_backward(g: np.ndarray, cache):
     return ddev
 
 
-def _normalize(window: Window, m: Optional[int], epsilon: float) -> NormalizedWindow:
-    out, (_, sigmas, _, _) = _gwn_forward(window.neighbor_features[None],
-                                          window.center_feature[None], m, epsilon)
-    stats = tuple(WindowStats(float(sig[0]), epsilon, m=m) for sig in sigmas)
-    return NormalizedWindow(values=out[0], stats=stats[0] if m is None else stats)
+def window_normalize(windows, centers, m: Optional[int] = None,
+                     epsilon: float = DEFAULT_EPSILON) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Group-wise window normalization of M windows: (x_j - x_center) / (sigma + epsilon).
 
-
-def window_sigma(window: Window) -> float:
-    """Scalar standard deviation of the window around its center feature."""
-    count = window.k * window.d
-    if count < 2:
-        raise DomainError("degenerate-window", f"sigma needs K*d >= 2 entries, got {count}")
-    dev = window.neighbor_features - window.center_feature
-    return float(_sigmas(dev[None], count - 1)[0])
-
-
-def window_normalize(window: Window, epsilon: float = DEFAULT_EPSILON) -> NormalizedWindow:
-    """Normalize every row: (x_j - x_center) / (sigma + epsilon)."""
-    return _normalize(window, None, epsilon)
-
-
-def calibrate(normalized: NormalizedWindow, center_feature: np.ndarray) -> np.ndarray:
-    """Rectified rows: x* = x_hat + x_center.
-
-    Algebraically x* = lam * x + (1 - lam) * x_center with
-    lam = 1 / (sigma + epsilon), which is what makes the rectified window's
-    sample mean and variance shrink toward the center by lam and lam^2.
+    windows: (M, K, d) neighbor rows in ascending-distance order (a
+    ``knn_batch`` row); centers: (M, d).  ``m=None`` normalizes all K rows
+    as one group; otherwise rows [0, m) (the texture group) and [m, K) get
+    their own sigma.  Returns the (M, K, d) normalized rows and one (M,)
+    sigma array per group.  The rectified rows are ``values + centers[:, None]``.
     """
-    center = np.asarray(center_feature, dtype=np.float64).reshape(-1)
-    if center.shape[0] != normalized.values.shape[1]:
-        raise DomainError(
-            "shape-mismatch",
-            f"center of dimension {center.shape[0]} against values {normalized.values.shape}",
-        )
-    return normalized.values + center
-
-
-def group_wise_window_normalize(window: Window, m: int = DEFAULT_SPLIT,
-                                epsilon: float = DEFAULT_EPSILON) -> NormalizedWindow:
-    """Normalize the m nearest rows and the K-m remaining rows separately.
-
-    Rows must already be in ascending-distance order (a ``knn_batch`` row):
-    the first m rows are the texture group, the rest the spatial group.
-    Each group gets its own sigma with denominator (count*d - 1).
-    """
-    return _normalize(window, m, epsilon)
+    windows = np.asarray(windows, dtype=np.float64)
+    centers = np.asarray(centers, dtype=np.float64)
+    if windows.ndim != 3 or centers.ndim != 2 or windows.shape[::2] != centers.shape:
+        raise DomainError("shape-mismatch",
+                          f"windows {windows.shape} and centers {centers.shape} are not (M, K, d) and (M, d)")
+    if windows.shape[1] < 1 or windows.shape[2] < 1:
+        raise DomainError("degenerate-window", "windows need K >= 1 and d >= 1")
+    if not (np.isfinite(windows).all() and np.isfinite(centers).all()):
+        raise DomainError("non-finite-value", "window entries must be finite")
+    values, (_, sigmas, _, _) = _gwn_forward(windows, centers, m, epsilon)
+    if not all(np.isfinite(sig).all() for sig in sigmas):
+        raise DomainError("non-finite-value", "a window sigma overflows to infinity")
+    return values, sigmas
 
 
 def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,

@@ -535,12 +535,11 @@ def pagwn_input_from_tensors(tensors: dict):
     are left to its own checks.
     """
     window = []
-    for name in ("neighbor_coords", "neighbor_features", "center_coord", "center_feature"):
+    ranks = {"neighbor_coords": 2, "neighbor_features": 2, "center_coord": 1, "center_feature": 1}
+    for name, rank in ranks.items():
         arr = np.asarray(_tensor(tensors, name), dtype=np.float64)
-        if name.startswith("center"):
-            arr = arr.reshape(-1)
-        elif arr.ndim != 2:
-            raise DomainError("shape-mismatch", f"{name} must be a (K, C) matrix, got shape {arr.shape}")
+        if arr.ndim != rank:
+            raise DomainError("shape-mismatch", f"{name} must have rank {rank}, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise DomainError("non-finite-value", f"{name} contains a non-finite entry")
         window.append(arr[None])

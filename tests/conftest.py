@@ -3,7 +3,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from pgrain import PointCloud
+from pgrain import PointCloud, window_normalize
+from pgrain.norm import DEFAULT_EPSILON
 
 
 def random_cloud(rng, n_points=None, feature_dim=3, labeled=False, num_classes=4,
@@ -34,6 +35,19 @@ class OneWindow(NamedTuple):
         """The window as the first four arguments of ``pagwn_forward_batch``, a batch of one."""
         return (self.neighbor_coords[None], self.neighbor_features[None],
                 self.center_coord[None], self.center_feature[None])
+
+
+class GwnWindow(NamedTuple):
+    """One window of window normalization: a center feature and its K neighbor rows."""
+
+    center_feature: np.ndarray     # (d,)
+    neighbor_features: np.ndarray  # (K, d)
+
+    def normalize(self, m=None, epsilon=DEFAULT_EPSILON):
+        """``window_normalize`` on the window as a batch of one: the (K, d) rows and one float sigma per group."""
+        values, sigmas = window_normalize(self.neighbor_features[None], self.center_feature[None],
+                                          m=m, epsilon=epsilon)
+        return values[0], [float(sig[0]) for sig in sigmas]
 
 
 @pytest.fixture

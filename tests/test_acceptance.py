@@ -15,11 +15,9 @@ import numpy as np
 
 from pgrain import (
     PointCloud,
-    Window,
     ball_query_batch,
     brute_force_knn,
     build_index,
-    calibrate,
     compute_metrics,
     farthest_point_sample,
     init_pagwn_params,
@@ -27,8 +25,6 @@ from pgrain import (
     pagwn_backward,
     pagwn_forward_batch,
     pre_abstract,
-    window_normalize,
-    window_sigma,
 )
 from pgrain import io as pio
 from pgrain.eval import (
@@ -38,9 +34,9 @@ from pgrain.eval import (
     paired_comparison,
     two_plane_boundary_scene,
 )
-from pgrain.norm import group_wise_window_normalize, sigma_map
+from pgrain.norm import DEFAULT_EPSILON, sigma_map
 
-from conftest import OneWindow
+from conftest import GwnWindow, OneWindow
 from test_eval import metrics_oracle
 
 
@@ -117,8 +113,9 @@ def _sigma_reference(center, neighbors):
 
 
 def test_criterion_02_window_sigma():
-    hand = Window(center_feature=np.zeros(1), neighbor_features=np.array([[1.0], [-1.0]]))
-    hand_ok = abs(window_sigma(hand) - math.sqrt(2.0)) < 1e-15
+    hand = GwnWindow(center_feature=np.zeros(1), neighbor_features=np.array([[1.0], [-1.0]]))
+    _, (hand_sigma,) = hand.normalize()
+    hand_ok = abs(hand_sigma - math.sqrt(2.0)) < 1e-15
 
     rng = np.random.default_rng(1002)
     worst = 0.0
@@ -127,10 +124,10 @@ def test_criterion_02_window_sigma():
         d = int(rng.integers(1, 17))
         if k * d < 2:
             d = 2
-        w = Window(center_feature=rng.uniform(-2, 2, size=d),
-                   neighbor_features=rng.uniform(-2, 2, size=(k, d)))
+        w = GwnWindow(center_feature=rng.uniform(-2, 2, size=d),
+                      neighbor_features=rng.uniform(-2, 2, size=(k, d)))
         expected = _sigma_reference(w.center_feature, w.neighbor_features)
-        got = window_sigma(w)
+        _, (got,) = w.normalize()
         worst = max(worst, abs(got - expected) / max(expected, 1e-300))
     _report(2, hand_ok and worst < 1e-12,
             f"hand case sqrt(2) ok={hand_ok}, max rel err {worst:.2e} < 1e-12 on 10k windows")
@@ -147,11 +144,11 @@ def test_criterion_03_calibration_identities():
     per_combo = 10_000 // len(combos) + 1
     for d, k in combos:
         for _ in range(per_combo):
-            w = Window(center_feature=rng.uniform(-2, 2, size=d),
-                       neighbor_features=rng.uniform(-2, 2, size=(k, d)))
-            out = window_normalize(w)
-            rectified = calibrate(out, w.center_feature)
-            lam = out.stats.lam
+            w = GwnWindow(center_feature=rng.uniform(-2, 2, size=d),
+                          neighbor_features=rng.uniform(-2, 2, size=(k, d)))
+            values, (sigma,) = w.normalize()
+            rectified = values + w.center_feature  # x* = x_hat + x_center
+            lam = 1.0 / (sigma + DEFAULT_EPSILON)
 
             lhs = rectified.mean(axis=0)
             rhs = lam * w.neighbor_features.mean(axis=0) + (1 - lam) * w.center_feature
@@ -180,13 +177,12 @@ def test_criterion_04_group_wise():
         m = int(rng.integers(1, k))
         if m * d < 2 or (k - m) * d < 2:
             continue
-        w = Window(center_feature=rng.uniform(-2, 2, size=d),
-                   neighbor_features=rng.uniform(-2, 2, size=(k, d)))
-        out = group_wise_window_normalize(w, m=m)
-        for stats, rows in ((out.stats[0], w.neighbor_features[:m]),
-                            (out.stats[1], w.neighbor_features[m:])):
+        w = GwnWindow(center_feature=rng.uniform(-2, 2, size=d),
+                      neighbor_features=rng.uniform(-2, 2, size=(k, d)))
+        _, sigmas = w.normalize(m=m)
+        for sigma, rows in zip(sigmas, (w.neighbor_features[:m], w.neighbor_features[m:])):
             expected = _sigma_reference(w.center_feature, rows)
-            worst_sigma = max(worst_sigma, abs(stats.sigma - expected) / max(expected, 1e-300))
+            worst_sigma = max(worst_sigma, abs(sigma - expected) / max(expected, 1e-300))
 
     worst_perm = 0.0
     n, k, m = 4, 9, 3

@@ -10,9 +10,10 @@ from pgrain import farthest_point_sample
 from pgrain import io as pio
 from pgrain.cli import main
 from pgrain.eval import compute_metrics, density_imbalanced_scene, metrics_csv
-from pgrain.norm import Window, group_wise_window_normalize, sigma_map, window_normalize
+from pgrain.norm import sigma_map
 from pgrain.pagwn import init_pagwn_params, pagwn_forward_batch
 
+from conftest import GwnWindow
 from test_pagwn import random_input
 
 
@@ -131,16 +132,63 @@ class TestNormalize:
         pio.write_tensor(tmp_path / "c.pgtn", center)
         pio.write_tensor(tmp_path / "n.pgtn", neighbors)
         out = tmp_path / "out.pgtn"
-        window = Window(center_feature=center, neighbor_features=neighbors)
+        window = GwnWindow(center_feature=center, neighbor_features=neighbors)
 
         assert main(["normalize", "--center", str(tmp_path / "c.pgtn"),
                      "--neighbors", str(tmp_path / "n.pgtn"), "--out", str(out)]) == 0
-        np.testing.assert_array_equal(pio.read_tensor(out), window_normalize(window).values)
+        np.testing.assert_array_equal(pio.read_tensor(out), window.normalize()[0])
 
         assert main(["normalize", "--center", str(tmp_path / "c.pgtn"),
                      "--neighbors", str(tmp_path / "n.pgtn"), "--m", "2", "--out", str(out)]) == 0
-        np.testing.assert_array_equal(
-            pio.read_tensor(out), group_wise_window_normalize(window, m=2).values)
+        np.testing.assert_array_equal(pio.read_tensor(out), window.normalize(m=2)[0])
+
+    # label: (center, neighbors, extra flags, kind); the first failing check names the kind
+    REJECTED = {
+        "center d != neighbors d": (np.zeros(3), np.ones((4, 2)), (), "shape-mismatch"),
+        "1-d neighbors": (np.zeros(4), np.ones(4), (), "shape-mismatch"),
+        "3-d neighbors": (np.zeros(4), np.ones((2, 3, 4)), (), "shape-mismatch"),
+        "K = 0": (np.zeros(3), np.ones((0, 3)), (), "degenerate-window"),
+        "d = 0": (np.zeros(0), np.ones((4, 0)), (), "degenerate-window"),
+        "one entry": (np.zeros(1), np.ones((1, 1)), (), "degenerate-window"),
+        "NaN entry": (np.zeros(2), np.array([[1.0, 2.0], [np.nan, 0.0]]), (), "non-finite-value"),
+        "sigma overflows": (np.zeros(2), np.full((3, 2), 1e200), (), "non-finite-value"),
+        "epsilon 0": (np.zeros(2), np.ones((3, 2)), ("--epsilon", "0"), "invalid-spec"),
+        "epsilon nan": (np.zeros(2), np.ones((3, 2)), ("--epsilon", "nan"), "invalid-spec"),
+        "epsilon inf": (np.zeros(2), np.ones((3, 2)), ("--epsilon", "inf"), "invalid-spec"),
+        "m = 0": (np.zeros(2), np.ones((4, 2)), ("--m", "0"), "bad-split"),
+        "m = K": (np.zeros(2), np.ones((4, 2)), ("--m", "4"), "bad-split"),
+        "m = 1 with K = 1": (np.zeros(2), np.ones((1, 2)), ("--m", "1"), "bad-split"),
+        "one-entry group": (np.zeros(1), np.array([[1.0], [2.0], [3.0]]), ("--m", "1"), "degenerate-group"),
+        "NaN entry and epsilon 0": (np.zeros(2), np.array([[np.nan, 1.0], [1.0, 1.0]]), ("--epsilon", "0"),
+                                    "non-finite-value"),
+    }
+
+    @pytest.mark.parametrize("label", [
+        pytest.param(label, marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+                     if label == "sigma overflows" else ())
+        for label in REJECTED])
+    def test_malformed_window_rejected(self, label, tmp_path, capsys):
+        center, neighbors, extra, kind = self.REJECTED[label]
+        pio.write_tensor(tmp_path / "c.pgtn", center)
+        pio.write_tensor(tmp_path / "n.pgtn", neighbors)
+        out = tmp_path / "out.pgtn"
+        code, err = main_stderr(capsys, "normalize", "--center", str(tmp_path / "c.pgtn"),
+                                "--neighbors", str(tmp_path / "n.pgtn"), *extra, "--out", str(out))
+        assert code == 1, label
+        assert err.startswith(f"pgrain: {kind}: "), (label, err)
+        assert "Traceback" not in err, label
+        assert not out.exists(), label
+
+    def test_matrix_center_is_shape_mismatch(self, tmp_path, capsys):
+        # (2, 3) holds as many entries as a (6,) center; it is still no vector
+        pio.write_tensor(tmp_path / "c.pgtn", np.zeros((2, 3)))
+        pio.write_tensor(tmp_path / "n.pgtn", np.ones((4, 6)))
+        out = tmp_path / "out.pgtn"
+        code, err = main_stderr(capsys, "normalize", "--center", str(tmp_path / "c.pgtn"),
+                                "--neighbors", str(tmp_path / "n.pgtn"), "--out", str(out))
+        assert code == 1
+        assert err.startswith("pgrain: shape-mismatch: "), err
+        assert not out.exists()
 
 
 class TestPagwnForward:
@@ -255,6 +303,11 @@ class TestPagwnForwardRejects:
         inp, params = self._dirs(rng)
         inp["neighbor_coords"], inp["neighbor_features"] = np.zeros((0, 3)), np.zeros((0, 3))
         self._assert_rejected(capsys, tmp_path, inp, params, "degenerate-window", "neighbor")
+
+    def test_matrix_center_feature_is_shape_mismatch(self, rng, tmp_path, capsys):
+        inp, params = self._dirs(rng)
+        inp["center_feature"] = inp["center_feature"][None]  # (1, n): the right entries, the wrong rank
+        self._assert_rejected(capsys, tmp_path, inp, params, "shape-mismatch", "center_feature")
 
     def test_four_channel_neighbor_coords_are_shape_mismatch(self, rng, tmp_path, capsys):
         inp, params = self._dirs(rng)

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from pgrain import (
     DomainError,
     PointCloud,
-    WindowStats,
     init_mlp_params,
     init_pagwn_params,
     validate_cloud,
@@ -60,24 +58,6 @@ class TestPointCloud:
         cloud = random_cloud(rng, n_points=4)
         with pytest.raises(ValueError):
             cloud.coords[0, 0] = 99.0
-
-
-class TestWindowStats:
-    @given(
-        sigma=st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
-        epsilon=st.floats(min_value=1e-12, max_value=1.0, allow_nan=False),
-    )
-    def test_lambda_times_sigma_plus_eps_is_one(self, sigma, epsilon):
-        stats = WindowStats(sigma=sigma, epsilon=epsilon)
-        assert abs(stats.lam * (sigma + epsilon) - 1.0) < 1e-12
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            WindowStats(sigma=-1.0, epsilon=1e-5)
-
-    def test_group_split_recorded(self):
-        stats = WindowStats(sigma=1.0, epsilon=1e-5, m=3)
-        assert stats.m == 3
 
 
 def _rejected(tensors):

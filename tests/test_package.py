@@ -20,13 +20,12 @@ def test_all_is_sorted_unique_and_lists_every_public_callable():
 def test_all_is_the_pinned_list():
     # a name added to or dropped from the package surface shows up here
     assert pgrain.__all__ == [
-        "BallQueryBatch", "DomainError", "MetricsReport", "NeighborIndex", "NormalizedWindow",
-        "PagwnOutput", "PointCloud", "RegionSpec", "StageSpec", "SyntheticSceneSpec",
-        "ToyPipelineConfig", "Window", "WindowStats", "ablate_m", "ball_query_batch",
-        "brute_force_knn", "build_index", "calibrate", "compute_metrics", "farthest_point_sample",
-        "generate_scene", "group_wise_window_normalize", "init_mlp_params", "init_pagwn_params",
+        "BallQueryBatch", "DomainError", "MetricsReport", "NeighborIndex", "PagwnOutput",
+        "PointCloud", "RegionSpec", "StageSpec", "SyntheticSceneSpec", "ToyPipelineConfig",
+        "ablate_m", "ball_query_batch", "brute_force_knn", "build_index", "compute_metrics",
+        "farthest_point_sample", "generate_scene", "init_mlp_params", "init_pagwn_params",
         "knn_batch", "pagwn_backward", "pagwn_forward_batch", "pre_abstract", "random_sample",
-        "run_toy_pipeline", "sigma_map", "validate_cloud", "window_normalize", "window_sigma",
+        "run_toy_pipeline", "sigma_map", "validate_cloud", "window_normalize",
     ]
 
 

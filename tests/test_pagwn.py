@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from pgrain import (
     DomainError,
     PointCloud,
-    Window,
     ball_query_batch,
     build_index,
-    group_wise_window_normalize,
     init_mlp_params,
     init_pagwn_params,
     knn_batch,
@@ -34,7 +32,7 @@ from pgrain.pagwn import (
     pagwn_input_from_tensors,
 )
 
-from conftest import OneWindow, random_cloud
+from conftest import GwnWindow, OneWindow, random_cloud
 
 
 def identity_params(n):
@@ -76,11 +74,11 @@ class TestPreAbstract:
         weight[3:, :] = np.eye(n)
         params = {**identity_params(n), "lb1_weight": weight}
         got = pre_abstract(*inp.batch(), params, m=m, mode="inference")[0]
-        window = Window(
+        window = GwnWindow(
             center_feature=np.concatenate([inp.center_coord, inp.center_feature]),
             neighbor_features=np.hstack([inp.neighbor_coords, inp.neighbor_features]),
         )
-        expected = group_wise_window_normalize(window, m=m).values[:, 3:]
+        expected = window.normalize(m=m)[0][:, 3:]
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 4, 16])
