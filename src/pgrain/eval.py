@@ -461,8 +461,8 @@ class _Aggregator:
     neighbors: Callable  # (index, center coords, k, config) -> (M, k) indices, (M,) occupied
     lift: Callable       # (stage plan, x, split, epsilon, lowered) -> GWN windows or x; lowered keeps what lower reads
     forward: Callable    # (stage tensors, stage plan, lifted, x, mode) -> (features, output with batch_stats)
-    backward: Callable   # (output, upstream) -> (grads by stage-local name, upstream of the lifted input)
-    lower: Callable      # (output, stage plan, upstream of the lifted input) -> upstream of the stage input x
+    backward: Callable   # (output, upstream) -> (grads by stage-local name, what lower reads)
+    lower: Callable      # (output, stage plan, what backward returned for it) -> upstream of the stage input x
 
 
 def _knn_neighbors(index, queries, k, config):
@@ -507,7 +507,7 @@ _KNN_BASELINE = _Aggregator(
     init=lambda n, seed: init_mlp_params((n, 2 * n), seed),
     neighbors=_knn_neighbors, lift=lambda splan, x, split, epsilon, lowered: x, forward=_mlp_forward,
     backward=lambda out, g: _baseline_param_backward(out.cache, g),
-    lower=lambda out, splan, d_rows: _baseline_lower(out.cache, d_rows),
+    lower=lambda out, splan, dz0: _baseline_lower(out.cache, dz0),
 )
 _AGGREGATOR_TABLE = {
     "pagwn": _Aggregator(
@@ -563,10 +563,10 @@ def _backward_stages(plan: _ScenePlan, outs, d_final: np.ndarray, agg: _Aggregat
     """Gradient of the loss w.r.t. every stage's parameters; the first stage's input, the raw scene, is not lowered."""
     grads, g = {}, d_final
     for t in range(len(plan.stages) - 1, -1, -1):
-        stage_grads, d_lifted = agg.backward(outs[t], g)
+        stage_grads, d_lower = agg.backward(outs[t], g)
         grads.update({f"stage{t}.{name}": value for name, value in stage_grads.items()})
         if t > 0:
-            g = agg.lower(outs[t], plan.stages[t], d_lifted)
+            g = agg.lower(outs[t], plan.stages[t], d_lower)
     return grads
 
 
@@ -657,7 +657,8 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
                 total = None
                 for plan, first in batch:
                     # the caches stay bound until the next forward returns: freeing them all
-                    # per scene let glibc trim the heap and fault it back in (5x the faults)
+                    # per scene let glibc trim the heap and fault it back in (5x the faults);
+                    # the CLI's heap policy (cli._keep_freed_heap) keeps the rest in the heap
                     x_final, outs, stats = _encode(plan, first, stage_params, agg, config)
                     loss, grads = _scene_grads(plan, params, x_final, outs, config, epoch)
                     # fold each scene's batch statistics in, in scene order

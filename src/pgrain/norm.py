@@ -91,6 +91,12 @@ def _gwn_backward(g: np.ndarray, cache):
     return ddev
 
 
+def _check_sigmas(sigmas: List[np.ndarray]) -> None:
+    """Reject the per-group sigmas of a batch when one is not finite: finite entries near 1e200 overflow."""
+    if not all(np.isfinite(sig).all() for sig in sigmas):
+        raise DomainError("non-finite-value", "a window sigma is not finite")
+
+
 def window_normalize(windows, centers, m: Optional[int] = None,
                      epsilon: float = DEFAULT_EPSILON) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Group-wise window normalization of M windows: (x_j - x_center) / (sigma + epsilon).
@@ -111,8 +117,7 @@ def window_normalize(windows, centers, m: Optional[int] = None,
     if not (np.isfinite(windows).all() and np.isfinite(centers).all()):
         raise DomainError("non-finite-value", "window entries must be finite")
     values, (_, sigmas, _, _) = _gwn_forward(windows, centers, m, epsilon)
-    if not all(np.isfinite(sig).all() for sig in sigmas):
-        raise DomainError("non-finite-value", "a window sigma overflows to infinity")
+    _check_sigmas(sigmas)
     return values, sigmas
 
 

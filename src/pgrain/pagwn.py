@@ -19,7 +19,8 @@ tensors that :func:`init_pagwn_params` and :func:`init_mlp_params` return,
 and parameter gradients come back under the same names.  Whether batch
 norm uses batch or running statistics is the forwards' ``mode`` keyword,
 not part of the parameters.  :func:`check_pagwn_tensors` checks a block's
-tensors where they arrive from outside, inside the public PAGWN forwards;
+tensors where they arrive from outside, inside the public PAGWN forwards,
+which also reject a group sigma that is not finite as ``non-finite-value``;
 the private functions the training loop calls never re-check.
 
 GWN has no parameters, so the block splits into a parameter-free *lift*
@@ -53,7 +54,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import DomainError
-from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT, _gwn_backward, _gwn_forward
+from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT, _check_sigmas, _gwn_backward, _gwn_forward
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,8 @@ def pre_abstract(neighbor_coords, neighbor_features, center_coords, center_featu
     n = params["lb1_bias"].shape[0]
     nc, nf, cc, cf = (np.asarray(a, dtype=np.float64)
                       for a in (neighbor_coords, neighbor_features, center_coords, center_features))
-    gwn, _ = _pagwn_lift(nc, nf, cc, cf, n, m, epsilon)
+    gwn, gwn_cache = _pagwn_lift(nc, nf, cc, cf, n, m, epsilon)
+    _check_sigmas(gwn_cache[1])
     return _lb1(gwn.reshape(-1, n + 3), params, mode)[0].reshape(nc.shape[0], nc.shape[1], n)
 
 
@@ -274,7 +276,9 @@ def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, cente
     params = check_pagwn_tensors(params)
     nc, nf, cc, cf = (np.asarray(a, dtype=np.float64)
                       for a in (neighbor_coords, neighbor_features, center_coords, center_features))
-    return _pagwn_block(*_pagwn_lift(nc, nf, cc, cf, params["lb1_bias"].shape[0], m, epsilon), cf, params, mode)
+    gwn, gwn_cache = _pagwn_lift(nc, nf, cc, cf, params["lb1_bias"].shape[0], m, epsilon)
+    _check_sigmas(gwn_cache[1])
+    return _pagwn_block(gwn, gwn_cache, cf, params, mode)
 
 
 def _pagwn_param_backward(cache: PagwnCache, upstream_grad: np.ndarray):
@@ -358,6 +362,10 @@ def init_mlp_params(dims: Sequence[int], seed: int) -> dict:
     return tensors
 
 
+# per layer i, the names after "layer{i}." in init_mlp_params order
+_MLP_LAYER_TENSORS = ("weight", "bias", *(f"bn.{name}" for name in _bn_init("", 1)))
+
+
 def _mlp_rows_forward(rows: np.ndarray, params: dict, mode: str):
     caches = []
     x = rows
@@ -371,13 +379,20 @@ def _mlp_rows_forward(rows: np.ndarray, params: dict, mode: str):
 
 
 def _mlp_rows_backward(g: np.ndarray, params: dict, caches):
+    """Parameter gradients of the MLP rows, and the gradient at layer 0's linear output.
+
+    Layer 0's input gradient is :func:`_baseline_lower`'s, so a caller that
+    needs only the parameters' gradients skips its matmul.
+    """
     grads = {}
     for i in range(len(caches) - 1, -1, -1):
         x, bn_cache, mask = caches[i]
         dz, grads[f"layer{i}.bn.gamma"], grads[f"layer{i}.bn.beta"] = _bn_backward(
             g * mask, params[f"layer{i}.bn.gamma"], bn_cache)
-        g, grads[f"layer{i}.weight"], grads[f"layer{i}.bias"] = _linear_backward(dz, x, params[f"layer{i}.weight"])
-    return g, grads
+        grads[f"layer{i}.weight"], grads[f"layer{i}.bias"] = x.T @ dz, _colsum(dz)
+        if i > 0:
+            g = dz @ params[f"layer{i}.weight"].T
+    return dz, grads
 
 
 @dataclass(eq=False)
@@ -409,7 +424,12 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
     centers whose ``occupied`` flag is False get a zero output.
     ``mlp_params`` is a dict of :func:`init_mlp_params` tensors; ``mode`` is
     ``"training"`` (batch statistics) or ``"inference"`` (running statistics).
+    The first missing tensor is a ``parse-error`` naming it; the values
+    themselves are not checked.
     """
+    for i in range(int(_tensor(mlp_params, "num_layers"))):
+        for name in _MLP_LAYER_TENSORS:
+            _tensor(mlp_params, f"layer{i}.{name}")
     m_cnt, k = neighbor_indices.shape
     out_dim = mlp_params[f"layer{int(mlp_params['num_layers']) - 1}.weight"].shape[1]
     features = np.zeros((m_cnt, out_dim))
@@ -434,7 +454,8 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
 
 
 def _baseline_param_backward(cache: BaselineCache, upstream_grad: np.ndarray):
-    """The parameter half of :func:`baseline_backward`: ``(grads, gradient of the gathered rows)``."""
+    """The parameter half of :func:`baseline_backward`: ``(grads, dz0)``, the latter the
+    gradient at layer 0's linear output, for :func:`_baseline_lower`."""
     if cache.mode != "training":
         raise DomainError("stale-cache", "backward requires a training-mode forward cache")
     g = np.asarray(upstream_grad, dtype=np.float64)
@@ -443,17 +464,17 @@ def _baseline_param_backward(cache: BaselineCache, upstream_grad: np.ndarray):
     if occ_idx.size == 0:
         names = [f"layer{i}.{name}" for i in range(int(params["num_layers"]))
                  for name in ("weight", "bias", "bn.gamma", "bn.beta")]
-        return {name: np.zeros_like(params[name]) for name in names}, np.zeros((0, params["layer0.weight"].shape[0]))
+        return {name: np.zeros_like(params[name]) for name in names}, np.zeros((0, params["layer0.weight"].shape[1]))
     g_rows = np.zeros((occ_idx.size, cache.k, out_dim))
     np.put_along_axis(g_rows, cache.argmax[:, None, :], g[occ_idx][:, None, :], axis=1)
-    d_rows, grads = _mlp_rows_backward(g_rows.reshape(-1, out_dim), params, cache.mlp_caches)
-    return grads, d_rows
+    dz0, grads = _mlp_rows_backward(g_rows.reshape(-1, out_dim), params, cache.mlp_caches)
+    return grads, dz0
 
 
-def _baseline_lower(cache: BaselineCache, d_rows: np.ndarray) -> np.ndarray:
-    """The input half of :func:`baseline_backward`: scatter-add the row gradients onto the source cloud."""
+def _baseline_lower(cache: BaselineCache, dz0: np.ndarray) -> np.ndarray:
+    """The input half of :func:`baseline_backward`: layer 0's input gradient, scatter-added onto the source cloud."""
     hoods = cache.neighbor_indices[np.flatnonzero(cache.occupied)].reshape(-1)
-    return _scatter_rows(hoods, d_rows, cache.num_source_points)
+    return _scatter_rows(hoods, dz0 @ cache.params["layer0.weight"].T, cache.num_source_points)
 
 
 def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):
@@ -464,8 +485,8 @@ def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):
     ``.bn.beta``) to its gradient; ``d_features`` has the source cloud's
     (N, n) shape with neighbor contributions scatter-added.
     """
-    grads, d_rows = _baseline_param_backward(cache, upstream_grad)
-    return grads, _baseline_lower(cache, d_rows)
+    grads, dz0 = _baseline_param_backward(cache, upstream_grad)
+    return grads, _baseline_lower(cache, dz0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import ctypes
 import hashlib
 import json
+import platform
 import subprocess
 import sys
 
@@ -232,6 +234,14 @@ class TestPagwnForwardRejects:
         assert code == 1
         assert err.startswith(f"pgrain: {kind}: "), err
         assert name in err
+        assert not (tmp_path / "agg.pgtn").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sigma_is_non_finite_value(self, rng, tmp_path, capsys):
+        # finite entries whose group sigma overflows would aggregate to all zeros
+        inp, params = self._dirs(rng)
+        inp["neighbor_features"] = np.full((4, 3), 1e200)
+        self._assert_rejected(capsys, tmp_path, inp, params, "non-finite-value", "sigma")
 
     def test_missing_bn_eps_is_parse_error(self, rng, tmp_path, capsys):
         inp, params = self._dirs(rng)
@@ -446,6 +456,44 @@ class TestTrainToy:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "m,miou,macc,oa"
         assert len(lines) == 5
+
+
+def _no_process_handle(name):
+    raise OSError("no process handle")
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is set through glibc's mallopt")
+    @pytest.mark.parametrize("aggregator", ["pagwn", "bq_baseline"])
+    def test_second_training_op_reuses_the_freed_heap(self, tmp_path, aggregator):
+        # the criterion-8 run for 2 epochs; under glibc's default thresholds each
+        # scene faulted its freed temporaries in again, 3,900-8,200 faults per op
+        config = toy_config(
+            tmp_path, stages=[{"m_points": 256, "k": 16, "split": 3}], head_hidden=[16], epochs=2,
+            learning_rate=0.05, batch_size=4, seed=0, aggregator=aggregator,
+            scenes={"kind": "density_imbalanced", "train": 14, "test": 6, "base_seed": 0},
+            **({"bq_radius": 0.15} if aggregator == "bq_baseline" else {}))
+        script = (
+            "import contextlib, io, resource, sys\n"
+            "import pgrain.cli\n"
+            "for _ in range(2):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert pgrain.cli.main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script, "train-toy", "--config", str(config),
+                                 "--out", str(tmp_path / "metrics.csv")], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout.splitlines()[-1]) < 1000
+
+    @pytest.mark.parametrize("cdll", [_no_process_handle, lambda name: object()], ids=["no handle", "no mallopt"])
+    def test_main_runs_where_mallopt_cannot_be_found(self, monkeypatch, scene_file, tmp_path, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        path, _ = scene_file
+        out = tmp_path / "sampled.xyz"
+        assert main(["sample", str(path), "--has-label", "--count", "5", "--out", str(out)]) == 0
+        assert len(pio.read_xyz(out, feature_dim=3, has_label=True).coords) == 5
 
 
 class TestDeterminism:

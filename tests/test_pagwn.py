@@ -102,6 +102,15 @@ class TestPreAbstract:
 
 
 class TestForward:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sigma_is_non_finite_value(self, rng):
+        # finite entries whose group sigma overflows would normalize every row to 0
+        inp = random_input(rng, 3, 4)._replace(neighbor_features=np.full((4, 3), 1e200))
+        for forward in (pagwn_forward_batch, pre_abstract):
+            with pytest.raises(DomainError) as exc:
+                forward(*inp.batch(), init_pagwn_params(3, seed=0), m=2)
+            assert exc.value.kind == "non-finite-value"
+
     def test_zero_lb2_gives_zero_output(self, rng):
         n, k = 3, 5
         inp = random_input(rng, n, k)
@@ -460,6 +469,20 @@ class TestBaselines:
         assert inference.batch_stats == {}
         empty = aggregate_precomputed(features, hoods, np.zeros(4, dtype=bool), mlp)
         assert empty.batch_stats == {}
+
+    @pytest.mark.parametrize("deleted, reported", [
+        (("layer0.bn.eps",), "layer0.bn.eps"),
+        (("num_layers",), "num_layers"),
+        (("layer1.weight", "layer0.bn.eps"), "layer0.bn.eps"),  # the first in checkpoint order
+    ], ids=["eps", "num_layers", "two missing"])
+    def test_missing_tensor_is_parse_error(self, deleted, reported):
+        mlp = init_mlp_params((3, 4, 5), seed=0)
+        for name in deleted:
+            del mlp[name]
+        with pytest.raises(DomainError) as exc:
+            aggregate_precomputed(np.ones((4, 3)), np.zeros((1, 2), dtype=np.int64), np.array([True]), mlp)
+        assert exc.value.kind == "parse-error"
+        assert repr(reported) in str(exc.value)
 
     def test_neighbor_permutation_invariance(self, rng):
         cloud = random_cloud(rng, n_points=30)
