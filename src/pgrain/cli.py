@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -112,26 +113,18 @@ def _cmd_pagwn_forward(args) -> int:
 
 
 def _coerce(where: str, value, read):
-    """Apply ``read`` to one JSON value; a value it cannot take is an ``invalid-spec``."""
+    """Apply ``read`` to one value; a value it cannot take is an ``invalid-spec``."""
     try:
         return read(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError("invalid-spec", f"{where}: cannot read {value!r} ({exc})") from None
 
 
-# how each top-level config key is read; absent keys keep ToyPipelineConfig's
-# defaults, and ToyPipelineConfig checks every value
-_CONFIG_KEYS = {
-    "num_classes": int,
-    "head_hidden": tuple,
-    "epochs": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "seed": int,
-    "aggregator": str,
-    "epsilon": float,
-    "bq_radius": lambda value: value,
-}
+# the allowed top-level config keys: ToyPipelineConfig's fields, whose values
+# go to it unchanged for the one check of every field, and the scene sets
+_CONFIG_KEYS = {field.name for field in dataclasses.fields(ev.ToyPipelineConfig)} | {"scenes"}
+# each scenes count and seed, with its least value
+_SCENE_COUNTS = {"train": 1, "test": 1, "base_seed": 0}
 
 
 def _stage_spec(i: int, entry) -> ev.StageSpec:
@@ -144,23 +137,28 @@ def _stage_spec(i: int, entry) -> ev.StageSpec:
 
 
 def _scene_sets(spec):
+    """The train and test scenes of a config's ``scenes`` object, checked in full before any is built."""
     if not isinstance(spec, dict):
         raise DomainError("invalid-spec", "scenes must be a JSON object")
-    kind = spec.get("kind", "density_imbalanced")
-    base = _coerce("scenes.base_seed", spec.get("base_seed", 0), int)
-    n_train = _coerce("scenes.train", spec.get("train"), int)
-    n_test = _coerce("scenes.test", spec.get("test"), int)
+    unknown = sorted(set(spec) - set(_SCENE_COUNTS) - {"kind"})
+    if unknown:
+        raise DomainError("invalid-spec", f"unknown scenes keys: {unknown}")
     makers = {
         "density_imbalanced": ev.density_imbalanced_scene,
         "constant_label": ev.constant_label_scene,
     }
+    kind = spec.get("kind", "density_imbalanced")
     if not isinstance(kind, str) or kind not in makers:
         raise DomainError("invalid-spec", f"unknown scene kind {kind!r}")
-    if base < 0:
-        raise DomainError("invalid-spec", f"scenes.base_seed must be >= 0, got {base}")
-    make = makers[kind]
+    counts = {"base_seed": 0, **spec}  # base_seed may be left out
+    for name, least in _SCENE_COUNTS.items():
+        value = counts.get(name)
+        # a JSON integer; bool is an int in Python but not in JSON
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise DomainError("invalid-spec", f"scenes.{name} must be an integer >= {least}, got {value!r}")
+    make, base, n_train = makers[kind], counts["base_seed"], counts["train"]
     train = [make(base + i) for i in range(n_train)]
-    test = [make(base + n_train + i) for i in range(n_test)]
+    test = [make(base + n_train + i) for i in range(counts["test"])]
     return train, test
 
 
@@ -173,7 +171,7 @@ def _config_from_file(path: str) -> tuple:
             raise DomainError("invalid-spec", f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DomainError("invalid-spec", "the config must be a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS) - {"stages", "scenes"})
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
     if unknown:
         raise DomainError("invalid-spec", f"unknown config keys: {unknown}")
     missing = [key for key in ("stages", "num_classes", "scenes") if key not in raw]
@@ -182,8 +180,7 @@ def _config_from_file(path: str) -> tuple:
     if not isinstance(raw["stages"], list):
         raise DomainError("invalid-spec", "stages must be a JSON array")
     stages = tuple(_stage_spec(i, entry) for i, entry in enumerate(raw["stages"]))
-    fields = {key: _coerce(key, value, _CONFIG_KEYS[key])
-              for key, value in raw.items() if key in _CONFIG_KEYS}
+    fields = {key: value for key, value in raw.items() if key not in ("stages", "scenes")}
     return ev.ToyPipelineConfig(stages=stages, **fields), raw["scenes"]
 
 

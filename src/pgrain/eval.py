@@ -34,6 +34,7 @@ from .pagwn import (
     _baseline_lower,
     _baseline_param_backward,
     _colsum,
+    _linear_init,
     _pagwn_block,
     _pagwn_lift,
     _pagwn_lower,
@@ -374,9 +375,7 @@ def _init_head(dims: Sequence[int], seed: int) -> dict:
     rng = np.random.default_rng(seed)
     head = {}
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        s = np.sqrt(1.0 / fan_in)
-        head[f"head.layer{i}.weight"] = rng.uniform(-s, s, size=(fan_in, fan_out))
-        head[f"head.layer{i}.bias"] = np.zeros(fan_out)
+        head.update(_linear_init(rng, f"head.layer{i}.", fan_in, fan_out))
     return head
 
 

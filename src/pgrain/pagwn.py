@@ -14,6 +14,14 @@ normalizes across all M*K rows.  The backward pass is fully analytic,
 including the sigma path of the GWN, the batch-statistics path of batch
 norm, and argmax routing of the pool (ties to the lowest row index).
 
+One layer kernel serves LB1, LB2 and every layer of the baseline MLP: a
+layer is the tensors under one checkpoint prefix ``p`` (``"lb1_"``,
+``"lb2_"`` or ``"layer{i}."``), named ``p + "weight"``, ``p + "bias"``
+and ``p + "bn.*"``.  :func:`_layer_init`, :func:`_layer_forward` and
+:func:`_layer_backward` create, run and differentiate it;
+:func:`_max_pool` and :func:`_unpool` are the one pool and its gradient
+routing; :func:`_batch_stats` reports the layers' batch statistics.
+
 Parameters have one form: the flat ``name -> array`` dict of checkpoint
 tensors that :func:`init_pagwn_params` and :func:`init_mlp_params` return,
 and parameter gradients come back under the same names.  Whether batch
@@ -32,7 +40,7 @@ and skip a lower it does not need.
 
 The baseline aggregator (plain MLP + max pool over KNN or ball-query
 neighborhoods that the caller has already found) lives here too, sharing
-the layer primitives.
+the layer kernel and the pool.
 
 Summation order is part of the output, which stays bit-identical.  Every
 column sum of the training step (batch-norm statistics and gradients, bias
@@ -58,7 +66,7 @@ from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT, _check_sigmas, _gwn_backward, 
 
 
 # ---------------------------------------------------------------------------
-# Summation kernels, and layer primitives (forward caches + analytic backward)
+# Summation kernels, and the one layer kernel: linear + batch norm, max pool
 # ---------------------------------------------------------------------------
 
 _COLSUM_SPECS = {2: ("ij->j", "ij,ij->j"), 3: ("ijk->ik", "ijk,ijk->ik")}  # by rank: sum of a, of a * b
@@ -80,58 +88,90 @@ def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _bn_forward(x: np.ndarray, params: dict, prefix: str, mode: str):
-    """Batch norm by the ``prefix`` tensors of ``params``; returns (y, cache).
+def _linear_init(rng: np.random.Generator, p: str, fan_in: int, fan_out: int) -> dict:
+    """A Uniform(+-sqrt(1/fan_in)) (fan_in, fan_out) ``p + "weight"`` and a zero ``p + "bias"``."""
+    s = np.sqrt(1.0 / fan_in)
+    return {p + "weight": rng.uniform(-s, s, size=(fan_in, fan_out)), p + "bias": np.zeros(fan_out)}
+
+
+def _layer_init(rng: np.random.Generator, p: str, fan_in: int, fan_out: int) -> dict:
+    """:func:`_linear_init` plus a unit batch norm under ``p + "bn."``: gamma 1, beta 0,
+    running mean 0 and variance 1, momentum 0.1 and eps 1e-5."""
+    bn = p + "bn."
+    return {
+        **_linear_init(rng, p, fan_in, fan_out),
+        bn + "gamma": np.ones(fan_out),
+        bn + "beta": np.zeros(fan_out),
+        bn + "running_mean": np.zeros(fan_out),
+        bn + "running_var": np.ones(fan_out),
+        bn + "momentum": np.float64(0.1),
+        bn + "eps": np.float64(1e-5),
+    }
+
+
+def _layer_shapes(p: str, fan_in: int, fan_out: int) -> dict:
+    """The shape of each tensor of one layer, in :func:`_layer_init` order."""
+    vec = (fan_out,)
+    return {p + "weight": (fan_in, fan_out), p + "bias": vec, p + "bn.gamma": vec, p + "bn.beta": vec,
+            p + "bn.running_mean": vec, p + "bn.running_var": vec, p + "bn.momentum": (), p + "bn.eps": ()}
+
+
+def _layer_forward(x: np.ndarray, params: dict, p: str, mode: str):
+    """The ``p`` layer of ``params`` over (N, C) rows; returns (y, (x, batch-norm cache)).
 
     Training mode normalizes with batch statistics, inference mode with the
     running statistics.
     """
-    gamma, beta, eps = params[prefix + "gamma"], params[prefix + "beta"], params[prefix + "eps"]
+    z = x @ params[p + "weight"] + params[p + "bias"]
+    gamma, beta, eps = params[p + "bn.gamma"], params[p + "bn.beta"], params[p + "bn.eps"]
     if mode == "training":
-        if x.shape[0] < 2:
+        if z.shape[0] < 2:
             raise DomainError("degenerate-window", "training-mode batch norm needs at least 2 rows")
         # the ufunc sequence of NumPy's mean and var, sharing one mean
-        mean = _colsum(x) / x.shape[0]
-        centered = x - mean
-        var = _colsum(centered, centered) / x.shape[0]
+        mean = _colsum(z) / z.shape[0]
+        centered = z - mean
+        var = _colsum(centered, centered) / z.shape[0]
         inv_std = 1.0 / np.sqrt(var + eps)
         x_hat = centered * inv_std
-        return gamma * x_hat + beta, ("training", x_hat, inv_std, mean, var)
+        return gamma * x_hat + beta, (x, ("training", x_hat, inv_std, mean, var))
     if mode != "inference":
         raise DomainError("invalid-spec", f"mode must be 'training' or 'inference', got {mode!r}")
-    inv_std = 1.0 / np.sqrt(params[prefix + "running_var"] + eps)
-    x_hat = (x - params[prefix + "running_mean"]) * inv_std
-    return gamma * x_hat + beta, ("inference", x_hat, inv_std, None, None)
+    inv_std = 1.0 / np.sqrt(params[p + "bn.running_var"] + eps)
+    x_hat = (z - params[p + "bn.running_mean"]) * inv_std
+    return gamma * x_hat + beta, (x, ("inference", x_hat, inv_std, None, None))
 
 
-def _bn_backward(g: np.ndarray, gamma: np.ndarray, cache):
-    mode, x_hat, inv_std, _, _ = cache
-    if mode != "training":
-        raise DomainError("stale-cache", "backward requires a training-mode forward cache")
+def _layer_backward(g: np.ndarray, params: dict, p: str, cache):
+    """Backward of a training-mode :func:`_layer_forward`: ``(dz, grads)``.
+
+    ``dz`` is the gradient at the linear output; a caller that needs the
+    layer's input gradient takes ``dz @ weight.T`` itself.  ``grads`` holds
+    the ``p`` weight, bias, ``bn.gamma`` and ``bn.beta`` gradients.
+    """
+    x, (_, x_hat, inv_std, _, _) = cache
     rows = g.shape[0]
-    dxhat = g * gamma
-    dx = inv_std * (dxhat - _colsum(dxhat) / rows - x_hat * (_colsum(dxhat, x_hat) / rows))
-    return dx, _colsum(g, x_hat), _colsum(g)
+    dxhat = g * params[p + "bn.gamma"]
+    dz = inv_std * (dxhat - _colsum(dxhat) / rows - x_hat * (_colsum(dxhat, x_hat) / rows))
+    return dz, {p + "weight": x.T @ dz, p + "bias": _colsum(dz),
+                p + "bn.gamma": _colsum(g, x_hat), p + "bn.beta": _colsum(g)}
 
 
-def _bn_init(prefix: str, channels: int) -> dict:
-    """The tensors of one unit batch norm: gamma 1, beta 0, running mean 0 and variance 1."""
-    return {
-        prefix + "gamma": np.ones(channels),
-        prefix + "beta": np.zeros(channels),
-        prefix + "running_mean": np.zeros(channels),
-        prefix + "running_var": np.ones(channels),
-        prefix + "momentum": np.float64(0.1),
-        prefix + "eps": np.float64(1e-5),
-    }
+def _batch_stats(layers: dict) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+    """The batch (mean, var) of each training-mode layer, under its batch norm's prefix ``p + "bn."``."""
+    return {p + "bn.": bn[3:] for p, (_, bn) in layers.items() if bn[0] == "training"}
 
 
-def _linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return x @ weight + bias
+def _max_pool(rows: np.ndarray):
+    """Channel-wise max over the K rows of (M, K, C): the (M, C) maxima and their rows, ties to the lowest."""
+    argmax = rows.argmax(axis=1)
+    return np.take_along_axis(rows, argmax[:, None, :], axis=1)[:, 0, :], argmax
 
 
-def _linear_backward(g: np.ndarray, x: np.ndarray, weight: np.ndarray):
-    return g @ weight.T, x.T @ g, _colsum(g)
+def _unpool(g: np.ndarray, argmax: np.ndarray, k: int) -> np.ndarray:
+    """The pool's backward: each (M, C) gradient entry routed to its winning row of (M, k, C) zeros."""
+    out = np.zeros((argmax.shape[0], k, argmax.shape[1]))
+    np.put_along_axis(out, argmax[:, None, :], g[:, None, :], axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +185,8 @@ class PagwnCache:
     params: dict                  # the block's checkpoint tensors
     mode: str
     shapes: Tuple[int, int, int]  # (M, K, n)
-    gwn_rows: np.ndarray          # (M*K, n+3) GWN output, LB1 input
     gwn_cache: tuple
-    bn1_cache: tuple
-    h_rows: np.ndarray            # (M*K, 2n) LB2 input
-    bn2_cache: tuple
+    layers: dict                  # "lb1_", "lb2_" -> (layer input rows, batch-norm cache)
     pooled: np.ndarray            # (M, 2n) pre-ReLU pooled values
     argmax: np.ndarray            # (M, 2n) winning row per channel
 
@@ -175,25 +212,16 @@ class PagwnOutput:
 def init_pagwn_params(n: int, seed: int) -> dict:
     """One block's checkpoint tensors: Uniform(+-sqrt(1/fan_in)) weights, zero biases, unit batch norm.
 
-    The names are ``lb1_weight`` (n+3, n), ``lb1_bias`` (n,), ``lb2_weight``
-    (2n, 2n) and ``lb2_bias`` (2n,), and for each of ``lb1_bn.`` (n
-    channels) and ``lb2_bn.`` (2n channels) the vectors ``gamma``, ``beta``,
-    ``running_mean`` and ``running_var`` and the float64 scalars
-    ``momentum`` (0.1) and ``eps`` (1e-5).
+    The names are ``lb1_weight`` (n+3, n), ``lb1_bias`` (n,), the ``lb1_bn.``
+    batch norm (n channels), ``lb2_weight`` (2n, 2n), ``lb2_bias`` (2n,) and
+    the ``lb2_bn.`` batch norm (2n channels).  A batch norm holds the vectors
+    ``gamma``, ``beta``, ``running_mean`` and ``running_var`` and the float64
+    scalars ``momentum`` (0.1) and ``eps`` (1e-5).
     """
     if n < 1:
         raise DomainError("shape-mismatch", f"feature dimension must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    s1 = np.sqrt(1.0 / (n + 3))
-    s2 = np.sqrt(1.0 / (2 * n))
-    return {
-        "lb1_weight": rng.uniform(-s1, s1, size=(n + 3, n)),
-        "lb1_bias": np.zeros(n),
-        "lb2_weight": rng.uniform(-s2, s2, size=(2 * n, 2 * n)),
-        "lb2_bias": np.zeros(2 * n),
-        **_bn_init("lb1_bn.", n),
-        **_bn_init("lb2_bn.", 2 * n),
-    }
+    return {**_layer_init(rng, "lb1_", n + 3, n), **_layer_init(rng, "lb2_", 2 * n, 2 * n)}
 
 
 def _pagwn_lift(nc, nf, cc, cf, n: int, m: int, epsilon: float):
@@ -217,34 +245,17 @@ def _pagwn_lift(nc, nf, cc, cf, n: int, m: int, epsilon: float):
     return _gwn_forward(windows, centers, m, epsilon)
 
 
-def _lb1(gwn_rows: np.ndarray, params: dict, mode: str):
-    """LB1 over the lifted rows; returns ((M*K, n) rows, batch-norm cache)."""
-    return _bn_forward(_linear_forward(gwn_rows, params["lb1_weight"], params["lb1_bias"]), params, "lb1_bn.", mode)
-
-
 def _pagwn_block(gwn: np.ndarray, gwn_cache: tuple, cf: np.ndarray, params: dict, mode: str) -> PagwnOutput:
     """The block's parametric part, LB1 -> LB2 -> pool, over lifted windows and the (M, n) center features."""
     m_win, k, n = gwn.shape[0], gwn.shape[1], cf.shape[1]
-    gwn_rows = gwn.reshape(m_win * k, n + 3)
-    bn1_out, bn1_cache = _lb1(gwn_rows, params, mode)
-    pre = bn1_out.reshape(m_win, k, n)
-    h = np.concatenate([pre, np.broadcast_to(cf[:, None, :], (m_win, k, n))], axis=2)
-    h_rows = h.reshape(m_win * k, 2 * n)
-    z2 = _linear_forward(h_rows, params["lb2_weight"], params["lb2_bias"])
-    bn2_out, bn2_cache = _bn_forward(z2, params, "lb2_bn.", mode)
-    rows2 = bn2_out.reshape(m_win, k, 2 * n)
-    argmax = rows2.argmax(axis=1)  # first occurrence: ties go to the lowest row
-    pooled = np.take_along_axis(rows2, argmax[:, None, :], axis=1)[:, 0, :]
-
-    cache = PagwnCache(
-        params=params, mode=mode, shapes=(m_win, k, n),
-        gwn_rows=gwn_rows, gwn_cache=gwn_cache, bn1_cache=bn1_cache,
-        h_rows=h_rows, bn2_cache=bn2_cache, pooled=pooled, argmax=argmax,
-    )
-    return PagwnOutput(
-        aggregated=np.maximum(pooled, 0.0), cache=cache,
-        batch_stats={"lb1_bn.": bn1_cache[3:], "lb2_bn.": bn2_cache[3:]} if mode == "training" else {},
-    )
+    layers = {}
+    pre, layers["lb1_"] = _layer_forward(gwn.reshape(m_win * k, n + 3), params, "lb1_", mode)
+    h = np.concatenate([pre.reshape(m_win, k, n), np.broadcast_to(cf[:, None, :], (m_win, k, n))], axis=2)
+    rows2, layers["lb2_"] = _layer_forward(h.reshape(m_win * k, 2 * n), params, "lb2_", mode)
+    pooled, argmax = _max_pool(rows2.reshape(m_win, k, 2 * n))
+    cache = PagwnCache(params=params, mode=mode, shapes=(m_win, k, n), gwn_cache=gwn_cache,
+                       layers=layers, pooled=pooled, argmax=argmax)
+    return PagwnOutput(aggregated=np.maximum(pooled, 0.0), cache=cache, batch_stats=_batch_stats(layers))
 
 
 def pre_abstract(neighbor_coords, neighbor_features, center_coords, center_features,
@@ -261,7 +272,8 @@ def pre_abstract(neighbor_coords, neighbor_features, center_coords, center_featu
                       for a in (neighbor_coords, neighbor_features, center_coords, center_features))
     gwn, gwn_cache = _pagwn_lift(nc, nf, cc, cf, n, m, epsilon)
     _check_sigmas(gwn_cache[1])
-    return _lb1(gwn.reshape(-1, n + 3), params, mode)[0].reshape(nc.shape[0], nc.shape[1], n)
+    rows = _layer_forward(gwn.reshape(-1, n + 3), params, "lb1_", mode)[0]
+    return rows.reshape(nc.shape[0], nc.shape[1], n)
 
 
 def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, center_features,
@@ -292,19 +304,11 @@ def _pagwn_param_backward(cache: PagwnCache, upstream_grad: np.ndarray):
     if g.shape != (m_win, 2 * n):
         raise DomainError("shape-mismatch", f"upstream gradient must have shape {(m_win, 2 * n)}")
 
-    g_pool = g * (cache.pooled > 0)
-    g_rows2 = np.zeros((m_win, k, 2 * n))
-    np.put_along_axis(g_rows2, cache.argmax[:, None, :], g_pool[:, None, :], axis=1)
-    grads = {}
-    dz2, grads["lb2_bn.gamma"], grads["lb2_bn.beta"] = _bn_backward(
-        g_rows2.reshape(m_win * k, 2 * n), params["lb2_bn.gamma"], cache.bn2_cache)
-    dh, grads["lb2_weight"], grads["lb2_bias"] = _linear_backward(dz2, cache.h_rows, params["lb2_weight"])
-    dh = dh.reshape(m_win, k, 2 * n)
-    d_pre = dh[:, :, :n].reshape(m_win * k, n)
-    dz1, grads["lb1_bn.gamma"], grads["lb1_bn.beta"] = _bn_backward(d_pre, params["lb1_bn.gamma"], cache.bn1_cache)
-    # the weight and bias gradients of _linear_backward; the input gradient is _pagwn_lower's
-    grads["lb1_weight"], grads["lb1_bias"] = cache.gwn_rows.T @ dz1, _colsum(dz1)
-    return grads, (dz1, dh)
+    g_rows2 = _unpool(g * (cache.pooled > 0), cache.argmax, k)
+    dz2, grads = _layer_backward(g_rows2.reshape(m_win * k, 2 * n), params, "lb2_", cache.layers["lb2_"])
+    dh = (dz2 @ params["lb2_weight"].T).reshape(m_win, k, 2 * n)
+    dz1, lb1_grads = _layer_backward(dh[:, :, :n].reshape(m_win * k, n), params, "lb1_", cache.layers["lb1_"])
+    return {**grads, **lb1_grads}, (dz1, dh)
 
 
 def _pagwn_lower(cache: PagwnCache, d_block) -> dict:
@@ -355,43 +359,37 @@ def init_mlp_params(dims: Sequence[int], seed: int) -> dict:
     rng = np.random.default_rng(seed)
     tensors = {"num_layers": np.int64(len(dims) - 1)}
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        s = np.sqrt(1.0 / fan_in)
-        tensors[f"layer{i}.weight"] = rng.uniform(-s, s, size=(fan_in, fan_out))
-        tensors[f"layer{i}.bias"] = np.zeros(fan_out)
-        tensors.update(_bn_init(f"layer{i}.bn.", fan_out))
+        tensors.update(_layer_init(rng, f"layer{i}.", fan_in, fan_out))
     return tensors
 
 
 # per layer i, the names after "layer{i}." in init_mlp_params order
-_MLP_LAYER_TENSORS = ("weight", "bias", *(f"bn.{name}" for name in _bn_init("", 1)))
+_MLP_LAYER_TENSORS = tuple(_layer_shapes("", 1, 1))
 
 
 def _mlp_rows_forward(rows: np.ndarray, params: dict, mode: str):
-    caches = []
-    x = rows
+    """Every layer and its ReLU over the rows: (out rows, layer caches by prefix, ReLU masks)."""
+    layers, masks = {}, []
     for i in range(int(params["num_layers"])):
-        z = _linear_forward(x, params[f"layer{i}.weight"], params[f"layer{i}.bias"])
-        y, bn_cache = _bn_forward(z, params, f"layer{i}.bn.", mode)
-        mask = y > 0
-        caches.append((x, bn_cache, mask))
-        x = y * mask
-    return x, caches
+        y, layers[f"layer{i}."] = _layer_forward(rows, params, f"layer{i}.", mode)
+        masks.append(y > 0)
+        rows = y * masks[-1]
+    return rows, layers, masks
 
 
-def _mlp_rows_backward(g: np.ndarray, params: dict, caches):
+def _mlp_rows_backward(g: np.ndarray, params: dict, layers: dict, masks: list):
     """Parameter gradients of the MLP rows, and the gradient at layer 0's linear output.
 
     Layer 0's input gradient is :func:`_baseline_lower`'s, so a caller that
     needs only the parameters' gradients skips its matmul.
     """
     grads = {}
-    for i in range(len(caches) - 1, -1, -1):
-        x, bn_cache, mask = caches[i]
-        dz, grads[f"layer{i}.bn.gamma"], grads[f"layer{i}.bn.beta"] = _bn_backward(
-            g * mask, params[f"layer{i}.bn.gamma"], bn_cache)
-        grads[f"layer{i}.weight"], grads[f"layer{i}.bias"] = x.T @ dz, _colsum(dz)
+    for i in range(len(masks) - 1, -1, -1):
+        p = f"layer{i}."
+        dz, layer_grads = _layer_backward(g * masks[i], params, p, layers[p])
+        grads.update(layer_grads)
         if i > 0:
-            g = dz @ params[f"layer{i}.weight"].T
+            g = dz @ params[p + "weight"].T
     return dz, grads
 
 
@@ -401,9 +399,9 @@ class BaselineCache:
     mode: str
     neighbor_indices: np.ndarray  # (M, K) into the source cloud
     occupied: np.ndarray          # (M,) False where the region was empty
-    mlp_caches: list
+    layers: dict                  # "layer{i}." -> (layer input rows, batch-norm cache)
+    masks: list                   # per layer, its ReLU mask
     argmax: np.ndarray            # (M_occupied, out)
-    k: int
     num_source_points: int
 
 
@@ -424,33 +422,30 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
     centers whose ``occupied`` flag is False get a zero output.
     ``mlp_params`` is a dict of :func:`init_mlp_params` tensors; ``mode`` is
     ``"training"`` (batch statistics) or ``"inference"`` (running statistics).
-    The first missing tensor is a ``parse-error`` naming it; the values
+    The first missing tensor is a ``parse-error`` naming it, and a
+    ``num_layers`` below 1 is an ``invalid-spec``; the other values
     themselves are not checked.
     """
-    for i in range(int(_tensor(mlp_params, "num_layers"))):
+    num_layers = int(_tensor(mlp_params, "num_layers"))
+    if num_layers < 1:
+        raise DomainError("invalid-spec", f"num_layers must be >= 1, got {num_layers}")
+    for i in range(num_layers):
         for name in _MLP_LAYER_TENSORS:
             _tensor(mlp_params, f"layer{i}.{name}")
     m_cnt, k = neighbor_indices.shape
-    out_dim = mlp_params[f"layer{int(mlp_params['num_layers']) - 1}.weight"].shape[1]
+    out_dim = mlp_params[f"layer{num_layers - 1}.weight"].shape[1]
     features = np.zeros((m_cnt, out_dim))
     occ_idx = np.flatnonzero(occupied)
+    layers, masks, argmax = {}, [], np.zeros((0, out_dim), dtype=np.int64)
     if occ_idx.size:
         rows = source_features[neighbor_indices[occ_idx].reshape(-1)]
-        pooled_rows, caches = _mlp_rows_forward(rows, mlp_params, mode)
-        grouped = pooled_rows.reshape(occ_idx.size, k, out_dim)
-        argmax = grouped.argmax(axis=1)
-        features[occ_idx] = np.take_along_axis(grouped, argmax[:, None, :], axis=1)[:, 0, :]
-    else:
-        caches = []
-        argmax = np.zeros((0, out_dim), dtype=np.int64)
+        out_rows, layers, masks = _mlp_rows_forward(rows, mlp_params, mode)
+        features[occ_idx], argmax = _max_pool(out_rows.reshape(occ_idx.size, k, out_dim))
     cache = BaselineCache(
-        params=mlp_params, mode=mode,
-        neighbor_indices=neighbor_indices, occupied=occupied, mlp_caches=caches,
-        argmax=argmax, k=k, num_source_points=source_features.shape[0],
+        params=mlp_params, mode=mode, neighbor_indices=neighbor_indices, occupied=occupied,
+        layers=layers, masks=masks, argmax=argmax, num_source_points=source_features.shape[0],
     )
-    batch_stats = {f"layer{i}.bn.": bn_cache[3:]
-                   for i, (_, bn_cache, _) in enumerate(caches) if bn_cache[0] == "training"}
-    return BaselineOutput(features=features, cache=cache, batch_stats=batch_stats)
+    return BaselineOutput(features=features, cache=cache, batch_stats=_batch_stats(layers))
 
 
 def _baseline_param_backward(cache: BaselineCache, upstream_grad: np.ndarray):
@@ -460,14 +455,13 @@ def _baseline_param_backward(cache: BaselineCache, upstream_grad: np.ndarray):
         raise DomainError("stale-cache", "backward requires a training-mode forward cache")
     g = np.asarray(upstream_grad, dtype=np.float64)
     occ_idx = np.flatnonzero(cache.occupied)
-    params, out_dim = cache.params, cache.argmax.shape[1]
+    params = cache.params
     if occ_idx.size == 0:
         names = [f"layer{i}.{name}" for i in range(int(params["num_layers"]))
                  for name in ("weight", "bias", "bn.gamma", "bn.beta")]
         return {name: np.zeros_like(params[name]) for name in names}, np.zeros((0, params["layer0.weight"].shape[1]))
-    g_rows = np.zeros((occ_idx.size, cache.k, out_dim))
-    np.put_along_axis(g_rows, cache.argmax[:, None, :], g[occ_idx][:, None, :], axis=1)
-    dz0, grads = _mlp_rows_backward(g_rows.reshape(-1, out_dim), params, cache.mlp_caches)
+    g_rows = _unpool(g[occ_idx], cache.argmax, cache.neighbor_indices.shape[1])
+    dz0, grads = _mlp_rows_backward(g_rows.reshape(-1, cache.argmax.shape[1]), params, cache.layers, cache.masks)
     return grads, dz0
 
 
@@ -500,12 +494,8 @@ def _tensor(tensors: dict, name: str) -> np.ndarray:
 
 
 def _pagwn_shapes(n: int) -> dict:
-    """The shape of every tensor of a block over n feature channels, in checkpoint order."""
-    shapes = {"lb1_weight": (n + 3, n), "lb1_bias": (n,), "lb2_weight": (2 * n, 2 * n), "lb2_bias": (2 * n,)}
-    for prefix, channels in (("lb1_bn.", n), ("lb2_bn.", 2 * n)):
-        shapes.update({prefix + name: (channels,) for name in ("gamma", "beta", "running_mean", "running_var")})
-        shapes.update({prefix + "momentum": (), prefix + "eps": ()})
-    return shapes
+    """The shape of every tensor of a block over n feature channels, in :func:`init_pagwn_params` order."""
+    return {**_layer_shapes("lb1_", n + 3, n), **_layer_shapes("lb2_", 2 * n, 2 * n)}
 
 
 def check_pagwn_tensors(tensors: dict) -> dict:

@@ -6,15 +6,12 @@ on coordinates only; features never influence selection.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .core import DomainError, PointCloud
 
 
-def fps_coords(coords: np.ndarray, m: int, seed: int,
-               first_index: Optional[int] = None) -> np.ndarray:
+def fps_coords(coords: np.ndarray, m: int, seed: int) -> np.ndarray:
     """Farthest point sampling over a bare (N, 3) coordinate array.
 
     Distances are squared and summed as ``(dx*dx + dy*dy) + dz*dz``, always
@@ -26,12 +23,7 @@ def fps_coords(coords: np.ndarray, m: int, seed: int,
     n = coords.shape[0]
     if not 1 <= m <= n:
         raise DomainError("m-out-of-range", f"m={m} outside [1, {n}]")
-    if first_index is None:
-        first = int(np.random.default_rng(seed).integers(n))
-    else:
-        if not 0 <= first_index < n:
-            raise DomainError("m-out-of-range", f"first_index={first_index} outside [0, {n})")
-        first = int(first_index)
+    first = int(np.random.default_rng(seed).integers(n))
 
     # contiguous columns and reused buffers: no array is allocated per pick
     x, y, z = (np.ascontiguousarray(coords[:, axis]) for axis in range(3))
@@ -59,16 +51,15 @@ def fps_coords(coords: np.ndarray, m: int, seed: int,
     return selected
 
 
-def farthest_point_sample(cloud: PointCloud, m: int, seed: int,
-                          first_index: Optional[int] = None) -> np.ndarray:
+def farthest_point_sample(cloud: PointCloud, m: int, seed: int) -> np.ndarray:
     """Greedy max-min selection of m point indices.
 
-    The first index is drawn uniformly from the seeded generator (or forced
-    via ``first_index`` for analysis); each subsequent pick maximizes its
-    minimum distance to the points already selected, ties broken by
-    ascending index.  Output for m is always a prefix of output for m+1.
+    The first index is drawn uniformly from the seeded generator; each
+    subsequent pick maximizes its minimum distance to the points already
+    selected, ties broken by ascending index.  Output for m is always a
+    prefix of output for m+1.
     """
-    return fps_coords(cloud.coords, m, seed, first_index)
+    return fps_coords(cloud.coords, m, seed)
 
 
 def random_sample(cloud: PointCloud, m: int, seed: int) -> np.ndarray:

@@ -166,21 +166,14 @@ def _sq_dists(index: NeighborIndex, cand: np.ndarray, queries: np.ndarray) -> np
 
 
 def _kept(index: NeighborIndex, queries: np.ndarray, cand: np.ndarray,
-          exclude_self: bool = False, r2: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Squared distances to the candidates; dropped ones become (inf, N) like padding.
-
-    ``exclude_self`` drops zero distances; ``r2`` drops squared distances
-    above it.
-    """
+          r2: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Squared distances to the candidates; with ``r2``, those above it are
+    dropped and become (inf, N) like padding."""
     n = index.num_points
     d2 = _sq_dists(index, cand, queries)
-    if not exclude_self and r2 is None:
+    if r2 is None:
         return d2, cand
-    drop = cand == n
-    if exclude_self:
-        drop |= d2 == 0.0
-    if r2 is not None:
-        drop |= d2 > r2
+    drop = (cand == n) | (d2 > r2)
     d2[drop] = np.inf
     return d2, np.where(drop, n, cand)
 
@@ -199,19 +192,20 @@ def _smallest(d2: np.ndarray, cand: np.ndarray, k: int) -> Tuple[np.ndarray, np.
     return ids[pick], dist2[pick]
 
 
-def _grid_search(index: NeighborIndex, grid: _Grid, queries: np.ndarray, k: int, **drop):
+def _grid_search(index: NeighborIndex, grid: _Grid, queries: np.ndarray, k: int, r2: Optional[float] = None):
     """(rows, ids, d2, kept) chunks: the k smallest kept pairs among each query's 27 cells.
 
     ``kept`` counts the candidates that :func:`_kept` did not drop.
     """
     n = index.num_points
     for rows, cand in grid.blocks(queries, n, k):
-        d2, cand = _kept(index, queries[rows], cand, **drop)
+        d2, cand = _kept(index, queries[rows], cand, r2)
         ids, d2 = _smallest(d2, cand, k)
         yield rows, ids, d2, np.count_nonzero(cand < n, axis=1)
 
 
-def _scan_search(index: NeighborIndex, queries: np.ndarray, rows: np.ndarray, k: int, **drop):
+def _scan_search(index: NeighborIndex, queries: np.ndarray, rows: np.ndarray, k: int,
+                 r2: Optional[float] = None):
     """(rows, ids, d2, kept) chunks like :func:`_grid_search`, over all points.
 
     Each chunk of queries merges its best k with one segment of points at
@@ -226,7 +220,7 @@ def _scan_search(index: NeighborIndex, queries: np.ndarray, rows: np.ndarray, k:
         kept = np.zeros(chunk.size, dtype=np.int64)
         for lo in range(0, n, seg):
             part = np.broadcast_to(np.arange(lo, min(lo + seg, n)), (chunk.size, min(seg, n - lo)))
-            part_d2, part_ids = _kept(index, queries[chunk], part, **drop)
+            part_d2, part_ids = _kept(index, queries[chunk], part, r2)
             kept += np.count_nonzero(part_ids < n, axis=1)
             ids, d2 = _smallest(np.hstack([d2, part_d2]), np.hstack([ids, part_ids]), k)
         yield chunk, ids, d2, kept
@@ -273,15 +267,13 @@ def _as_queries(queries) -> np.ndarray:
     return q
 
 
-def knn_batch(index: NeighborIndex, queries, k: int,
-              exclude_self: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+def knn_batch(index: NeighborIndex, queries, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """The k exactly-nearest points of each query row.
 
     Returns (M, k) neighbor indices and distances, each row in ascending
     distance with ties by index, exactly as :func:`brute_force_knn`.  A
     query that coincides with a cloud point gets that point first, at
-    distance zero, unless ``exclude_self`` is set, which drops every
-    zero-distance match.
+    distance zero.
     """
     q = _as_queries(queries)
     n = index.num_points
@@ -294,15 +286,12 @@ def knn_batch(index: NeighborIndex, queries, k: int,
     if grid is not None:
         bound = (_MARGIN * grid.cell) ** 2
         unsafe: List[np.ndarray] = []
-        for chunk, ids, d2, _ in _grid_search(index, grid, q, k, exclude_self=exclude_self):
+        for chunk, ids, d2, _ in _grid_search(index, grid, q, k):
             safe = d2[:, -1] < bound
             _store(indices, distances, chunk[safe], ids[safe], d2[safe])
             unsafe.append(chunk[~safe])
         rows = np.concatenate(unsafe)
-    for chunk, ids, d2, kept in _scan_search(index, q, rows, k, exclude_self=exclude_self):
-        if (kept < k).any():
-            left = int(kept[kept < k][0])
-            raise DomainError("k-out-of-range", f"only {left} points remain after self-exclusion, need {k}")
+    for chunk, ids, d2, _ in _scan_search(index, q, rows, k):
         _store(indices, distances, chunk, ids, d2)
     return indices, distances
 
@@ -366,13 +355,12 @@ def build_index(cloud) -> NeighborIndex:
     return NeighborIndex(cloud)
 
 
-def brute_force_knn(cloud: PointCloud, queries, k: int,
-                    exclude_self: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+def brute_force_knn(cloud: PointCloud, queries, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """O(M·N) scan oracle for :func:`knn_batch`, one query row at a time.
 
-    Each row sorts all N points by (squared distance, index), drops the
-    zero distances under ``exclude_self``, keeps the first k and orders them
-    by (distance, index) on the square-rooted distances.  It shares no
+    Each row sorts all N points by (squared distance, index), keeps the
+    first k and orders them by (distance, index) on the square-rooted
+    distances.  It shares no
     search code with the engine, so tests can compare the two array to array.
     """
     q = _as_queries(queries)
@@ -383,12 +371,7 @@ def brute_force_knn(cloud: PointCloud, queries, k: int,
     distances = np.empty((q.shape[0], k))
     for row, point in enumerate(q):
         d2 = _sq_dist(cloud.coords, point)
-        order = np.lexsort((np.arange(n), d2))
-        if exclude_self:
-            order = order[d2[order] != 0.0]
-        if order.size < k:
-            raise DomainError("k-out-of-range", f"only {order.size} points remain after self-exclusion, need {k}")
-        chosen = order[:k]
+        chosen = np.lexsort((np.arange(n), d2))[:k]
         dist = np.sqrt(d2[chosen])
         # sqrt can collapse adjacent squared distances onto one double, and
         # ties must come out by ascending index

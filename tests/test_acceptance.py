@@ -247,9 +247,10 @@ def _sample_smooth_case(rng):
         gwn_sigmas = cache.gwn_cache[1]
         if min(float(s.min()) for s in gwn_sigmas) < 1e-4:
             continue
-        if min(float(cache.bn1_cache[4].min()), float(cache.bn2_cache[4].min())) < 1e-3:
+        bn1, bn2 = cache.layers["lb1_"][1], cache.layers["lb2_"][1]
+        if min(float(bn1[4].min()), float(bn2[4].min())) < 1e-3:
             continue
-        bn2_rows = (cache.bn2_cache[1] * params["lb2_bn.gamma"] + params["lb2_bn.beta"])
+        bn2_rows = (bn2[1] * params["lb2_bn.gamma"] + params["lb2_bn.beta"])
         rows2 = bn2_rows.reshape(k, 2 * n)
         top2 = np.sort(rows2, axis=0)[-2:, :]
         if k > 1 and float((top2[1] - top2[0]).min()) < 1e-4:

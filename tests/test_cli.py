@@ -401,6 +401,13 @@ class TestTrainToy:
             "non-integer layer size": dict(head_hidden=["8"]),
             "non-numeric scene count": dict(scenes=dict(scenes, train="two")),
             "unhashable scene kind": dict(scenes=dict(scenes, kind=["a"])),
+            "negative scene count": dict(scenes=dict(scenes, train=-3)),
+            "zero test scenes": dict(scenes=dict(scenes, test=0)),
+            "fractional scene count": dict(scenes=dict(scenes, train=2.5)),
+            "negative base seed": dict(scenes=dict(scenes, base_seed=-1)),
+            "unknown scenes key": dict(scenes=dict(scenes, bas_seed=4)),
+            "fractional epochs": dict(epochs=1.9),
+            "string num_classes": dict(num_classes="2"),
         }
         texts = {
             "top-level array": "[1, 2]",

@@ -1,5 +1,6 @@
-"""The package surface: the export list and the README's quick start."""
+"""The package surface: the export list, the public parameters and the README's quick start."""
 
+import inspect
 import re
 import types
 from pathlib import Path
@@ -27,6 +28,47 @@ def test_all_is_the_pinned_list():
         "knn_batch", "pagwn_backward", "pagwn_forward_batch", "pre_abstract", "random_sample",
         "run_toy_pipeline", "sigma_map", "validate_cloud", "window_normalize",
     ]
+
+
+# each public callable's parameter names, in signature order
+PARAMETERS = {
+    "BallQueryBatch": "indices distances num_in_radius",
+    "DomainError": "kind detail",
+    "MetricsReport": "per_class_iou per_class_acc miou macc oa",
+    "NeighborIndex": "cloud",
+    "PagwnOutput": "aggregated cache batch_stats",
+    "PointCloud": "coords features labels",
+    "RegionSpec": "primitive point_count density_scale class_label feature_noise_sigma",
+    "StageSpec": "m_points k split",
+    "SyntheticSceneSpec": "regions seed",
+    "ToyPipelineConfig": "stages num_classes head_hidden epochs learning_rate batch_size seed aggregator "
+                         "epsilon bq_radius",
+    "ablate_m": "config m_values train_scenes test_scenes",
+    "ball_query_batch": "index queries radius k_max",
+    "brute_force_knn": "cloud queries k",
+    "build_index": "cloud",
+    "compute_metrics": "pred_labels true_labels num_classes",
+    "farthest_point_sample": "cloud m seed",
+    "generate_scene": "spec",
+    "init_mlp_params": "dims seed",
+    "init_pagwn_params": "n seed",
+    "knn_batch": "index queries k",
+    "pagwn_backward": "cache upstream_grad",
+    "pagwn_forward_batch": "neighbor_coords neighbor_features center_coords center_features params m epsilon mode",
+    "pre_abstract": "neighbor_coords neighbor_features center_coords center_features params m epsilon mode",
+    "random_sample": "cloud m seed",
+    "run_toy_pipeline": "config train_scenes test_scenes",
+    "sigma_map": "cloud k threshold use_coords",
+    "validate_cloud": "cloud",
+    "window_normalize": "windows centers m epsilon",
+}
+
+
+def test_public_parameters_are_the_pinned_table():
+    # a keyword added to or dropped from a public callable shows up here
+    assert list(PARAMETERS) == pgrain.__all__
+    for name, pinned in PARAMETERS.items():
+        assert list(inspect.signature(getattr(pgrain, name)).parameters) == pinned.split(), name
 
 
 def test_readme_python_quick_start_runs():

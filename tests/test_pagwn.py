@@ -19,9 +19,9 @@ from pgrain import (
 from pgrain import io as pio
 from pgrain.norm import DEFAULT_EPSILON, _gwn_backward, _gwn_forward
 from pgrain.pagwn import (
-    _bn_backward,
-    _bn_forward,
     _colsum,
+    _layer_backward,
+    _layer_forward,
     _pagwn_block,
     _pagwn_lift,
     _pagwn_param_backward,
@@ -207,8 +207,8 @@ class TestForward:
         assert set(train_out.batch_stats) == {"lb1_bn.", "lb2_bn."}
         assert all(name + "running_mean" in params for name in train_out.batch_stats)
         cache = train_out.cache
-        z1 = cache.gwn_rows @ params["lb1_weight"] + params["lb1_bias"]
-        z2 = cache.h_rows @ params["lb2_weight"] + params["lb2_bias"]
+        z1 = cache.layers["lb1_"][0] @ params["lb1_weight"] + params["lb1_bias"]
+        z2 = cache.layers["lb2_"][0] @ params["lb2_weight"] + params["lb2_bias"]
         for name, z in (("lb1_bn.", z1), ("lb2_bn.", z2)):
             mean, var = train_out.batch_stats[name]
             np.testing.assert_allclose(mean, z.mean(axis=0), rtol=1e-12, atol=1e-15)
@@ -294,7 +294,7 @@ class TestZeroSigmaWindows:
         out = pagwn_forward_batch(*self._input(rng, 0.0).batch(), params, m=self.M)
         sigmas = out.cache.gwn_cache[1]
         assert sigmas[0][0] == 0.0 and sigmas[1][0] > 0.0
-        assert np.array_equal(out.cache.gwn_rows[:self.M], np.zeros((self.M, self.N + 3)))
+        assert np.array_equal(out.cache.layers["lb1_"][0][:self.M], np.zeros((self.M, self.N + 3)))
         assert np.isfinite(out.aggregated).all()
         grads, inputs = pagwn_backward(out.cache, rng.normal(size=2 * self.N)[None])
         for name, value in {**grads, **inputs}.items():
@@ -371,26 +371,29 @@ class TestBatchNormConstantChannel:
         x[:, const] = 2.5
         mlp = {**init_mlp_params((channels, channels), seed=0), "layer0.weight": np.eye(channels),
                "layer0.bn.gamma": rng.uniform(0.5, 2.0, channels), "layer0.bn.beta": rng.normal(size=channels)}
-        y, cache = _bn_forward(x, mlp, "layer0.bn.", "training")
-        x_hat = cache[1]
-        dx, dgamma, dbeta = _bn_backward(rng.normal(size=(rows, channels)), mlp["layer0.bn.gamma"], cache)
+        # the identity weight and zero bias hand x to batch norm unchanged
+        y, cache = _layer_forward(x, mlp, "layer0.", "training")
+        x_hat = cache[1][1]
+        dz, grads = _layer_backward(rng.normal(size=(rows, channels)), mlp, "layer0.", cache)
+        dgamma, dbeta = grads["layer0.bn.gamma"], grads["layer0.bn.beta"]
         # the batch statistics a training forward reports, folded as run_toy_pipeline folds them
         out = aggregate_precomputed(x, np.arange(rows)[:, None], np.ones(rows, dtype=bool), mlp)
         mean, var = out.batch_stats["layer0.bn."]
         momentum = float(mlp["layer0.bn.momentum"])
         running_mean = (1.0 - momentum) * mlp["layer0.bn.running_mean"] + momentum * mean
         running_var = (1.0 - momentum) * mlp["layer0.bn.running_var"] + momentum * var
-        for arr in (y, x_hat, dx, dgamma, dbeta, running_mean, running_var):
+        for arr in (y, x_hat, dz, dgamma, dbeta, running_mean, running_var):
             assert np.isfinite(arr).all()
         assert np.array_equal(x_hat[:, const], np.zeros(rows))
-        assert cache[4][const] == 0.0 and var[const] == 0.0
+        assert cache[1][4][const] == 0.0 and var[const] == 0.0
         assert running_mean[const] == 0.1 * 2.5 and running_var[const] == 0.9
 
     def test_inexact_constant_gives_rounding_level_x_hat(self):
         x = np.full((4096, 2), 0.1)
         x[:, 1] = np.arange(4096.0)
-        _, cache = _bn_forward(x, init_mlp_params((2, 2), seed=0), "layer0.bn.", "training")
-        assert np.abs(cache[1][:, 0]).max() < 1e-10
+        mlp = {**init_mlp_params((2, 2), seed=0), "layer0.weight": np.eye(2)}
+        _, cache = _layer_forward(x, mlp, "layer0.", "training")
+        assert np.abs(cache[1][1][:, 0]).max() < 1e-10
 
 
 def _knn_baseline(cloud, centers, k, mlp, mode="inference"):
@@ -483,6 +486,14 @@ class TestBaselines:
             aggregate_precomputed(np.ones((4, 3)), np.zeros((1, 2), dtype=np.int64), np.array([True]), mlp)
         assert exc.value.kind == "parse-error"
         assert repr(reported) in str(exc.value)
+
+    @pytest.mark.parametrize("num_layers", [0, -1])
+    def test_num_layers_below_one_is_invalid_spec(self, num_layers):
+        mlp = {**init_mlp_params((3, 4), seed=0), "num_layers": np.int64(num_layers)}
+        with pytest.raises(DomainError) as exc:
+            aggregate_precomputed(np.ones((4, 3)), np.zeros((1, 2), dtype=np.int64), np.array([True]), mlp)
+        assert exc.value.kind == "invalid-spec"
+        assert "num_layers" in str(exc.value)
 
     def test_neighbor_permutation_invariance(self, rng):
         cloud = random_cloud(rng, n_points=30)

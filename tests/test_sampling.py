@@ -48,7 +48,7 @@ def fps_reference(coords, m, first):
 
 @st.composite
 def _fps_cases(draw):
-    """(coords, m, seed, first_index): tie-heavy grids, duplicates, flat planes
+    """(coords, m, seed): tie-heavy grids, duplicates, flat planes
     and scattered floats, N from 1 to a few hundred."""
     n = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -64,27 +64,26 @@ def _fps_cases(draw):
     else:
         coords = rng.uniform(-1.0, 1.0, size=(n, 3)) * 10.0 ** draw(st.integers(-3, 3))
     m = draw(st.one_of(st.just(n), st.integers(1, n)))
-    first_index = draw(st.one_of(st.none(), st.integers(0, n - 1)))
-    return coords, m, draw(st.integers(0, 1000)), first_index
+    return coords, m, draw(st.integers(0, 1000))
 
 
 class TestFps:
     @settings(max_examples=60, deadline=None)
     @given(case=_fps_cases())
     def test_matches_reference_loop_and_keeps_prefixes(self, case):
-        coords, m, seed, first_index = case
-        picks = fps_coords(coords, m, seed, first_index)
-        first = int(np.random.default_rng(seed).integers(len(coords))) if first_index is None else first_index
+        coords, m, seed = case
+        picks = fps_coords(coords, m, seed)
+        first = int(np.random.default_rng(seed).integers(len(coords)))
         np.testing.assert_array_equal(picks, fps_reference(coords, m, first))
         assert picks.dtype == np.int64
         if m > 1:
-            np.testing.assert_array_equal(fps_coords(coords, m - 1, seed, first_index), picks[:-1])
+            np.testing.assert_array_equal(fps_coords(coords, m - 1, seed), picks[:-1])
 
     def test_unit_square_opposite_corner(self):
         cloud = _cloud_from_coords([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
-        picks = farthest_point_sample(cloud, 2, seed=0, first_index=0)
-        assert picks[0] == 0
-        assert picks[1] == 3  # the diagonal corner maximizes min distance
+        picks = farthest_point_sample(cloud, 2, seed=0)
+        # corners i and 3 - i are diagonal; the diagonal corner maximizes min distance
+        assert picks[1] == 3 - picks[0]
 
     def test_m_equals_n_is_permutation(self, rng):
         cloud = random_cloud(rng, n_points=33)

@@ -27,9 +27,9 @@ def brute_radius_filter(cloud, q, radius):
     return set(np.flatnonzero(d2 <= radius * radius).tolist())
 
 
-def _knn_row(cloud, q, k, exclude_self=False):
+def _knn_row(cloud, q, k):
     """One-row knn_batch call: the row's (indices, distances)."""
-    indices, distances = knn_batch(build_index(cloud), np.reshape(q, (1, 3)), k, exclude_self)
+    indices, distances = knn_batch(build_index(cloud), np.reshape(q, (1, 3)), k)
     return indices[0], distances[0]
 
 
@@ -78,11 +78,6 @@ class TestKnn:
                 with pytest.raises(DomainError) as exc:
                     call()
                 assert exc.value.kind == "k-out-of-range"
-
-    def test_exclude_self_drops_zero_distance(self):
-        cloud = _cloud_from_coords([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
-        indices, _ = _knn_row(cloud, [0, 0, 0], 2, exclude_self=True)
-        np.testing.assert_array_equal(indices, [1, 2])
 
     def test_matches_brute_force_on_random_clouds(self, rng):
         for _ in range(60):
@@ -223,12 +218,7 @@ class TestBruteForceOracle:
         rng, coords = _cloud_strategy(data.draw, n)
         cloud = _cloud_from_coords(coords)
         k = data.draw(st.integers(1, n))
-        exclude_self = data.draw(st.booleans())
-        try:
-            indices, distances = brute_force_knn(cloud, _queries(rng, coords, m), k, exclude_self=exclude_self)
-        except DomainError as exc:
-            assert exc.kind == "k-out-of-range" and exclude_self
-            return
+        indices, distances = brute_force_knn(cloud, _queries(rng, coords, m), k)
         assert indices.shape == distances.shape == (m, k)
         assert indices.dtype == np.int64
         # every row ascends by (distance, index)
@@ -237,8 +227,6 @@ class TestBruteForceOracle:
         assert (np.diff(indices, axis=1)[step == 0] > 0).all()
         assert np.isfinite(distances).all() and (distances >= 0).all()
         assert ((indices >= 0) & (indices < n)).all()
-        if exclude_self:
-            assert (distances > 0).all()
 
 
 class TestBatchEngine:
@@ -248,17 +236,9 @@ class TestBatchEngine:
         rng, coords = _cloud_strategy(data.draw, n)
         cloud = _cloud_from_coords(coords)
         k = data.draw(st.sampled_from([1, n, int(rng.integers(1, n + 1))]))
-        exclude_self = data.draw(st.booleans())
         queries = _queries(rng, coords, m)
-        try:
-            expected = brute_force_knn(cloud, queries, k, exclude_self=exclude_self)
-        except DomainError as exc:
-            assert exc.kind == "k-out-of-range"
-            with pytest.raises(DomainError) as batch_exc:
-                knn_batch(build_index(cloud), queries, k, exclude_self=exclude_self)
-            assert batch_exc.value.kind == "k-out-of-range"
-            return
-        indices, distances = knn_batch(build_index(cloud), queries, k, exclude_self=exclude_self)
+        expected = brute_force_knn(cloud, queries, k)
+        indices, distances = knn_batch(build_index(cloud), queries, k)
         assert indices.shape == distances.shape == (m, k)
         np.testing.assert_array_equal(indices, expected[0])
         assert distances.tobytes() == expected[1].tobytes()
