@@ -32,7 +32,6 @@ from .pagwn import (
     init_pagwn_params,
     pagwn_backward,
     pagwn_forward_batch,
-    pre_abstract,
 )
 from .sampling import farthest_point_sample, random_sample
 from .spatial import (
@@ -69,7 +68,6 @@ __all__ = [
     "knn_batch",
     "pagwn_backward",
     "pagwn_forward_batch",
-    "pre_abstract",
     "random_sample",
     "run_toy_pipeline",
     "sigma_map",

@@ -153,8 +153,7 @@ def _scene_sets(spec):
     counts = {"base_seed": 0, **spec}  # base_seed may be left out
     for name, least in _SCENE_COUNTS.items():
         value = counts.get(name)
-        # a JSON integer; bool is an int in Python but not in JSON
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        if not ev._is_number(value, int) or value < least:
             raise DomainError("invalid-spec", f"scenes.{name} must be an integer >= {least}, got {value!r}")
     make, base, n_train = makers[kind], counts["base_seed"], counts["train"]
     train = [make(base + i) for i in range(n_train)]

@@ -301,6 +301,11 @@ class StageSpec:
     split: int = DEFAULT_SPLIT
 
 
+def _is_number(value, kind) -> bool:
+    """``isinstance(value, kind)``, but False for a bool: an int in Python, not a number in JSON."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ToyPipelineConfig:
     stages: Tuple[StageSpec, ...]
@@ -323,12 +328,12 @@ class ToyPipelineConfig:
             raise DomainError("invalid-spec", "stages and head_hidden must be sequences") from None
         for i, stage in enumerate(self.stages):
             if not (isinstance(stage, StageSpec)
-                    and all(isinstance(v, Integral) for v in (stage.m_points, stage.k, stage.split))):
+                    and all(_is_number(v, Integral) for v in (stage.m_points, stage.k, stage.split))):
                 raise DomainError("invalid-spec", f"stage {i}: m_points, k and split must be integers")
         types = dict(num_classes=Integral, epochs=Integral, batch_size=Integral, seed=Integral,
                      learning_rate=Real, epsilon=Real, bq_radius=(Real, type(None)))
         for name, kind in types.items():
-            if not isinstance(getattr(self, name), kind):
+            if not _is_number(getattr(self, name), kind):
                 raise DomainError("invalid-spec", f"{name} has the wrong type: {getattr(self, name)!r}")
         if not self.stages:
             raise DomainError("invalid-spec", "the pipeline needs at least one stage")
@@ -352,7 +357,7 @@ class ToyPipelineConfig:
             raise DomainError("invalid-spec", f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.num_classes < 2:
             raise DomainError("invalid-spec", "segmentation needs at least 2 classes")
-        if not all(isinstance(size, Integral) and size >= 1 for size in self.head_hidden):
+        if not all(_is_number(size, Integral) and size >= 1 for size in self.head_hidden):
             raise DomainError("invalid-spec", f"head_hidden sizes must be positive integers, got {self.head_hidden}")
 
     def with_split(self, m: int) -> "ToyPipelineConfig":
@@ -475,8 +480,7 @@ def _ball_neighbors(index, queries, k, config):
 
 def _pagwn_stage_lift(splan, x, split, epsilon, lowered):
     coords, centers, hoods, _ = splan
-    gwn, gwn_cache = _pagwn_lift(coords[hoods], x[hoods], coords[centers], x[centers], x.shape[1],
-                                 split, epsilon)
+    gwn, gwn_cache = _pagwn_lift(coords[hoods], x[hoods], coords[centers], x[centers], split, epsilon)
     # only _pagwn_lower reads the deviations, gwn_cache[0]; the sigmas stay
     return gwn, gwn_cache if lowered else (None, *gwn_cache[1:])
 

@@ -48,6 +48,23 @@ def _label(token: str, lineno: int, low: int) -> int:
     return label
 
 
+def _blocks(path: PathLike):
+    """A text file's lines, read with ``errors="surrogateescape"``, in blocks of
+    at most 1,024: yields (line number of the block's first line, lines)."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        start = 1
+        while block := list(islice(fh, _BLOCK_LINES)):
+            yield start, block
+            start += len(block)
+
+
+def _check_block_utf8(block: list) -> None:
+    """Raise UnicodeEncodeError if any line of a :func:`_blocks` block held undecodable bytes."""
+    text = "".join(block)
+    if not text.isascii():
+        text.encode("utf-8")
+
+
 def _check_utf8(line: str, lineno: int) -> None:
     """Reject a line, read with ``errors="surrogateescape"``, that held undecodable bytes."""
     if not line.isascii():
@@ -85,19 +102,16 @@ def read_xyz(path: PathLike, feature_dim: int, has_label: bool = False) -> Point
         raise DomainError("invalid-spec", f"feature_dim must be >= 0, got {feature_dim}")
     width = 3 + feature_dim
     values, labels = [], []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        start = 1  # line number of the block's first line
-        while block := list(islice(fh, _BLOCK_LINES)):
-            if start == 1 and block[0] == "\n":
-                block, start = block[1:], 2  # so a file holding one newline reads as empty
-            try:
-                block_values, block_labels = _parse_xyz_block(block, width, has_label)
-            except (ValueError, OverflowError, UnicodeEncodeError):
-                _raise_first_bad_line(block, start, width, has_label)
-                raise
-            values.append(block_values)
-            labels.append(block_labels)
-            start += len(block)
+    for start, block in _blocks(path):
+        if start == 1 and block[0] == "\n":
+            block, start = block[1:], 2  # so a file holding one newline reads as empty
+        try:
+            block_values, block_labels = _parse_xyz_block(block, width, has_label)
+        except (ValueError, OverflowError, UnicodeEncodeError):
+            _raise_first_bad_line(block, start, width, has_label)
+            raise
+        values.append(block_values)
+        labels.append(block_labels)
     n_points = sum(len(v) for v in values) // width
     if not n_points:
         raise DomainError("empty-cloud", f"{path} contains no points")
@@ -115,9 +129,7 @@ def _parse_xyz_block(block: list, width: int, has_label: bool):
     Raises ValueError, OverflowError or UnicodeEncodeError when any line of
     the block is bad; :func:`_raise_first_bad_line` then names it.
     """
-    text = "".join(block)
-    if not text.isascii():
-        text.encode("utf-8")  # raises on bytes that were not UTF-8
+    _check_block_utf8(block)
     rows = list(map(str.split, block))
     expected = width + (1 if has_label else 0)
     if set(map(len, rows)) - {expected}:
@@ -453,19 +465,14 @@ def read_labels(path: PathLike) -> np.ndarray:
     ``parse-error`` with that line's number.
     """
     labels = [np.empty(0, dtype=np.int64)]
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        start = 1  # line number of the block's first line
-        while block := list(islice(fh, _BLOCK_LINES)):
-            try:
-                text = "".join(block)
-                if not text.isascii():
-                    text.encode("utf-8")  # raises on bytes that were not UTF-8
-                labels.append(np.array([int(t) for t in map(str.strip, block) if t], dtype=np.int64))
-            except (ValueError, OverflowError, UnicodeEncodeError):
-                for lineno, line in enumerate(block, start=start):
-                    _check_utf8(line, lineno)
-                    if token := line.strip():
-                        _label(token, lineno, -_INT64_END)
-                raise
-            start += len(block)
+    for start, block in _blocks(path):
+        try:
+            _check_block_utf8(block)
+            labels.append(np.array([int(t) for t in map(str.strip, block) if t], dtype=np.int64))
+        except (ValueError, OverflowError, UnicodeEncodeError):
+            for lineno, line in enumerate(block, start=start):
+                _check_utf8(line, lineno)
+                if token := line.strip():
+                    _label(token, lineno, -_INT64_END)
+            raise
     return np.concatenate(labels)

@@ -26,10 +26,13 @@ Parameters have one form: the flat ``name -> array`` dict of checkpoint
 tensors that :func:`init_pagwn_params` and :func:`init_mlp_params` return,
 and parameter gradients come back under the same names.  Whether batch
 norm uses batch or running statistics is the forwards' ``mode`` keyword,
-not part of the parameters.  :func:`check_pagwn_tensors` checks a block's
-tensors where they arrive from outside, inside the public PAGWN forwards,
-which also reject a group sigma that is not finite as ``non-finite-value``;
-the private functions the training loop calls never re-check.
+not part of the parameters.  :func:`pagwn_forward_batch` is the block's
+one public forward and its one checked entry: it runs
+:func:`check_pagwn_tensors` on the tensors, checks the window arrays'
+shapes and the split, and rejects a group sigma that is not finite as
+``non-finite-value``; the private functions the training loop calls never
+re-check.  The pre-abstraction LB1(GWN(rows)) is the first n channels of
+LB2's input, which the cache keeps.
 
 GWN has no parameters, so the block splits into a parameter-free *lift*
 (:func:`_pagwn_lift`) and a parametric part (:func:`_pagwn_block`), and
@@ -224,25 +227,12 @@ def init_pagwn_params(n: int, seed: int) -> dict:
     return {**_layer_init(rng, "lb1_", n + 3, n), **_layer_init(rng, "lb2_", 2 * n, 2 * n)}
 
 
-def _pagwn_lift(nc, nf, cc, cf, n: int, m: int, epsilon: float):
-    """Check a batch, then GWN its [c_j || x_j] rows: the (M, K, n+3) LB1 input and the GWN cache."""
-    if nc.ndim != 3 or nf.ndim != 3 or cc.ndim != 2 or cf.ndim != 2:
-        raise DomainError("shape-mismatch", "batched inputs must be (M,K,3), (M,K,n), (M,3), (M,n)")
-    m_win, k, _ = nc.shape
-    if nc.shape[2] != 3 or cc.shape != (m_win, 3):
-        raise DomainError("shape-mismatch", "coordinate arrays must have 3 channels")
-    if nf.shape != (m_win, k, n) or cf.shape != (m_win, n):
-        raise DomainError("shape-mismatch", f"feature arrays disagree with params n={n}")
-    if k < 1:
-        raise DomainError("degenerate-window", "need at least one neighbor")
+def _pagwn_lift(nc, nf, cc, cf, m: int, epsilon: float):
+    """GWN a batch's [c_j || x_j] rows: the (M, K, n+3) LB1 input and the GWN cache."""
     windows = np.concatenate([nc, nf], axis=2)
     centers = np.concatenate([cc, cf], axis=1)
-    if k == 1:
-        # a single row cannot be split, so K == 1 normalizes as one group
-        if m < 1:
-            raise DomainError("bad-split", f"m={m} must be >= 1")
-        m = None
-    return _gwn_forward(windows, centers, m, epsilon)
+    # a single row cannot be split, so K == 1 normalizes as one group
+    return _gwn_forward(windows, centers, None if nc.shape[1] == 1 else m, epsilon)
 
 
 def _pagwn_block(gwn: np.ndarray, gwn_cache: tuple, cf: np.ndarray, params: dict, mode: str) -> PagwnOutput:
@@ -258,24 +248,6 @@ def _pagwn_block(gwn: np.ndarray, gwn_cache: tuple, cf: np.ndarray, params: dict
     return PagwnOutput(aggregated=np.maximum(pooled, 0.0), cache=cache, batch_stats=_batch_stats(layers))
 
 
-def pre_abstract(neighbor_coords, neighbor_features, center_coords, center_features,
-                 params: dict, m: int = DEFAULT_SPLIT, epsilon: float = DEFAULT_EPSILON, *,
-                 mode: str = "training") -> np.ndarray:
-    """LB1(GWN([c_j || x_j])) over M windows: an (M, K, n) array.
-
-    Reduces each (n+3)-channel normalized row back to n channels so the
-    neighbor rows carry the same dimensionality as the center feature.
-    """
-    params = check_pagwn_tensors(params)
-    n = params["lb1_bias"].shape[0]
-    nc, nf, cc, cf = (np.asarray(a, dtype=np.float64)
-                      for a in (neighbor_coords, neighbor_features, center_coords, center_features))
-    gwn, gwn_cache = _pagwn_lift(nc, nf, cc, cf, n, m, epsilon)
-    _check_sigmas(gwn_cache[1])
-    rows = _layer_forward(gwn.reshape(-1, n + 3), params, "lb1_", mode)[0]
-    return rows.reshape(nc.shape[0], nc.shape[1], n)
-
-
 def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, center_features,
                         params: dict, m: int = DEFAULT_SPLIT, epsilon: float = DEFAULT_EPSILON, *,
                         mode: str = "training") -> PagwnOutput:
@@ -286,9 +258,21 @@ def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, cente
     (batch statistics) or ``"inference"`` (running statistics).
     """
     params = check_pagwn_tensors(params)
+    n = params["lb1_bias"].shape[0]
     nc, nf, cc, cf = (np.asarray(a, dtype=np.float64)
                       for a in (neighbor_coords, neighbor_features, center_coords, center_features))
-    gwn, gwn_cache = _pagwn_lift(nc, nf, cc, cf, params["lb1_bias"].shape[0], m, epsilon)
+    if nc.ndim != 3 or nf.ndim != 3 or cc.ndim != 2 or cf.ndim != 2:
+        raise DomainError("shape-mismatch", "batched inputs must be (M,K,3), (M,K,n), (M,3), (M,n)")
+    m_win, k, _ = nc.shape
+    if nc.shape[2] != 3 or cc.shape != (m_win, 3):
+        raise DomainError("shape-mismatch", "coordinate arrays must have 3 channels")
+    if nf.shape != (m_win, k, n) or cf.shape != (m_win, n):
+        raise DomainError("shape-mismatch", f"feature arrays disagree with params n={n}")
+    if k < 1:
+        raise DomainError("degenerate-window", "need at least one neighbor")
+    if k == 1 and m < 1:
+        raise DomainError("bad-split", f"m={m} must be >= 1")
+    gwn, gwn_cache = _pagwn_lift(nc, nf, cc, cf, m, epsilon)
     _check_sigmas(gwn_cache[1])
     return _pagwn_block(gwn, gwn_cache, cf, params, mode)
 
@@ -503,7 +487,7 @@ def check_pagwn_tensors(tensors: dict) -> dict:
 
     ``tensors`` must hold every name of :func:`init_pagwn_params`; other
     names are ignored, and ``f4`` or ``i8`` tensors are read as float64.
-    The public forwards run this check.  The training loop, whose tensors
+    The public forward runs this check.  The training loop, whose tensors
     come from :func:`init_pagwn_params` and its own SGD steps, never does.
 
     Raises:
@@ -517,22 +501,26 @@ def check_pagwn_tensors(tensors: dict) -> dict:
     w1 = np.asarray(_tensor(tensors, "lb1_weight"), dtype=np.float64)
     if w1.ndim != 2 or w1.shape[0] != w1.shape[1] + 3 or w1.shape[1] < 1:
         raise DomainError("shape-mismatch", f"lb1_weight must be (n+3, n) with n >= 1, got {w1.shape}")
-    out = {}
-    for name, shape in _pagwn_shapes(w1.shape[1]).items():
+    n, out = w1.shape[1], {}
+    for name, shape in _pagwn_shapes(n).items():
         out[name] = np.asarray(_tensor(tensors, name), dtype=np.float64)
         if out[name].shape != shape:
             raise DomainError("shape-mismatch", f"tensor {name!r} must have shape {shape}, got {out[name].shape}")
     for prefix in ("lb1_bn.", "lb2_bn."):
-        momentum, eps = out[prefix + "momentum"], out[prefix + "eps"]
+        momentum, eps = float(out[prefix + "momentum"]), float(out[prefix + "eps"])
         if not 0.0 < momentum < 1.0:
             raise DomainError("invalid-spec", f"{prefix}momentum must be in (0, 1), got {momentum}")
         if not 0.0 <= eps < np.inf:
             raise DomainError("invalid-spec", f"{prefix}eps must be finite and >= 0, got {eps}")
-    for name, arr in out.items():
-        if not np.isfinite(arr).all():
-            raise DomainError("non-finite-value", f"{name} contains a non-finite entry")
-        if name.endswith("running_var") and (arr < 0).any():
-            raise DomainError("non-finite-value", f"{name} entries must be >= 0")
+    # one pass over every entry, the two running variances (3n entries) first; a
+    # failure walks the tensors in order to name the first bad one
+    flat = np.concatenate([out["lb1_bn.running_var"], out["lb2_bn.running_var"], *out.values()], axis=None)
+    if not (np.isfinite(flat).all() and flat[:3 * n].min() >= 0):
+        for name, arr in out.items():
+            if not np.isfinite(arr).all():
+                raise DomainError("non-finite-value", f"{name} contains a non-finite entry")
+            if name.endswith("running_var") and (arr < 0).any():
+                raise DomainError("non-finite-value", f"{name} entries must be >= 0")
     return out
 
 

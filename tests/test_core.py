@@ -132,6 +132,30 @@ class TestPagwnTensors:
         err = _rejected(params)
         assert err.kind == "parse-error" and "lb2_bn.beta" in str(err)
 
+    @pytest.mark.parametrize("changes, missing, message", [
+        # a wrong shape before a missing tensor, and a missing tensor before a wrong shape
+        ({"lb1_bias": np.ones(5)}, "lb2_bn.beta",
+         "shape-mismatch: tensor 'lb1_bias' must have shape (4,), got (5,)"),
+        ({"lb2_bias": np.ones(5)}, "lb1_bn.gamma", "parse-error: tensor 'lb1_bn.gamma' is missing"),
+        # the first tensor in init order with either value defect is named
+        ({"lb1_bias": np.array([0.0, np.nan, 0.0, 0.0]), "lb2_bn.running_var": -np.ones(8)}, None,
+         "non-finite-value: lb1_bias contains a non-finite entry"),
+        ({"lb1_bn.running_var": np.array([1.0, -1e-300, 1.0, 1.0]), "lb2_weight": np.full((8, 8), np.inf)}, None,
+         "non-finite-value: lb1_bn.running_var entries must be >= 0"),
+        ({"lb1_bn.running_var": np.array([1.0, np.nan, 1.0, 1.0])}, None,
+         "non-finite-value: lb1_bn.running_var contains a non-finite entry"),
+        # momentum and eps come before any value check
+        ({"lb2_bn.momentum": np.float64(1.0), "lb1_weight": np.full((7, 4), np.nan)}, None,
+         "invalid-spec: lb2_bn.momentum must be in (0, 1), got 1.0"),
+    ], ids=["shape-then-missing", "missing-then-shape", "nan-then-negative-var", "negative-var-then-inf",
+            "nan-var", "momentum-then-nan"])
+    def test_first_defect_is_reported(self, changes, missing, message):
+        tensors = {**init_pagwn_params(4, seed=0), **changes}
+        if missing is not None:
+            del tensors[missing]
+        err = _rejected(tensors)
+        assert (err.kind, str(err)) == (message.split(":")[0], message)
+
     def test_f4_and_i8_tensors_read_as_float64(self):
         params = init_pagwn_params(5, seed=0)
         sent = {name: value.astype(np.float32) for name, value in params.items()}

@@ -299,11 +299,13 @@ class TestToyPipeline:
             self._tiny_config(aggregator="bq_baseline")  # radius missing
 
     def test_head_layer_sizes_and_stage_fields_must_be_integers(self):
-        for head_hidden in ((0,), (8, -1), (2.5,), ("8",)):
+        # a bool is an int in Python but not in JSON
+        for head_hidden in ((0,), (8, -1), (2.5,), ("8",), (True,), (8, True)):
             with pytest.raises(DomainError) as exc:
                 self._tiny_config(head_hidden=head_hidden)
             assert exc.value.kind == "invalid-spec", head_hidden
-        for stage in (StageSpec(32, "8", 3), StageSpec(32.0, 8, 3), StageSpec(32, 8, 2.5)):
+        for stage in (StageSpec(32, "8", 3), StageSpec(32.0, 8, 3), StageSpec(32, 8, 2.5),
+                      StageSpec(32, 8, True), StageSpec(True, 8, 3), StageSpec(32, True, 1)):
             with pytest.raises(DomainError) as exc:
                 self._tiny_config(stages=(stage,))
             assert exc.value.kind == "invalid-spec", stage
@@ -323,6 +325,9 @@ class TestToyPipeline:
         cases = [dict(stages=two_stages), dict(epochs=2.5), dict(num_classes="2"), dict(learning_rate="x")]
         # a radius that is not a number is wrong whether or not the aggregator reads it
         cases += [dict(aggregator=name, bq_radius="0.1") for name in ("pagwn", "knn_baseline", "bq_baseline")]
+        # JSON true and false are not numbers, though Python's bool is an int
+        cases += [dict(epochs=True), dict(batch_size=True), dict(seed=False), dict(num_classes=True),
+                  dict(learning_rate=True), dict(epsilon=True), dict(aggregator="bq_baseline", bq_radius=True)]
         for fields in cases:
             with pytest.raises(DomainError) as exc:
                 self._tiny_config(**fields)

@@ -25,8 +25,8 @@ def test_all_is_the_pinned_list():
         "PointCloud", "RegionSpec", "StageSpec", "SyntheticSceneSpec", "ToyPipelineConfig",
         "ablate_m", "ball_query_batch", "brute_force_knn", "build_index", "compute_metrics",
         "farthest_point_sample", "generate_scene", "init_mlp_params", "init_pagwn_params",
-        "knn_batch", "pagwn_backward", "pagwn_forward_batch", "pre_abstract", "random_sample",
-        "run_toy_pipeline", "sigma_map", "validate_cloud", "window_normalize",
+        "knn_batch", "pagwn_backward", "pagwn_forward_batch", "random_sample", "run_toy_pipeline",
+        "sigma_map", "validate_cloud", "window_normalize",
     ]
 
 
@@ -55,7 +55,6 @@ PARAMETERS = {
     "knn_batch": "index queries k",
     "pagwn_backward": "cache upstream_grad",
     "pagwn_forward_batch": "neighbor_coords neighbor_features center_coords center_features params m epsilon mode",
-    "pre_abstract": "neighbor_coords neighbor_features center_coords center_features params m epsilon mode",
     "random_sample": "cloud m seed",
     "run_toy_pipeline": "config train_scenes test_scenes",
     "sigma_map": "cloud k threshold use_coords",

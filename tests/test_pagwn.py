@@ -14,7 +14,6 @@ from pgrain import (
     knn_batch,
     pagwn_backward,
     pagwn_forward_batch,
-    pre_abstract,
 )
 from pgrain import io as pio
 from pgrain.norm import DEFAULT_EPSILON, _gwn_backward, _gwn_forward
@@ -58,11 +57,18 @@ def grad_close(analytic, numeric, tol=1e-4):
     return float(np.max(np.abs(analytic - numeric) / denom)) < tol
 
 
+def lb1_rows(window, params, m):
+    """The pre-abstraction LB1(GWN(rows)) of an inference forward: the first n channels of LB2's input, (M, K, n)."""
+    out = pagwn_forward_batch(*window, params, m=m, mode="inference")
+    m_win, k, n = out.cache.shapes
+    return out.cache.layers["lb2_"][0].reshape(m_win, k, 2 * n)[:, :, :n]
+
+
 class TestPreAbstract:
     def test_zero_weights_identity_bn_gives_zero_rows(self, rng):
         n, k = 4, 6
         inp = random_input(rng, n, k)
-        out = pre_abstract(*inp.batch(), identity_params(n), m=3, mode="inference")
+        out = lb1_rows(inp.batch(), identity_params(n), m=3)
         assert out.shape == (1, k, n)
         assert np.all(out == 0.0)
 
@@ -73,7 +79,7 @@ class TestPreAbstract:
         weight = np.zeros((n + 3, n))
         weight[3:, :] = np.eye(n)
         params = {**identity_params(n), "lb1_weight": weight}
-        got = pre_abstract(*inp.batch(), params, m=m, mode="inference")[0]
+        got = lb1_rows(inp.batch(), params, m=m)[0]
         window = GwnWindow(
             center_feature=np.concatenate([inp.center_coord, inp.center_feature]),
             neighbor_features=np.hstack([inp.neighbor_coords, inp.neighbor_features]),
@@ -86,12 +92,12 @@ class TestPreAbstract:
     def test_output_shape_contract(self, rng, n, k):
         inp = random_input(rng, n, k)
         params = init_pagwn_params(n, seed=0)
-        assert pre_abstract(*inp.batch(), params, m=2, mode="inference").shape == (1, k, n)
+        assert lb1_rows(inp.batch(), params, m=2).shape == (1, k, n)
 
     def test_bad_split_rejected(self, rng):
         inp = random_input(rng, 3, 4)
         with pytest.raises(DomainError) as exc:
-            pre_abstract(*inp.batch(), identity_params(3), m=4, mode="inference")
+            pagwn_forward_batch(*inp.batch(), identity_params(3), m=4, mode="inference")
         assert exc.value.kind == "bad-split"
         # a one-neighbor window is never split, but m < 1 is still no group size
         lone = random_input(rng, 3, 1)
@@ -106,10 +112,9 @@ class TestForward:
     def test_overflowing_sigma_is_non_finite_value(self, rng):
         # finite entries whose group sigma overflows would normalize every row to 0
         inp = random_input(rng, 3, 4)._replace(neighbor_features=np.full((4, 3), 1e200))
-        for forward in (pagwn_forward_batch, pre_abstract):
-            with pytest.raises(DomainError) as exc:
-                forward(*inp.batch(), init_pagwn_params(3, seed=0), m=2)
-            assert exc.value.kind == "non-finite-value"
+        with pytest.raises(DomainError) as exc:
+            pagwn_forward_batch(*inp.batch(), init_pagwn_params(3, seed=0), m=2)
+        assert exc.value.kind == "non-finite-value"
 
     def test_zero_lb2_gives_zero_output(self, rng):
         n, k = 3, 5
@@ -192,10 +197,9 @@ class TestForward:
 
     def test_unknown_mode_is_invalid_spec(self, rng):
         inp = random_input(rng, 3, 4)
-        for forward in (pagwn_forward_batch, pre_abstract):
-            with pytest.raises(DomainError) as exc:
-                forward(*inp.batch(), init_pagwn_params(3, seed=0), m=2, mode="eval")
-            assert exc.value.kind == "invalid-spec" and "'eval'" in str(exc.value)
+        with pytest.raises(DomainError) as exc:
+            pagwn_forward_batch(*inp.batch(), init_pagwn_params(3, seed=0), m=2, mode="eval")
+        assert exc.value.kind == "invalid-spec" and "'eval'" in str(exc.value)
 
     def test_running_stats_update_only_in_training(self, rng):
         # a training forward reports each batch norm's batch (mean, var) under its
@@ -610,7 +614,7 @@ class TestLiftedRows:
         n, k, m_win, m = 3, 6, 5, 2
         window = (rng.normal(size=(m_win, k, 3)), rng.normal(size=(m_win, k, n)),
                   rng.normal(size=(m_win, 3)), rng.normal(size=(m_win, n)))
-        gwn, gwn_cache = _pagwn_lift(*window, n, m, DEFAULT_EPSILON)
+        gwn, gwn_cache = _pagwn_lift(*window, m, DEFAULT_EPSILON)
         kept = (gwn, (None, *gwn_cache[1:]))
         for seed in (1, 2):
             params = init_pagwn_params(n, seed)
