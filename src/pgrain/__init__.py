@@ -27,7 +27,7 @@ from .norm import (
     window_normalize,
 )
 from .pagwn import (
-    PagwnOutput,
+    BlockOutput,
     init_mlp_params,
     init_pagwn_params,
     pagwn_backward,
@@ -47,10 +47,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallQueryBatch",
+    "BlockOutput",
     "DomainError",
     "MetricsReport",
     "NeighborIndex",
-    "PagwnOutput",
     "PointCloud",
     "RegionSpec",
     "StageSpec",

@@ -21,7 +21,6 @@ Each stage reads a view of it under stage-local names, with no copies.
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -29,6 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import DomainError, MetricsReport, PointCloud
+from .io import _fmt
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT
 from .pagwn import (
     _baseline_lower,
@@ -248,10 +248,9 @@ def compute_metrics(pred_labels, true_labels, num_classes: int) -> MetricsReport
             i = int(np.flatnonzero(bad)[0])
             raise DomainError("label-out-of-range", f"{name}[{i}] = {arr[i]} outside [0, {c})")
 
-    confusion = np.bincount(truth * c + pred, minlength=c * c).reshape(c, c)
-    tp = np.diag(confusion).astype(np.float64)
-    fn = confusion.sum(axis=1) - tp
-    fp = confusion.sum(axis=0) - tp
+    tp = np.bincount(truth[pred == truth], minlength=c).astype(np.float64)
+    fn = np.bincount(truth, minlength=c) - tp
+    fp = np.bincount(pred, minlength=c) - tp
 
     iou_den = tp + fp + fn
     acc_den = tp + fn
@@ -263,10 +262,6 @@ def compute_metrics(pred_labels, true_labels, num_classes: int) -> MetricsReport
         macc = float(np.nanmean(acc))
     oa = float(tp.sum() / pred.size)
     return MetricsReport(per_class_iou=iou, per_class_acc=acc, miou=miou, macc=macc, oa=oa)
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def metrics_csv(report: MetricsReport) -> str:
@@ -464,7 +459,7 @@ class _Aggregator:
     init: Callable       # (n, seed) -> stage-local tensors of one n -> 2n stage
     neighbors: Callable  # (index, center coords, k, config) -> (M, k) indices, (M,) occupied
     lift: Callable       # (stage plan, x, split, epsilon, lowered) -> GWN windows or x; lowered keeps what lower reads
-    forward: Callable    # (stage tensors, stage plan, lifted, x, mode) -> (features, output with batch_stats)
+    forward: Callable    # (stage tensors, stage plan, lifted, x, mode) -> pagwn.BlockOutput
     backward: Callable   # (output, upstream) -> (grads by stage-local name, what lower reads)
     lower: Callable      # (output, stage plan, what backward returned for it) -> upstream of the stage input x
 
@@ -485,11 +480,6 @@ def _pagwn_stage_lift(splan, x, split, epsilon, lowered):
     return gwn, gwn_cache if lowered else (None, *gwn_cache[1:])
 
 
-def _pagwn_stage_forward(params, splan, lifted, x, mode):
-    out = _pagwn_block(*lifted, x[splan[1]], params, mode)
-    return out.aggregated, out
-
-
 def _pagwn_stage_lower(out, splan, d_block):
     coords, centers, hoods, _ = splan
     inputs = _pagwn_lower(out.cache, d_block)
@@ -500,22 +490,18 @@ def _pagwn_stage_lower(out, splan, d_block):
                          coords.shape[0])
 
 
-def _mlp_forward(params, splan, lifted, x, mode):
-    _, _, hoods, occupied = splan
-    out = aggregate_precomputed(lifted, hoods, occupied, params, mode=mode)
-    return out.features, out
-
-
 _KNN_BASELINE = _Aggregator(
     init=lambda n, seed: init_mlp_params((n, 2 * n), seed),
-    neighbors=_knn_neighbors, lift=lambda splan, x, split, epsilon, lowered: x, forward=_mlp_forward,
+    neighbors=_knn_neighbors, lift=lambda splan, x, split, epsilon, lowered: x,
+    forward=lambda params, splan, lifted, x, mode: aggregate_precomputed(lifted, *splan[2:], params, mode=mode),
     backward=lambda out, g: _baseline_param_backward(out.cache, g),
     lower=lambda out, splan, dz0: _baseline_lower(out.cache, dz0),
 )
 _AGGREGATOR_TABLE = {
     "pagwn": _Aggregator(
         init=lambda n, seed: init_pagwn_params(n, seed),
-        neighbors=_knn_neighbors, lift=_pagwn_stage_lift, forward=_pagwn_stage_forward,
+        neighbors=_knn_neighbors, lift=_pagwn_stage_lift,
+        forward=lambda params, splan, lifted, x, mode: _pagwn_block(*lifted, x[splan[1]], params, mode),
         backward=lambda out, g: _pagwn_param_backward(out.cache, g), lower=_pagwn_stage_lower,
     ),
     "knn_baseline": _KNN_BASELINE,
@@ -556,7 +542,8 @@ def _encode(plan: _ScenePlan, first, stage_params, agg: _Aggregator, config: Toy
     outs, stats = [], {}
     for t, (splan, params, spec) in enumerate(zip(plan.stages, stage_params, config.stages)):
         lifted = first if t == 0 else agg.lift(splan, x, spec.split, config.epsilon, True)
-        x, out = agg.forward(params, splan, lifted, x, mode)
+        out = agg.forward(params, splan, lifted, x, mode)
+        x = out.aggregated
         outs.append(out)
         stats.update({f"stage{t}.{name}": pair for name, pair in out.batch_stats.items()})
     return x, outs, stats
@@ -585,21 +572,6 @@ def _init_params(config: ToyPipelineConfig, feature_dim: int) -> dict:
     return params
 
 
-@contextmanager
-def _divergence_at(epoch: int):
-    """Report a ``non-finite-value`` raised inside as ``divergence`` at ``epoch``.
-
-    Exploding parameters surface as non-finite activations, mid-epoch or in
-    the test forward after the last epoch.
-    """
-    try:
-        yield
-    except DomainError as exc:
-        if exc.kind == "non-finite-value":
-            raise DomainError("divergence", f"non-finite values at epoch {epoch}") from exc
-        raise
-
-
 def _scene_grads(plan: _ScenePlan, params: dict, x_final: np.ndarray, outs, config: ToyPipelineConfig,
                  epoch: int):
     """Loss and flat parameter gradients of one training scene, from its encoder forward."""
@@ -620,8 +592,10 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
     """Train the encoder + head on labeled scenes and score the test set.
 
     Deterministic per (config, scenes): identical inputs give bit-identical
-    metrics.  Raises ``divergence`` naming the epoch if the loss or an
-    activation leaves the finite range; the test forward names the last epoch.
+    metrics.  Divergence has one rule: a training loss that is not finite is
+    ``divergence: loss became non-finite at epoch N``, and test logits that
+    are not finite, whichever aggregator or head made them, are
+    ``divergence: non-finite values at epoch {epochs - 1}``.
     """
     if not train_scenes or not test_scenes:
         raise DomainError("invalid-spec", "need at least one training and one test scene")
@@ -654,40 +628,40 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
     for epoch in range(config.epochs):
         order = order_rng.permutation(len(train_plans))
         epoch_loss = 0.0
-        with _divergence_at(epoch):
-            for start in range(0, len(order), config.batch_size):
-                batch = [(train_plans[i], train_firsts[i]) for i in order[start:start + config.batch_size]]
-                total = None
-                for plan, first in batch:
-                    # the caches stay bound until the next forward returns: freeing them all
-                    # per scene let glibc trim the heap and fault it back in (5x the faults);
-                    # the CLI's heap policy (cli._keep_freed_heap) keeps the rest in the heap
-                    x_final, outs, stats = _encode(plan, first, stage_params, agg, config)
-                    loss, grads = _scene_grads(plan, params, x_final, outs, config, epoch)
-                    # fold each scene's batch statistics in, in scene order
-                    for prefix, (mean, var) in stats.items():
-                        momentum = float(params[prefix + "momentum"])
-                        for name, value in (("running_mean", mean), ("running_var", var)):
-                            params[prefix + name] = (1.0 - momentum) * params[prefix + name] + momentum * value
-                    epoch_loss += loss
-                    # sum in scene order, then scale by 1/batch, then step
-                    total = grads if total is None else {k: total[k] + g for k, g in grads.items()}
-                scale = 1.0 / len(batch)
-                for name, g in total.items():
-                    params[name] = params[name] - config.learning_rate * (g * scale)
-                stage_params = _stage_views(params, stages)
+        for start in range(0, len(order), config.batch_size):
+            batch = [(train_plans[i], train_firsts[i]) for i in order[start:start + config.batch_size]]
+            total = None
+            for plan, first in batch:
+                # the caches stay bound until the next forward returns: freeing them all
+                # per scene let glibc trim the heap and fault it back in (5x the faults);
+                # the CLI's heap policy (cli._keep_freed_heap) keeps the rest in the heap
+                x_final, outs, stats = _encode(plan, first, stage_params, agg, config)
+                loss, grads = _scene_grads(plan, params, x_final, outs, config, epoch)
+                # fold each scene's batch statistics in, in scene order
+                for prefix, (mean, var) in stats.items():
+                    momentum = float(params[prefix + "momentum"])
+                    for name, value in (("running_mean", mean), ("running_var", var)):
+                        params[prefix + name] = (1.0 - momentum) * params[prefix + name] + momentum * value
+                epoch_loss += loss
+                # sum in scene order, then scale by 1/batch, then step
+                total = grads if total is None else {k: total[k] + g for k, g in grads.items()}
+            scale = 1.0 / len(batch)
+            for name, g in total.items():
+                params[name] = params[name] - config.learning_rate * (g * scale)
+            stage_params = _stage_views(params, stages)
         epoch_loss /= len(train_plans)
         if not np.isfinite(epoch_loss):
             raise DomainError("divergence", f"loss became non-finite at epoch {epoch}")
         losses.append(epoch_loss)
 
     preds = []
-    # finite weights from the last step can still overflow on the test scenes
-    with _divergence_at(config.epochs - 1):
-        for plan in test_plans:
-            x_final, _, _ = _encode(plan, _first_lift(plan, agg, config), stage_params, agg, config, "inference")
-            logits, _ = _head_forward(x_final[plan.full_map], params, depth)
-            preds.append(logits.argmax(axis=1))
+    for plan in test_plans:
+        x_final, _, _ = _encode(plan, _first_lift(plan, agg, config), stage_params, agg, config, "inference")
+        logits, _ = _head_forward(x_final[plan.full_map], params, depth)
+        # finite weights from the last step can still overflow on the test scenes
+        if not np.isfinite(logits).all():
+            raise DomainError("divergence", f"non-finite values at epoch {config.epochs - 1}")
+        preds.append(logits.argmax(axis=1))
     pred_all = np.concatenate(preds)
     truth_all = np.concatenate([p.scene.labels for p in test_plans])
     metrics = compute_metrics(pred_all, truth_all, config.num_classes)

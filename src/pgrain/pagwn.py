@@ -29,10 +29,13 @@ norm uses batch or running statistics is the forwards' ``mode`` keyword,
 not part of the parameters.  :func:`pagwn_forward_batch` is the block's
 one public forward and its one checked entry: it runs
 :func:`check_pagwn_tensors` on the tensors, checks the window arrays'
-shapes and the split, and rejects a group sigma that is not finite as
-``non-finite-value``; the private functions the training loop calls never
-re-check.  The pre-abstraction LB1(GWN(rows)) is the first n channels of
-LB2's input, which the cache keeps.
+shapes and the split, and rejects a group sigma or an aggregate that is
+not finite as ``non-finite-value``; the private functions the training
+loop calls never re-check.  Both blocks return one :class:`BlockOutput`
+(the aggregated features, the cache their backward reads, and the batch
+statistics), and the type itself checks nothing.  The pre-abstraction
+LB1(GWN(rows)) is the first n channels of LB2's input, which the cache
+keeps.
 
 GWN has no parameters, so the block splits into a parameter-free *lift*
 (:func:`_pagwn_lift`) and a parametric part (:func:`_pagwn_block`), and
@@ -43,7 +46,7 @@ and skip a lower it does not need.
 
 The baseline aggregator (plain MLP + max pool over KNN or ball-query
 neighborhoods that the caller has already found) lives here too, sharing
-the layer kernel and the pool.
+the layer kernel, the pool and the output type.
 
 Summation order is part of the output, which stays bit-identical.  Every
 column sum of the training step (batch-norm statistics and gradients, bias
@@ -178,7 +181,7 @@ def _unpool(g: np.ndarray, argmax: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# PAGWN types
+# The block output, and the PAGWN cache
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -195,21 +198,19 @@ class PagwnCache:
 
 
 @dataclass(frozen=True, eq=False)
-class PagwnOutput:
-    """Aggregated features, the cache retained for backward, and batch statistics.
+class BlockOutput:
+    """What either block's forward returns: the (M, 2n) or (M, out) aggregated
+    features, the cache its backward reads, and batch statistics.
 
     ``batch_stats`` maps the checkpoint name of each training-mode batch
-    norm (``"lb1_bn."``, ``"lb2_bn."``) to its batch (mean, var); it is
-    empty in inference mode.
+    norm (``"lb1_bn."``, ``"lb2_bn."`` or ``"layer{i}.bn."``) to its batch
+    (mean, var); it is empty in inference mode.  The type checks nothing:
+    :func:`pagwn_forward_batch` rejects a non-finite aggregate.
     """
 
     aggregated: np.ndarray
-    cache: PagwnCache
+    cache: PagwnCache | BaselineCache
     batch_stats: Dict[str, Tuple[np.ndarray, np.ndarray]]
-
-    def __post_init__(self):
-        if not np.isfinite(self.aggregated).all():
-            raise DomainError("non-finite-value", "aggregated output contains a non-finite entry")
 
 
 def init_pagwn_params(n: int, seed: int) -> dict:
@@ -235,7 +236,7 @@ def _pagwn_lift(nc, nf, cc, cf, m: int, epsilon: float):
     return _gwn_forward(windows, centers, None if nc.shape[1] == 1 else m, epsilon)
 
 
-def _pagwn_block(gwn: np.ndarray, gwn_cache: tuple, cf: np.ndarray, params: dict, mode: str) -> PagwnOutput:
+def _pagwn_block(gwn: np.ndarray, gwn_cache: tuple, cf: np.ndarray, params: dict, mode: str) -> BlockOutput:
     """The block's parametric part, LB1 -> LB2 -> pool, over lifted windows and the (M, n) center features."""
     m_win, k, n = gwn.shape[0], gwn.shape[1], cf.shape[1]
     layers = {}
@@ -245,17 +246,18 @@ def _pagwn_block(gwn: np.ndarray, gwn_cache: tuple, cf: np.ndarray, params: dict
     pooled, argmax = _max_pool(rows2.reshape(m_win, k, 2 * n))
     cache = PagwnCache(params=params, mode=mode, shapes=(m_win, k, n), gwn_cache=gwn_cache,
                        layers=layers, pooled=pooled, argmax=argmax)
-    return PagwnOutput(aggregated=np.maximum(pooled, 0.0), cache=cache, batch_stats=_batch_stats(layers))
+    return BlockOutput(aggregated=np.maximum(pooled, 0.0), cache=cache, batch_stats=_batch_stats(layers))
 
 
 def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, center_features,
                         params: dict, m: int = DEFAULT_SPLIT, epsilon: float = DEFAULT_EPSILON, *,
-                        mode: str = "training") -> PagwnOutput:
+                        mode: str = "training") -> BlockOutput:
     """Full block over M windows at once: (M, K, 3), (M, K, n), (M, 3), (M, n) in, (M, 2n) out.
 
     Batch norm sees all M*K rows.  ``params`` is the block's checkpoint
     dict (see :func:`check_pagwn_tensors`); ``mode`` is ``"training"``
-    (batch statistics) or ``"inference"`` (running statistics).
+    (batch statistics) or ``"inference"`` (running statistics).  An
+    aggregate that is not finite is a ``non-finite-value``.
     """
     params = check_pagwn_tensors(params)
     n = params["lb1_bias"].shape[0]
@@ -274,7 +276,10 @@ def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, cente
         raise DomainError("bad-split", f"m={m} must be >= 1")
     gwn, gwn_cache = _pagwn_lift(nc, nf, cc, cf, m, epsilon)
     _check_sigmas(gwn_cache[1])
-    return _pagwn_block(gwn, gwn_cache, cf, params, mode)
+    out = _pagwn_block(gwn, gwn_cache, cf, params, mode)
+    if not np.isfinite(out.aggregated).all():
+        raise DomainError("non-finite-value", "aggregated output contains a non-finite entry")
+    return out
 
 
 def _pagwn_param_backward(cache: PagwnCache, upstream_grad: np.ndarray):
@@ -351,32 +356,6 @@ def init_mlp_params(dims: Sequence[int], seed: int) -> dict:
 _MLP_LAYER_TENSORS = tuple(_layer_shapes("", 1, 1))
 
 
-def _mlp_rows_forward(rows: np.ndarray, params: dict, mode: str):
-    """Every layer and its ReLU over the rows: (out rows, layer caches by prefix, ReLU masks)."""
-    layers, masks = {}, []
-    for i in range(int(params["num_layers"])):
-        y, layers[f"layer{i}."] = _layer_forward(rows, params, f"layer{i}.", mode)
-        masks.append(y > 0)
-        rows = y * masks[-1]
-    return rows, layers, masks
-
-
-def _mlp_rows_backward(g: np.ndarray, params: dict, layers: dict, masks: list):
-    """Parameter gradients of the MLP rows, and the gradient at layer 0's linear output.
-
-    Layer 0's input gradient is :func:`_baseline_lower`'s, so a caller that
-    needs only the parameters' gradients skips its matmul.
-    """
-    grads = {}
-    for i in range(len(masks) - 1, -1, -1):
-        p = f"layer{i}."
-        dz, layer_grads = _layer_backward(g * masks[i], params, p, layers[p])
-        grads.update(layer_grads)
-        if i > 0:
-            g = dz @ params[p + "weight"].T
-    return dz, grads
-
-
 @dataclass(eq=False)
 class BaselineCache:
     params: dict                  # the MLP's checkpoint tensors
@@ -389,17 +368,8 @@ class BaselineCache:
     num_source_points: int
 
 
-@dataclass(frozen=True, eq=False)
-class BaselineOutput:
-    """Per-center aggregated features; empty regions yield zero vectors."""
-
-    features: np.ndarray          # (M, out)
-    cache: BaselineCache
-    batch_stats: Dict[str, Tuple[np.ndarray, np.ndarray]]  # "layer{i}.bn." -> batch (mean, var), training only
-
-
 def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndarray,
-                          occupied: np.ndarray, mlp_params: dict, *, mode: str = "training") -> BaselineOutput:
+                          occupied: np.ndarray, mlp_params: dict, *, mode: str = "training") -> BlockOutput:
     """MLP + max pool over already-resolved neighborhoods.
 
     ``source_features`` is the (N, n) matrix rows are gathered from;
@@ -423,13 +393,16 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
     layers, masks, argmax = {}, [], np.zeros((0, out_dim), dtype=np.int64)
     if occ_idx.size:
         rows = source_features[neighbor_indices[occ_idx].reshape(-1)]
-        out_rows, layers, masks = _mlp_rows_forward(rows, mlp_params, mode)
-        features[occ_idx], argmax = _max_pool(out_rows.reshape(occ_idx.size, k, out_dim))
+        for i in range(num_layers):
+            y, layers[f"layer{i}."] = _layer_forward(rows, mlp_params, f"layer{i}.", mode)
+            masks.append(y > 0)
+            rows = y * masks[-1]
+        features[occ_idx], argmax = _max_pool(rows.reshape(occ_idx.size, k, out_dim))
     cache = BaselineCache(
         params=mlp_params, mode=mode, neighbor_indices=neighbor_indices, occupied=occupied,
         layers=layers, masks=masks, argmax=argmax, num_source_points=source_features.shape[0],
     )
-    return BaselineOutput(features=features, cache=cache, batch_stats=_batch_stats(layers))
+    return BlockOutput(aggregated=features, cache=cache, batch_stats=_batch_stats(layers))
 
 
 def _baseline_param_backward(cache: BaselineCache, upstream_grad: np.ndarray):
@@ -444,9 +417,17 @@ def _baseline_param_backward(cache: BaselineCache, upstream_grad: np.ndarray):
         names = [f"layer{i}.{name}" for i in range(int(params["num_layers"]))
                  for name in ("weight", "bias", "bn.gamma", "bn.beta")]
         return {name: np.zeros_like(params[name]) for name in names}, np.zeros((0, params["layer0.weight"].shape[1]))
-    g_rows = _unpool(g[occ_idx], cache.argmax, cache.neighbor_indices.shape[1])
-    dz0, grads = _mlp_rows_backward(g_rows.reshape(-1, cache.argmax.shape[1]), params, cache.layers, cache.masks)
-    return grads, dz0
+    g = _unpool(g[occ_idx], cache.argmax, cache.neighbor_indices.shape[1]).reshape(-1, cache.argmax.shape[1])
+    grads = {}
+    # layer 0's input gradient is _baseline_lower's: a caller that needs only
+    # the parameters' gradients skips its matmul
+    for i in range(len(cache.masks) - 1, -1, -1):
+        p = f"layer{i}."
+        dz, layer_grads = _layer_backward(g * cache.masks[i], params, p, cache.layers[p])
+        grads.update(layer_grads)
+        if i > 0:
+            g = dz @ params[p + "weight"].T
+    return grads, dz
 
 
 def _baseline_lower(cache: BaselineCache, dz0: np.ndarray) -> np.ndarray:

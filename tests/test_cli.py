@@ -345,6 +345,15 @@ class TestEval:
                      "--classes", "3", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == metrics_csv(compute_metrics(pred, truth, 3))
 
+    def test_many_classes_score_in_memory_linear_in_the_class_count(self, tmp_path):
+        # a C x C confusion matrix at C = 100,000 would need 74.5 GiB
+        for name in ("pred.txt", "truth.txt"):
+            (tmp_path / name).write_text("0\n1\n", encoding="utf-8")
+        out = tmp_path / "report.csv"
+        assert main(["eval", "--pred", str(tmp_path / "pred.txt"), "--truth", str(tmp_path / "truth.txt"),
+                     "--classes", "100000", "--out", str(out)]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 100_004
+
 
 def toy_config(tmp_path, **kw):
     """A tiny train-toy JSON config; keyword arguments override its keys."""

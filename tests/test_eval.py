@@ -255,13 +255,21 @@ class TestToyPipeline:
         assert exc.value.kind == "divergence"
         assert "epoch" in str(exc.value)
 
-    def test_overflow_in_the_test_forward_is_divergence_at_the_last_epoch(self):
-        # one step leaves finite weights near 1e200; the test scenes' forward overflows
+    @pytest.mark.parametrize("overrides", [
+        dict(learning_rate=1e200, epochs=1),
+        dict(learning_rate=1e100, epochs=2),
+        dict(learning_rate=1e100, epochs=1, aggregator="knn_baseline"),
+        dict(learning_rate=1e100, epochs=1, aggregator="bq_baseline", bq_radius=0.6),
+    ], ids=["pagwn-1e200", "pagwn-1e100", "knn_baseline", "bq_baseline"])
+    def test_overflow_in_the_test_forward_is_divergence_at_the_last_epoch(self, overrides):
+        # the last step leaves finite weights that overflow in the test scenes' forward,
+        # in the aggregator or in the head
         train = [density_imbalanced_scene(0, dense_count=96, sparse_count=48)]
         test = [density_imbalanced_scene(1, dense_count=96, sparse_count=48)]
+        config = self._tiny_config(**overrides)
         with np.errstate(all="ignore"), pytest.raises(DomainError) as exc:
-            run_toy_pipeline(self._tiny_config(learning_rate=1e200, epochs=1), train, test)
-        assert str(exc.value) == "divergence: non-finite values at epoch 0"
+            run_toy_pipeline(config, train, test)
+        assert str(exc.value) == f"divergence: non-finite values at epoch {config.epochs - 1}"
 
     def test_baseline_aggregators_run(self):
         train = [density_imbalanced_scene(s, dense_count=96, sparse_count=48) for s in range(2)]
@@ -430,11 +438,11 @@ class TestFirstStageLift:
             want_features, (want_grads, _) = want.aggregated, pagwn_backward(want.cache, upstream)
         else:
             want = aggregate_precomputed(x, hoods, occupied, params)
-            want_features, (want_grads, _) = want.features, baseline_backward(want.cache, upstream)
+            want_features, (want_grads, _) = want.aggregated, baseline_backward(want.cache, upstream)
         first = ev._first_lift(plan, agg, config)
         for _ in range(2):  # one lift serves every epoch
-            features, out = agg.forward(params, plan.stages[0], first, x, "training")
-            assert np.array_equal(features, want_features)
+            out = agg.forward(params, plan.stages[0], first, x, "training")
+            assert np.array_equal(out.aggregated, want_features)
             assert list(out.batch_stats) == list(want.batch_stats)
             for name, pair in want.batch_stats.items():
                 assert all(np.array_equal(a, b) for a, b in zip(out.batch_stats[name], pair)), name

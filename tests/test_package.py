@@ -21,7 +21,7 @@ def test_all_is_sorted_unique_and_lists_every_public_callable():
 def test_all_is_the_pinned_list():
     # a name added to or dropped from the package surface shows up here
     assert pgrain.__all__ == [
-        "BallQueryBatch", "DomainError", "MetricsReport", "NeighborIndex", "PagwnOutput",
+        "BallQueryBatch", "BlockOutput", "DomainError", "MetricsReport", "NeighborIndex",
         "PointCloud", "RegionSpec", "StageSpec", "SyntheticSceneSpec", "ToyPipelineConfig",
         "ablate_m", "ball_query_batch", "brute_force_knn", "build_index", "compute_metrics",
         "farthest_point_sample", "generate_scene", "init_mlp_params", "init_pagwn_params",
@@ -33,10 +33,10 @@ def test_all_is_the_pinned_list():
 # each public callable's parameter names, in signature order
 PARAMETERS = {
     "BallQueryBatch": "indices distances num_in_radius",
+    "BlockOutput": "aggregated cache batch_stats",
     "DomainError": "kind detail",
     "MetricsReport": "per_class_iou per_class_acc miou macc oa",
     "NeighborIndex": "cloud",
-    "PagwnOutput": "aggregated cache batch_stats",
     "PointCloud": "coords features labels",
     "RegionSpec": "primitive point_count density_scale class_label feature_noise_sigma",
     "StageSpec": "m_points k split",

@@ -422,7 +422,7 @@ class TestBaselines:
                            features=rng.uniform(0.1, 1.0, size=(10, 3)))
         out = _knn_baseline(cloud, [4], 1, self._identity_mlp(3))
         # the nearest neighbor of an on-cloud center is the center itself
-        np.testing.assert_allclose(out.features[0], cloud.features[4], rtol=1e-12)
+        np.testing.assert_allclose(out.aggregated[0], cloud.features[4], rtol=1e-12)
 
     def test_bq_on_cloud_centers_never_empty(self, rng):
         cloud = random_cloud(rng, n_points=20)
@@ -434,7 +434,7 @@ class TestBaselines:
         coords = np.array([[0, 0, 0], [5, 0, 0], [0, 5, 0], [0, 0, 5]], dtype=float)
         cloud = PointCloud(coords=coords, features=rng.uniform(0.1, 1.0, size=(4, 3)))
         out = _bq_baseline(cloud, [1], 0.5, 3, self._identity_mlp(3))
-        np.testing.assert_allclose(out.features[0], cloud.features[1], rtol=1e-12)
+        np.testing.assert_allclose(out.aggregated[0], cloud.features[1], rtol=1e-12)
 
     def test_bq_matches_knn_when_radius_covers_cloud(self, rng):
         # with every point in range and k_max = N, BQ and KNN windows coincide
@@ -442,7 +442,7 @@ class TestBaselines:
         mlp = init_mlp_params((3, 6), seed=4)
         a = _bq_baseline(cloud, [0, 7], 50.0, 15, mlp)
         b = _knn_baseline(cloud, [0, 7], 15, mlp)
-        np.testing.assert_allclose(a.features, b.features, rtol=1e-12)
+        np.testing.assert_allclose(a.aggregated, b.aggregated, rtol=1e-12)
 
     def test_empty_region_yields_zero_vector(self, rng):
         features = rng.uniform(0.1, 1.0, size=(6, 3))
@@ -451,8 +451,8 @@ class TestBaselines:
         occupied = np.array([True, False])
         out = aggregate_precomputed(features, hoods, occupied, self._identity_mlp(3), mode="inference")
         assert not out.cache.occupied[1]
-        assert np.all(out.features[1] == 0.0)
-        assert not np.all(out.features[0] == 0.0)
+        assert np.all(out.aggregated[1] == 0.0)
+        assert not np.all(out.aggregated[0] == 0.0)
 
     def test_batch_stats_name_each_training_layer(self, rng):
         # every layer's batch (mean, var) over the occupied regions' rows, under
@@ -508,7 +508,7 @@ class TestBaselines:
             rng.shuffle(row)
         permuted = aggregate_precomputed(cloud.features, hoods,
                                          np.ones(2, dtype=bool), mlp, mode="inference")
-        np.testing.assert_allclose(base.features, permuted.features, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(base.aggregated, permuted.aggregated, rtol=1e-12, atol=1e-14)
 
     def test_matches_direct_reference_evaluation(self, rng):
         # independent per-row loop with explicit inference batch norm math
@@ -525,7 +525,7 @@ class TestBaselines:
                     mlp["layer0.bn.running_var"] + mlp["layer0.bn.eps"]) + mlp["layer0.bn.beta"]
                 transformed.append(np.maximum(zn, 0.0))
             expected = np.max(np.stack(transformed), axis=0)
-            np.testing.assert_allclose(out.features[row], expected, rtol=1e-12)
+            np.testing.assert_allclose(out.aggregated[row], expected, rtol=1e-12)
 
     def test_backward_matches_finite_differences(self, rng):
         cloud = PointCloud(coords=rng.normal(size=(12, 3)),
@@ -539,7 +539,7 @@ class TestBaselines:
             out = aggregate_precomputed(
                 features, base.cache.neighbor_indices,
                 np.ones(3, dtype=bool), params)
-            return float(np.sum(out.features * upstream))
+            return float(np.sum(out.aggregated * upstream))
 
         base = _knn_baseline(cloud, centers, 5, mlp, mode="training")
         grads, d_features = baseline_backward(base.cache, upstream)

@@ -289,6 +289,23 @@ class TestBatchEngine:
         np.testing.assert_array_equal(indices, expected[0])
         assert distances.tobytes() == expected[1].tobytes()
 
+    @pytest.mark.parametrize("seed", [12, 153])
+    def test_haloed_cube_rows_equal_brute_force(self, seed):
+        # the grid cell is sized on the dense cube, so a halo query's k-th neighbor
+        # lies about a cell away: seed 12 (n = 130, k = 10) fails with a _MARGIN of
+        # 2.0 cells, and seed 153 (n = 145, k = 4) with 1.5 too
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 200))
+        coords = np.vstack([rng.uniform(0, 1, size=(n, 3)), rng.uniform(-3, 4, size=(n // 8, 3))])
+        cloud = _cloud_from_coords(coords)
+        queries = coords[rng.integers(0, coords.shape[0], size=80)]
+        k = int(rng.integers(1, min(16, coords.shape[0]) + 1))
+        assert queries.shape[0] > spatial._SAMPLE  # so the grid runs
+        expected = brute_force_knn(cloud, queries, k)
+        indices, distances = knn_batch(build_index(cloud), queries, k)
+        np.testing.assert_array_equal(indices, expected[0])
+        assert distances.tobytes() == expected[1].tobytes()
+
     def test_square_root_ties_come_out_by_index(self):
         # index 0 is one ulp farther in squared distance, but the square
         # roots are one double, so it must come first on the index tie
