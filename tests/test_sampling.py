@@ -48,11 +48,11 @@ def fps_reference(coords, m, first):
 
 @st.composite
 def _fps_cases(draw):
-    """(coords, m, seed): tie-heavy grids, duplicates, flat planes
-    and scattered floats, N from 1 to a few hundred."""
+    """(coords, m, seed): tie-heavy grids, duplicates, flat planes, walls,
+    translated and scattered floats, N from 1 to a few hundred."""
     n = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["grid", "duplicates", "plane", "scattered"]))
+    kind = draw(st.sampled_from(["grid", "duplicates", "plane", "wall", "translated", "scattered"]))
     if kind == "grid":
         coords = rng.integers(-3, 4, size=(n, 3)) * draw(st.sampled_from([0.1, 0.3, 1.0, 2.0**-3]))
     elif kind == "duplicates":
@@ -61,14 +61,47 @@ def _fps_cases(draw):
     elif kind == "plane":
         coords = rng.uniform(-1.0, 1.0, size=(n, 3))
         coords[:, draw(st.integers(0, 2))] = draw(st.sampled_from([0.0, 0.3, -7.5]))
+    elif kind == "wall":
+        # a plane perpendicular to the widest (sort) axis: many equal sort keys
+        axis = draw(st.integers(0, 2))
+        coords = rng.uniform(-1.0, 1.0, size=(n, 3))
+        coords[:, axis] *= 4.0
+        coords[rng.random(n) < draw(st.sampled_from([0.25, 0.5, 0.9])), axis] = draw(
+            st.sampled_from([0.0, 0.3, -2.5]))
+    elif kind == "translated":
+        # a cloud a few key spacings wide, far from the origin: every coordinate
+        # rounds onto a coarse grid, so key[p] -/+ r often lands on a key
+        offset = draw(st.sampled_from([1e6, -1e7, 3.3e7, 1e8]))
+        width = np.spacing(abs(offset)) * draw(st.sampled_from([2, 4, 8]))
+        coords = offset + rng.uniform(-1.0, 1.0, size=(n, 3)) * width
     else:
         coords = rng.uniform(-1.0, 1.0, size=(n, 3)) * 10.0 ** draw(st.integers(-3, 3))
     m = draw(st.one_of(st.just(n), st.integers(1, n)))
     return coords, m, draw(st.integers(0, 1000))
 
 
+def _floor_wall_chain(points, planes, seed):
+    """Alternating 3 x 1 floors and 2 x 1 walls sharing edges, plane p holding
+    a share of the points proportional to p + 1.  x is the widest axis, so
+    every wall repeats one sort key, and late picks have narrow slabs."""
+    rng = np.random.default_rng(seed)
+    weights = np.arange(1, planes + 1)
+    counts = points * weights // weights.sum()
+    counts[-1] += points - counts.sum()
+    chunks, x, z = [], 0.0, 0.0
+    for p, count in enumerate(counts):
+        v = rng.random(count)
+        if p % 2 == 0:
+            chunks.append(np.stack([x + 3.0 * rng.random(count), v, np.full(count, z)], axis=1))
+            x += 3.0
+        else:
+            chunks.append(np.stack([np.full(count, x), v, z + 2.0 * rng.random(count)], axis=1))
+            z += 2.0
+    return np.concatenate(chunks)
+
+
 class TestFps:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(case=_fps_cases())
     def test_matches_reference_loop_and_keeps_prefixes(self, case):
         coords, m, seed = case
@@ -78,6 +111,43 @@ class TestFps:
         assert picks.dtype == np.int64
         if m > 1:
             np.testing.assert_array_equal(fps_coords(coords, m - 1, seed), picks[:-1])
+
+    def test_large_floor_wall_chain_matches_reference_loop(self):
+        coords = _floor_wall_chain(20_000, 6, seed=3)
+        assert int(np.ptp(coords, axis=0).argmax()) == 0
+        first = int(np.random.default_rng(11).integers(len(coords)))
+        np.testing.assert_array_equal(fps_coords(coords, 512, 11), fps_reference(coords, 512, first))
+
+    def test_tie_goes_to_the_lower_index_when_it_sorts_later(self):
+        # from the center, points 0 and 1 tie at d2 = 100; on x, the widest
+        # axis, point 1 sorts first, yet point 0 must be picked
+        coords = np.array([[10.0, 0.0, 0.0], [-10.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                           [0.0, 1.0, 0.0], [3.0, 0.0, 1.0]])
+        seed = next(s for s in range(100) if np.random.default_rng(s).integers(5) == 2)
+        picks = fps_coords(coords, 5, seed)
+        assert picks[:2].tolist() == [2, 0]
+        np.testing.assert_array_equal(picks, fps_reference(coords, 5, 2))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_distances_match_reference_loop(self, rng):
+        # squares of 1e160-scale differences overflow, so D and the slab radius are inf
+        coords = rng.uniform(-1.0, 1.0, size=(40, 3)) * 1e160
+        coords[:5] = rng.uniform(-1.0, 1.0, size=(5, 3))
+        first = int(np.random.default_rng(4).integers(40))
+        np.testing.assert_array_equal(fps_coords(coords, 40, 4), fps_reference(coords, 40, first))
+
+    @pytest.mark.parametrize("coords, kind", [
+        (np.zeros((5, 2)), "dimension-mismatch"),
+        (np.zeros(6), "dimension-mismatch"),
+        (np.zeros((2, 3, 3)), "dimension-mismatch"),
+        ([[0.0, 0.0, 0.0], [1.0, 2.0]], "dimension-mismatch"),
+        (np.array([[0.0, 0.0, 0.0], [np.nan, 1.0, 2.0]]), "non-finite-value"),
+        (np.array([[0.0, -np.inf, 0.0], [1.0, 1.0, 2.0]]), "non-finite-value"),
+    ])
+    def test_malformed_coords_are_domain_errors(self, coords, kind):
+        with pytest.raises(DomainError) as exc:
+            fps_coords(coords, 1, seed=0)
+        assert exc.value.kind == kind
 
     def test_unit_square_opposite_corner(self):
         cloud = _cloud_from_coords([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
