@@ -10,7 +10,6 @@ from .core import (
     DomainError,
     MetricsReport,
     PointCloud,
-    validate_cloud,
 )
 from .eval import (
     RegionSpec,
@@ -71,6 +70,5 @@ __all__ = [
     "random_sample",
     "run_toy_pipeline",
     "sigma_map",
-    "validate_cloud",
     "window_normalize",
 ]

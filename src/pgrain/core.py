@@ -68,8 +68,15 @@ class PointCloud:
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        coords = _to_matrix(self.coords, "coords")
-        features = _to_matrix(self.features, "features")
+        """Check every invariant, raising on the first violation.
+
+        Raises:
+            DomainError: kinds ``empty-cloud``, ``dimension-mismatch``,
+                ``no-features``, ``label-out-of-range`` and
+                ``non-finite-value``, each naming the offending index.
+        """
+        coords = _freeze(_to_matrix(self.coords, "coords"))
+        features = _freeze(_to_matrix(self.features, "features"))
         labels = self.labels
         if labels is not None:
             labels = np.asarray(labels)
@@ -77,11 +84,30 @@ class PointCloud:
                 raise DomainError("dimension-mismatch", f"labels must be 1-d, got shape {labels.shape}")
             if not np.issubdtype(labels.dtype, np.integer):
                 raise DomainError("dimension-mismatch", "labels must be integers")
-            labels = labels.astype(np.int64)
-        object.__setattr__(self, "coords", _freeze(coords))
-        object.__setattr__(self, "features", _freeze(features))
-        object.__setattr__(self, "labels", _freeze(labels) if labels is not None else None)
-        validate_cloud(self)
+            labels = _freeze(labels.astype(np.int64))
+        n_pts = coords.shape[0]
+        if n_pts == 0:
+            raise DomainError("empty-cloud", "point cloud has no points")
+        if coords.shape[1] != 3:
+            raise DomainError("dimension-mismatch", f"coords must be (N, 3), got {coords.shape}")
+        if features.shape[0] != n_pts:
+            raise DomainError("dimension-mismatch", f"features has {features.shape[0]} rows, coords has {n_pts}")
+        if features.shape[1] < 1:
+            raise DomainError("no-features", "feature dimension must be >= 1")
+        if labels is not None:
+            if labels.shape[0] != n_pts:
+                raise DomainError("dimension-mismatch", f"labels has {labels.shape[0]} entries, coords has {n_pts}")
+            bad = np.flatnonzero(labels < 0)
+            if bad.size:
+                raise DomainError("label-out-of-range", f"negative label at index {bad[0]}")
+        for name, arr in (("coords", coords), ("features", features)):
+            finite = np.isfinite(arr).all(axis=1)
+            if not finite.all():
+                idx = int(np.flatnonzero(~finite)[0])
+                raise DomainError("non-finite-value", f"{name} row {idx} contains a non-finite entry")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def num_points(self) -> int:
@@ -90,41 +116,6 @@ class PointCloud:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-
-def validate_cloud(cloud: PointCloud) -> None:
-    """Check every PointCloud invariant, raising on the first violation.
-
-    Raises:
-        DomainError: kinds ``empty-cloud``, ``dimension-mismatch`` and
-            ``non-finite-value``, each naming the offending index.
-    """
-    n_pts = cloud.coords.shape[0]
-    if n_pts == 0:
-        raise DomainError("empty-cloud", "point cloud has no points")
-    if cloud.coords.shape[1] != 3:
-        raise DomainError("dimension-mismatch", f"coords must be (N, 3), got {cloud.coords.shape}")
-    if cloud.features.shape[0] != n_pts:
-        raise DomainError(
-            "dimension-mismatch",
-            f"features has {cloud.features.shape[0]} rows, coords has {n_pts}",
-        )
-    if cloud.features.shape[1] < 1:
-        raise DomainError("no-features", "feature dimension must be >= 1")
-    if cloud.labels is not None:
-        if cloud.labels.shape[0] != n_pts:
-            raise DomainError(
-                "dimension-mismatch",
-                f"labels has {cloud.labels.shape[0]} entries, coords has {n_pts}",
-            )
-        bad = np.flatnonzero(cloud.labels < 0)
-        if bad.size:
-            raise DomainError("label-out-of-range", f"negative label at index {bad[0]}")
-    for name, arr in (("coords", cloud.coords), ("features", cloud.features)):
-        finite = np.isfinite(arr).all(axis=1)
-        if not finite.all():
-            idx = int(np.flatnonzero(~finite)[0])
-            raise DomainError("non-finite-value", f"{name} row {idx} contains a non-finite entry")
 
 
 @dataclass(frozen=True, eq=False)

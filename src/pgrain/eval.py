@@ -72,11 +72,10 @@ def class_color(label: int) -> np.ndarray:
 class RegionSpec:
     """One scene region: a primitive populated at a given surface density.
 
-    ``density_scale`` is points per unit area for planes and spheres, and
-    points per unit length for box edges.
+    ``density_scale`` is points per unit area.
     """
 
-    primitive: str  # plane | sphere | box-edge
+    primitive: str  # plane | sphere
     point_count: int
     density_scale: float
     class_label: int
@@ -93,7 +92,7 @@ class SyntheticSceneSpec:
         if not self.regions:
             raise DomainError("invalid-spec", "a scene needs at least one region")
         for i, region in enumerate(self.regions):
-            if region.primitive not in ("plane", "sphere", "box-edge"):
+            if region.primitive not in ("plane", "sphere"):
                 raise DomainError("invalid-spec", f"region {i}: unknown primitive {region.primitive!r}")
             if region.point_count < 1:
                 raise DomainError("invalid-spec", f"region {i}: point_count must be >= 1")
@@ -115,8 +114,8 @@ def generate_scene(spec: SyntheticSceneSpec) -> PointCloud:
 
     Plane regions are chained like floors and walls: a horizontal patch,
     then a vertical patch rising from its far edge, and so on, so that
-    consecutive planes share an edge.  Spheres and box wireframes are
-    placed on a separate row at negative y, clear of the plane chain.
+    consecutive planes share an edge.  Spheres are placed on a separate
+    row at negative y, clear of the plane chain.
     Features are the class base color plus white noise.
     """
     rng = np.random.default_rng(spec.seed)
@@ -137,20 +136,13 @@ def generate_scene(spec: SyntheticSceneSpec) -> PointCloud:
                 pts = np.stack([np.full(count, cursor_x), v, cursor_z + u], axis=1)
                 cursor_z += side
             horizontal = not horizontal
-        elif region.primitive == "sphere":
+        else:  # sphere
             radius = float(np.sqrt(count / (4.0 * np.pi * region.density_scale)))
             raw = rng.normal(size=(count, 3))
             raw /= np.linalg.norm(raw, axis=1, keepdims=True)
             center = np.array([aux_x + 2 * radius, -4.0 * radius, 2.0 * radius])
             pts = center + radius * raw
             aux_x += 4 * radius
-        else:  # box-edge wireframe
-            side = count / (12.0 * region.density_scale)
-            edge_id = rng.integers(0, 12, size=count)
-            t = rng.random(count) * side
-            pts = _box_edge_points(edge_id, t, side)
-            pts += np.array([aux_x + side, -4.0 * side, 0.0])
-            aux_x += 3 * side
         base = class_color(region.class_label)
         noise = rng.normal(0.0, region.feature_noise_sigma, size=(count, 3)) \
             if region.feature_noise_sigma > 0 else 0.0
@@ -162,17 +154,6 @@ def generate_scene(spec: SyntheticSceneSpec) -> PointCloud:
         features=np.concatenate(feats_parts),
         labels=np.concatenate(label_parts),
     )
-
-
-def _box_edge_points(edge_id: np.ndarray, t: np.ndarray, side: float) -> np.ndarray:
-    # 12 edges of the [0, side]^3 cube: (origin corner, axis direction)
-    origins = np.array([
-        [0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1],  # along x
-        [0, 0, 0], [1, 0, 0], [0, 0, 1], [1, 0, 1],  # along y
-        [0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],  # along z
-    ], dtype=np.float64) * side
-    axes = np.array([[1, 0, 0]] * 4 + [[0, 1, 0]] * 4 + [[0, 0, 1]] * 4, dtype=np.float64)
-    return origins[edge_id] + axes[edge_id] * t[:, None]
 
 
 def two_plane_boundary_scene(seed: int, point_count: int = 1024, density: float = 400.0,
@@ -316,11 +297,10 @@ class ToyPipelineConfig:
 
     def __post_init__(self):
         """The one check of every field: types first, then ranges."""
-        try:
-            object.__setattr__(self, "stages", tuple(self.stages))
-            object.__setattr__(self, "head_hidden", tuple(self.head_hidden))
-        except TypeError:
-            raise DomainError("invalid-spec", "stages and head_hidden must be sequences") from None
+        for name in ("stages", "head_hidden"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise DomainError("invalid-spec", f"{name} must be a list, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         for i, stage in enumerate(self.stages):
             if not (isinstance(stage, StageSpec)
                     and all(_is_number(v, Integral) for v in (stage.m_points, stage.k, stage.split))):
@@ -419,7 +399,7 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray, num_classes: int):
 @dataclass(eq=False)
 class _ScenePlan:
     scene: PointCloud
-    stages: List[Tuple[np.ndarray, ...]]  # per stage: (input coords, centers, neighbor indices, occupied)
+    stages: List[Tuple[np.ndarray, ...]]  # per stage: (input coords, centers, neighbor indices)
     full_map: np.ndarray  # full resolution -> final-stage center position
 
 
@@ -436,10 +416,10 @@ def _plan_scene(scene: PointCloud, config: ToyPipelineConfig, scene_id: int) -> 
             raise DomainError("k-out-of-range", f"stage {t} wants {stage.k} neighbors of {n_cur} points")
         centers = fps_coords(coords, stage.m_points, _derived_seed(config.seed, scene_id, t))
         center_coords = coords[centers]
-        hoods, occupied = neighbors(build_index(coords), center_coords, stage.k, config)
+        hoods = neighbors(build_index(coords), center_coords, stage.k, config)
         nn_map = knn_batch(build_index(center_coords), coords, 1)[0][:, 0]
         full_map = nn_map[full_map]
-        stages.append((coords, centers, hoods, occupied))
+        stages.append((coords, centers, hoods))
         coords = center_coords
     return _ScenePlan(scene=scene, stages=stages, full_map=full_map)
 
@@ -450,38 +430,29 @@ def _plan_scene(scene: PointCloud, config: ToyPipelineConfig, scene_id: int) -> 
 #
 # Parameters and gradients travel as one flat ``name -> array`` dict keyed by
 # checkpoint names: ``stage{t}.`` plus an init_pagwn_params or
-# init_mlp_params name, and ``head.layer{i}.*``.  Each stage reads a
-# stage-local view of it (:func:`_stage_views`).  Entries call the pagwn and
-# spatial functions through this module's globals.
+# init_mlp_params name, and ``head.layer{i}.*``.  :func:`_encode` gives each
+# stage a stage-local view of it (:func:`_stage_views`).  Entries call the
+# pagwn and spatial functions through this module's globals.
 
 @dataclass(frozen=True)
 class _Aggregator:
     init: Callable       # (n, seed) -> stage-local tensors of one n -> 2n stage
-    neighbors: Callable  # (index, center coords, k, config) -> (M, k) indices, (M,) occupied
+    neighbors: Callable  # (index, center coords, k, config) -> (M, k) indices
     lift: Callable       # (stage plan, x, split, epsilon, lowered) -> GWN windows or x; lowered keeps what lower reads
     forward: Callable    # (stage tensors, stage plan, lifted, x, mode) -> pagwn.BlockOutput
     backward: Callable   # (output, upstream) -> (grads by stage-local name, what lower reads)
     lower: Callable      # (output, stage plan, what backward returned for it) -> upstream of the stage input x
 
 
-def _knn_neighbors(index, queries, k, config):
-    return knn_batch(index, queries, k)[0], np.ones(queries.shape[0], dtype=bool)
-
-
-def _ball_neighbors(index, queries, k, config):
-    batch = ball_query_batch(index, queries, config.bq_radius, k)
-    return batch.indices, batch.occupied
-
-
 def _pagwn_stage_lift(splan, x, split, epsilon, lowered):
-    coords, centers, hoods, _ = splan
+    coords, centers, hoods = splan
     gwn, gwn_cache = _pagwn_lift(coords[hoods], x[hoods], coords[centers], x[centers], split, epsilon)
     # only _pagwn_lower reads the deviations, gwn_cache[0]; the sigmas stay
     return gwn, gwn_cache if lowered else (None, *gwn_cache[1:])
 
 
 def _pagwn_stage_lower(out, splan, d_block):
-    coords, centers, hoods, _ = splan
+    coords, centers, hoods = splan
     inputs = _pagwn_lower(out.cache, d_block)
     d_nf = inputs["neighbor_features"]
     # neighbor rows first, then centers: the order each slot adds them in
@@ -492,20 +463,23 @@ def _pagwn_stage_lower(out, splan, d_block):
 
 _KNN_BASELINE = _Aggregator(
     init=lambda n, seed: init_mlp_params((n, 2 * n), seed),
-    neighbors=_knn_neighbors, lift=lambda splan, x, split, epsilon, lowered: x,
-    forward=lambda params, splan, lifted, x, mode: aggregate_precomputed(lifted, *splan[2:], params, mode=mode),
+    neighbors=lambda index, queries, k, config: knn_batch(index, queries, k)[0],
+    lift=lambda splan, x, split, epsilon, lowered: x,
+    forward=lambda params, splan, lifted, x, mode: aggregate_precomputed(lifted, splan[2], params, mode=mode),
     backward=lambda out, g: _baseline_param_backward(out.cache, g),
     lower=lambda out, splan, dz0: _baseline_lower(out.cache, dz0),
 )
 _AGGREGATOR_TABLE = {
     "pagwn": _Aggregator(
         init=lambda n, seed: init_pagwn_params(n, seed),
-        neighbors=_knn_neighbors, lift=_pagwn_stage_lift,
+        neighbors=_KNN_BASELINE.neighbors, lift=_pagwn_stage_lift,
         forward=lambda params, splan, lifted, x, mode: _pagwn_block(*lifted, x[splan[1]], params, mode),
         backward=lambda out, g: _pagwn_param_backward(out.cache, g), lower=_pagwn_stage_lower,
     ),
     "knn_baseline": _KNN_BASELINE,
-    "bq_baseline": replace(_KNN_BASELINE, neighbors=_ball_neighbors),
+    # the centers are points of the stage input, so no ball is empty and every window is full
+    "bq_baseline": replace(_KNN_BASELINE, neighbors=lambda index, queries, k, config:
+                           ball_query_batch(index, queries, config.bq_radius, k).indices),
 }
 AGGREGATORS = tuple(_AGGREGATOR_TABLE)
 
@@ -535,14 +509,16 @@ def _stage_views(params: dict, count: int) -> list:
     return [{name[len(p):]: value for name, value in params.items() if name.startswith(p)} for p in prefixes]
 
 
-def _encode(plan: _ScenePlan, first, stage_params, agg: _Aggregator, config: ToyPipelineConfig,
+def _encode(plan: _ScenePlan, first, params: dict, agg: _Aggregator, config: ToyPipelineConfig,
             mode: str = "training"):
-    """Run the encoder over one scene from its :func:`_first_lift`; returns (features, outputs, batch-norm stats)."""
+    """Run the encoder over one scene from its :func:`_first_lift` and the flat
+    ``params``; returns (features, outputs, batch-norm stats)."""
     x = plan.scene.features
     outs, stats = [], {}
-    for t, (splan, params, spec) in enumerate(zip(plan.stages, stage_params, config.stages)):
+    views = _stage_views(params, len(config.stages))
+    for t, (splan, view, spec) in enumerate(zip(plan.stages, views, config.stages)):
         lifted = first if t == 0 else agg.lift(splan, x, spec.split, config.epsilon, True)
-        out = agg.forward(params, splan, lifted, x, mode)
+        out = agg.forward(view, splan, lifted, x, mode)
         x = out.aggregated
         outs.append(out)
         stats.update({f"stage{t}.{name}": pair for name, pair in out.batch_stats.items()})
@@ -619,11 +595,6 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
     depth = len(config.head_hidden) + 1
     order_rng = np.random.default_rng(_derived_seed(config.seed, 15485863))
 
-    stages = len(config.stages)
-    # a training-mode forward reads no running statistics, so the views of the
-    # tensors the folds rebind are renewed after each SGD step, not per scene;
-    # the test forward reads the views of the last step
-    stage_params = _stage_views(params, stages)
     losses = []
     for epoch in range(config.epochs):
         order = order_rng.permutation(len(train_plans))
@@ -635,7 +606,7 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
                 # the caches stay bound until the next forward returns: freeing them all
                 # per scene let glibc trim the heap and fault it back in (5x the faults);
                 # the CLI's heap policy (cli._keep_freed_heap) keeps the rest in the heap
-                x_final, outs, stats = _encode(plan, first, stage_params, agg, config)
+                x_final, outs, stats = _encode(plan, first, params, agg, config)
                 loss, grads = _scene_grads(plan, params, x_final, outs, config, epoch)
                 # fold each scene's batch statistics in, in scene order
                 for prefix, (mean, var) in stats.items():
@@ -648,7 +619,6 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
             scale = 1.0 / len(batch)
             for name, g in total.items():
                 params[name] = params[name] - config.learning_rate * (g * scale)
-            stage_params = _stage_views(params, stages)
         epoch_loss /= len(train_plans)
         if not np.isfinite(epoch_loss):
             raise DomainError("divergence", f"loss became non-finite at epoch {epoch}")
@@ -656,7 +626,7 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
 
     preds = []
     for plan in test_plans:
-        x_final, _, _ = _encode(plan, _first_lift(plan, agg, config), stage_params, agg, config, "inference")
+        x_final, _, _ = _encode(plan, _first_lift(plan, agg, config), params, agg, config, "inference")
         logits, _ = _head_forward(x_final[plan.full_map], params, depth)
         # finite weights from the last step can still overflow on the test scenes
         if not np.isfinite(logits).all():

@@ -361,19 +361,18 @@ class BaselineCache:
     params: dict                  # the MLP's checkpoint tensors
     mode: str
     neighbor_indices: np.ndarray  # (M, K) into the source cloud
-    occupied: np.ndarray          # (M,) False where the region was empty
     layers: dict                  # "layer{i}." -> (layer input rows, batch-norm cache)
     masks: list                   # per layer, its ReLU mask
-    argmax: np.ndarray            # (M_occupied, out)
+    argmax: np.ndarray            # (M, out)
     num_source_points: int
 
 
 def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndarray,
-                          occupied: np.ndarray, mlp_params: dict, *, mode: str = "training") -> BlockOutput:
-    """MLP + max pool over already-resolved neighborhoods.
+                          mlp_params: dict, *, mode: str = "training") -> BlockOutput:
+    """MLP + max pool over already-resolved neighborhoods, one output row per window.
 
-    ``source_features`` is the (N, n) matrix rows are gathered from;
-    centers whose ``occupied`` flag is False get a zero output.
+    ``source_features`` is the (N, n) matrix rows are gathered from, and
+    every one of the M rows of ``neighbor_indices`` is a window.
     ``mlp_params`` is a dict of :func:`init_mlp_params` tensors; ``mode`` is
     ``"training"`` (batch statistics) or ``"inference"`` (running statistics).
     The first missing tensor is a ``parse-error`` naming it, and a
@@ -387,21 +386,14 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
         for name in _MLP_LAYER_TENSORS:
             _tensor(mlp_params, f"layer{i}.{name}")
     m_cnt, k = neighbor_indices.shape
-    out_dim = mlp_params[f"layer{num_layers - 1}.weight"].shape[1]
-    features = np.zeros((m_cnt, out_dim))
-    occ_idx = np.flatnonzero(occupied)
-    layers, masks, argmax = {}, [], np.zeros((0, out_dim), dtype=np.int64)
-    if occ_idx.size:
-        rows = source_features[neighbor_indices[occ_idx].reshape(-1)]
-        for i in range(num_layers):
-            y, layers[f"layer{i}."] = _layer_forward(rows, mlp_params, f"layer{i}.", mode)
-            masks.append(y > 0)
-            rows = y * masks[-1]
-        features[occ_idx], argmax = _max_pool(rows.reshape(occ_idx.size, k, out_dim))
-    cache = BaselineCache(
-        params=mlp_params, mode=mode, neighbor_indices=neighbor_indices, occupied=occupied,
-        layers=layers, masks=masks, argmax=argmax, num_source_points=source_features.shape[0],
-    )
+    rows, layers, masks = source_features[neighbor_indices.reshape(-1)], {}, []
+    for i in range(num_layers):
+        y, layers[f"layer{i}."] = _layer_forward(rows, mlp_params, f"layer{i}.", mode)
+        masks.append(y > 0)
+        rows = y * masks[-1]
+    features, argmax = _max_pool(rows.reshape(m_cnt, k, rows.shape[1]))
+    cache = BaselineCache(params=mlp_params, mode=mode, neighbor_indices=neighbor_indices, layers=layers,
+                          masks=masks, argmax=argmax, num_source_points=source_features.shape[0])
     return BlockOutput(aggregated=features, cache=cache, batch_stats=_batch_stats(layers))
 
 
@@ -410,14 +402,11 @@ def _baseline_param_backward(cache: BaselineCache, upstream_grad: np.ndarray):
     gradient at layer 0's linear output, for :func:`_baseline_lower`."""
     if cache.mode != "training":
         raise DomainError("stale-cache", "backward requires a training-mode forward cache")
-    g = np.asarray(upstream_grad, dtype=np.float64)
-    occ_idx = np.flatnonzero(cache.occupied)
     params = cache.params
-    if occ_idx.size == 0:
-        names = [f"layer{i}.{name}" for i in range(int(params["num_layers"]))
-                 for name in ("weight", "bias", "bn.gamma", "bn.beta")]
-        return {name: np.zeros_like(params[name]) for name in names}, np.zeros((0, params["layer0.weight"].shape[1]))
-    g = _unpool(g[occ_idx], cache.argmax, cache.neighbor_indices.shape[1]).reshape(-1, cache.argmax.shape[1])
+    g = np.asarray(upstream_grad, dtype=np.float64)
+    if g.shape != cache.argmax.shape:
+        raise DomainError("shape-mismatch", f"upstream gradient must have shape {cache.argmax.shape}")
+    g = _unpool(g, cache.argmax, cache.neighbor_indices.shape[1]).reshape(-1, g.shape[1])
     grads = {}
     # layer 0's input gradient is _baseline_lower's: a caller that needs only
     # the parameters' gradients skips its matmul
@@ -432,8 +421,8 @@ def _baseline_param_backward(cache: BaselineCache, upstream_grad: np.ndarray):
 
 def _baseline_lower(cache: BaselineCache, dz0: np.ndarray) -> np.ndarray:
     """The input half of :func:`baseline_backward`: layer 0's input gradient, scatter-added onto the source cloud."""
-    hoods = cache.neighbor_indices[np.flatnonzero(cache.occupied)].reshape(-1)
-    return _scatter_rows(hoods, dz0 @ cache.params["layer0.weight"].T, cache.num_source_points)
+    return _scatter_rows(cache.neighbor_indices.reshape(-1), dz0 @ cache.params["layer0.weight"].T,
+                         cache.num_source_points)
 
 
 def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):

@@ -439,6 +439,15 @@ class TestTrainToy:
             assert result.stderr.startswith("pgrain: invalid-spec: "), (label, result.stderr)
             assert "Traceback" not in result.stderr, label
 
+    @pytest.mark.parametrize("head_hidden", [{}, "ab", 8], ids=["object", "string", "number"])
+    def test_head_hidden_that_is_not_an_array_is_rejected(self, tmp_path, capsys, head_hidden):
+        # as a tuple, {} would be a head with no hidden layer and "ab" the layer sizes ('a', 'b')
+        config = toy_config(tmp_path, head_hidden=head_hidden)
+        code, err = main_stderr(capsys, "train-toy", "--config", str(config), "--out", str(tmp_path / "m.csv"))
+        assert code == 1
+        assert err.startswith("pgrain: invalid-spec: head_hidden must be a list"), err
+        assert not (tmp_path / "m.csv").exists()
+
     def test_infinite_epsilon_rejected(self, tmp_path, capsys):
         config = toy_config(tmp_path, epsilon=float("inf"))  # json writes Infinity
         assert "Infinity" in config.read_text(encoding="utf-8")

@@ -189,20 +189,12 @@ class TestSceneGeneration:
         dist = np.linalg.norm(cloud.coords - center, axis=1)
         np.testing.assert_allclose(dist, radius, rtol=0.15)
 
-    def test_box_edge_points_on_wireframe(self):
-        spec = SyntheticSceneSpec(regions=(RegionSpec("box-edge", 240, 100.0, 0),), seed=5)
-        cloud = generate_scene(spec)
-        side = 240 / (12 * 100.0)
-        local = cloud.coords - cloud.coords.min(axis=0)
-        # every wireframe point has at least two coordinates at a cube edge
-        snapped = (np.abs(local) < 1e-9) | (np.abs(local - side) < 1e-9)
-        assert np.all(snapped.sum(axis=1) >= 2)
-
     def test_invalid_specs_rejected(self):
         with pytest.raises(DomainError):
             SyntheticSceneSpec(regions=(), seed=0)
-        with pytest.raises(DomainError):
-            SyntheticSceneSpec(regions=(RegionSpec("cone", 10, 1.0, 0),), seed=0)
+        for primitive in ("cone", "box-edge"):
+            with pytest.raises(DomainError):
+                SyntheticSceneSpec(regions=(RegionSpec(primitive, 10, 1.0, 0),), seed=0)
         with pytest.raises(DomainError):
             SyntheticSceneSpec(regions=(RegionSpec("plane", 0, 1.0, 0),), seed=0)
 
@@ -328,6 +320,15 @@ class TestToyPipeline:
         assert exc.value.kind == "invalid-spec"
         assert next(iter(fields)) in str(exc.value)
 
+    @pytest.mark.parametrize("value", [{}, "ab", 8, None, range(1, 3)], ids=["dict", "str", "int", "none", "range"])
+    @pytest.mark.parametrize("field", ["stages", "head_hidden"])
+    def test_stages_and_head_hidden_must_be_lists(self, field, value):
+        # tuple({}) is () and tuple("ab") is ("a", "b"): neither may pass as a layer list
+        with pytest.raises(DomainError) as exc:
+            self._tiny_config(**{field: value})
+        assert exc.value.kind == "invalid-spec"
+        assert f"{field} must be a list" in str(exc.value)
+
     def test_wrong_typed_fields_are_invalid_spec(self):
         two_stages = (StageSpec("8", 4, 1), StageSpec(4, 2, 1))
         cases = [dict(stages=two_stages), dict(epochs=2.5), dict(num_classes="2"), dict(learning_rate="x")]
@@ -371,7 +372,7 @@ class TestTrainingLossGradient:
         first = ev._first_lift(plan, agg, config)
 
         def step(p):
-            x_final, outs, _ = ev._encode(plan, first, ev._stage_views(p, len(config.stages)), agg, config)
+            x_final, outs, _ = ev._encode(plan, first, p, agg, config)
             return ev._scene_grads(plan, p, x_final, outs, config, epoch=0)
 
         _, grads = step(params)
@@ -403,9 +404,8 @@ class TestRunningStatisticsFold:
         scene = density_imbalanced_scene(5, dense_count=96, sparse_count=32)
         agg = ev._AGGREGATOR_TABLE[aggregator]
         initial = ev._init_params(config, scene.feature_dim)
-        stage_params = ev._stage_views(initial, len(config.stages))
         plan = ev._plan_scene(scene, config, 0)
-        _, _, stats = ev._encode(plan, ev._first_lift(plan, agg, config), stage_params, agg, config)
+        _, _, stats = ev._encode(plan, ev._first_lift(plan, agg, config), initial, agg, config)
         trained = run_toy_pipeline(config, [scene], [scene]).params
         assert set(stats) == {name[:-len("running_mean")] for name in initial if name.endswith("running_mean")}
         for prefix, (mean, var) in stats.items():
@@ -429,7 +429,7 @@ class TestFirstStageLift:
         plan = ev._plan_scene(scene, config, 0)
         agg = ev._AGGREGATOR_TABLE[aggregator]
         params = ev._stage_views(ev._init_params(config, scene.feature_dim), 1)[0]
-        coords, centers, hoods, occupied = plan.stages[0]
+        coords, centers, hoods = plan.stages[0]
         x = scene.features
         upstream = np.random.default_rng(3).normal(size=(centers.size, 2 * x.shape[1]))
         if aggregator == "pagwn":
@@ -437,7 +437,7 @@ class TestFirstStageLift:
                                        config.stages[0].split, config.epsilon)
             want_features, (want_grads, _) = want.aggregated, pagwn_backward(want.cache, upstream)
         else:
-            want = aggregate_precomputed(x, hoods, occupied, params)
+            want = aggregate_precomputed(x, hoods, params)
             want_features, (want_grads, _) = want.aggregated, baseline_backward(want.cache, upstream)
         first = ev._first_lift(plan, agg, config)
         for _ in range(2):  # one lift serves every epoch

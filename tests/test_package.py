@@ -26,7 +26,7 @@ def test_all_is_the_pinned_list():
         "ablate_m", "ball_query_batch", "brute_force_knn", "build_index", "compute_metrics",
         "farthest_point_sample", "generate_scene", "init_mlp_params", "init_pagwn_params",
         "knn_batch", "pagwn_backward", "pagwn_forward_batch", "random_sample", "run_toy_pipeline",
-        "sigma_map", "validate_cloud", "window_normalize",
+        "sigma_map", "window_normalize",
     ]
 
 
@@ -58,7 +58,6 @@ PARAMETERS = {
     "random_sample": "cloud m seed",
     "run_toy_pipeline": "config train_scenes test_scenes",
     "sigma_map": "cloud k threshold use_coords",
-    "validate_cloud": "cloud",
     "window_normalize": "windows centers m epsilon",
 }
 

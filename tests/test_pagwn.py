@@ -31,6 +31,8 @@ from pgrain.pagwn import (
     pagwn_input_from_tensors,
 )
 
+from pgrain.sampling import fps_coords
+
 from conftest import GwnWindow, OneWindow, random_cloud
 
 
@@ -381,7 +383,7 @@ class TestBatchNormConstantChannel:
         dz, grads = _layer_backward(rng.normal(size=(rows, channels)), mlp, "layer0.", cache)
         dgamma, dbeta = grads["layer0.bn.gamma"], grads["layer0.bn.beta"]
         # the batch statistics a training forward reports, folded as run_toy_pipeline folds them
-        out = aggregate_precomputed(x, np.arange(rows)[:, None], np.ones(rows, dtype=bool), mlp)
+        out = aggregate_precomputed(x, np.arange(rows)[:, None], mlp)
         mean, var = out.batch_stats["layer0.bn."]
         momentum = float(mlp["layer0.bn.momentum"])
         running_mean = (1.0 - momentum) * mlp["layer0.bn.running_mean"] + momentum * mean
@@ -403,13 +405,13 @@ class TestBatchNormConstantChannel:
 def _knn_baseline(cloud, centers, k, mlp, mode="inference"):
     """The MLP baseline over each center's KNN window."""
     hoods, _ = knn_batch(build_index(cloud), cloud.coords[centers], k)
-    return aggregate_precomputed(cloud.features, hoods, np.ones(len(centers), dtype=bool), mlp, mode=mode)
+    return aggregate_precomputed(cloud.features, hoods, mlp, mode=mode)
 
 
 def _bq_baseline(cloud, centers, radius, k_max, mlp):
-    """The MLP baseline in inference mode over each center's ball-query window; empty regions stay unoccupied."""
+    """The MLP baseline in inference mode over each on-cloud center's ball-query window."""
     batch = ball_query_batch(build_index(cloud), cloud.coords[centers], radius, k_max)
-    return aggregate_precomputed(cloud.features, batch.indices, batch.occupied, mlp, mode="inference")
+    return aggregate_precomputed(cloud.features, batch.indices, mlp, mode="inference")
 
 
 class TestBaselines:
@@ -424,10 +426,19 @@ class TestBaselines:
         # the nearest neighbor of an on-cloud center is the center itself
         np.testing.assert_allclose(out.aggregated[0], cloud.features[4], rtol=1e-12)
 
-    def test_bq_on_cloud_centers_never_empty(self, rng):
-        cloud = random_cloud(rng, n_points=20)
-        out = _bq_baseline(cloud, [0, 5], 0.05, 4, self._identity_mlp(3))
-        assert out.cache.occupied.all()
+    @pytest.mark.parametrize("radius", [0.05, 1e-200], ids=["small", "square-underflows"])
+    @pytest.mark.parametrize("m", [2, 100], ids=["scan", "grid"])  # the grid path runs above 64 queries
+    @pytest.mark.parametrize("duplicates", [False, True], ids=["distinct", "duplicates"])
+    def test_bq_on_cloud_centers_never_empty(self, rng, radius, m, duplicates):
+        # why the baseline aggregates every window: a ball around an FPS center holds the center
+        coords = random_cloud(rng, n_points=200).coords
+        if duplicates:
+            coords = np.concatenate([coords, coords[:100], coords[:20]])
+        centers = fps_coords(coords, m, seed=1)
+        batch = ball_query_batch(build_index(coords), coords[centers], radius, 4)
+        assert batch.occupied.all()
+        assert np.array_equal(batch.distances[:, 0], np.zeros(m))
+        assert np.array_equal(coords[batch.indices[:, 0]], coords[centers])
 
     def test_bq_identity_mlp_lone_point_in_radius(self, rng):
         # the only point within a tiny radius of an on-cloud center is itself
@@ -444,27 +455,16 @@ class TestBaselines:
         b = _knn_baseline(cloud, [0, 7], 15, mlp)
         np.testing.assert_allclose(a.aggregated, b.aggregated, rtol=1e-12)
 
-    def test_empty_region_yields_zero_vector(self, rng):
-        features = rng.uniform(0.1, 1.0, size=(6, 3))
-        hoods = np.zeros((2, 3), dtype=np.int64)
-        hoods[0] = [1, 2, 3]
-        occupied = np.array([True, False])
-        out = aggregate_precomputed(features, hoods, occupied, self._identity_mlp(3), mode="inference")
-        assert not out.cache.occupied[1]
-        assert np.all(out.aggregated[1] == 0.0)
-        assert not np.all(out.aggregated[0] == 0.0)
-
     def test_batch_stats_name_each_training_layer(self, rng):
-        # every layer's batch (mean, var) over the occupied regions' rows, under
-        # its checkpoint name; none in inference mode or when every region is empty
+        # every layer's batch (mean, var) over all the windows' rows, under
+        # its checkpoint name; none in inference mode
         features = rng.normal(size=(12, 3))
         hoods = rng.integers(0, 12, size=(4, 5))
-        occupied = np.array([True, False, True, True])
         mlp = init_mlp_params((3, 4, 6), seed=2)
-        out = aggregate_precomputed(features, hoods, occupied, mlp)
+        out = aggregate_precomputed(features, hoods, mlp)
         assert list(out.batch_stats) == ["layer0.bn.", "layer1.bn."]
         assert all(name + "running_mean" in mlp for name in out.batch_stats)
-        x = features[hoods[occupied].reshape(-1)]
+        x = features[hoods.reshape(-1)]
         for i, (mean, var) in enumerate(out.batch_stats.values()):
             z = x @ mlp[f"layer{i}.weight"] + mlp[f"layer{i}.bias"]
             np.testing.assert_allclose(mean, z.mean(axis=0), rtol=1e-12, atol=1e-15)
@@ -472,10 +472,8 @@ class TestBaselines:
             y = (mlp[f"layer{i}.bn.gamma"] * (z - z.mean(axis=0)) / np.sqrt(z.var(axis=0) + mlp[f"layer{i}.bn.eps"])
                  + mlp[f"layer{i}.bn.beta"])
             x = np.maximum(y, 0.0)
-        inference = aggregate_precomputed(features, hoods, occupied, mlp, mode="inference")
+        inference = aggregate_precomputed(features, hoods, mlp, mode="inference")
         assert inference.batch_stats == {}
-        empty = aggregate_precomputed(features, hoods, np.zeros(4, dtype=bool), mlp)
-        assert empty.batch_stats == {}
 
     @pytest.mark.parametrize("deleted, reported", [
         (("layer0.bn.eps",), "layer0.bn.eps"),
@@ -487,7 +485,7 @@ class TestBaselines:
         for name in deleted:
             del mlp[name]
         with pytest.raises(DomainError) as exc:
-            aggregate_precomputed(np.ones((4, 3)), np.zeros((1, 2), dtype=np.int64), np.array([True]), mlp)
+            aggregate_precomputed(np.ones((4, 3)), np.zeros((1, 2), dtype=np.int64), mlp)
         assert exc.value.kind == "parse-error"
         assert repr(reported) in str(exc.value)
 
@@ -495,7 +493,7 @@ class TestBaselines:
     def test_num_layers_below_one_is_invalid_spec(self, num_layers):
         mlp = {**init_mlp_params((3, 4), seed=0), "num_layers": np.int64(num_layers)}
         with pytest.raises(DomainError) as exc:
-            aggregate_precomputed(np.ones((4, 3)), np.zeros((1, 2), dtype=np.int64), np.array([True]), mlp)
+            aggregate_precomputed(np.ones((4, 3)), np.zeros((1, 2), dtype=np.int64), mlp)
         assert exc.value.kind == "invalid-spec"
         assert "num_layers" in str(exc.value)
 
@@ -506,8 +504,7 @@ class TestBaselines:
         hoods = base.cache.neighbor_indices.copy()
         for row in hoods:
             rng.shuffle(row)
-        permuted = aggregate_precomputed(cloud.features, hoods,
-                                         np.ones(2, dtype=bool), mlp, mode="inference")
+        permuted = aggregate_precomputed(cloud.features, hoods, mlp, mode="inference")
         np.testing.assert_allclose(base.aggregated, permuted.aggregated, rtol=1e-12, atol=1e-14)
 
     def test_matches_direct_reference_evaluation(self, rng):
@@ -536,9 +533,7 @@ class TestBaselines:
         h = 1e-5
 
         def loss(features, params):
-            out = aggregate_precomputed(
-                features, base.cache.neighbor_indices,
-                np.ones(3, dtype=bool), params)
+            out = aggregate_precomputed(features, base.cache.neighbor_indices, params)
             return float(np.sum(out.aggregated * upstream))
 
         base = _knn_baseline(cloud, centers, 5, mlp, mode="training")
@@ -563,6 +558,14 @@ class TestBaselines:
             delta[ix] = h
             fd_x[ix] = (loss(cloud.features + delta, mlp) - loss(cloud.features - delta, mlp)) / (2 * h)
         assert grad_close(d_features, fd_x)
+
+    @pytest.mark.parametrize("shape", [(2, 6), (3, 5), (4, 6)], ids=["fewer-rows", "fewer-channels", "more-rows"])
+    def test_upstream_of_the_wrong_shape_is_shape_mismatch(self, rng, shape):
+        out = aggregate_precomputed(rng.normal(size=(10, 3)), rng.integers(0, 10, size=(3, 4)),
+                                    init_mlp_params((3, 6), seed=12))
+        with pytest.raises(DomainError) as exc:
+            baseline_backward(out.cache, np.ones(shape))
+        assert exc.value.kind == "shape-mismatch"
 
 
 # checkpoint tensors that training folds or reads but never steps
@@ -592,13 +595,11 @@ class TestGradientKeys:
         for name, sent in zip(arg_names, window):
             assert inputs[name].shape == sent.shape, name
 
-    @pytest.mark.parametrize("occupied", [[True, False, True], [False, False, False]],
-                             ids=["some-empty", "all-empty"])
-    def test_baseline_grads_are_the_trainable_checkpoint_tensors(self, rng, occupied):
+    def test_baseline_grads_are_the_trainable_checkpoint_tensors(self, rng):
         features = rng.normal(size=(10, 3))
         hoods = rng.integers(0, 10, size=(3, 4))
         mlp = init_mlp_params((3, 4, 6), seed=12)
-        out = aggregate_precomputed(features, hoods, np.array(occupied), mlp)
+        out = aggregate_precomputed(features, hoods, mlp)
         grads, d_features = baseline_backward(out.cache, rng.normal(size=(3, 6)))
         trainable = _trainable(mlp)
         assert len(trainable) == 8 and set(grads) == set(trainable)

@@ -128,6 +128,22 @@ class TestFps:
         assert picks[:2].tolist() == [2, 0]
         np.testing.assert_array_equal(picks, fps_reference(coords, 5, 2))
 
+    def test_slab_radius_margin_keeps_a_point_half_an_ulp_out(self):
+        # pick 1 is point 1, at D, the min_d2 it shares with point 3 after pick 0.
+        # r0 = fl(sqrt(D)) has an even last bit and fl(r0 * r0) < D, and point 1's
+        # key is half an ulp of r0, so fl(key + r0) rounds down to r0: a radius
+        # without the 1e-9 margin leaves point 3 out of pick 1's slab.  Its
+        # min_d2 then stays at D, above the fl(r0 * r0) that points 2 and 3
+        # really tie at, and point 3 is picked before the lower index 2
+        coords = np.array([[0.5197964383321017, 0.9003138407845425, 0.0],
+                           [1.1102230246251565e-16, 0.0, 0.0],
+                           [0.5197964383321017, 0.9003138407845425, 1.0395928766642029],
+                           [1.039592876664203, 0.0, 0.0]])
+        first = int(np.random.default_rng(11).integers(4))
+        picks = fps_coords(coords, 3, 11)
+        assert picks.tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(picks, fps_reference(coords, 3, first))
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_distances_match_reference_loop(self, rng):
         # squares of 1e160-scale differences overflow, so D and the slab radius are inf
