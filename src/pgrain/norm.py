@@ -27,7 +27,8 @@ from .spatial import build_index, knn_batch
 
 DEFAULT_EPSILON = 1e-5
 DEFAULT_SPLIT = 3  # grouping size with the best reported ablation accuracy
-_SIGMA_CHUNK = 256  # sigma_map centers per neighbor batch and window gather; bounds its working memory
+_SIGMA_BATCH = 4096  # sigma_map centers per neighbor batch
+_SIGMA_CHUNK = 256  # sigma_map centers per window gather; bounds its working memory
 
 
 def _sigmas(dev: np.ndarray, denom: int) -> np.ndarray:
@@ -140,9 +141,10 @@ def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,
         raise DomainError("degenerate-window", "windows would have fewer than 2 entries")
     index = build_index(cloud)
     sigmas = []
-    for start in range(0, n_pts, _SIGMA_CHUNK):
-        stop = min(start + _SIGMA_CHUNK, n_pts)
-        hoods = knn_batch(index, cloud.coords[start:stop], k)[0]
-        gathered = matrix[hoods]
-        sigmas.append(_sigmas(gathered - matrix[start:stop, None, :], k * matrix.shape[1] - 1))
+    for batch in range(0, n_pts, _SIGMA_BATCH):
+        hoods = knn_batch(index, cloud.coords[batch:batch + _SIGMA_BATCH], k)[0]
+        for start in range(0, hoods.shape[0], _SIGMA_CHUNK):
+            rows = hoods[start:start + _SIGMA_CHUNK]
+            centers = matrix[batch + start:batch + start + rows.shape[0], None, :]
+            sigmas.append(_sigmas(matrix[rows] - centers, k * matrix.shape[1] - 1))
     return np.flatnonzero(np.concatenate(sigmas) > threshold).astype(np.int64)

@@ -13,6 +13,12 @@ import numpy as np
 from .core import DomainError, PointCloud, _to_matrix
 
 
+def _check_seed(seed) -> None:
+    """A seed is a non-negative integer, as NumPy's generators take it."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError("invalid-spec", f"seed must be a non-negative integer, got {seed!r}")
+
+
 def fps_coords(coords: np.ndarray, m: int, seed: int) -> np.ndarray:
     """Farthest point sampling over a bare, finite (N, 3) coordinate array.
 
@@ -45,8 +51,9 @@ def fps_coords(coords: np.ndarray, m: int, seed: int) -> np.ndarray:
 
     Raises:
         DomainError: ``dimension-mismatch`` unless coords is (N, 3),
-            ``non-finite-value`` on a NaN or infinite coordinate, and
-            ``m-out-of-range`` unless 1 <= m <= N.
+            ``non-finite-value`` on a NaN or infinite coordinate,
+            ``m-out-of-range`` unless 1 <= m <= N, and ``invalid-spec``
+            unless seed is a non-negative integer.
     """
     coords = _to_matrix(coords, "coords")
     if coords.shape[1] != 3:
@@ -56,6 +63,7 @@ def fps_coords(coords: np.ndarray, m: int, seed: int) -> np.ndarray:
     n = coords.shape[0]
     if not 1 <= m <= n:
         raise DomainError("m-out-of-range", f"m={m} outside [1, {n}]")
+    _check_seed(seed)
     first = int(np.random.default_rng(seed).integers(n))
 
     # sorted position -> original index; contiguous sorted columns
@@ -113,5 +121,6 @@ def random_sample(cloud: PointCloud, m: int, seed: int) -> np.ndarray:
     n = cloud.num_points
     if not 1 <= m <= n:
         raise DomainError("m-out-of-range", f"m={m} outside [1, {n}]")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(n, size=m, replace=False)).astype(np.int64)

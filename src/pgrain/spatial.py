@@ -6,23 +6,30 @@ return (M, K) neighbor indices and distances.  :func:`brute_force_knn` is
 the independent scan oracle that tests compare :func:`knn_batch` against.
 
 Results are exact and fully deterministic.  Squared distances are
-accumulated as dx*dx + dy*dy + dz*dz, the K nearest are chosen by
-(squared distance, point index), and the chosen rows are then ordered by
-(distance, index) on the square-rooted distances that are reported, so the
-engine agrees with the brute-force scan bit for bit, ties included.
+accumulated as dx*dx + dy*dy + dz*dz, and each row's K-set is the K
+smallest (squared distance, point index) pairs, so the engine agrees with
+the brute-force scan bit for bit, ties included.  The order is fixed in two
+places: :func:`_smallest` sorts by (squared distance, index) only the rows
+tied across their K-th distance, and :func:`_store` writes every row in
+(distance, index) order on the square-rooted distances that are reported.
+A ball query also orders its K-set by (squared distance, index) before
+padding, since the padding repeats the first point.
 
 A batch of more than ``_SAMPLE`` queries is answered on a uniform grid of
 cubic cells: points are sorted by linear cell key, and each query is
-compared with the points of the 27 cells around its own.  For KNN the cell
-is 2.5 times the median distance from a strided sample of the points to
-their K-th nearest other point, and the index keeps the grid for the next
-batch with the same K.  A query counts as answered only when its K-th
-candidate distance is below 0.99 cell, which proves that the 27 cells hold
-every true neighbor and every tie; the rest, and every query of a small
-batch, get an exact scan over all points.  For a ball query the cell is
-the radius over 0.99, so the 27 cells always hold the whole ball.  The cell
-size decides only the speed, never the result.  Work runs in chunks of
-about ``_BLOCK`` candidate entries, which bounds every temporary.
+compared with the points of the 27 cells around its own.  A chunk's
+queries are grouped by cell, and the candidates are laid out once per
+cell: a (G, W) array of point indices, one row per distinct query cell,
+whose coordinates each query row gathers through its cell's row.  For KNN
+the cell is 2.5 times the median distance from a strided sample of the
+points to their K-th nearest other point, and the index keeps the grid for
+the next batch with the same K.  A query counts as answered only when the
+largest distance of its K-set is below 0.99 cell, which proves that the 27
+cells hold every true neighbor and every tie; the rest, and every query of
+a small batch, get an exact scan over all points.  For a ball query the
+cell is the radius over 0.99, so the 27 cells always hold the whole ball.
+The cell size decides only the speed, never the result.  Work runs in
+chunks of about ``_BLOCK`` candidate entries, which bounds every temporary.
 """
 
 from __future__ import annotations
@@ -123,8 +130,11 @@ class _Grid:
         hit = self.keys[pos] == near
         return inverse, np.where(hit, self.start[pos], 0), np.where(hit, self.count[pos], 0)
 
-    def blocks(self, queries: np.ndarray, n: int, min_width: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Chunks of (query rows, candidate point indices padded with n).
+    def blocks(self, queries: np.ndarray, n: int,
+               min_width: int) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Chunks of (query rows, local, cand): cand holds (G, W) candidate point
+        indices padded with n, one row per distinct query cell of the chunk,
+        and ``local`` maps each query row to its cell's row.
 
         Each query's candidates are the points of the 27 cells around its
         own.  A query outside the points' cells is clamped into the nearest
@@ -132,31 +142,42 @@ class _Grid:
         """
         for first in range(0, queries.shape[0], _BLOCK):
             inverse, start, count = self._near(queries[first:first + _BLOCK])
-            total = count.sum(axis=1)[inverse]
-            # widest first, so a chunk's first query sets its width
-            order = np.argsort(-total, kind="stable")
+            width_of = count.sum(axis=1)
+            # widest cell first and each cell's queries together, so a chunk's
+            # first query sets its width and its cells are runs of rows
+            by_width = np.argsort(-width_of, kind="stable")
+            rank = np.empty_like(by_width)
+            rank[by_width] = np.arange(by_width.size)
+            slot = rank[inverse]
+            order = np.argsort(slot, kind="stable")
+            slot = slot[order]
             i = 0
             while i < order.size:
-                width = max(int(total[order[i]]), min_width)
-                rows = order[i:i + max(1, _BLOCK // width)]
-                i += rows.size
-                # lay each row's 27 runs of sorted points side by side
-                run_start, run_count = start[inverse[rows]].ravel(), count[inverse[rows]].ravel()
-                row_total = total[rows]
-                flat = np.arange(row_total.sum())
+                width = max(int(width_of[by_width[slot[i]]]), min_width)
+                j = min(i + max(1, _BLOCK // width), order.size)
+                rows, local = order[i:j], slot[i:j] - slot[i]
+                cells = by_width[slot[i]:slot[j - 1] + 1]
+                i = j
+                # lay each cell's 27 runs of sorted points side by side
+                run_start, run_count = start[cells].ravel(), count[cells].ravel()
+                cell_total = width_of[cells]
+                flat = np.arange(cell_total.sum())
                 src = flat + np.repeat(run_start - (np.cumsum(run_count) - run_count), run_count)
-                col = flat - np.repeat(np.cumsum(row_total) - row_total, row_total)
-                cand = np.full((rows.size, width), n, dtype=np.int64)
-                cand[np.repeat(np.arange(rows.size), row_total), col] = self.order[src]
-                yield first + rows, cand
+                col = flat - np.repeat(np.cumsum(cell_total) - cell_total, cell_total)
+                cand = np.full((cells.size, width), n, dtype=np.int64)
+                cand[np.repeat(np.arange(cells.size), cell_total), col] = self.order[src]
+                yield first + rows, local, cand
 
 
-def _sq_dists(index: NeighborIndex, cand: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """(Q, C) squared distances from each query to its candidate points."""
+def _sq_dists(points, queries: np.ndarray) -> np.ndarray:
+    """(Q, C) squared distances from each query row to its candidates.
+
+    ``points`` holds the candidates' coordinates as one array per axis,
+    each (Q, C) or (1, C) for candidates shared by every query.
+    """
     d2 = None
-    for axis in range(3):
-        d = np.take(index._axes[axis], cand)
-        d -= queries[:, axis, None]
+    for p, q in zip(points, queries.T):
+        d = p - q[:, None]
         d *= d
         if d2 is None:
             d2 = d
@@ -165,43 +186,52 @@ def _sq_dists(index: NeighborIndex, cand: np.ndarray, queries: np.ndarray) -> np
     return d2
 
 
-def _kept(index: NeighborIndex, queries: np.ndarray, cand: np.ndarray,
-          r2: Optional[float] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Squared distances to the candidates; with ``r2``, those above it are
-    dropped and become (inf, N) like padding."""
-    n = index.num_points
-    d2 = _sq_dists(index, cand, queries)
-    if r2 is None:
-        return d2, cand
+def _drop_outside(d2: np.ndarray, cand: np.ndarray, n: int, r2: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Candidates above ``r2`` become (inf, N) like padding."""
     drop = (cand == n) | (d2 > r2)
     d2[drop] = np.inf
     return d2, np.where(drop, n, cand)
 
 
-def _smallest(d2: np.ndarray, cand: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The k smallest (d2, index) pairs of each row, in that order.
+def _smallest(d2: np.ndarray, cand: np.ndarray, k: int,
+              local: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's k smallest (d2, index) pairs, as a set.
 
-    A row needs at least k columns.
+    A row needs at least k columns; with ``local``, row q's indices are
+    ``cand[local[q]]``.  A row with exactly k entries at or below its k-th
+    smallest d2 already holds its set and keeps them in column order.  Only
+    a row tied across the k-th distance is sorted by (d2, index), so that
+    the ties go to the lower indices.
     """
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
     rows, cols = np.nonzero(d2 <= kth[:, None])  # every entry tied at the k-th distance
-    ids = cand[rows, cols]
+    ids = cand[rows if local is None else local[rows], cols]
     dist2 = d2[rows, cols]
-    order = np.lexsort((ids, dist2, rows))
-    pick = order[np.searchsorted(rows, np.arange(d2.shape[0]))[:, None] + np.arange(k)]
+    if rows.size == d2.shape[0] * k:  # no row is tied
+        return ids.reshape(-1, k), dist2.reshape(-1, k)
+    # sort the tied rows' entries, each row within its own span: rows is the first key
+    first = np.searchsorted(rows, np.arange(d2.shape[0]))
+    at = np.flatnonzero((np.diff(first, append=rows.size) > k)[rows])
+    order = np.arange(rows.size)
+    order[at] = at[np.lexsort((ids[at], dist2[at], rows[at]))]
+    pick = order[first[:, None] + np.arange(k)]
     return ids[pick], dist2[pick]
 
 
 def _grid_search(index: NeighborIndex, grid: _Grid, queries: np.ndarray, k: int, r2: Optional[float] = None):
-    """(rows, ids, d2, kept) chunks: the k smallest kept pairs among each query's 27 cells.
+    """(rows, ids, d2, kept) chunks: the k-set of kept pairs among each query's 27 cells.
 
-    ``kept`` counts the candidates that :func:`_kept` did not drop.
+    Without ``r2`` (KNN) every candidate is kept and ``kept`` is None; with
+    it, ``kept`` counts the candidates within ``r2``.
     """
     n = index.num_points
-    for rows, cand in grid.blocks(queries, n, k):
-        d2, cand = _kept(index, queries[rows], cand, r2)
-        ids, d2 = _smallest(d2, cand, k)
-        yield rows, ids, d2, np.count_nonzero(cand < n, axis=1)
+    for rows, local, cand in grid.blocks(queries, n, k):
+        d2 = _sq_dists((np.take(axis, cand)[local] for axis in index._axes), queries[rows])
+        if r2 is None:
+            yield (rows, *_smallest(d2, cand, k, local), None)
+        else:
+            d2, ids = _drop_outside(d2, cand[local], n, r2)
+            yield (rows, *_smallest(d2, ids, k), np.count_nonzero(ids < n, axis=1))
 
 
 def _scan_search(index: NeighborIndex, queries: np.ndarray, rows: np.ndarray, k: int,
@@ -217,11 +247,14 @@ def _scan_search(index: NeighborIndex, queries: np.ndarray, rows: np.ndarray, k:
         chunk = rows[i:i + _BLOCK // seg]
         ids = np.full((chunk.size, k), n, dtype=np.int64)
         d2 = np.full((chunk.size, k), np.inf)
-        kept = np.zeros(chunk.size, dtype=np.int64)
+        kept = None if r2 is None else np.zeros(chunk.size, dtype=np.int64)
         for lo in range(0, n, seg):
-            part = np.broadcast_to(np.arange(lo, min(lo + seg, n)), (chunk.size, min(seg, n - lo)))
-            part_d2, part_ids = _kept(index, queries[chunk], part, r2)
-            kept += np.count_nonzero(part_ids < n, axis=1)
+            hi = min(lo + seg, n)
+            part_ids = np.broadcast_to(np.arange(lo, hi), (chunk.size, hi - lo))
+            part_d2 = _sq_dists(index._axes[:, None, lo:hi], queries[chunk])
+            if r2 is not None:
+                part_d2, part_ids = _drop_outside(part_d2, part_ids, n, r2)
+                kept += np.count_nonzero(part_ids < n, axis=1)
             ids, d2 = _smallest(np.hstack([d2, part_d2]), np.hstack([ids, part_ids]), k)
         yield chunk, ids, d2, kept
 
@@ -234,9 +267,30 @@ def _store(indices: np.ndarray, distances: np.ndarray, rows: np.ndarray,
     must come out by ascending index.
     """
     dist = np.sqrt(d2)
-    order = np.lexsort((ids, dist), axis=1)
-    indices[rows] = np.take_along_axis(ids, order, axis=1)
-    distances[rows] = np.take_along_axis(dist, order, axis=1)
+    flat = np.lexsort((ids, dist), axis=1)
+    flat += np.arange(0, ids.size, ids.shape[1])[:, None]  # row-major positions
+    indices[rows] = ids.ravel()[flat]
+    distances[rows] = dist.ravel()[flat]
+
+
+def _kth_sq_dists(index: NeighborIndex, queries: np.ndarray, k: int) -> np.ndarray:
+    """Each query's k-th smallest squared distance to the points, values only.
+
+    Like :func:`_scan_search`, each chunk of queries merges its best k
+    values with one segment of points at a time.
+    """
+    n = index.num_points
+    seg = min(n, _BLOCK)
+    step = _BLOCK // seg
+    kth = np.empty(queries.shape[0])
+    for i in range(0, queries.shape[0], step):
+        q = queries[i:i + step]
+        best = np.full((q.shape[0], k), np.inf)
+        for lo in range(0, n, seg):
+            part = _sq_dists(index._axes[:, None, lo:min(lo + seg, n)], q)
+            best = np.partition(np.hstack([best, part]), k - 1, axis=1)[:, :k]
+        kth[i:i + step] = best[:, k - 1]
+    return kth
 
 
 def _knn_grid(index: NeighborIndex, k: int) -> Optional[_Grid]:
@@ -250,8 +304,7 @@ def _knn_grid(index: NeighborIndex, k: int) -> Optional[_Grid]:
         n = index.num_points
         sample = index.coords[::max(1, n // _SAMPLE)][:_SAMPLE]
         # each sample point is its own nearest, at distance zero
-        chunks = _scan_search(index, sample, np.arange(len(sample)), min(k + 1, n))
-        kth = np.sort(np.concatenate([d2[:, -1] for _, _, d2, _ in chunks]))
+        kth = np.sort(_kth_sq_dists(index, sample, min(k + 1, n)))
         # np.median would import numpy.ma, a megabyte of resident memory
         grid = _Grid.build(index.coords, _CELL_RATIO * float(np.sqrt(kth[kth.size // 2])))
         index._last_grid = (k, grid)
@@ -287,7 +340,7 @@ def knn_batch(index: NeighborIndex, queries, k: int) -> Tuple[np.ndarray, np.nda
         bound = (_MARGIN * grid.cell) ** 2
         unsafe: List[np.ndarray] = []
         for chunk, ids, d2, _ in _grid_search(index, grid, q, k):
-            safe = d2[:, -1] < bound
+            safe = d2.max(axis=1) < bound
             _store(indices, distances, chunk[safe], ids[safe], d2[safe])
             unsafe.append(chunk[~safe])
         rows = np.concatenate(unsafe)
@@ -341,8 +394,9 @@ def ball_query_batch(index: NeighborIndex, queries, radius: float, k_max: int) -
     else:
         chunks = _scan_search(index, q, np.arange(m), k_max, r2=r2)
     for chunk, ids, d2, count in chunks:
-        # an under-full row repeats its nearest point in front
+        # an under-full row repeats its (d2, index)-nearest point in front
         src = np.maximum(np.arange(k_max) - np.maximum(k_max - count, 0)[:, None], 0)
+        src = np.take_along_axis(np.lexsort((ids, d2), axis=1), src, axis=1)
         full = count > 0
         _store(indices, distances, chunk[full], np.take_along_axis(ids[full], src[full], axis=1),
                np.take_along_axis(d2[full], src[full], axis=1))

@@ -60,6 +60,17 @@ class TestSample:
         assert result.returncode == 1
         assert "m-out-of-range" in result.stderr
 
+    @pytest.mark.parametrize("method", ["fps", "random"])
+    def test_negative_seed_is_invalid_spec(self, scene_file, tmp_path, method):
+        path, _ = scene_file
+        out = tmp_path / "x.xyz"
+        result = run_cli("sample", str(path), "--has-label", "--method", method, "--count", "3",
+                         "--seed", "-1", "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr.startswith("pgrain: invalid-spec: seed must be a non-negative integer")
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_missing_required_flag_is_usage_error(self, scene_file):
         path, _ = scene_file
         result = run_cli("sample", str(path))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pgrain import DomainError, PointCloud, sigma_map, window_normalize
 from pgrain.eval import RegionSpec, SyntheticSceneSpec, generate_scene
 from pgrain.norm import DEFAULT_EPSILON
-from pgrain.spatial import build_index, knn_batch
+from pgrain.spatial import brute_force_knn, build_index, knn_batch
 
 from conftest import GwnWindow, random_cloud
 
@@ -281,6 +281,30 @@ class TestSigmaMap:
         cloud = random_cloud(rng, n_points=10)
         with pytest.raises(DomainError):
             sigma_map(cloud, k=11)
+
+    def test_engine_batches_with_a_ragged_tail_match_brute_force(self, rng, monkeypatch):
+        cloud = random_cloud(rng, n_points=350)
+        k = 6
+        hoods = brute_force_knn(cloud, cloud.coords, k)[0]
+        matrix = np.hstack([cloud.coords, cloud.features])
+        dev = matrix[hoods] - matrix[:, None, :]
+        sigmas = np.sqrt(np.sum(dev * dev, axis=(1, 2)) / (k * matrix.shape[1] - 1))
+        threshold = float(np.median(sigmas))
+        batches = []
+
+        def counted(index, queries, k):
+            batches.append(len(queries))
+            return knn_batch(index, queries, k)
+
+        monkeypatch.setattr("pgrain.norm.knn_batch", counted)
+        monkeypatch.setattr("pgrain.norm._SIGMA_BATCH", 100, raising=False)
+        monkeypatch.setattr("pgrain.norm._SIGMA_CHUNK", 32)
+        flagged = sigma_map(cloud, k=k, threshold=threshold)
+        # full batches, then a ragged tail
+        assert len(batches) > 2 and sum(batches) == cloud.num_points
+        assert set(batches[:-1]) == {batches[0]} and batches[-1] < batches[0]
+        np.testing.assert_array_equal(flagged, np.flatnonzero(sigmas > threshold))
+        assert 0 < flagged.size < cloud.num_points
 
     def test_monotone_sparsity_rank_correlation(self):
         # lower density (larger neighbor distances) gives larger sigma

@@ -260,3 +260,17 @@ class TestRandomSample:
         cloud = random_cloud(rng, n_points=5)
         with pytest.raises(DomainError):
             random_sample(cloud, 0, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2 ** 70), 1.0, 2.5, "3", None, True])
+@pytest.mark.parametrize("sampler", [farthest_point_sample, random_sample])
+def test_seed_must_be_a_non_negative_integer(sampler, seed):
+    cloud = _cloud_from_coords(np.arange(12.0).reshape(4, 3))
+    with pytest.raises(DomainError) as exc:
+        sampler(cloud, 2, seed=seed)
+    assert exc.value.kind == "invalid-spec"
+    assert "seed" in str(exc.value)
+    # numpy integers and integers beyond 64 bits are seeds like any other
+    for good in (np.int64(5), 2 ** 70):
+        assert sampler(cloud, 2, seed=good).shape == (2,)
+

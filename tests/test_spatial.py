@@ -321,6 +321,69 @@ class TestBatchEngine:
             # the nearest one alone is still chosen on the squared distance
             np.testing.assert_array_equal(knn_batch(build_index(cloud), queries[:m], 1)[0], [[1]] * m)
 
+    def test_ball_query_pads_with_the_squared_distance_nearest(self):
+        # index 0 is one ulp farther in squared distance, but the square roots
+        # are one double: the under-full row repeats index 1, the (d2, index)-
+        # nearest, and then orders every slot by (distance, index)
+        a, b = 0.8319432152802452, 0.9214800195499495
+        near = np.array([[a, np.nextafter(b, 2.0), 0.0], [a, b, 0.0]])
+        filler = np.c_[np.linspace(10, 20, 100), np.zeros((100, 2))]
+        index = build_index(_cloud_from_coords(np.vstack([near, filler])))
+        queries = np.zeros((70, 3))
+        for m in (1, 70):  # the direct scan and the grid
+            batch = ball_query_batch(index, queries[:m], radius=1.5, k_max=4)
+            np.testing.assert_array_equal(batch.num_in_radius, [2] * m)
+            np.testing.assert_array_equal(batch.indices, [[0, 1, 1, 1]] * m)
+            assert (batch.distances == batch.distances[0, 0]).all()
+
+    def test_tied_and_untied_rows_share_a_grid_chunk(self):
+        # an integer lattice with duplicates: many rows tie across the k-th
+        # distance, and their ties lie in different cells, so the (d2, index)
+        # order differs from the candidates' column order
+        rng = np.random.default_rng(3)
+        lattice = rng.integers(0, 5, size=(60, 3)).astype(np.float64)
+        coords = np.vstack([lattice, lattice[:20], rng.uniform(0, 4, size=(20, 3))])
+        cloud = _cloud_from_coords(coords)
+        queries = coords[:80]
+        # no row has more than N candidates, so all 80 rows are one chunk
+        assert spatial._SAMPLE < queries.shape[0] <= spatial._BLOCK // coords.shape[0]
+        k = 5
+        d = coords - queries[:, None, :]
+        d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1] + d[..., 2] * d[..., 2]
+        at_or_below = np.count_nonzero(d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1:k], axis=1)
+        assert (at_or_below > k).any() and (at_or_below == k).any()
+        expected = brute_force_knn(cloud, queries, k)
+        indices, distances = knn_batch(build_index(cloud), queries, k)
+        np.testing.assert_array_equal(indices, expected[0])
+        assert distances.tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("cell", [0.3, 1.0, 3.0])
+    def test_any_grid_cell_gives_the_exact_rows(self, monkeypatch, cell):
+        # on a cell of 1.0 the query's 27 cells hold A (0.03 away) and, laid
+        # out before it, B (1.81 away), but not C (1.12 away): the row's
+        # largest d2, not its last column, shows that it needs the scan
+        points = {"origin": [0, 0, 0], "A": [2.05, 2.98, 0], "B": [1.0, 1.48, 0], "C": [0.9, 2.98, 0]}
+        cloud = _cloud_from_coords(list(points.values()))
+        monkeypatch.setattr(spatial, "_knn_grid", lambda index, k: spatial._Grid(index.coords, cell))
+        queries = np.tile([2.02, 2.98, 0.0], (70, 1))
+        indices, distances = knn_batch(build_index(cloud), queries, 2)
+        np.testing.assert_array_equal(indices, [[1, 3]] * 70)
+        expected = brute_force_knn(cloud, queries, 2)
+        assert distances.tobytes() == expected[1].tobytes()
+
+    def test_scan_segments_with_overflowing_distances(self, rng):
+        # every squared distance overflows to inf, so every point ties at the
+        # k-th distance and the lowest indices win, across two scan segments
+        coords = rng.uniform(-1, 1, size=(spatial._BLOCK + 10, 3)) * 1e200
+        cloud = _cloud_from_coords(coords)
+        queries = np.zeros((1, 3))
+        with np.errstate(over="ignore"):
+            indices, distances = knn_batch(build_index(cloud), queries, 3)
+            expected = brute_force_knn(cloud, queries, 3)
+        np.testing.assert_array_equal(indices, [[0, 1, 2]])
+        np.testing.assert_array_equal(indices, expected[0])
+        assert distances.tobytes() == expected[1].tobytes()
+
     def test_batches_validate_their_queries(self):
         index = build_index(_cloud_from_coords([[0, 0, 0], [1, 0, 0]]))
         for bad, kind in (([[0, 0]], "dimension-mismatch"), ([[0, 0, np.nan]], "non-finite-value")):
