@@ -162,7 +162,7 @@ def _scene_sets(spec):
 
 
 def _config_from_file(path: str) -> tuple:
-    """Read a train-toy JSON config; a malformed one is an ``invalid-spec``."""
+    """Read a train-toy JSON config into (config, train scenes, test scenes); malformed is ``invalid-spec``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -180,12 +180,11 @@ def _config_from_file(path: str) -> tuple:
         raise DomainError("invalid-spec", "stages must be a JSON array")
     stages = tuple(_stage_spec(i, entry) for i, entry in enumerate(raw["stages"]))
     fields = {key: value for key, value in raw.items() if key not in ("stages", "scenes")}
-    return ev.ToyPipelineConfig(stages=stages, **fields), raw["scenes"]
+    return (ev.ToyPipelineConfig(stages=stages, **fields), *_scene_sets(raw["scenes"]))
 
 
 def _cmd_train_toy(args) -> int:
-    config, scene_spec = _config_from_file(args.config)
-    train, test = _scene_sets(scene_spec)
+    config, train, test = _config_from_file(args.config)
     result = ev.run_toy_pipeline(config, train, test)
     Path(args.out).write_text(ev.metrics_csv(result.metrics), encoding="utf-8")
     if args.checkpoint:
@@ -204,8 +203,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate_m(args) -> int:
-    config, scene_spec = _config_from_file(args.config)
-    train, test = _scene_sets(scene_spec)
+    config, train, test = _config_from_file(args.config)
     m_values = [_coerce("--m", tok, int) for tok in args.m.split(",") if tok.strip()]
     rows = ev.ablate_m(config, m_values, train, test)
     Path(args.out).write_text(ev.ablate_csv(rows), encoding="utf-8")

@@ -335,9 +335,6 @@ class ToyPipelineConfig:
         if not all(_is_number(size, Integral) and size >= 1 for size in self.head_hidden):
             raise DomainError("invalid-spec", f"head_hidden sizes must be positive integers, got {self.head_hidden}")
 
-    def with_split(self, m: int) -> "ToyPipelineConfig":
-        return replace(self, stages=tuple(replace(s, split=m) for s in self.stages))
-
 
 def _derived_seed(*parts: int) -> int:
     seed = 0
@@ -563,35 +560,12 @@ def _scene_grads(plan: _ScenePlan, params: dict, x_final: np.ndarray, outs, conf
     return loss, grads
 
 
-def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointCloud],
-                     test_scenes: Sequence[PointCloud]) -> PipelineResult:
-    """Train the encoder + head on labeled scenes and score the test set.
-
-    Deterministic per (config, scenes): identical inputs give bit-identical
-    metrics.  Divergence has one rule: a training loss that is not finite is
-    ``divergence: loss became non-finite at epoch N``, and test logits that
-    are not finite, whichever aggregator or head made them, are
-    ``divergence: non-finite values at epoch {epochs - 1}``.
-    """
-    if not train_scenes or not test_scenes:
-        raise DomainError("invalid-spec", "need at least one training and one test scene")
-    for scene in list(train_scenes) + list(test_scenes):
-        if scene.labels is None:
-            raise DomainError("invalid-spec", "pipeline scenes must carry labels")
-        if scene.labels.max() >= config.num_classes:
-            raise DomainError("label-out-of-range",
-                              f"scene label {scene.labels.max()} outside [0, {config.num_classes})")
-    feature_dim = train_scenes[0].feature_dim
-    if any(s.feature_dim != feature_dim for s in list(train_scenes) + list(test_scenes)):
-        raise DomainError("dimension-mismatch", "all scenes must share one feature dimension")
-
+def _train_and_score(config: ToyPipelineConfig, train_plans: list, test_plans: list) -> PipelineResult:
     agg = _AGGREGATOR_TABLE[config.aggregator]
-    train_plans = [_plan_scene(s, config, i) for i, s in enumerate(train_scenes)]
-    test_plans = [_plan_scene(s, config, 10_000 + i) for i, s in enumerate(test_scenes)]
     # the same bits every epoch: lift each training scene's first stage once
     train_firsts = [_first_lift(plan, agg, config) for plan in train_plans]
 
-    params = _init_params(config, feature_dim)
+    params = _init_params(config, train_plans[0].scene.feature_dim)
     depth = len(config.head_hidden) + 1
     order_rng = np.random.default_rng(_derived_seed(config.seed, 15485863))
 
@@ -642,14 +616,44 @@ def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointClou
 # Experiments
 # ---------------------------------------------------------------------------
 
-def paired_comparison(config: ToyPipelineConfig, train_scenes, test_scenes,
-                      aggregators: Sequence[str] = ("pagwn", "knn_baseline")):
-    """Run several aggregators on identical scenes and seed; returns
-    {aggregator: PipelineResult}."""
-    results = {}
-    for name in aggregators:
-        results[name] = run_toy_pipeline(replace(config, aggregator=name), train_scenes, test_scenes)
-    return results
+def sweep(configs: Sequence[ToyPipelineConfig], train_scenes: Sequence[PointCloud],
+          test_scenes: Sequence[PointCloud]) -> List[PipelineResult]:
+    """:func:`run_toy_pipeline` of each config on the same scenes, in order.  A scene plan reads only the
+    seed, the stages' ``m_points`` and ``k`` and the neighbor search; configs that agree on them share it."""
+    scenes = [*train_scenes, *test_scenes]
+    if not train_scenes or not test_scenes:
+        raise DomainError("invalid-spec", "need at least one training and one test scene")
+    for scene in scenes:
+        if scene.labels is None:
+            raise DomainError("invalid-spec", "pipeline scenes must carry labels")
+        for config in configs:
+            if scene.labels.max() >= config.num_classes:
+                raise DomainError("label-out-of-range",
+                                  f"scene label {scene.labels.max()} outside [0, {config.num_classes})")
+    if any(s.feature_dim != scenes[0].feature_dim for s in scenes):
+        raise DomainError("dimension-mismatch", "all scenes must share one feature dimension")
+
+    keys = [(c.seed, tuple((s.m_points, s.k) for s in c.stages), _AGGREGATOR_TABLE[c.aggregator].neighbors,
+             c.bq_radius) for c in configs]
+    plans = {}
+    for key, config in zip(keys, configs):
+        if key not in plans:
+            plans[key] = ([_plan_scene(s, config, i) for i, s in enumerate(train_scenes)],
+                          [_plan_scene(s, config, 10_000 + i) for i, s in enumerate(test_scenes)])
+    return [_train_and_score(config, *plans[key]) for key, config in zip(keys, configs)]
+
+
+def run_toy_pipeline(config: ToyPipelineConfig, train_scenes: Sequence[PointCloud],
+                     test_scenes: Sequence[PointCloud]) -> PipelineResult:
+    """Train the encoder + head on labeled scenes and score the test set.
+
+    Deterministic per (config, scenes): identical inputs give bit-identical
+    metrics.  Divergence has one rule: a training loss that is not finite is
+    ``divergence: loss became non-finite at epoch N``, and test logits that
+    are not finite, whichever aggregator or head made them, are
+    ``divergence: non-finite values at epoch {epochs - 1}``.
+    """
+    return sweep([config], train_scenes, test_scenes)[0]
 
 
 def ablate_m(config: ToyPipelineConfig, m_values: Sequence[int], train_scenes,
@@ -668,11 +672,8 @@ def ablate_m(config: ToyPipelineConfig, m_values: Sequence[int], train_scenes,
         seen.append(m)
     if not seen:
         raise DomainError("invalid-spec", "the m sweep needs at least one value")
-    rows = []
-    for m in seen:
-        result = run_toy_pipeline(config.with_split(m), train_scenes, test_scenes)
-        rows.append((m, result.metrics))
-    return rows
+    configs = [replace(config, stages=tuple(replace(s, split=m) for s in config.stages)) for m in seen]
+    return [(m, result.metrics) for m, result in zip(seen, sweep(configs, train_scenes, test_scenes))]
 
 
 def ablate_csv(rows: List[Tuple[int, MetricsReport]]) -> str:

@@ -32,8 +32,9 @@ _SIGMA_CHUNK = 256  # sigma_map centers per window gather; bounds its working me
 
 
 def _sigmas(dev: np.ndarray, denom: int) -> np.ndarray:
-    """Scalar sigma of each window in a (M, K, d) batch of center deviations."""
-    return np.sqrt(np.sum(dev * dev, axis=(1, 2)) / denom)
+    """Scalar sigma of each window in a (M, K, d) batch of center deviations; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.sum(dev * dev, axis=(1, 2)) / denom)
 
 
 def _gwn_forward(windows: np.ndarray, centers: np.ndarray, m: Optional[int], epsilon: float):
@@ -129,7 +130,7 @@ def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,
     Windows are built at every cloud point from its k nearest neighbors
     over the concatenated [coordinate, feature] vectors (d = n+3), matching
     how boundary points light up in real scenes; set ``use_coords`` False
-    to restrict windows to raw features.
+    to restrict windows to raw features.  An overflowing sigma is ``non-finite-value``.
     """
     if np.isnan(threshold):
         raise DomainError("invalid-spec", "threshold must be a number, got nan")
@@ -147,4 +148,5 @@ def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,
             rows = hoods[start:start + _SIGMA_CHUNK]
             centers = matrix[batch + start:batch + start + rows.shape[0], None, :]
             sigmas.append(_sigmas(matrix[rows] - centers, k * matrix.shape[1] - 1))
+    _check_sigmas(sigmas)
     return np.flatnonzero(np.concatenate(sigmas) > threshold).astype(np.int64)

@@ -46,8 +46,8 @@ def fps_coords(coords: np.ndarray, m: int, seed: int) -> np.ndarray:
 
     So both bounds are inclusive (``searchsorted`` with ``side="left"``
     below and ``side="right"`` above).  Points outside the slab keep their
-    ``min_d2`` bit for bit.  D = inf, where squares overflow, gives
-    r = inf and a slab of the whole array.
+    ``min_d2`` bit for bit.  D = inf, where squares overflow (silently),
+    gives r = inf and a slab of the whole array.
 
     Raises:
         DomainError: ``dimension-mismatch`` unless coords is (N, 3),
@@ -78,30 +78,31 @@ def fps_coords(coords: np.ndarray, m: int, seed: int) -> np.ndarray:
     min_d2 = np.full(n, np.inf)
     selected = np.empty(m, dtype=np.int64)
     p, big = int(np.flatnonzero(order == first)[0]), np.inf
-    for t in range(m):
-        if t:
-            p = int(min_d2.argmax())
-            big = min_d2.item(p)
-            # argmax returns the first maximum, so a tie can only sit after p;
-            # no value exceeds big, so a tie shows as a later maximum equal to it
-            if p + 1 < n and min_d2.item(p + 1 + min_d2[p + 1:].argmax()) == big:
-                tied = p + np.flatnonzero(min_d2[p:] == big)
-                p = int(tied[order[tied].argmin()])
-        selected[t] = order[p]
-        r = math.sqrt(big) * (1.0 + 1e-9)
-        at = key.item(p)
-        lo = key.searchsorted(at - r, "left")
-        hi = key.searchsorted(at + r, "right")
-        out, scratch = d2[:hi - lo], tmp[:hi - lo]
-        np.subtract(x[lo:hi], x[p], out=out)
-        np.multiply(out, out, out=out)
-        for col in (y, z):
-            np.subtract(col[lo:hi], col[p], out=scratch)
-            np.multiply(scratch, scratch, out=scratch)
-            np.add(out, scratch, out=out)
-        slab = min_d2[lo:hi]
-        np.minimum(slab, out, out=slab)
-        min_d2[p] = -np.inf  # selected points can never be picked again
+    with np.errstate(over="ignore"):  # squares that overflow are inf and tie, as documented
+        for t in range(m):
+            if t:
+                p = int(min_d2.argmax())
+                big = min_d2.item(p)
+                # argmax returns the first maximum, so a tie can only sit after p;
+                # no value exceeds big, so a tie shows as a later maximum equal to it
+                if p + 1 < n and min_d2.item(p + 1 + min_d2[p + 1:].argmax()) == big:
+                    tied = p + np.flatnonzero(min_d2[p:] == big)
+                    p = int(tied[order[tied].argmin()])
+            selected[t] = order[p]
+            r = math.sqrt(big) * (1.0 + 1e-9)
+            at = key.item(p)
+            lo = key.searchsorted(at - r, "left")
+            hi = key.searchsorted(at + r, "right")
+            out, scratch = d2[:hi - lo], tmp[:hi - lo]
+            np.subtract(x[lo:hi], x[p], out=out)
+            np.multiply(out, out, out=out)
+            for col in (y, z):
+                np.subtract(col[lo:hi], col[p], out=scratch)
+                np.multiply(scratch, scratch, out=scratch)
+                np.add(out, scratch, out=out)
+            slab = min_d2[lo:hi]
+            np.minimum(slab, out, out=slab)
+            min_d2[p] = -np.inf  # selected points can never be picked again
     return selected
 
 

@@ -5,15 +5,15 @@ One batched engine answers every query: :func:`knn_batch` and
 return (M, K) neighbor indices and distances.  :func:`brute_force_knn` is
 the independent scan oracle that tests compare :func:`knn_batch` against.
 
-Results are exact and fully deterministic.  Squared distances are
-accumulated as dx*dx + dy*dy + dz*dz, and each row's K-set is the K
-smallest (squared distance, point index) pairs, so the engine agrees with
-the brute-force scan bit for bit, ties included.  The order is fixed in two
-places: :func:`_smallest` sorts by (squared distance, index) only the rows
-tied across their K-th distance, and :func:`_store` writes every row in
-(distance, index) order on the square-rooted distances that are reported.
-A ball query also orders its K-set by (squared distance, index) before
-padding, since the padding repeats the first point.
+Results are exact and fully deterministic.  Squared distances are summed as
+dx*dx + dy*dy + dz*dz (one that overflows is inf, with no warning), and each
+row's K-set is the K smallest (squared distance, point index) pairs, so the
+engine equals the brute-force scan bit for bit, ties included.  The order is
+fixed in two places: :func:`_smallest` sorts by (squared distance, index)
+only the rows tied across their K-th distance, and :func:`_store` writes
+every row in (distance, index) order on the square-rooted distances that are
+reported.  A ball query also orders its K-set by (squared distance, index)
+before padding, since the padding repeats the first point.
 
 A batch of more than ``_SAMPLE`` queries is answered on a uniform grid of
 cubic cells: points are sorted by linear cell key, and each query is
@@ -48,11 +48,6 @@ _CELL_RATIO = 2.5  # KNN grid cell over the sampled median K-th-neighbor distanc
 _MARGIN = 0.99  # fraction of a cell within which the 27 cells are proven complete
 _MAX_CELLS = 2.0 ** 20  # cells per axis at most, so linear keys fit in int64
 _OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
-
-
-def _sq_dist(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    d = points - q
-    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
 
 
 class NeighborIndex:
@@ -106,7 +101,7 @@ class _Grid:
         """A grid with cells of at least ``cell``, or None if none can be laid."""
         extent = float(np.max(coords.max(axis=0) - coords.min(axis=0)))
         cell = max(cell, extent / _MAX_CELLS)
-        if not (np.isfinite(cell) and cell > 0):
+        if not (np.isfinite(cell * cell) and cell > 0):  # knn_batch's bound squares the cell
             return None
         return cls(coords, cell)
 
@@ -176,13 +171,14 @@ def _sq_dists(points, queries: np.ndarray) -> np.ndarray:
     each (Q, C) or (1, C) for candidates shared by every query.
     """
     d2 = None
-    for p, q in zip(points, queries.T):
-        d = p - q[:, None]
-        d *= d
-        if d2 is None:
-            d2 = d
-        else:
-            d2 += d
+    with np.errstate(over="ignore"):  # squares that overflow are inf and tie
+        for p, q in zip(points, queries.T):
+            d = p - q[:, None]
+            d *= d
+            if d2 is None:
+                d2 = d
+            else:
+                d2 += d
     return d2
 
 
@@ -424,7 +420,9 @@ def brute_force_knn(cloud: PointCloud, queries, k: int) -> Tuple[np.ndarray, np.
     indices = np.empty((q.shape[0], k), dtype=np.int64)
     distances = np.empty((q.shape[0], k))
     for row, point in enumerate(q):
-        d2 = _sq_dist(cloud.coords, point)
+        d = cloud.coords - point
+        with np.errstate(over="ignore"):  # squares that overflow are inf and tie
+            d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
         chosen = np.lexsort((np.arange(n), d2))[:k]
         dist = np.sqrt(d2[chosen])
         # sqrt can collapse adjacent squared distances onto one double, and

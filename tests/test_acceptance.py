@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from pgrain.eval import (
     StageSpec,
     ToyPipelineConfig,
     density_imbalanced_scene,
-    paired_comparison,
+    sweep,
     two_plane_boundary_scene,
 )
 from pgrain.norm import DEFAULT_EPSILON, sigma_map
@@ -336,10 +337,9 @@ def test_criterion_08_toy_segmentation():
         num_classes=2, head_hidden=(16,), epochs=30, learning_rate=0.05,
         batch_size=4, seed=0, aggregator="pagwn",
     )
-    results = paired_comparison(config, scenes[:14], scenes[14:],
-                                aggregators=("pagwn", "knn_baseline"))
-    pagwn_miou = results["pagwn"].metrics.miou
-    knn_miou = results["knn_baseline"].metrics.miou
+    pagwn, knn = sweep([config, replace(config, aggregator="knn_baseline")], scenes[:14], scenes[14:])
+    pagwn_miou = pagwn.metrics.miou
+    knn_miou = knn.metrics.miou
     elapsed = time.perf_counter() - start
     ok = (pagwn_miou >= 0.90 and pagwn_miou >= knn_miou - 0.02
           and config.epochs <= 50 and elapsed < 600.0)

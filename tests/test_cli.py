@@ -176,10 +176,7 @@ class TestNormalize:
                                     "non-finite-value"),
     }
 
-    @pytest.mark.parametrize("label", [
-        pytest.param(label, marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-                     if label == "sigma overflows" else ())
-        for label in REJECTED])
+    @pytest.mark.parametrize("label", list(REJECTED))
     def test_malformed_window_rejected(self, label, tmp_path, capsys):
         center, neighbors, extra, kind = self.REJECTED[label]
         pio.write_tensor(tmp_path / "c.pgtn", center)
@@ -247,7 +244,6 @@ class TestPagwnForwardRejects:
         assert name in err
         assert not (tmp_path / "agg.pgtn").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_sigma_is_non_finite_value(self, rng, tmp_path, capsys):
         # finite entries whose group sigma overflows would aggregate to all zeros
         inp, params = self._dirs(rng)
@@ -559,6 +555,12 @@ def _train_case(tmp_path, **kw):
             "--checkpoint", str(ckpt)], [out, ckpt]
 
 
+def _ablate_case(tmp_path):
+    config = toy_config(tmp_path, stages=_TWO_STAGES)
+    out = tmp_path / "ablation.csv"
+    return ["ablate-m", "--config", str(config), "--m", "1,2,3", "--out", str(out)], [out]
+
+
 def _normalize_case(tmp_path, *extra):
     rng = np.random.default_rng(4242)
     pio.write_tensor(tmp_path / "c.pgtn", rng.normal(size=4))
@@ -606,6 +608,9 @@ BYTE_CASES = {
         "339559429274fed40153045d0ce49ac1321c550aafddcbc15917a422d7cf309f"),
     "sigma_map": (_sigma_case,
         "3db14d0c6605ffc4b0fd402241d0a080b9d5155b9ac81763baa831cc7f38ba90"),
+    # recorded while ablate_m still trained each m through its own run_toy_pipeline call
+    "ablate_m": (_ablate_case,
+        "040fa72283fe215a24589ec10e66a53c6f5e56ddc312db2c432604db8073f508"),
 }
 
 

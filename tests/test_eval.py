@@ -485,15 +485,35 @@ class TestAblateM:
             batch_size=2, seed=0, aggregator="pagwn",
         )
 
-    def test_single_value_reproduces_direct_run(self):
+    def test_sweep_and_single_value_reproduce_direct_runs(self, monkeypatch):
         train, test = self._scenes()
-        config = self._config()
-        direct = run_toy_pipeline(config, train, test)
+        # every config carries bq_radius, so only the neighbor search tells bq_baseline's key apart
+        config = replace(self._config(), bq_radius=0.15)
+        configs = [config, replace(config, aggregator="knn_baseline"), replace(config, aggregator="bq_baseline"),
+                   replace(config, stages=(replace(config.stages[0], split=2),)), replace(config, seed=1)]
+        direct = [run_toy_pipeline(c, train, test) for c in configs]
+        planned = []
+        plan_scene = ev._plan_scene
+        monkeypatch.setattr(ev, "_plan_scene", lambda *args: planned.append(args) or plan_scene(*args))
+        swept = ev.sweep(configs, train, test)
+        # one plan per scene for each key: pagwn, knn_baseline and split 2 share theirs
+        assert len(planned) == 3 * (len(train) + len(test))
+        assert len(swept) == len(configs)
+        for got, want in zip(swept, direct):
+            assert got.config is want.config
+            for name in ("per_class_iou", "per_class_acc", "miou", "macc", "oa"):
+                assert np.asarray(getattr(got.metrics, name)).tobytes() == \
+                    np.asarray(getattr(want.metrics, name)).tobytes(), name
+            assert got.losses == want.losses
+            assert sorted(got.params) == sorted(want.params)
+            for name, value in want.params.items():
+                assert got.params[name].dtype == value.dtype and got.params[name].shape == value.shape
+                assert got.params[name].tobytes() == value.tobytes(), name
         rows = ablate_m(config, [3], train, test)
         assert len(rows) == 1
         assert rows[0][0] == 3
-        assert rows[0][1].miou == direct.metrics.miou
-        assert rows[0][1].oa == direct.metrics.oa
+        assert rows[0][1].miou == direct[0].metrics.miou
+        assert rows[0][1].oa == direct[0].metrics.oa
 
     def test_duplicates_warn_and_dedupe(self):
         train, test = self._scenes()

@@ -3,7 +3,9 @@
 Each test draws inputs around a valid file (or a valid tensor set) and
 checks that reading either succeeds or raises ``DomainError``; for the CLI
 that means exit code 1 and a ``pgrain: <kind>: `` line on stderr.  The
-example counts are fixed, so the suite's wall time stays bounded.
+example counts are fixed, so the suite's wall time stays bounded.  A table
+runs the cloud and window commands on inputs scaled to extreme magnitudes
+under the same rule, and with no NumPy warning.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import re
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgrain import DomainError, PointCloud, StageSpec, ToyPipelineConfig
@@ -337,3 +340,57 @@ class TestTrainToyConfig:
         stage=st.builds(StageSpec, _JSON, _JSON, _JSON))
     def test_config_fields_never_raise_type_error(self, fields, stage):
         _only_domain_errors(lambda: ToyPipelineConfig(**{"stages": (stage,), "num_classes": 2, **fields}))
+
+
+# ---------------------------------------------------------------------------
+# Extreme magnitudes: exact output or one DomainError line, never a NumPy warning
+# ---------------------------------------------------------------------------
+
+_SCALES = (1e-300, 1e-150, 1e150, 1e300)
+
+
+def _extreme_argv(tmp_path, command: str, scale: float):
+    """argv of one command on a 100-point cloud, or on windows cut from it, scaled by ``scale``."""
+    rows = np.random.default_rng(2026).uniform(-1.0, 1.0, size=(100, 6)) * scale
+    cloud = tmp_path / "cloud.xyz"
+    pio.write_xyz(cloud, PointCloud(rows[:, :3], rows[:, 3:]))
+    if command in ("fps", "random"):
+        return ["sample", str(cloud), "--method", command, "--count", "100", "--out", str(tmp_path / "s.xyz")]
+    if command == "sigma-map":
+        return ["sigma-map", str(cloud), "--k", "4", "--out", str(tmp_path / "f.xyz")]
+    if command == "normalize":
+        pio.write_tensor(tmp_path / "c.pgtn", rows[0, 3:])
+        pio.write_tensor(tmp_path / "n.pgtn", rows[1:8, 3:])
+        return ["normalize", "--center", str(tmp_path / "c.pgtn"), "--neighbors", str(tmp_path / "n.pgtn"),
+                "--m", "3", "--out", str(tmp_path / "o.pgtn")]
+    window = OneWindow(rows[0, :3], rows[0, 3:], rows[1:7, :3], rows[1:7, 3:])
+    pio.save_tensor_dir(tmp_path / "inp", window._asdict())
+    pio.save_tensor_dir(tmp_path / "par", init_pagwn_params(3, seed=5))
+    return ["pagwn-forward", "--input", str(tmp_path / "inp"), "--params", str(tmp_path / "par"),
+            "--out", str(tmp_path / "o.pgtn")]
+
+
+class TestExtremeMagnitudes:
+    @pytest.mark.parametrize("scale", _SCALES)
+    @pytest.mark.parametrize("command", ["fps", "random", "sigma-map", "normalize", "pagwn-forward"])
+    def test_output_or_one_domain_error_line(self, command, scale, tmp_path, capsys):
+        # a NumPy warning raises here, since the suite turns warnings into errors
+        argv = _extreme_argv(tmp_path, command, scale)
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 1
+            assert _KIND_LINE.match(err) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_fps_picks_are_scale_free_where_squares_stay_normal(self, scale, tmp_path):
+        picks = []
+        for factor in (1.0, scale):
+            folder = tmp_path / str(factor)
+            folder.mkdir()
+            assert main(_extreme_argv(folder, "fps", factor)) == 0
+            picks.append((folder / "s.xyz.idx").read_text(encoding="utf-8"))
+        assert picks[0] == picks[1]

@@ -124,7 +124,6 @@ class TestWindowNormalize:
             window_normalize(windows, centers)
         assert exc.value.kind == "shape-mismatch"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_sigma_overflow_is_non_finite_value(self):
         # every entry is finite, but their squares sum past the largest float
         windows = np.full((2, 3, 2), 1e200)
@@ -276,6 +275,13 @@ class TestSigmaMap:
             features=np.full((100, 3), 0.5),
         )
         assert sigma_map(cloud, k=16, threshold=1.0).size == 0
+
+    def test_overflowing_sigma_is_non_finite_value(self, rng):
+        # the squares of these deviations overflow; the sigma would be inf, above any threshold
+        cloud = random_cloud(rng, n_points=100, scale=1e200)
+        with pytest.raises(DomainError) as exc:
+            sigma_map(cloud, k=4)
+        assert exc.value.kind == "non-finite-value"
 
     def test_k_out_of_range(self, rng):
         cloud = random_cloud(rng, n_points=10)

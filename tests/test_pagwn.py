@@ -110,7 +110,6 @@ class TestPreAbstract:
 
 
 class TestForward:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_sigma_is_non_finite_value(self, rng):
         # finite entries whose group sigma overflows would normalize every row to 0
         inp = random_input(rng, 3, 4)._replace(neighbor_features=np.full((4, 3), 1e200))

@@ -371,15 +371,24 @@ class TestBatchEngine:
         expected = brute_force_knn(cloud, queries, 2)
         assert distances.tobytes() == expected[1].tobytes()
 
+    def test_far_outlier_gives_the_exact_rows(self, rng):
+        # the outlier stretches the grid cell to 1e194, whose square overflows, so
+        # no grid can bound a K-set and every query takes the scan
+        coords = np.vstack([rng.uniform(0, 1, size=(99, 3)), [[1e200, 0.0, 0.0]]])
+        cloud = _cloud_from_coords(coords)
+        indices, distances = knn_batch(build_index(cloud), coords, 4)
+        expected = brute_force_knn(cloud, coords, 4)
+        np.testing.assert_array_equal(indices, expected[0])
+        assert distances.tobytes() == expected[1].tobytes()
+
     def test_scan_segments_with_overflowing_distances(self, rng):
         # every squared distance overflows to inf, so every point ties at the
         # k-th distance and the lowest indices win, across two scan segments
         coords = rng.uniform(-1, 1, size=(spatial._BLOCK + 10, 3)) * 1e200
         cloud = _cloud_from_coords(coords)
         queries = np.zeros((1, 3))
-        with np.errstate(over="ignore"):
-            indices, distances = knn_batch(build_index(cloud), queries, 3)
-            expected = brute_force_knn(cloud, queries, 3)
+        indices, distances = knn_batch(build_index(cloud), queries, 3)
+        expected = brute_force_knn(cloud, queries, 3)
         np.testing.assert_array_equal(indices, [[0, 1, 2]])
         np.testing.assert_array_equal(indices, expected[0])
         assert distances.tobytes() == expected[1].tobytes()
