@@ -27,6 +27,10 @@ class DomainError(Exception):
         self.kind = kind
         super().__init__(f"{kind}: {detail}")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the error from its kind and detail, not from the one-argument args
+        return type(self), (self.kind, self.args[0][len(self.kind) + 2:]), self.__dict__
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)

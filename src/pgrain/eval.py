@@ -39,6 +39,7 @@ from .pagwn import (
     _pagwn_lift,
     _pagwn_lower,
     _pagwn_param_backward,
+    _rowwise,
     _scatter_rows,
     aggregate_precomputed,
     init_mlp_params,
@@ -359,10 +360,13 @@ def _init_head(dims: Sequence[int], seed: int) -> dict:
 def _head_forward(x: np.ndarray, params: dict, depth: int):
     caches = []
     for i in range(depth):
-        z = x @ params[f"head.layer{i}.weight"] + params[f"head.layer{i}.bias"]
+        z = x @ params[f"head.layer{i}.weight"]
+        _rowwise(np.add, z, params[f"head.layer{i}.bias"], out=z)
         mask = z > 0 if i < depth - 1 else None
         caches.append((x, mask))
-        x = z if mask is None else z * mask
+        if mask is not None:
+            np.multiply(z, mask, out=z)  # the ReLU, in place: negatives become -0.0, as z * mask gives
+        x = z
     return x, caches
 
 
@@ -379,7 +383,12 @@ def _head_backward(g: np.ndarray, params: dict, caches):
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray, num_classes: int):
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # the class max as a chain of np.maximum over the columns: exact, and much cheaper than
+    # max(axis=1) on a few classes
+    top = logits[:, 0]
+    for c in range(1, logits.shape[1]):
+        top = np.maximum(top, logits[:, c])
+    shifted = logits - top[:, None]
     log_z = np.log(np.exp(shifted).sum(axis=1))
     log_p = shifted - log_z[:, None]
     n = logits.shape[0]

@@ -147,6 +147,7 @@ def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,
         for start in range(0, hoods.shape[0], _SIGMA_CHUNK):
             rows = hoods[start:start + _SIGMA_CHUNK]
             centers = matrix[batch + start:batch + start + rows.shape[0], None, :]
-            sigmas.append(_sigmas(matrix[rows] - centers, k * matrix.shape[1] - 1))
+            with np.errstate(over="ignore"):  # a difference that overflows is inf, and so is its sigma
+                sigmas.append(_sigmas(matrix[rows] - centers, k * matrix.shape[1] - 1))
     _check_sigmas(sigmas)
     return np.flatnonzero(np.concatenate(sigmas) > threshold).astype(np.int64)

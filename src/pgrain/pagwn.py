@@ -57,11 +57,16 @@ columns; einsum takes that order at a quarter of the per-call cost.
 Width 1 is the exception: NumPy sums a single column pairwise, so
 ``_colsum`` leaves it to ``np.add.reduce``.  Scatter-adds go through
 :func:`_scatter_rows`, which adds each slot's rows from zero in index
-order, as ``np.add.at`` does.
+order, as ``np.add.at`` does.  Elementwise ops have no order, so the
+layer kernel and the head run each (C,)-vector broadcast over (N, C) rows
+through :func:`_rowwise` on wide rows of up to 64 rows each, and reuse
+their fresh buffers in place; every element gets the same bits as the
+plain broadcast.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -72,7 +77,7 @@ from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT, _check_sigmas, _gwn_backward, 
 
 
 # ---------------------------------------------------------------------------
-# Summation kernels, and the one layer kernel: linear + batch norm, max pool
+# Summation and row kernels, and the one layer kernel: linear + batch norm, max pool
 # ---------------------------------------------------------------------------
 
 _COLSUM_SPECS = {2: ("ij->j", "ij,ij->j"), 3: ("ijk->ik", "ijk,ijk->ik")}  # by rank: sum of a, of a * b
@@ -84,6 +89,33 @@ def _colsum(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
         return np.add.reduce(a if b is None else a * b, axis=-2)
     one, two = _COLSUM_SPECS[a.ndim]
     return np.einsum(one, a) if b is None else np.einsum(two, a, b)
+
+
+_WIDE_ROWS = 64  # at most this many (N, C) rows make one wide row of _rowwise
+
+
+def _rowwise(op, a: np.ndarray, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``op(a, v)`` for an (N, C) array ``a`` and a (C,) vector ``v``, with the bits of the broadcast.
+
+    A broadcast runs one C-wide inner loop per row, which costs several
+    times the arithmetic at C = 3 or 6.  This runs ``op`` once over ``a``
+    viewed as (N / R, R * C) wide rows, R = gcd(N, 64), against ``v`` tiled
+    R times, so each element meets the same two operands.  The result goes
+    to ``out`` (a new array by default), which may be ``a`` itself; an
+    ``out`` that is not C-contiguous raises ``ValueError``, since its wide
+    view could be a copy that the result never leaves.
+    """
+    n, c = a.shape
+    if out is None:
+        out = np.empty((n, c))
+    elif not out.flags.c_contiguous:
+        raise ValueError("_rowwise writes through a wide view, so out must be C-contiguous")
+    r = math.gcd(n, _WIDE_ROWS)
+    tile = np.empty((r, c))
+    tile[...] = v
+    wide = (n // r, r * c)
+    op(a.reshape(wide), tile.reshape(-1), out=out.reshape(wide))
+    return out
 
 
 def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -128,23 +160,26 @@ def _layer_forward(x: np.ndarray, params: dict, p: str, mode: str):
     Training mode normalizes with batch statistics, inference mode with the
     running statistics.
     """
-    z = x @ params[p + "weight"] + params[p + "bias"]
-    gamma, beta, eps = params[p + "bn.gamma"], params[p + "bn.beta"], params[p + "bn.eps"]
+    z = x @ params[p + "weight"]
+    _rowwise(np.add, z, params[p + "bias"], out=z)
+    # z's buffer becomes the centered rows and then x_hat, in place
     if mode == "training":
         if z.shape[0] < 2:
             raise DomainError("degenerate-window", "training-mode batch norm needs at least 2 rows")
         # the ufunc sequence of NumPy's mean and var, sharing one mean
         mean = _colsum(z) / z.shape[0]
-        centered = z - mean
-        var = _colsum(centered, centered) / z.shape[0]
-        inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = centered * inv_std
-        return gamma * x_hat + beta, (x, ("training", x_hat, inv_std, mean, var))
-    if mode != "inference":
+        _rowwise(np.subtract, z, mean, out=z)
+        var = _colsum(z, z) / z.shape[0]
+        stats = (mean, var)
+    elif mode == "inference":
+        mean, var, stats = params[p + "bn.running_mean"], params[p + "bn.running_var"], (None, None)
+        _rowwise(np.subtract, z, mean, out=z)
+    else:
         raise DomainError("invalid-spec", f"mode must be 'training' or 'inference', got {mode!r}")
-    inv_std = 1.0 / np.sqrt(params[p + "bn.running_var"] + eps)
-    x_hat = (z - params[p + "bn.running_mean"]) * inv_std
-    return gamma * x_hat + beta, (x, ("inference", x_hat, inv_std, None, None))
+    inv_std = 1.0 / np.sqrt(var + params[p + "bn.eps"])
+    x_hat = _rowwise(np.multiply, z, inv_std, out=z)
+    y = _rowwise(np.multiply, x_hat, params[p + "bn.gamma"])
+    return _rowwise(np.add, y, params[p + "bn.beta"], out=y), (x, (mode, x_hat, inv_std, *stats))
 
 
 def _layer_backward(g: np.ndarray, params: dict, p: str, cache):
@@ -152,12 +187,18 @@ def _layer_backward(g: np.ndarray, params: dict, p: str, cache):
 
     ``dz`` is the gradient at the linear output; a caller that needs the
     layer's input gradient takes ``dz @ weight.T`` itself.  ``grads`` holds
-    the ``p`` weight, bias, ``bn.gamma`` and ``bn.beta`` gradients.
+    the ``p`` weight, bias, ``bn.gamma`` and ``bn.beta`` gradients.  Neither
+    ``g`` nor the cache is written to.
     """
     x, (_, x_hat, inv_std, _, _) = cache
     rows = g.shape[0]
-    dxhat = g * params[p + "bn.gamma"]
-    dz = inv_std * (dxhat - _colsum(dxhat) / rows - x_hat * (_colsum(dxhat, x_hat) / rows))
+    # dz = inv_std * (dxhat - colsum(dxhat) / rows - x_hat * (colsum(dxhat * x_hat) / rows)),
+    # in that order, with dxhat's buffer becoming dz
+    dxhat = _rowwise(np.multiply, g, params[p + "bn.gamma"])
+    proj = _rowwise(np.multiply, x_hat, _colsum(dxhat, x_hat) / rows)
+    dz = _rowwise(np.subtract, dxhat, _colsum(dxhat) / rows, out=dxhat)
+    np.subtract(dz, proj, out=dz)
+    _rowwise(np.multiply, dz, inv_std, out=dz)
     return dz, {p + "weight": x.T @ dz, p + "bias": _colsum(dz),
                 p + "bn.gamma": _colsum(g, x_hat), p + "bn.beta": _colsum(g)}
 

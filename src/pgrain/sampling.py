@@ -67,7 +67,8 @@ def fps_coords(coords: np.ndarray, m: int, seed: int) -> np.ndarray:
     first = int(np.random.default_rng(seed).integers(n))
 
     # sorted position -> original index; contiguous sorted columns
-    axis = int(np.ptp(coords, axis=0).argmax())
+    with np.errstate(over="ignore"):  # an extent that overflows is inf, and the first such axis wins
+        axis = int(np.ptp(coords, axis=0).argmax())
     order = np.argsort(coords[:, axis], kind="stable")
     x, y, z = (coords[order, col] for col in range(3))
     key = (x, y, z)[axis]

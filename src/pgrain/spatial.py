@@ -99,7 +99,8 @@ class _Grid:
     @classmethod
     def build(cls, coords: np.ndarray, cell: float) -> Optional["_Grid"]:
         """A grid with cells of at least ``cell``, or None if none can be laid."""
-        extent = float(np.max(coords.max(axis=0) - coords.min(axis=0)))
+        with np.errstate(over="ignore"):  # an extent that overflows is inf: no grid, below
+            extent = float(np.max(coords.max(axis=0) - coords.min(axis=0)))
         cell = max(cell, extent / _MAX_CELLS)
         if not (np.isfinite(cell * cell) and cell > 0):  # knn_batch's bound squares the cell
             return None

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,17 @@ from pgrain.pagwn import aggregate_precomputed, check_pagwn_tensors
 
 from conftest import random_cloud
 
+
+class TestDomainError:
+    @pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_survives_pickle_and_copy(self, clone):
+        error = DomainError("divergence", "loss: nan at epoch 3")
+        error.add_note("scene 7")
+        got = clone(error)
+        assert type(got) is DomainError and got is not error
+        assert got.kind == "divergence" and str(got) == "divergence: loss: nan at epoch 3"
+        assert got.args == error.args and got.__notes__ == ["scene 7"]
 
 class TestPointCloud:
     def test_empty_cloud_rejected(self):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgrain import DomainError, compute_metrics
 from pgrain import eval as ev
@@ -392,6 +393,33 @@ class TestTrainingLossGradient:
                 analytic = grads[name].flat[i]
                 err = abs(analytic - fd) / max(abs(analytic), abs(fd), self.FLOOR)
                 assert err < self.TOL, (name, int(i), analytic, fd)
+
+
+def softmax_ce_reference(logits: np.ndarray, labels: np.ndarray, num_classes: int):
+    """Oracle for _softmax_ce: the class max taken by ``max(axis=1)``, kept verbatim; every bit must match."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    log_p = shifted - log_z[:, None]
+    n = logits.shape[0]
+    loss = float(-log_p[np.arange(n), labels].mean())
+    dlogits = np.exp(log_p)
+    dlogits[np.arange(n), labels] -= 1.0
+    return loss, dlogits / n
+
+
+class TestSoftmaxCrossEntropy:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), classes=st.integers(1, 12))
+    def test_matches_the_reduce_max_bit_for_bit(self, seed, n, classes):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so rows tie at their max; signed zeros and far-apart values among them
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e300, 1e300, *rng.normal(size=4)])
+        logits = rng.choice(values, size=(n, classes))
+        labels = rng.integers(0, classes, size=n)
+        loss, dlogits = ev._softmax_ce(logits, labels, classes)
+        loss_ref, dlogits_ref = softmax_ce_reference(logits, labels, classes)
+        assert np.float64(loss).tobytes() == np.float64(loss_ref).tobytes()
+        assert dlogits.tobytes() == dlogits_ref.tobytes()
 
 
 class TestRunningStatisticsFold:

@@ -346,7 +346,7 @@ class TestTrainToyConfig:
 # Extreme magnitudes: exact output or one DomainError line, never a NumPy warning
 # ---------------------------------------------------------------------------
 
-_SCALES = (1e-300, 1e-150, 1e150, 1e300)
+_SCALES = (1e-300, 1e-150, 1e150, 1e300, 1e308)
 
 
 def _extreme_argv(tmp_path, command: str, scale: float):

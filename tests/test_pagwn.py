@@ -1,3 +1,4 @@
+import copy
 import inspect
 
 import numpy as np
@@ -24,6 +25,7 @@ from pgrain.pagwn import (
     _pagwn_block,
     _pagwn_lift,
     _pagwn_param_backward,
+    _rowwise,
     _scatter_rows,
     aggregate_precomputed,
     baseline_backward,
@@ -730,3 +732,154 @@ class TestSummationKernels:
         np.add.at(expected, idx[:cut], rows[:cut])
         np.add.at(expected, idx[cut:], rows[cut:])
         assert _same_bytes(_scatter_rows(idx, rows, n), expected)
+
+
+_ROW_OPS = {"add": np.add, "subtract": np.subtract, "multiply": np.multiply}
+# signed zeros, the smallest and a mid subnormal, values whose sums and products overflow, infinities
+_SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, np.inf, -np.inf])
+
+
+def _rows(rng, shape, special):
+    """Normal values at a scale from e^-5 to e^5, with about one entry in ten from ``special``."""
+    arr = rng.normal(size=shape) * np.exp(rng.uniform(-5.0, 5.0))
+    pick = rng.random(shape) < 0.1
+    arr[pick] = rng.choice(special, size=int(pick.sum()))
+    return arr
+
+
+# N as in the training step (4,096 = 256 centers x 16 neighbors), short and odd N, and N a multiple of 64
+_ROW_COUNTS = st.one_of(st.sampled_from([1, 2, 17, 64, 4096]), st.integers(0, 300).map(lambda i: 2 * i + 1),
+                        st.integers(1, 40).map(lambda i: 64 * i))
+
+
+@st.composite
+def _rowwise_operands(draw):
+    """(a, v): an (N, C) array, C from 1 to 16, and a (C,) vector, both with special values mixed in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, c = draw(_ROW_COUNTS), draw(st.integers(1, 16))
+    return _rows(rng, (n, c), _SPECIAL_VALUES), _rows(rng, (c,), _SPECIAL_VALUES)
+
+
+class TestRowKernel:
+    """``_rowwise`` computes a row broadcast on wide rows: each element must
+    get the bits of the plain broadcast, whatever N, C and the values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operands=_rowwise_operands(), op=st.sampled_from(sorted(_ROW_OPS)))
+    def test_matches_the_broadcast_bit_for_bit(self, operands, op):
+        a, v = operands
+        ufunc, a_before, v_before = _ROW_OPS[op], a.copy(), v.copy()
+        with np.errstate(all="ignore"):  # 1e300 and inf overflow, or make nan, on both sides alike
+            expected = ufunc(a, v)
+            got = _rowwise(ufunc, a, v)
+            in_place = a.copy()
+            returned = _rowwise(ufunc, in_place, v, out=in_place)
+        assert _same_bytes(got, expected)
+        assert returned is in_place and _same_bytes(in_place, expected)
+        assert _same_bytes(a, a_before) and _same_bytes(v, v_before)
+
+    @pytest.mark.parametrize("n", [3, 6, 64])  # at odd N each wide row is one row, and reshape copies nothing
+    @pytest.mark.parametrize("view", ["transposed", "every other row", "column cut"])
+    def test_out_that_is_not_c_contiguous_raises(self, n, view):
+        base = {"transposed": np.zeros((2, n)), "every other row": np.zeros((2 * n, 2)),
+                "column cut": np.zeros((n, 4))}[view]
+        out = {"transposed": lambda: base.T, "every other row": lambda: base[::2],
+               "column cut": lambda: base[:, :2]}[view]()
+        assert out.shape == (n, 2) and not out.flags.c_contiguous
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _rowwise(np.add, np.ones((n, 2)), np.ones(2), out=out)
+        assert not base.any()
+
+
+def layer_forward_reference(x: np.ndarray, params: dict, p: str, mode: str):
+    """Oracle for _layer_forward: its plain-broadcast form, kept verbatim; every bit must match.
+
+    The ``p`` layer of ``params`` over (N, C) rows; returns (y, (x, batch-norm cache)).
+
+    Training mode normalizes with batch statistics, inference mode with the
+    running statistics.
+    """
+    z = x @ params[p + "weight"] + params[p + "bias"]
+    gamma, beta, eps = params[p + "bn.gamma"], params[p + "bn.beta"], params[p + "bn.eps"]
+    if mode == "training":
+        if z.shape[0] < 2:
+            raise DomainError("degenerate-window", "training-mode batch norm needs at least 2 rows")
+        # the ufunc sequence of NumPy's mean and var, sharing one mean
+        mean = _colsum(z) / z.shape[0]
+        centered = z - mean
+        var = _colsum(centered, centered) / z.shape[0]
+        inv_std = 1.0 / np.sqrt(var + eps)
+        x_hat = centered * inv_std
+        return gamma * x_hat + beta, (x, ("training", x_hat, inv_std, mean, var))
+    if mode != "inference":
+        raise DomainError("invalid-spec", f"mode must be 'training' or 'inference', got {mode!r}")
+    inv_std = 1.0 / np.sqrt(params[p + "bn.running_var"] + eps)
+    x_hat = (z - params[p + "bn.running_mean"]) * inv_std
+    return gamma * x_hat + beta, (x, ("inference", x_hat, inv_std, None, None))
+
+
+def layer_backward_reference(g: np.ndarray, params: dict, p: str, cache):
+    """Oracle for _layer_backward: its plain-broadcast form, kept verbatim; every bit must match.
+
+    Backward of a training-mode :func:`_layer_forward`: ``(dz, grads)``.
+
+    ``dz`` is the gradient at the linear output; a caller that needs the
+    layer's input gradient takes ``dz @ weight.T`` itself.  ``grads`` holds
+    the ``p`` weight, bias, ``bn.gamma`` and ``bn.beta`` gradients.
+    """
+    x, (_, x_hat, inv_std, _, _) = cache
+    rows = g.shape[0]
+    dxhat = g * params[p + "bn.gamma"]
+    dz = inv_std * (dxhat - _colsum(dxhat) / rows - x_hat * (_colsum(dxhat, x_hat) / rows))
+    return dz, {p + "weight": x.T @ dz, p + "bias": _colsum(dz),
+                p + "bn.gamma": _colsum(g, x_hat), p + "bn.beta": _colsum(g)}
+
+
+@st.composite
+def _layer_cases(draw):
+    """(x, params, g): one layer's input rows, tensors and upstream gradient, N as in
+    :func:`_rowwise_operands` (at least 2, for training), 1 to 16 channels in and out."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, c_in, c_out = max(2, draw(_ROW_COUNTS)), draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    signed_zeros = np.array([0.0, -0.0])
+    params = init_mlp_params((c_in, c_out), seed=0)
+    params.update({"layer0.weight": _rows(rng, (c_in, c_out), signed_zeros),
+                   "layer0.bias": _rows(rng, (c_out,), signed_zeros),
+                   "layer0.bn.gamma": _rows(rng, (c_out,), signed_zeros),
+                   "layer0.bn.beta": _rows(rng, (c_out,), signed_zeros),
+                   "layer0.bn.running_mean": _rows(rng, (c_out,), signed_zeros),
+                   "layer0.bn.running_var": np.abs(_rows(rng, (c_out,), signed_zeros))})
+    return _rows(rng, (n, c_in), signed_zeros), params, _rows(rng, (n, c_out), signed_zeros)
+
+
+def _same_tree(x, y):
+    """Equal bytes in every array of two nested tuples or dicts of arrays, scalars and None."""
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same_tree(x[k], y[k]) for k in x)
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(_same_tree(a, b) for a, b in zip(x, y))
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and _same_bytes(x, y)
+    return x == y
+
+
+class TestLayerKernelAgainstReference:
+    """The layer kernel against its plain-broadcast form: outputs, caches and
+    gradients bit for bit, and neither ``g`` nor the cache written to."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_layer_cases(), mode=st.sampled_from(["training", "inference"]))
+    def test_forward_and_backward_match_bit_for_bit(self, case, mode):
+        x, params, g = case
+        y, cache = _layer_forward(x, params, "layer0.", mode)
+        y_ref, cache_ref = layer_forward_reference(x, params, "layer0.", mode)
+        assert _same_bytes(y, y_ref) and cache[0] is x
+        assert _same_tree(cache[1], cache_ref[1])
+        if mode == "inference":
+            return
+        g_before, cache_before = g.copy(), copy.deepcopy(cache)
+        dz, grads = _layer_backward(g, params, "layer0.", cache)
+        dz_ref, grads_ref = layer_backward_reference(g, params, "layer0.", cache_ref)
+        assert _same_bytes(dz, dz_ref) and _same_tree(grads, grads_ref)
+        assert _same_bytes(g, g_before)
+        assert cache[0] is x and _same_tree(cache[1], cache_before[1])
