@@ -23,7 +23,7 @@ from pathlib import Path
 from . import eval as ev
 from . import io as pio
 from . import norm, pagwn, sampling
-from .core import DomainError, PointCloud
+from .core import DomainError, PointCloud, _count
 
 # glibc's default thresholds (128 KiB) return a freed block to the kernel,
 # by munmap or by a trim of the heap top, so every training scene would fault
@@ -40,14 +40,6 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameter numbers of gl
 def _load_cloud(path: str, feature_dim, has_label: bool) -> PointCloud:
     if path.endswith(".ply"):
         return pio.read_ply(path)
-    if feature_dim is None:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            first = fh.readline()
-            if first == "\n":  # read_xyz skips a blank first line
-                first = fh.readline()
-            first = first.split()
-        # a short first line is reported by read_xyz, with its line number
-        feature_dim = max(len(first) - 3 - (1 if has_label else 0), 0)
     return pio.read_xyz(path, feature_dim=feature_dim, has_label=has_label)
 
 
@@ -72,9 +64,7 @@ def _cmd_sample(args) -> int:
     )
     pio.write_xyz(args.out, subset)
     sidecar = args.indices_out or args.out + ".idx"
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        for i in indices:
-            fh.write(f"{int(i)}\n")
+    pio.write_labels(sidecar, indices)
     print(f"sampled {len(indices)} points -> {args.out} (indices: {sidecar})")
     return 0
 
@@ -152,9 +142,7 @@ def _scene_sets(spec):
         raise DomainError("invalid-spec", f"unknown scene kind {kind!r}")
     counts = {"base_seed": 0, **spec}  # base_seed may be left out
     for name, least in _SCENE_COUNTS.items():
-        value = counts.get(name)
-        if not ev._is_number(value, int) or value < least:
-            raise DomainError("invalid-spec", f"scenes.{name} must be an integer >= {least}, got {value!r}")
+        _count(counts.get(name), f"scenes.{name}", "invalid-spec", least)
     make, base, n_train = makers[kind], counts["base_seed"], counts["train"]
     train = [make(base + i) for i in range(n_train)]
     test = [make(base + n_train + i) for i in range(counts["test"])]

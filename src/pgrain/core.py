@@ -11,6 +11,7 @@ Learnable parameters are not value types here: they are flat
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -43,7 +44,7 @@ def _to_matrix(value, name: str, dtype=np.float64) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=dtype)
     except (ValueError, TypeError):
-        rows = list(value)
+        rows = list(value) if np.iterable(value) else []
         width = np.size(rows[0]) if rows else 0
         for i, row in enumerate(rows):
             if np.size(row) != width:
@@ -55,6 +56,44 @@ def _to_matrix(value, name: str, dtype=np.float64) -> np.ndarray:
     if arr.ndim != 2:
         raise DomainError("dimension-mismatch", f"{name} must be 2-d, got shape {arr.shape}")
     return arr
+
+
+def _coords(value, name: str) -> np.ndarray:
+    """A finite (N, 3) float64 array: the one check of bare coordinates.
+
+    Ragged, non-numeric or non-(N, 3) input is ``dimension-mismatch``; a
+    NaN or infinite entry is ``non-finite-value``.
+    """
+    arr = _to_matrix(value, name)
+    if arr.shape[1] != 3:
+        raise DomainError("dimension-mismatch", f"{name} must be (N, 3), got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError("non-finite-value", f"{name} contain a non-finite entry")
+    return arr
+
+
+def _is_number(value, kind) -> bool:
+    """``isinstance(value, kind)``, but False for a bool: an int in Python, not a number in JSON."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _count(value, name: str, kind: str, low: int, high: Optional[int] = None) -> int:
+    """An integer in [low, high] (no upper bound when high is None), as an int.
+
+    A bool or a non-integer, ``np.int64`` accepted, is ``invalid-spec``; an
+    integer out of range is ``kind``.
+    """
+    if high is not None:
+        want = f"an integer in [{low}, {high}]"
+    else:
+        want = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+    if not _is_number(value, Integral):
+        raise DomainError("invalid-spec", f"{name} must be {want}, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise DomainError(kind, f"{name}={value} outside [{low}, {high}]")
+    if value < low:
+        raise DomainError(kind, f"{name} must be {want}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)

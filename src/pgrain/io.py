@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from itertools import chain, islice
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .core import DomainError, PointCloud
+from .core import DomainError, PointCloud, _count
 
 TENSOR_MAGIC = b"PGTN1\n"
 _TENSOR_DTYPES = {"f8": "<f8", "f4": "<f4", "i8": "<i8"}
@@ -78,13 +78,16 @@ def _check_utf8(line: str, lineno: int) -> None:
 # XYZ text format
 # ---------------------------------------------------------------------------
 
-def read_xyz(path: PathLike, feature_dim: int, has_label: bool = False) -> PointCloud:
+def read_xyz(path: PathLike, feature_dim: Optional[int] = None, has_label: bool = False) -> PointCloud:
     """Parse a whitespace-separated XYZ file into a PointCloud.
 
     Every line must carry exactly ``3 + feature_dim`` tokens, plus one
     trailing nonnegative integer label when ``has_label`` is set.  Values
     are read by Python's ``float`` and labels by ``int``, token by token,
     so any token those accept is accepted.  A blank first line is skipped.
+    ``feature_dim=None`` infers it from the first line read: its tokens
+    less 3 coordinates and the label.  A first line too short for the
+    coordinates is then a ``token-count-mismatch`` at its line number.
     File order is preserved.
 
     The file is parsed in blocks of 1,024 lines, each converted in bulk
@@ -98,13 +101,14 @@ def read_xyz(path: PathLike, feature_dim: int, has_label: bool = False) -> Point
         DomainError: ``token-count-mismatch`` or ``parse-error`` with the
             1-based line number; cloud invariant violations propagate.
     """
-    if feature_dim < 0:
-        raise DomainError("invalid-spec", f"feature_dim must be >= 0, got {feature_dim}")
-    width = 3 + feature_dim
+    # coordinates plus features: the tokens of a line without its label
+    width = None if feature_dim is None else 3 + _count(feature_dim, "feature_dim", "invalid-spec", 0)
     values, labels = [], []
     for start, block in _blocks(path):
         if start == 1 and block[0] == "\n":
             block, start = block[1:], 2  # so a file holding one newline reads as empty
+        if width is None:
+            width = max(len(block[0].split()) - (1 if has_label else 0), 3) if block else 3
         try:
             block_values, block_labels = _parse_xyz_block(block, width, has_label)
         except (ValueError, OverflowError, UnicodeEncodeError):
@@ -112,7 +116,7 @@ def read_xyz(path: PathLike, feature_dim: int, has_label: bool = False) -> Point
             raise
         values.append(block_values)
         labels.append(block_labels)
-    n_points = sum(len(v) for v in values) // width
+    n_points = sum(len(v) for v in values) // width if values else 0  # an empty file has no width
     if not n_points:
         raise DomainError("empty-cloud", f"{path} contains no points")
     table = np.concatenate(values).reshape(n_points, width)

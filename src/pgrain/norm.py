@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import DomainError, PointCloud
+from .core import DomainError, PointCloud, _count
 from .spatial import build_index, knn_batch
 
 DEFAULT_EPSILON = 1e-5
@@ -51,9 +51,8 @@ def _gwn_forward(windows: np.ndarray, centers: np.ndarray, m: Optional[int], eps
     _, k, d = windows.shape
     if m is None:
         groups = [(slice(0, k), k * d - 1)]
-    elif not 1 <= m < k:
-        raise DomainError("bad-split", f"m={m} outside [1, {k - 1}]")
     else:
+        m = _count(m, "m", "bad-split", 1, k - 1)
         groups = [(slice(0, m), m * d - 1), (slice(m, k), (k - m) * d - 1)]
     dev = windows - centers[:, None, :]
     out = np.empty_like(dev)
@@ -135,8 +134,7 @@ def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,
     if np.isnan(threshold):
         raise DomainError("invalid-spec", "threshold must be a number, got nan")
     n_pts = cloud.num_points
-    if not 1 <= k <= n_pts:
-        raise DomainError("k-out-of-range", f"k={k} outside [1, {n_pts}]")
+    k = _count(k, "k", "k-out-of-range", 1, n_pts)
     matrix = np.hstack([cloud.coords, cloud.features]) if use_coords else cloud.features
     if k * matrix.shape[1] < 2:
         raise DomainError("degenerate-window", "windows would have fewer than 2 entries")

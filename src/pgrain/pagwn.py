@@ -72,7 +72,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, _count
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT, _check_sigmas, _gwn_backward, _gwn_forward
 
 
@@ -263,8 +263,7 @@ def init_pagwn_params(n: int, seed: int) -> dict:
     ``gamma``, ``beta``, ``running_mean`` and ``running_var`` and the float64
     scalars ``momentum`` (0.1) and ``eps`` (1e-5).
     """
-    if n < 1:
-        raise DomainError("shape-mismatch", f"feature dimension must be >= 1, got {n}")
+    n = _count(n, "feature dimension", "shape-mismatch", 1)
     rng = np.random.default_rng(seed)
     return {**_layer_init(rng, "lb1_", n + 3, n), **_layer_init(rng, "lb2_", 2 * n, 2 * n)}
 
@@ -313,8 +312,8 @@ def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, cente
         raise DomainError("shape-mismatch", f"feature arrays disagree with params n={n}")
     if k < 1:
         raise DomainError("degenerate-window", "need at least one neighbor")
-    if k == 1 and m < 1:
-        raise DomainError("bad-split", f"m={m} must be >= 1")
+    if k == 1 and m is not None:  # a single row is one group, but m must still be a split
+        _count(m, "m", "bad-split", 1)
     gwn, gwn_cache = _pagwn_lift(nc, nf, cc, cf, m, epsilon)
     _check_sigmas(gwn_cache[1])
     out = _pagwn_block(gwn, gwn_cache, cf, params, mode)
@@ -420,9 +419,7 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
     ``num_layers`` below 1 is an ``invalid-spec``; the other values
     themselves are not checked.
     """
-    num_layers = int(_tensor(mlp_params, "num_layers"))
-    if num_layers < 1:
-        raise DomainError("invalid-spec", f"num_layers must be >= 1, got {num_layers}")
+    num_layers = _count(int(_tensor(mlp_params, "num_layers")), "num_layers", "invalid-spec", 1)
     for i in range(num_layers):
         for name in _MLP_LAYER_TENSORS:
             _tensor(mlp_params, f"layer{i}.{name}")

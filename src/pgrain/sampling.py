@@ -10,13 +10,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, PointCloud, _to_matrix
-
-
-def _check_seed(seed) -> None:
-    """A seed is a non-negative integer, as NumPy's generators take it."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError("invalid-spec", f"seed must be a non-negative integer, got {seed!r}")
+from .core import PointCloud, _coords, _count
 
 
 def fps_coords(coords: np.ndarray, m: int, seed: int) -> np.ndarray:
@@ -53,18 +47,12 @@ def fps_coords(coords: np.ndarray, m: int, seed: int) -> np.ndarray:
         DomainError: ``dimension-mismatch`` unless coords is (N, 3),
             ``non-finite-value`` on a NaN or infinite coordinate,
             ``m-out-of-range`` unless 1 <= m <= N, and ``invalid-spec``
-            unless seed is a non-negative integer.
+            unless m is an integer and seed a non-negative integer.
     """
-    coords = _to_matrix(coords, "coords")
-    if coords.shape[1] != 3:
-        raise DomainError("dimension-mismatch", f"coords must be (N, 3), got {coords.shape}")
-    if not np.isfinite(coords).all():
-        raise DomainError("non-finite-value", "coords contain a non-finite entry")
+    coords = _coords(coords, "coords")
     n = coords.shape[0]
-    if not 1 <= m <= n:
-        raise DomainError("m-out-of-range", f"m={m} outside [1, {n}]")
-    _check_seed(seed)
-    first = int(np.random.default_rng(seed).integers(n))
+    m = _count(m, "m", "m-out-of-range", 1, n)
+    first = int(np.random.default_rng(_count(seed, "seed", "invalid-spec", 0)).integers(n))
 
     # sorted position -> original index; contiguous sorted columns
     with np.errstate(over="ignore"):  # an extent that overflows is inf, and the first such axis wins
@@ -121,8 +109,6 @@ def farthest_point_sample(cloud: PointCloud, m: int, seed: int) -> np.ndarray:
 def random_sample(cloud: PointCloud, m: int, seed: int) -> np.ndarray:
     """m distinct uniformly-drawn indices, deterministic per seed."""
     n = cloud.num_points
-    if not 1 <= m <= n:
-        raise DomainError("m-out-of-range", f"m={m} outside [1, {n}]")
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
+    m = _count(m, "m", "m-out-of-range", 1, n)
+    rng = np.random.default_rng(_count(seed, "seed", "invalid-spec", 0))
     return np.sort(rng.choice(n, size=m, replace=False)).astype(np.int64)

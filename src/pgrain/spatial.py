@@ -40,7 +40,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .core import DomainError, PointCloud, _to_matrix
+from .core import DomainError, PointCloud, _coords, _count
 
 _SAMPLE = 64  # points scanned to size the KNN grid cell; batches this small are scanned directly
 _BLOCK = 8192  # candidate entries per chunk
@@ -59,14 +59,8 @@ class NeighborIndex:
     """
 
     def __init__(self, cloud):
-        if isinstance(cloud, PointCloud):
-            coords = cloud.coords
-        else:
-            coords = np.asarray(cloud, dtype=np.float64)
-            if coords.ndim != 2 or coords.shape[1] != 3:
-                raise DomainError("dimension-mismatch", f"coordinates must be (N, 3), got {coords.shape}")
-            if not np.isfinite(coords).all():
-                raise DomainError("non-finite-value", "coordinates contain a non-finite entry")
+        # a PointCloud was checked when it was built
+        coords = cloud.coords if isinstance(cloud, PointCloud) else _coords(cloud, "coordinates")
         if coords.shape[0] < 1:
             raise DomainError("empty-cloud", "cannot index an empty cloud")
         self.coords = coords
@@ -308,15 +302,6 @@ def _knn_grid(index: NeighborIndex, k: int) -> Optional[_Grid]:
     return grid
 
 
-def _as_queries(queries) -> np.ndarray:
-    q = _to_matrix(queries, "queries")
-    if q.shape[1] != 3:
-        raise DomainError("dimension-mismatch", f"queries must be (M, 3), got shape {q.shape}")
-    if not np.isfinite(q).all():
-        raise DomainError("non-finite-value", "queries contain a non-finite entry")
-    return q
-
-
 def knn_batch(index: NeighborIndex, queries, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """The k exactly-nearest points of each query row.
 
@@ -325,10 +310,8 @@ def knn_batch(index: NeighborIndex, queries, k: int) -> Tuple[np.ndarray, np.nda
     query that coincides with a cloud point gets that point first, at
     distance zero.
     """
-    q = _as_queries(queries)
-    n = index.num_points
-    if not 1 <= k <= n:
-        raise DomainError("k-out-of-range", f"k={k} outside [1, {n}]")
+    q = _coords(queries, "queries")
+    k = _count(k, "k", "k-out-of-range", 1, index.num_points)
     grid = _knn_grid(index, k) if q.shape[0] > _SAMPLE else None
     indices = np.empty((q.shape[0], k), dtype=np.int64)
     distances = np.empty((q.shape[0], k))
@@ -375,11 +358,10 @@ def ball_query_batch(index: NeighborIndex, queries, radius: float, k_max: int) -
     repeats its nearest point up to k_max, and a region with no points at
     all is a normal empty outcome (``occupied`` False), not an error.
     """
-    q = _as_queries(queries)
+    q = _coords(queries, "queries")
     if not radius > 0:
         raise DomainError("invalid-spec", f"radius must be > 0, got {radius}")
-    if k_max < 1:
-        raise DomainError("k-out-of-range", f"k_max must be >= 1, got {k_max}")
+    k_max = _count(k_max, "k_max", "k-out-of-range", 1)
     m = q.shape[0]
     r2 = radius * radius
     indices = np.zeros((m, k_max), dtype=np.int64)
@@ -414,10 +396,9 @@ def brute_force_knn(cloud: PointCloud, queries, k: int) -> Tuple[np.ndarray, np.
     distances.  It shares no
     search code with the engine, so tests can compare the two array to array.
     """
-    q = _as_queries(queries)
+    q = _coords(queries, "queries")
     n = cloud.num_points
-    if not 1 <= k <= n:
-        raise DomainError("k-out-of-range", f"k={k} outside [1, {n}]")
+    k = _count(k, "k", "k-out-of-range", 1, n)
     indices = np.empty((q.shape[0], k), dtype=np.int64)
     distances = np.empty((q.shape[0], k))
     for row, point in enumerate(q):

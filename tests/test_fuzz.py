@@ -4,8 +4,10 @@ Each test draws inputs around a valid file (or a valid tensor set) and
 checks that reading either succeeds or raises ``DomainError``; for the CLI
 that means exit code 1 and a ``pgrain: <kind>: `` line on stderr.  The
 example counts are fixed, so the suite's wall time stays bounded.  A table
-runs the cloud and window commands on inputs scaled to extreme magnitudes
-under the same rule, and with no NumPy warning.
+runs the cloud, window and training commands on inputs scaled to extreme
+magnitudes under the same rule, and with no NumPy warning.  Another calls
+the library's entry points with malformed counts and coordinate arrays:
+each must end as a DomainError.
 """
 
 import contextlib
@@ -18,7 +20,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgrain import DomainError, PointCloud, StageSpec, ToyPipelineConfig
+from pgrain import (
+    DomainError,
+    NeighborIndex,
+    PointCloud,
+    StageSpec,
+    ToyPipelineConfig,
+    ball_query_batch,
+    brute_force_knn,
+    build_index,
+    compute_metrics,
+    farthest_point_sample,
+    knn_batch,
+    random_sample,
+    sigma_map,
+    window_normalize,
+)
 from pgrain import eval as ev
 from pgrain import io as pio
 from pgrain.cli import main
@@ -29,6 +46,7 @@ from pgrain.pagwn import (
     pagwn_forward_batch,
     pagwn_input_from_tensors,
 )
+from pgrain.sampling import fps_coords
 
 from conftest import OneWindow
 
@@ -77,7 +95,7 @@ def read_xyz_reference(path, feature_dim, has_label):
     """The line-at-a-time XYZ parser that the block reader must match: the
     same language, arrays and DomainErrors."""
     if feature_dim < 0:
-        raise DomainError("invalid-spec", f"feature_dim must be >= 0, got {feature_dim}")
+        raise DomainError("invalid-spec", f"feature_dim must be a non-negative integer, got {feature_dim}")
 
     def label(token, lineno):
         try:
@@ -350,7 +368,14 @@ _SCALES = (1e-300, 1e-150, 1e150, 1e300, 1e308)
 
 
 def _extreme_argv(tmp_path, command: str, scale: float):
-    """argv of one command on a 100-point cloud, or on windows cut from it, scaled by ``scale``."""
+    """argv of one command on a 100-point cloud, or on windows cut from it, scaled by ``scale``;
+    or of a two-epoch toy training run whose learning rate is ``scale``."""
+    if command in ("train-toy", "ablate-m"):
+        config = tmp_path / "toy.json"
+        config.write_text(json.dumps({"stages": [{"m_points": 32, "k": 8}], "num_classes": 2, "epochs": 2,
+                                      "learning_rate": scale, "scenes": {"train": 2, "test": 1}}))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "m.csv")]
+        return argv + (["--m", "1,2"] if command == "ablate-m" else [])
     rows = np.random.default_rng(2026).uniform(-1.0, 1.0, size=(100, 6)) * scale
     cloud = tmp_path / "cloud.xyz"
     pio.write_xyz(cloud, PointCloud(rows[:, :3], rows[:, 3:]))
@@ -372,7 +397,8 @@ def _extreme_argv(tmp_path, command: str, scale: float):
 
 class TestExtremeMagnitudes:
     @pytest.mark.parametrize("scale", _SCALES)
-    @pytest.mark.parametrize("command", ["fps", "random", "sigma-map", "normalize", "pagwn-forward"])
+    @pytest.mark.parametrize("command", ["fps", "random", "sigma-map", "normalize", "pagwn-forward",
+                                         "train-toy", "ablate-m"])
     def test_output_or_one_domain_error_line(self, command, scale, tmp_path, capsys):
         # a NumPy warning raises here, since the suite turns warnings into errors
         argv = _extreme_argv(tmp_path, command, scale)
@@ -394,3 +420,120 @@ class TestExtremeMagnitudes:
             assert main(_extreme_argv(folder, "fps", factor)) == 0
             picks.append((folder / "s.xyz.idx").read_text(encoding="utf-8"))
         assert picks[0] == picks[1]
+
+
+# ---------------------------------------------------------------------------
+# Argument checks: a malformed count or coordinate array is one DomainError
+# ---------------------------------------------------------------------------
+
+_ROWS = np.random.default_rng(24).uniform(-1.0, 1.0, size=(20, 6))
+_CLOUD = PointCloud(_ROWS[:, :3], _ROWS[:, 3:])
+_QUERIES = _ROWS[:5, :3] + 0.01
+_WINDOWS = OneWindow(_ROWS[0, :3], _ROWS[0, 3:], _ROWS[1:7, :3], _ROWS[1:7, 3:])
+_SINGLE_ROW = OneWindow(_ROWS[0, :3], _ROWS[0, 3:], _ROWS[1:2, :3], _ROWS[1:2, 3:])
+_PARAMS = init_pagwn_params(3, seed=5)
+
+
+def _pagwn(window, m):
+    return pagwn_forward_batch(*window.batch(), _PARAMS, m=m, mode="inference").aggregated
+
+
+# each entry point's count arguments: name -> (call taking the count, a valid count)
+_COUNTS = {
+    "knn_batch.k": (lambda v: knn_batch(build_index(_CLOUD), _QUERIES, v), 4),
+    "brute_force_knn.k": (lambda v: brute_force_knn(_CLOUD, _QUERIES, v), 4),
+    "ball_query_batch.k_max": (lambda v: ball_query_batch(build_index(_CLOUD), _QUERIES, 0.5, v), 4),
+    "sigma_map.k": (lambda v: sigma_map(_CLOUD, v, threshold=0.5), 4),
+    "farthest_point_sample.m": (lambda v: farthest_point_sample(_CLOUD, v, 0), 5),
+    "farthest_point_sample.seed": (lambda v: farthest_point_sample(_CLOUD, 5, v), 3),
+    "random_sample.m": (lambda v: random_sample(_CLOUD, v, 0), 5),
+    "random_sample.seed": (lambda v: random_sample(_CLOUD, 5, v), 3),
+    "compute_metrics.num_classes": (lambda v: compute_metrics([0, 1, 2], [1, 1, 2], v), 3),
+    "init_pagwn_params.n": (lambda v: init_pagwn_params(v, seed=5), 3),
+}
+# group splits, for which None is valid: it normalizes all rows as one group
+_SPLITS = {
+    "window_normalize.m": (lambda v: window_normalize(_WINDOWS.neighbor_features[None],
+                                                      _WINDOWS.center_feature[None], m=v), 2),
+    "pagwn_forward_batch.m": (lambda v: _pagwn(_WINDOWS, v), 2),
+    "pagwn_forward_batch.m-one-row": (lambda v: _pagwn(_SINGLE_ROW, v), 2),
+}
+_NOT_INTEGERS = {"2.5": 2.5, "True": True, "str": "3", "None": None, "float64": np.float64(3.0)}
+_NOT_COUNTS = [pytest.param(call, value, id=f"{arg}-{name}")
+               for table in (_COUNTS, _SPLITS) for arg, (call, _) in table.items()
+               for name, value in _NOT_INTEGERS.items() if not (value is None and table is _SPLITS)]
+
+# calls with one malformed count or coordinate array each: (call, the DomainError kind it must end in)
+_MALFORMED_CALLS = {
+    "knn_batch-k-2.5": (lambda: knn_batch(build_index(_CLOUD), _QUERIES, 2.5), "invalid-spec"),
+    "knn_batch-k-True": (lambda: knn_batch(build_index(_CLOUD), _QUERIES, True), "invalid-spec"),
+    "brute_force_knn-k-2.5": (lambda: brute_force_knn(_CLOUD, _QUERIES, 2.5), "invalid-spec"),
+    "ball_query_batch-k_max-2.5": (lambda: ball_query_batch(build_index(_CLOUD), _QUERIES, 0.3, 2.5),
+                                   "invalid-spec"),
+    "sigma_map-k-2.5": (lambda: sigma_map(_CLOUD, 2.5), "invalid-spec"),
+    "farthest_point_sample-m-2.5": (lambda: farthest_point_sample(_CLOUD, 2.5, 0), "invalid-spec"),
+    "random_sample-m-2.5": (lambda: random_sample(_CLOUD, 2.5, 0), "invalid-spec"),
+    "window_normalize-m-1.5": (lambda: _SPLITS["window_normalize.m"][0](1.5), "invalid-spec"),
+    "pagwn_forward_batch-m-1.5": (lambda: _pagwn(_WINDOWS, 1.5), "invalid-spec"),
+    "pagwn_forward_batch-one-row-m-1.5": (lambda: _pagwn(_SINGLE_ROW, 1.5), "invalid-spec"),
+    "NeighborIndex-ragged": (lambda: NeighborIndex([[0, 0, 0], [1, 2]]), "dimension-mismatch"),
+    "build_index-str": (lambda: build_index("abc"), "dimension-mismatch"),
+    "compute_metrics-classes-2.5": (lambda: compute_metrics([0, 1], [1, 0], 2.5), "invalid-spec"),
+}
+
+
+def _result_bytes(out):
+    """Every array and number of a result, as (dtype, shape, bytes), in order."""
+    if isinstance(out, dict):
+        return _result_bytes(sorted(out.items()))
+    if isinstance(out, (tuple, list)):
+        return [entry for item in out for entry in _result_bytes(item)]
+    if hasattr(out, "__dataclass_fields__"):
+        return _result_bytes([getattr(out, name) for name in out.__dataclass_fields__])
+    arr = np.asarray(out)
+    return [(arr.dtype.str, arr.shape, arr.tobytes())]
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call, kind", _MALFORMED_CALLS.values(), ids=_MALFORMED_CALLS.keys())
+    def test_malformed_call_is_one_domain_error(self, call, kind):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert exc.value.kind == kind
+
+    @pytest.mark.parametrize("call, value", _NOT_COUNTS)
+    def test_a_count_that_is_not_an_integer_is_invalid_spec(self, call, value):
+        with pytest.raises(DomainError) as exc:
+            call(value)
+        assert exc.value.kind == "invalid-spec"
+
+    @pytest.mark.parametrize("arg", [*_COUNTS, *_SPLITS])
+    def test_int64_counts_give_the_same_bytes(self, arg):
+        call, good = {**_COUNTS, **_SPLITS}[arg]
+        assert _result_bytes(call(np.int64(good))) == _result_bytes(call(good))
+
+    def test_a_single_row_is_one_group_for_any_split(self):
+        assert _result_bytes(_pagwn(_SINGLE_ROW, None)) == _result_bytes(_pagwn(_SINGLE_ROW, 3))
+
+    @pytest.mark.parametrize("coords, kind", [
+        ([[0, 0, 0], [1, 2]], "dimension-mismatch"),
+        ("abc", "dimension-mismatch"),
+        (object(), "dimension-mismatch"),
+        (np.zeros((4, 2)), "dimension-mismatch"),
+        (np.zeros(3), "dimension-mismatch"),
+        ([[0, 0, np.nan]], "non-finite-value"),
+        ([[0, np.inf, 0]], "non-finite-value"),
+    ], ids=["ragged", "str", "object", "width-2", "1-d", "nan", "inf"])
+    @pytest.mark.parametrize("entry", ["NeighborIndex", "knn_batch", "ball_query_batch", "brute_force_knn",
+                                       "fps_coords"])
+    def test_malformed_coordinates_are_one_domain_error(self, entry, coords, kind):
+        calls = {
+            "NeighborIndex": lambda: NeighborIndex(coords),
+            "knn_batch": lambda: knn_batch(build_index(_CLOUD), coords, 1),
+            "ball_query_batch": lambda: ball_query_batch(build_index(_CLOUD), coords, 0.3, 1),
+            "brute_force_knn": lambda: brute_force_knn(_CLOUD, coords, 1),
+            "fps_coords": lambda: fps_coords(coords, 1, 0),
+        }
+        with pytest.raises(DomainError) as exc:
+            calls[entry]()
+        assert exc.value.kind == kind

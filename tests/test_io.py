@@ -45,6 +45,28 @@ class TestXyz:
             pio.read_xyz(path, feature_dim=1, has_label=True)
         assert exc.value.kind == "parse-error"
 
+    @pytest.mark.parametrize("text, has_label, features, labels", [
+        ("0 0 0 1.5 2.5\n1 0 0 3.5 4.5\n", False, [[1.5, 2.5], [3.5, 4.5]], None),
+        ("0 0 0 1.5 2\n1 0 0 3.5 0\n", True, [[1.5], [3.5]], [2, 0]),
+    ], ids=["without-label", "with-label"])
+    def test_feature_dim_is_inferred_from_the_first_line(self, tmp_path, text, has_label, features, labels):
+        path = tmp_path / "c.xyz"
+        path.write_text(text)
+        cloud = pio.read_xyz(path, has_label=has_label)
+        np.testing.assert_array_equal(cloud.features, features)
+        assert (None if cloud.labels is None else cloud.labels.tolist()) == labels
+
+    @pytest.mark.parametrize("has_label, message", [
+        (False, "token-count-mismatch: line 1 has 2 tokens, expected 3"),
+        (True, "token-count-mismatch: line 1 has 2 tokens, expected 4"),
+    ], ids=["without-label", "with-label"])
+    def test_inferred_short_first_line_is_token_count_mismatch(self, tmp_path, has_label, message):
+        path = tmp_path / "c.xyz"
+        path.write_text("0 0\n0 0 0 1 2\n")
+        with pytest.raises(DomainError) as exc:
+            pio.read_xyz(path, has_label=has_label)
+        assert str(exc.value) == message
+
     def test_round_trip_is_identity(self, rng, tmp_path):
         for trial in range(25):
             cloud = random_cloud(rng, feature_dim=int(rng.integers(1, 5)), labeled=True)
