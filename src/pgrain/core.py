@@ -11,7 +11,7 @@ Learnable parameters are not value types here: they are flat
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -94,6 +94,24 @@ def _count(value, name: str, kind: str, low: int, high: Optional[int] = None) ->
     if value < low:
         raise DomainError(kind, f"{name} must be {want}, got {value}")
     return int(value)
+
+
+def _real(value, name: str, interval: str) -> float:
+    """A real number in ``interval``, written as the rule reads, ``"(0, 1)"`` or ``"[0, inf)"``, as a float.
+
+    A bool, a non-real, NaN, a value beyond float range or a value outside
+    the interval is ``invalid-spec``; ``np.float32`` and ``np.int64`` are accepted.
+    """
+    if not _is_number(value, Real):
+        raise DomainError("invalid-spec", f"{name} must be a real number in {interval}, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise DomainError("invalid-spec", f"{name} must be in {interval}, got a value beyond float range") from None
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if not ((low < x or interval[0] == "[" and x == low) and (x < high or interval[-1] == "]" and x == high)):
+        raise DomainError("invalid-spec", f"{name} must be in {interval}, got {x}")
+    return x
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DomainError, MetricsReport, PointCloud, _count, _is_number
+from .core import DomainError, MetricsReport, PointCloud, _count, _real
 from .io import _fmt
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT
 from .pagwn import (
@@ -73,7 +72,10 @@ def class_color(label: int) -> np.ndarray:
 class RegionSpec:
     """One scene region: a primitive populated at a given surface density.
 
-    ``density_scale`` is points per unit area.
+    ``point_count`` is an integer >= 1 and ``class_label`` one >= 0.
+    ``density_scale`` is points per unit area, a real number in (0, inf);
+    ``feature_noise_sigma`` is a real number in [0, inf).  The scene that
+    holds the region checks them.
     """
 
     primitive: str  # plane | sphere
@@ -85,22 +87,26 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class SyntheticSceneSpec:
+    """The regions of one scene; seed: a non-negative integer."""
+
     regions: Tuple[RegionSpec, ...]
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(self.regions))
-        if not self.regions:
-            raise DomainError("invalid-spec", "a scene needs at least one region")
+        regions = []
         for i, region in enumerate(self.regions):
             if region.primitive not in ("plane", "sphere"):
                 raise DomainError("invalid-spec", f"region {i}: unknown primitive {region.primitive!r}")
-            _count(region.point_count, f"region {i}: point_count", "invalid-spec", 1)
-            if not region.density_scale > 0:
-                raise DomainError("invalid-spec", f"region {i}: density_scale must be > 0")
-            if region.feature_noise_sigma < 0:
-                raise DomainError("invalid-spec", f"region {i}: feature_noise_sigma must be >= 0")
-            _count(region.class_label, f"region {i}: class_label", "invalid-spec", 0)
+            regions.append(replace(
+                region,
+                point_count=_count(region.point_count, f"region {i}: point_count", "invalid-spec", 1),
+                density_scale=_real(region.density_scale, f"region {i}: density_scale", "(0, inf)"),
+                feature_noise_sigma=_real(region.feature_noise_sigma, f"region {i}: feature_noise_sigma", "[0, inf)"),
+                class_label=_count(region.class_label, f"region {i}: class_label", "invalid-spec", 0)))
+        if not regions:
+            raise DomainError("invalid-spec", "a scene needs at least one region")
+        object.__setattr__(self, "regions", tuple(regions))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", "invalid-spec", 0))
 
 
 def plane_side(point_count: int, density_scale: float) -> float:
@@ -288,44 +294,32 @@ class ToyPipelineConfig:
     bq_radius: Optional[float] = None
 
     def __post_init__(self):
-        """The one check of every field: types first, then ranges."""
+        """The one check of every field, each number through ``_count`` or ``_real``."""
         for name in ("stages", "head_hidden"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise DomainError("invalid-spec", f"{name} must be a list, got {getattr(self, name)!r}")
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        for i, stage in enumerate(self.stages):
-            if not (isinstance(stage, StageSpec)
-                    and all(_is_number(v, Integral) for v in (stage.m_points, stage.k, stage.split))):
-                raise DomainError("invalid-spec", f"stage {i}: m_points, k and split must be integers")
-        types = dict(num_classes=Integral, epochs=Integral, batch_size=Integral, seed=Integral,
-                     learning_rate=Real, epsilon=Real, bq_radius=(Real, type(None)))
-        for name, kind in types.items():
-            if not _is_number(getattr(self, name), kind):
-                raise DomainError("invalid-spec", f"{name} has the wrong type: {getattr(self, name)!r}")
         if not self.stages:
             raise DomainError("invalid-spec", "the pipeline needs at least one stage")
+        for i, stage in enumerate(self.stages):
+            if not isinstance(stage, StageSpec):
+                raise DomainError("invalid-spec", f"stage {i} must be a StageSpec, got {stage!r}")
+            _count(stage.m_points, f"stage {i} m_points", "invalid-spec", 1)
+            k = _count(stage.k, f"stage {i} k", "invalid-spec", 1)
+            _count(stage.split, f"stage {i} split", "bad-split", 1, max(k - 1, 1))
         counts = [s.m_points for s in self.stages]
         if any(b > a for a, b in zip(counts, counts[1:])):
             raise DomainError("invalid-spec", f"stage sample counts must be non-increasing, got {counts}")
-        for i, stage in enumerate(self.stages):
-            if stage.m_points < 1 or stage.k < 1:
-                raise DomainError("invalid-spec", f"stage {i}: m_points and k must be >= 1")
-            if not 1 <= stage.split < max(stage.k, 2):
-                raise DomainError("bad-split", f"stage {i}: split {stage.split} outside [1, {stage.k - 1}]")
+        for name, least in (("num_classes", 2), ("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, "invalid-spec", least))
+        for name in ("learning_rate", "epsilon"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, "(0, inf)"))
+        for size in self.head_hidden:
+            _count(size, "head_hidden size", "invalid-spec", 1)
         if not isinstance(self.aggregator, str) or self.aggregator not in AGGREGATORS:
             raise DomainError("invalid-spec", f"aggregator must be one of {AGGREGATORS}")
-        if self.aggregator == "bq_baseline" and (self.bq_radius is None or self.bq_radius <= 0):
-            raise DomainError("invalid-spec", "bq_baseline needs a positive bq_radius")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise DomainError("invalid-spec", "epochs and batch_size must be >= 1")
-        if not 0 < self.learning_rate < np.inf:
-            raise DomainError("invalid-spec", f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0 < self.epsilon < np.inf:
-            raise DomainError("invalid-spec", f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.num_classes < 2:
-            raise DomainError("invalid-spec", "segmentation needs at least 2 classes")
-        if not all(_is_number(size, Integral) and size >= 1 for size in self.head_hidden):
-            raise DomainError("invalid-spec", f"head_hidden sizes must be positive integers, got {self.head_hidden}")
+        if self.bq_radius is not None or self.aggregator == "bq_baseline":
+            object.__setattr__(self, "bq_radius", _real(self.bq_radius, "bq_radius", "(0, inf]"))
 
 
 def _derived_seed(*parts: int) -> int:

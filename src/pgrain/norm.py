@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import DomainError, PointCloud, _count
+from .core import DomainError, PointCloud, _count, _real
 from .spatial import build_index, knn_batch
 
 DEFAULT_EPSILON = 1e-5
@@ -46,8 +46,7 @@ def _gwn_forward(windows: np.ndarray, centers: np.ndarray, m: Optional[int], eps
     rows plus the cache :func:`_gwn_backward` needs, whose second entry is
     the list of per-group (M,) sigmas.
     """
-    if not 0 < epsilon < np.inf:
-        raise DomainError("invalid-spec", f"epsilon must be finite and > 0, got {epsilon}")
+    epsilon = _real(epsilon, "epsilon", "(0, inf)")
     _, k, d = windows.shape
     if m is None:
         groups = [(slice(0, k), k * d - 1)]
@@ -105,7 +104,8 @@ def window_normalize(windows, centers, m: Optional[int] = None,
     windows: (M, K, d) neighbor rows in ascending-distance order (a
     ``knn_batch`` row); centers: (M, d).  ``m=None`` normalizes all K rows
     as one group; otherwise rows [0, m) (the texture group) and [m, K) get
-    their own sigma.  Returns the (M, K, d) normalized rows and one (M,)
+    their own sigma, so m is an integer in [1, K-1].  epsilon is a real
+    number in (0, inf).  Returns the (M, K, d) normalized rows and one (M,)
     sigma array per group.  The rectified rows are ``values + centers[:, None]``.
     """
     windows = np.asarray(windows, dtype=np.float64)
@@ -129,10 +129,11 @@ def sigma_map(cloud: PointCloud, k: int, threshold: float = 1.0,
     Windows are built at every cloud point from its k nearest neighbors
     over the concatenated [coordinate, feature] vectors (d = n+3), matching
     how boundary points light up in real scenes; set ``use_coords`` False
-    to restrict windows to raw features.  An overflowing sigma is ``non-finite-value``.
+    to restrict windows to raw features.  k is an integer in [1, N];
+    threshold is any real number in [-inf, inf], NaN excluded.  An
+    overflowing sigma is ``non-finite-value``.
     """
-    if np.isnan(threshold):
-        raise DomainError("invalid-spec", "threshold must be a number, got nan")
+    threshold = _real(threshold, "threshold", "[-inf, inf]")
     n_pts = cloud.num_points
     k = _count(k, "k", "k-out-of-range", 1, n_pts)
     matrix = np.hstack([cloud.coords, cloud.features]) if use_coords else cloud.features

@@ -72,7 +72,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DomainError, _count
+from .core import DomainError, _count, _real
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT, _check_sigmas, _gwn_backward, _gwn_forward
 
 
@@ -261,10 +261,11 @@ def init_pagwn_params(n: int, seed: int) -> dict:
     batch norm (n channels), ``lb2_weight`` (2n, 2n), ``lb2_bias`` (2n,) and
     the ``lb2_bn.`` batch norm (2n channels).  A batch norm holds the vectors
     ``gamma``, ``beta``, ``running_mean`` and ``running_var`` and the float64
-    scalars ``momentum`` (0.1) and ``eps`` (1e-5).
+    scalars ``momentum`` (0.1) and ``eps`` (1e-5).  n is an integer >= 1;
+    seed: a non-negative integer.
     """
     n = _count(n, "feature dimension", "shape-mismatch", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", "invalid-spec", 0))
     return {**_layer_init(rng, "lb1_", n + 3, n), **_layer_init(rng, "lb2_", 2 * n, 2 * n)}
 
 
@@ -296,7 +297,9 @@ def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, cente
 
     Batch norm sees all M*K rows.  ``params`` is the block's checkpoint
     dict (see :func:`check_pagwn_tensors`); ``mode`` is ``"training"``
-    (batch statistics) or ``"inference"`` (running statistics).  An
+    (batch statistics) or ``"inference"`` (running statistics).  m is an
+    integer in [1, K-1], or None for one group; a single row (K = 1) is one
+    group, for any integer m >= 1.  epsilon is a real number in (0, inf).  An
     aggregate that is not finite is a ``non-finite-value``.
     """
     params = check_pagwn_tensors(params)
@@ -382,10 +385,12 @@ def init_mlp_params(dims: Sequence[int], seed: int) -> dict:
     The names are the int64 scalar ``num_layers`` and, per layer i,
     ``layer{i}.weight`` (in, out), ``layer{i}.bias`` (out,) and the
     ``layer{i}.bn.`` batch-norm tensors named as in :func:`init_pagwn_params`.
+    Each size is an integer >= 1; seed: a non-negative integer.
     """
     if len(dims) < 2:
         raise DomainError("shape-mismatch", "dims must name at least an input and an output size")
-    rng = np.random.default_rng(seed)
+    dims = [_count(size, f"dims[{i}]", "shape-mismatch", 1) for i, size in enumerate(dims)]
+    rng = np.random.default_rng(_count(seed, "seed", "invalid-spec", 0))
     tensors = {"num_layers": np.int64(len(dims) - 1)}
     for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         tensors.update(_layer_init(rng, f"layer{i}.", fan_in, fan_out))
@@ -503,7 +508,7 @@ def check_pagwn_tensors(tensors: dict) -> dict:
             ``shape-mismatch`` for a weight, bias or batch-norm tensor of the
             wrong shape, a non-scalar ``momentum`` or ``eps`` included;
             ``invalid-spec`` for a ``momentum`` outside (0, 1) or an ``eps``
-            that is not finite and >= 0; ``non-finite-value`` for a
+            outside [0, inf); ``non-finite-value`` for a
             non-finite entry or a ``running_var`` entry below 0.
     """
     w1 = np.asarray(_tensor(tensors, "lb1_weight"), dtype=np.float64)
@@ -515,11 +520,8 @@ def check_pagwn_tensors(tensors: dict) -> dict:
         if out[name].shape != shape:
             raise DomainError("shape-mismatch", f"tensor {name!r} must have shape {shape}, got {out[name].shape}")
     for prefix in ("lb1_bn.", "lb2_bn."):
-        momentum, eps = float(out[prefix + "momentum"]), float(out[prefix + "eps"])
-        if not 0.0 < momentum < 1.0:
-            raise DomainError("invalid-spec", f"{prefix}momentum must be in (0, 1), got {momentum}")
-        if not 0.0 <= eps < np.inf:
-            raise DomainError("invalid-spec", f"{prefix}eps must be finite and >= 0, got {eps}")
+        _real(float(out[prefix + "momentum"]), prefix + "momentum", "(0, 1)")
+        _real(float(out[prefix + "eps"]), prefix + "eps", "[0, inf)")
     # one pass over every entry, the two running variances (3n entries) first; a
     # failure walks the tensors in order to name the first bad one
     flat = np.concatenate([out["lb1_bn.running_var"], out["lb2_bn.running_var"], *out.values()], axis=None)

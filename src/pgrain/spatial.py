@@ -40,7 +40,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .core import DomainError, PointCloud, _coords, _count
+from .core import DomainError, PointCloud, _coords, _count, _real
 
 _SAMPLE = 64  # points scanned to size the KNN grid cell; batches this small are scanned directly
 _BLOCK = 8192  # candidate entries per chunk
@@ -357,10 +357,10 @@ def ball_query_batch(index: NeighborIndex, queries, radius: float, k_max: int) -
     Follows the set-abstraction padding convention: an under-full region
     repeats its nearest point up to k_max, and a region with no points at
     all is a normal empty outcome (``occupied`` False), not an error.
+    radius is a real number in (0, inf], and k_max an integer >= 1.
     """
     q = _coords(queries, "queries")
-    if not radius > 0:
-        raise DomainError("invalid-spec", f"radius must be > 0, got {radius}")
+    radius = _real(radius, "radius", "(0, inf]")
     k_max = _count(k_max, "k_max", "k-out-of-range", 1)
     m = q.shape[0]
     r2 = radius * radius

@@ -404,7 +404,7 @@ class TestTrainToy:
         assert "stage0.lb1_weight" in tensors
         assert "head.layer0.weight" in tensors
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         stage = {"m_points": 32, "k": 8, "split": 3}
         scenes = {"kind": "density_imbalanced", "train": 2, "test": 1, "base_seed": 0}
         malformed = {
@@ -424,6 +424,11 @@ class TestTrainToy:
             "unknown scenes key": dict(scenes=dict(scenes, bas_seed=4)),
             "fractional epochs": dict(epochs=1.9),
             "string num_classes": dict(num_classes="2"),
+            # integers beyond float range, and a NaN radius where it is read
+            "401-digit learning_rate": dict(learning_rate=10 ** 400),
+            "401-digit epsilon": dict(epsilon=10 ** 400),
+            "401-digit bq_radius": dict(bq_radius=10 ** 400),
+            "NaN bq_radius": dict(aggregator="bq_baseline", bq_radius=float("nan")),
         }
         texts = {
             "top-level array": "[1, 2]",
@@ -440,11 +445,10 @@ class TestTrainToy:
                 cases[label] = folder / "toy.json"
                 cases[label].write_text(texts[label], encoding="utf-8")
         for label, config in cases.items():
-            result = run_cli("train-toy", "--config", str(config),
-                             "--out", str(tmp_path / "m.csv"))
-            assert result.returncode == 1, label
-            assert result.stderr.startswith("pgrain: invalid-spec: "), (label, result.stderr)
-            assert "Traceback" not in result.stderr, label
+            code, err = main_stderr(capsys, "train-toy", "--config", str(config), "--out", str(tmp_path / "m.csv"))
+            assert code == 1, label
+            assert err.startswith("pgrain: invalid-spec: "), (label, err)
+            assert "Traceback" not in err, label
 
     @pytest.mark.parametrize("head_hidden", [{}, "ab", 8], ids=["object", "string", "number"])
     def test_head_hidden_that_is_not_an_array_is_rejected(self, tmp_path, capsys, head_hidden):

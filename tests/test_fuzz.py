@@ -6,14 +6,15 @@ that means exit code 1 and a ``pgrain: <kind>: `` line on stderr.  The
 example counts are fixed, so the suite's wall time stays bounded.  A table
 runs the cloud, window and training commands on inputs scaled to extreme
 magnitudes under the same rule, and with no NumPy warning.  Another calls
-the library's entry points with malformed counts and coordinate arrays:
-each must end as a DomainError.
+the library's entry points with malformed counts, real values and
+coordinate arrays: each must end as a DomainError.
 """
 
 import contextlib
 import io
 import json
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -423,7 +424,7 @@ class TestExtremeMagnitudes:
 
 
 # ---------------------------------------------------------------------------
-# Argument checks: a malformed count or coordinate array is one DomainError
+# Argument checks: a malformed count, real value or coordinate array is one DomainError
 # ---------------------------------------------------------------------------
 
 _ROWS = np.random.default_rng(24).uniform(-1.0, 1.0, size=(20, 6))
@@ -432,6 +433,7 @@ _QUERIES = _ROWS[:5, :3] + 0.01
 _WINDOWS = OneWindow(_ROWS[0, :3], _ROWS[0, 3:], _ROWS[1:7, :3], _ROWS[1:7, 3:])
 _SINGLE_ROW = OneWindow(_ROWS[0, :3], _ROWS[0, 3:], _ROWS[1:2, :3], _ROWS[1:2, 3:])
 _PARAMS = init_pagwn_params(3, seed=5)
+_REGION = (ev.RegionSpec("plane", 20, 2.0, 0),)
 
 
 def _pagwn(window, m):
@@ -450,6 +452,10 @@ _COUNTS = {
     "random_sample.seed": (lambda v: random_sample(_CLOUD, 5, v), 3),
     "compute_metrics.num_classes": (lambda v: compute_metrics([0, 1, 2], [1, 1, 2], v), 3),
     "init_pagwn_params.n": (lambda v: init_pagwn_params(v, seed=5), 3),
+    "init_pagwn_params.seed": (lambda v: init_pagwn_params(3, v), 5),
+    "init_mlp_params.seed": (lambda v: init_mlp_params((3, 4), v), 5),
+    "init_mlp_params.dims": (lambda v: init_mlp_params((3, v), 0), 4),
+    "SyntheticSceneSpec.seed": (lambda v: ev.generate_scene(ev.SyntheticSceneSpec(_REGION, seed=v)), 3),
 }
 # group splits, for which None is valid: it normalizes all rows as one group
 _SPLITS = {
@@ -479,7 +485,61 @@ _MALFORMED_CALLS = {
     "NeighborIndex-ragged": (lambda: NeighborIndex([[0, 0, 0], [1, 2]]), "dimension-mismatch"),
     "build_index-str": (lambda: build_index("abc"), "dimension-mismatch"),
     "compute_metrics-classes-2.5": (lambda: compute_metrics([0, 1], [1, 0], 2.5), "invalid-spec"),
+    "init_pagwn_params-seed--1": (lambda: init_pagwn_params(3, -1), "invalid-spec"),
+    "init_mlp_params-seed--1": (lambda: init_mlp_params((3, 4), -1), "invalid-spec"),
+    "init_mlp_params-dims--1": (lambda: init_mlp_params((3, -1), 0), "shape-mismatch"),
+    "init_mlp_params-dims-0": (lambda: init_mlp_params((3, 0), 0), "shape-mismatch"),
+    "init_mlp_params-dims-str": (lambda: init_mlp_params("ab", 0), "invalid-spec"),
+    "init_mlp_params-dims-True": (lambda: init_mlp_params((True, 2), 0), "invalid-spec"),
+    "SyntheticSceneSpec-seed--1": (lambda: ev.SyntheticSceneSpec(_REGION, seed=-1), "invalid-spec"),
 }
+
+
+def _config(**fields):
+    return ToyPipelineConfig((StageSpec(8, 4, 2),), num_classes=2, **fields)
+
+
+def _region(**fields):
+    return ev.generate_scene(ev.SyntheticSceneSpec((replace(_REGION[0], **fields),), seed=1))
+
+
+def _bn_tensors(name, value):
+    return check_pagwn_tensors({**_PARAMS, name: value})
+
+
+# each real argument: name -> (call taking the value, a valid value exact in float32, values outside its interval)
+_REALS = {
+    "ToyPipelineConfig.learning_rate": (lambda v: _config(learning_rate=v), 1.0, (0.0, -1.0, np.inf)),
+    "ToyPipelineConfig.epsilon": (lambda v: _config(epsilon=v), 1.0, (0.0, np.inf)),
+    "window_normalize.epsilon": (lambda v: window_normalize(_WINDOWS.neighbor_features[None],
+                                                            _WINDOWS.center_feature[None], m=2, epsilon=v),
+                                 1.0, (0.0, -1e-5, np.inf)),
+    "pagwn_forward_batch.epsilon": (lambda v: pagwn_forward_batch(*_WINDOWS.batch(), _PARAMS, m=2, epsilon=v,
+                                                                  mode="inference").aggregated,
+                                    1.0, (0.0, np.inf)),
+    "RegionSpec.density_scale": (lambda v: _region(density_scale=v), 2.0, (0.0, -2.0, np.inf)),
+    "RegionSpec.feature_noise_sigma": (lambda v: _region(feature_noise_sigma=v), 1.0, (-0.5, np.inf)),
+    "check_pagwn_tensors.eps": (lambda v: _bn_tensors("lb1_bn.eps", v), 1.0, (-1e-5, np.inf)),
+    "check_pagwn_tensors.momentum": (lambda v: _bn_tensors("lb2_bn.momentum", v), 0.5, (0.0, 1.0, -0.5)),
+    "ball_query_batch.radius": (lambda v: ball_query_batch(build_index(_CLOUD), _QUERIES, v, 4), 1.0,
+                                (0.0, -1.0, -np.inf)),
+    "ToyPipelineConfig.bq_radius-pagwn": (lambda v: _config(bq_radius=v), 1.0, (0.0, -1.0)),
+    "ToyPipelineConfig.bq_radius-bq_baseline": (lambda v: _config(aggregator="bq_baseline", bq_radius=v), 1.0,
+                                                (0.0, -1.0)),
+    "sigma_map.threshold": (lambda v: sigma_map(_CLOUD, 4, threshold=v), 0.5, ()),
+}
+_NOT_NUMBERS = {"str": "0.3", "None": None, "True": True, "beyond-float": 10 ** 400}
+# batch-norm scalars arrive as tensors read as float64, so only their value can be wrong;
+# a bq_radius left out (None) is valid where the aggregator does not read it
+_BAD_REALS = [pytest.param(call, value, id=f"{arg}-{name}")
+              for arg, (call, _, outside) in _REALS.items()
+              for name, value in [*_NOT_NUMBERS.items(), ("nan", np.nan), *((repr(v), v) for v in outside)]
+              if not (arg.startswith("check_pagwn_tensors") and name in _NOT_NUMBERS)
+              and not (arg == "ToyPipelineConfig.bq_radius-pagwn" and value is None)]
+# closed ends of an interval are valid values
+_CLOSED_ENDS = [("ball_query_batch.radius", np.inf), ("ToyPipelineConfig.bq_radius-bq_baseline", np.inf),
+                ("sigma_map.threshold", np.inf), ("sigma_map.threshold", -np.inf),
+                ("RegionSpec.feature_noise_sigma", 0.0), ("check_pagwn_tensors.eps", 0.0)]
 
 
 def _result_bytes(out):
@@ -511,6 +571,28 @@ class TestArgumentChecks:
     def test_int64_counts_give_the_same_bytes(self, arg):
         call, good = {**_COUNTS, **_SPLITS}[arg]
         assert _result_bytes(call(np.int64(good))) == _result_bytes(call(good))
+
+    @pytest.mark.parametrize("call, value", _BAD_REALS)
+    def test_a_real_that_is_not_a_number_in_its_interval_is_invalid_spec(self, call, value):
+        with pytest.raises(DomainError) as exc:
+            call(value)
+        assert exc.value.kind == "invalid-spec"
+
+    @pytest.mark.parametrize("arg", _REALS)
+    def test_numpy_and_int_reals_give_the_same_bytes(self, arg):
+        call, good, _ = _REALS[arg]
+        same = [np.float64(good), np.float32(good)] + ([int(good)] if good == int(good) else [])
+        for value in same:
+            assert _result_bytes(call(value)) == _result_bytes(call(good)), type(value)
+
+    @pytest.mark.parametrize("arg, value", _CLOSED_ENDS, ids=[f"{a}-{v}" for a, v in _CLOSED_ENDS])
+    def test_the_closed_end_of_an_interval_is_accepted(self, arg, value):
+        _REALS[arg][0](value)
+
+    def test_a_value_beyond_float_range_is_not_echoed(self):
+        with pytest.raises(DomainError) as exc:
+            _config(learning_rate=10 ** 400)
+        assert str(exc.value) == "invalid-spec: learning_rate must be in (0, inf), got a value beyond float range"
 
     def test_a_single_row_is_one_group_for_any_split(self):
         assert _result_bytes(_pagwn(_SINGLE_ROW, None)) == _result_bytes(_pagwn(_SINGLE_ROW, 3))
