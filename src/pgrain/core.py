@@ -96,6 +96,20 @@ def _count(value, name: str, kind: str, low: int, high: Optional[int] = None) ->
     return int(value)
 
 
+def _entries(value, name: str, of: Optional[type] = None) -> tuple:
+    """A list, tuple or 1-d array as a tuple: the one check of a container argument.
+
+    Anything else, a string included, is ``invalid-spec``, and so is an
+    entry that is not an instance of ``of`` when it is given.
+    """
+    if not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1):
+        raise DomainError("invalid-spec", f"{name} must be a list or tuple, got {value!r}")
+    for i, entry in enumerate(value):
+        if of is not None and not isinstance(entry, of):
+            raise DomainError("invalid-spec", f"{name}[{i}] must be a {of.__name__}, got {entry!r}")
+    return tuple(value)
+
+
 def _real(value, name: str, interval: str) -> float:
     """A real number in ``interval``, written as the rule reads, ``"(0, 1)"`` or ``"[0, inf)"``, as a float.
 

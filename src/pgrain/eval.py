@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DomainError, MetricsReport, PointCloud, _count, _real
+from .core import DomainError, MetricsReport, PointCloud, _count, _entries, _real
 from .io import _fmt
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT
 from .pagwn import (
@@ -87,14 +87,14 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class SyntheticSceneSpec:
-    """The regions of one scene; seed: a non-negative integer."""
+    """The regions of one scene, a list or tuple of RegionSpec; seed: a non-negative integer."""
 
     regions: Tuple[RegionSpec, ...]
     seed: int = 0
 
     def __post_init__(self):
         regions = []
-        for i, region in enumerate(self.regions):
+        for i, region in enumerate(_entries(self.regions, "regions", RegionSpec)):
             if region.primitive not in ("plane", "sphere"):
                 raise DomainError("invalid-spec", f"region {i}: unknown primitive {region.primitive!r}")
             regions.append(replace(

@@ -72,7 +72,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DomainError, _count, _real
+from .core import DomainError, _count, _entries, _real
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT, _check_sigmas, _gwn_backward, _gwn_forward
 
 
@@ -385,8 +385,9 @@ def init_mlp_params(dims: Sequence[int], seed: int) -> dict:
     The names are the int64 scalar ``num_layers`` and, per layer i,
     ``layer{i}.weight`` (in, out), ``layer{i}.bias`` (out,) and the
     ``layer{i}.bn.`` batch-norm tensors named as in :func:`init_pagwn_params`.
-    Each size is an integer >= 1; seed: a non-negative integer.
+    dims is a list or tuple of integers >= 1; seed: a non-negative integer.
     """
+    dims = _entries(dims, "dims")
     if len(dims) < 2:
         raise DomainError("shape-mismatch", "dims must name at least an input and an output size")
     dims = [_count(size, f"dims[{i}]", "shape-mismatch", 1) for i, size in enumerate(dims)]
@@ -490,6 +491,14 @@ def _tensor(tensors: dict, name: str) -> np.ndarray:
     return tensors[name]
 
 
+def _float_tensor(tensors: dict, name: str) -> np.ndarray:
+    """The named tensor as a float64 array; one NumPy cannot read so is ``invalid-spec``."""
+    try:
+        return np.asarray(_tensor(tensors, name), dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("invalid-spec", f"tensor {name!r} is not an array of real numbers") from None
+
+
 def _pagwn_shapes(n: int) -> dict:
     """The shape of every tensor of a block over n feature channels, in :func:`init_pagwn_params` order."""
     return {**_layer_shapes("lb1_", n + 3, n), **_layer_shapes("lb2_", 2 * n, 2 * n)}
@@ -505,18 +514,20 @@ def check_pagwn_tensors(tensors: dict) -> dict:
 
     Raises:
         DomainError: ``parse-error`` naming a missing tensor;
-            ``shape-mismatch`` for a weight, bias or batch-norm tensor of the
-            wrong shape, a non-scalar ``momentum`` or ``eps`` included;
-            ``invalid-spec`` for a ``momentum`` outside (0, 1) or an ``eps``
-            outside [0, inf); ``non-finite-value`` for a
+            ``invalid-spec`` naming a tensor that NumPy cannot read as
+            float64 (non-numeric text, an object, a ragged list or a number
+            beyond float range); ``shape-mismatch`` for a weight, bias or
+            batch-norm tensor of the wrong shape, a non-scalar ``momentum``
+            or ``eps`` included; ``invalid-spec`` for a ``momentum`` outside
+            (0, 1) or an ``eps`` outside [0, inf); ``non-finite-value`` for a
             non-finite entry or a ``running_var`` entry below 0.
     """
-    w1 = np.asarray(_tensor(tensors, "lb1_weight"), dtype=np.float64)
+    w1 = _float_tensor(tensors, "lb1_weight")
     if w1.ndim != 2 or w1.shape[0] != w1.shape[1] + 3 or w1.shape[1] < 1:
         raise DomainError("shape-mismatch", f"lb1_weight must be (n+3, n) with n >= 1, got {w1.shape}")
     n, out = w1.shape[1], {}
     for name, shape in _pagwn_shapes(n).items():
-        out[name] = np.asarray(_tensor(tensors, name), dtype=np.float64)
+        out[name] = _float_tensor(tensors, name)
         if out[name].shape != shape:
             raise DomainError("shape-mismatch", f"tensor {name!r} must have shape {shape}, got {out[name].shape}")
     for prefix in ("lb1_bn.", "lb2_bn."):
@@ -546,7 +557,7 @@ def pagwn_input_from_tensors(tensors: dict):
     window = []
     ranks = {"neighbor_coords": 2, "neighbor_features": 2, "center_coord": 1, "center_feature": 1}
     for name, rank in ranks.items():
-        arr = np.asarray(_tensor(tensors, name), dtype=np.float64)
+        arr = _float_tensor(tensors, name)
         if arr.ndim != rank:
             raise DomainError("shape-mismatch", f"{name} must have rank {rank}, got shape {arr.shape}")
         if not np.isfinite(arr).all():

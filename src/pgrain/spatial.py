@@ -20,16 +20,23 @@ cubic cells: points are sorted by linear cell key, and each query is
 compared with the points of the 27 cells around its own.  A chunk's
 queries are grouped by cell, and the candidates are laid out once per
 cell: a (G, W) array of point indices, one row per distinct query cell,
-whose coordinates each query row gathers through its cell's row.  For KNN
-the cell is 2.5 times the median distance from a strided sample of the
-points to their K-th nearest other point, and the index keeps the grid for
-the next batch with the same K.  A query counts as answered only when the
-largest distance of its K-set is below 0.99 cell, which proves that the 27
-cells hold every true neighbor and every tie; the rest, and every query of
-a small batch, get an exact scan over all points.  For a ball query the
-cell is the radius over 0.99, so the 27 cells always hold the whole ball.
-The cell size decides only the speed, never the result.  Work runs in
-chunks of about ``_BLOCK`` candidate entries, which bounds every temporary.
+whose coordinates each query row gathers through its cell's row.
+
+For KNN the first cell is 1.5 times the median distance from a strided
+sample of the points to their K-th nearest other point.  A query counts as
+answered only when the largest distance of its K-set is below 0.99 cell,
+which proves that the 27 cells hold every true neighbor and every tie.
+The queries a grid cannot prove are searched again on a grid whose cell is
+at least twice as large, under the same proof, until none is left, so the
+cell can be tight where most points are and a sparse region does not
+loosen it for everyone.  The index keeps every grid it builds for the
+next batch with the same K.  Only the queries left unproven on a grid of
+at most 2 cells per axis (a coarser one holds no more candidates), the
+queries of a cloud no grid fits, and every query of a small batch get an
+exact scan over all points.  For a ball query the cell is the radius over
+0.99, so the 27 cells always hold the whole ball.  The cell size decides
+only the speed, never the result.  Work runs in chunks of about ``_BLOCK``
+candidate entries, which bounds every temporary.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .core import DomainError, PointCloud, _coords, _count, _real
 
 _SAMPLE = 64  # points scanned to size the KNN grid cell; batches this small are scanned directly
 _BLOCK = 8192  # candidate entries per chunk
-_CELL_RATIO = 2.5  # KNN grid cell over the sampled median K-th-neighbor distance
+_CELL_RATIO = 1.5  # KNN grid cell over the sampled median K-th-neighbor distance
 _MARGIN = 0.99  # fraction of a cell within which the 27 cells are proven complete
 _MAX_CELLS = 2.0 ** 20  # cells per axis at most, so linear keys fit in int64
 _OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
@@ -55,7 +62,7 @@ class NeighborIndex:
 
     Contains exactly the input points, duplicates included.  Accepts a
     PointCloud or a bare (N, 3) coordinate array.  The points never change;
-    the grid of the last KNN batch is kept for the next batch with the same k.
+    the grids of the last KNN batches are kept for the next batch with the same k.
     """
 
     def __init__(self, cloud):
@@ -68,7 +75,9 @@ class NeighborIndex:
         # one row per axis plus an infinitely far sentinel point at index N:
         # candidate slots padded with N come out at squared distance inf
         self._axes = np.hstack([coords.T, np.full((3, 1), np.inf)])
-        self._last_grid: Tuple[int, Optional[_Grid]] = (0, None)  # (k, grid) of the last KNN batch
+        # (k, grids) of the last KNN batch: the first grid, then each coarser one
+        # the batches with that k have needed, finest first
+        self._knn_grids: Tuple[int, List[Optional[_Grid]]] = (0, [])
 
 
 class _Grid:
@@ -285,21 +294,40 @@ def _kth_sq_dists(index: NeighborIndex, queries: np.ndarray, k: int) -> np.ndarr
 
 
 def _knn_grid(index: NeighborIndex, k: int) -> Optional[_Grid]:
-    """The grid for k-nearest queries; the index keeps the one built last.
+    """The first grid for k-nearest queries; the index keeps it for the next batch with k.
 
-    Its cell is 2.5 times the median distance from a strided sample of the
-    points to their k-th nearest other point.
+    Its cell is ``_CELL_RATIO`` times the median distance from a strided
+    sample of the points to their k-th nearest other point.
     """
-    built_for, grid = index._last_grid
+    built_for, grids = index._knn_grids
     if built_for != k:
         n = index.num_points
         sample = index.coords[::max(1, n // _SAMPLE)][:_SAMPLE]
         # each sample point is its own nearest, at distance zero
         kth = np.sort(_kth_sq_dists(index, sample, min(k + 1, n)))
         # np.median would import numpy.ma, a megabyte of resident memory
-        grid = _Grid.build(index.coords, _CELL_RATIO * float(np.sqrt(kth[kth.size // 2])))
-        index._last_grid = (k, grid)
-    return grid
+        grids = [_Grid.build(index.coords, _CELL_RATIO * float(np.sqrt(kth[kth.size // 2])))]
+        index._knn_grids = (k, grids)
+    return grids[0]
+
+
+def _coarser_grid(index: NeighborIndex, grid: _Grid) -> Optional[_Grid]:
+    """A grid with cells at least twice as large as ``grid``'s, or None.
+
+    None when no such grid can be laid, or when ``grid`` has at most 2
+    cells along every axis, so that a coarser one holds no more candidates.
+    The index keeps each grid it builds here beside the first one.
+    """
+    if (grid.top <= 1).all():
+        return None
+    grids = index._knn_grids[1]
+    for coarser in grids:
+        if coarser.cell >= 2 * grid.cell:
+            return coarser
+    coarser = _Grid.build(index.coords, 2 * grid.cell)
+    if coarser is not None:
+        grids.append(coarser)
+    return coarser
 
 
 def knn_batch(index: NeighborIndex, queries, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -316,14 +344,15 @@ def knn_batch(index: NeighborIndex, queries, k: int) -> Tuple[np.ndarray, np.nda
     indices = np.empty((q.shape[0], k), dtype=np.int64)
     distances = np.empty((q.shape[0], k))
     rows = np.arange(q.shape[0])
-    if grid is not None:
+    while grid is not None:
         bound = (_MARGIN * grid.cell) ** 2
         unsafe: List[np.ndarray] = []
-        for chunk, ids, d2, _ in _grid_search(index, grid, q, k):
+        for chunk, ids, d2, _ in _grid_search(index, grid, q[rows], k):
             safe = d2.max(axis=1) < bound
-            _store(indices, distances, chunk[safe], ids[safe], d2[safe])
-            unsafe.append(chunk[~safe])
+            _store(indices, distances, rows[chunk[safe]], ids[safe], d2[safe])
+            unsafe.append(rows[chunk[~safe]])
         rows = np.concatenate(unsafe)
+        grid = _coarser_grid(index, grid) if rows.size else None
     for chunk, ids, d2, _ in _scan_search(index, q, rows, k):
         _store(indices, distances, chunk, ids, d2)
     return indices, distances

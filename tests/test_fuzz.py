@@ -492,7 +492,13 @@ _MALFORMED_CALLS = {
     "init_mlp_params-dims-str": (lambda: init_mlp_params("ab", 0), "invalid-spec"),
     "init_mlp_params-dims-True": (lambda: init_mlp_params((True, 2), 0), "invalid-spec"),
     "SyntheticSceneSpec-seed--1": (lambda: ev.SyntheticSceneSpec(_REGION, seed=-1), "invalid-spec"),
+    "init_mlp_params-dims-int": (lambda: init_mlp_params(3, 0), "invalid-spec"),
+    "SyntheticSceneSpec-regions-int": (lambda: ev.SyntheticSceneSpec(5), "invalid-spec"),
+    "SyntheticSceneSpec-regions-str-entry": (lambda: ev.SyntheticSceneSpec(("x",)), "invalid-spec"),
 }
+# block tensors NumPy cannot read as float64: name -> a value
+_UNREADABLE_TENSORS = {"lb1_bn.eps": 10 ** 400, "lb1_weight": "abc", "lb1_bias": object(),
+                       "lb2_weight": [[1.0, 2.0], [3.0]]}
 
 
 def _config(**fields):
@@ -593,6 +599,18 @@ class TestArgumentChecks:
         with pytest.raises(DomainError) as exc:
             _config(learning_rate=10 ** 400)
         assert str(exc.value) == "invalid-spec: learning_rate must be in (0, inf), got a value beyond float range"
+
+    @pytest.mark.parametrize("name", _UNREADABLE_TENSORS)
+    @pytest.mark.parametrize("entry", ["check_pagwn_tensors", "pagwn_forward_batch"])
+    def test_an_unreadable_tensor_is_one_invalid_spec_naming_it(self, entry, name):
+        params = {**_PARAMS, name: _UNREADABLE_TENSORS[name]}
+        calls = {
+            "check_pagwn_tensors": lambda: check_pagwn_tensors(params),
+            "pagwn_forward_batch": lambda: pagwn_forward_batch(*_WINDOWS.batch(), params, mode="inference"),
+        }
+        with pytest.raises(DomainError) as exc:
+            calls[entry]()
+        assert str(exc.value) == f"invalid-spec: tensor {name!r} is not an array of real numbers"
 
     def test_a_single_row_is_one_group_for_any_split(self):
         assert _result_bytes(_pagwn(_SINGLE_ROW, None)) == _result_bytes(_pagwn(_SINGLE_ROW, 3))

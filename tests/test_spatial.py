@@ -402,3 +402,124 @@ class TestBatchEngine:
                 assert exc.value.kind == kind
         indices, distances = knn_batch(index, np.empty((0, 3)), 2)
         assert indices.shape == distances.shape == (0, 2)
+
+
+# Clouds whose density varies across the cloud, each with its k: the first KNN
+# grid is sized on the median point, so the sparse rows need coarser grids
+def _cluster_beside_shell(rng):
+    """A dense Gaussian cluster inside a sparse spherical shell 60 spreads away."""
+    shell = rng.normal(size=(150, 3))
+    shell *= 3.0 / np.linalg.norm(shell, axis=1, keepdims=True)
+    return np.vstack([rng.normal(0.0, 0.05, size=(900, 3)), shell]), 16
+
+
+def _uniform_cube(rng):
+    return rng.uniform(0, 1, size=(1000, 3)), 16
+
+
+def _thinned_floor(rng):
+    """A flat floor seen from a scanner at the origin: kept with probability min(1, (r0/r)^2)."""
+    xy = rng.uniform(-10, 10, size=(5000, 2))
+    r = np.hypot(xy[:, 0], xy[:, 1])
+    keep = rng.random(r.size) < np.minimum(1.0, (2.5 / r) ** 2)
+    return np.c_[xy[keep], np.zeros(np.count_nonzero(keep))], 16
+
+
+def _tied_lattice(rng):
+    """Integer points, dense with duplicates in one corner and sparse elsewhere: most rows tie at the k-th distance."""
+    dense = rng.integers(0, 5, size=(700, 3))
+    sparse = rng.integers(0, 13, size=(300, 3)) * 3
+    return np.vstack([dense, sparse]).astype(np.float64), 10
+
+
+_DENSITY_CLOUDS = {"cluster-beside-shell": _cluster_beside_shell, "uniform-cube": _uniform_cube,
+                   "thinned-floor": _thinned_floor, "tied-lattice": _tied_lattice}
+
+
+class _Probe:
+    """Records what knn_batch hands its searches: the grids and their row counts, scanned rows and grid builds."""
+
+    def __init__(self, monkeypatch):
+        self.levels, self.scanned, self.builds = [], 0, 0
+        grid_search, scan_search, init = spatial._grid_search, spatial._scan_search, spatial._Grid.__init__
+
+        def on_grid(index, grid, queries, k, r2=None):
+            # each retry of a batch's rows is on a cell at least twice as large
+            assert not self.levels or grid.cell >= 2 * self.levels[-1][0].cell
+            self.levels.append((grid, queries.shape[0]))
+            return grid_search(index, grid, queries, k, r2)
+
+        def on_scan(index, queries, rows, k, r2=None):
+            self.scanned += rows.size
+            return scan_search(index, queries, rows, k, r2)
+
+        def on_build(grid, *args):
+            self.builds += 1
+            init(grid, *args)
+
+        monkeypatch.setattr(spatial, "_grid_search", on_grid)
+        monkeypatch.setattr(spatial, "_scan_search", on_scan)
+        monkeypatch.setattr(spatial._Grid, "__init__", on_build)
+
+    def knn(self, index, queries, k):
+        """One knn_batch call: its (indices, distances) and the (grid, rows) it searched, first grid first."""
+        self.levels = []
+        return knn_batch(index, queries, k), self.levels
+
+
+class TestGridEscalation:
+    @pytest.mark.parametrize("make", _DENSITY_CLOUDS.values(), ids=_DENSITY_CLOUDS.keys())
+    def test_batches_equal_brute_force_and_no_row_takes_the_scan(self, monkeypatch, make):
+        coords, k = make(np.random.default_rng(0))
+        cloud = _cloud_from_coords(coords)
+        expected = brute_force_knn(cloud, coords, k)
+        probe = _Probe(monkeypatch)
+        index = build_index(cloud)
+        for first in range(3):
+            (indices, distances), levels = probe.knn(index, coords[first::3], k)
+            np.testing.assert_array_equal(indices, expected[0][first::3])
+            assert distances.tobytes() == expected[1][first::3].tobytes()
+            # every row starts on the first grid
+            assert levels[0] == (spatial._knn_grid(index, k), indices.shape[0])
+        assert probe.scanned == 0
+
+    @pytest.mark.parametrize("make", _DENSITY_CLOUDS.values(), ids=_DENSITY_CLOUDS.keys())
+    def test_repeated_batches_build_each_grid_once(self, monkeypatch, make):
+        coords, k = make(np.random.default_rng(0))
+        probe = _Probe(monkeypatch)
+        index = build_index(coords)
+        used = set()
+        for first in range(3):
+            used.update(id(grid) for grid, _ in probe.knn(index, coords[first::3], k)[1])
+        assert probe.builds == len(used)
+        for first in range(3):
+            probe.knn(index, coords[first::3], k)
+        assert probe.builds == len(used)
+
+    def test_sparse_rows_are_answered_on_a_coarser_grid(self, monkeypatch):
+        coords, k = _cluster_beside_shell(np.random.default_rng(0))
+        cloud = _cloud_from_coords(coords)
+        (indices, distances), levels = _Probe(monkeypatch).knn(build_index(cloud), coords, k)
+        # some rows fail the first grid's proof, and some of those pass the second's
+        (first, all_rows), (second, retried) = levels[:2]
+        assert 0 < retried < all_rows
+        assert len(levels) == 2 or levels[2][1] < retried
+        assert (distances[:, -1] >= spatial._MARGIN * first.cell).sum() >= retried > 0
+        expected = brute_force_knn(cloud, coords, k)
+        np.testing.assert_array_equal(indices, expected[0])
+        assert distances.tobytes() == expected[1].tobytes()
+
+    def test_rows_left_on_a_two_cell_grid_take_the_scan(self, monkeypatch, rng):
+        # a first grid of 2 cells per axis: its 27 cells around any query hold
+        # every point, so a coarser grid would add no candidate, and the rows
+        # it cannot prove are scanned
+        coords = rng.uniform(0, 1, size=(100, 3))
+        cloud = _cloud_from_coords(coords)
+        probe = _Probe(monkeypatch)
+        monkeypatch.setattr(spatial, "_knn_grid", lambda index, k: spatial._Grid(index.coords, 0.6))
+        (indices, distances), levels = probe.knn(build_index(cloud), coords, 50)
+        assert len(levels) == 1 and (levels[0][0].top == 1).all()
+        assert 0 < probe.scanned < 100
+        expected = brute_force_knn(cloud, coords, 50)
+        np.testing.assert_array_equal(indices, expected[0])
+        assert distances.tobytes() == expected[1].tobytes()
