@@ -2,7 +2,7 @@
 
 Every command is non-interactive, seeded, and idempotent: the same inputs
 and flags always produce byte-identical outputs.  Exit codes: 0 success,
-1 domain error, 2 usage error.
+1 domain error or an array too large for memory, 2 usage error.
 
 On glibc, :func:`main` first sets the process's heap policy so that freed
 blocks stay in the heap: the toy training loop frees and reallocates
@@ -284,6 +284,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (DomainError, OSError) as exc:
         print(f"pgrain: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an array that fits NumPy's size limit but not this process, such as a class count
+        print(f"pgrain: out-of-memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -77,6 +77,10 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+# the most float64 entries an array can have: NumPy cannot describe one of more bytes than np.intp holds
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
+
 def _count(value, name: str, kind: str, low: int, high: Optional[int] = None) -> int:
     """An integer in [low, high] (no upper bound when high is None), as an int.
 

@@ -7,11 +7,13 @@ trained with plain SGD and cross-entropy.  It exists to exercise the
 aggregators under controlled density imbalance, not to chase benchmark
 numbers.  Everything is deterministic for a fixed (config, scenes, seed).
 
-Each stage runs through an aggregator's parameter-free *lift* (for PAGWN
-the window normalization) and then its parametric forward; the backward
-gives the parameter gradients and then *lowers* the rest onto the stage's
-input.  The first stage's input is the raw scene, so training lifts it once
-per scene and stops its backward at the parameters.
+Each stage runs its aggregator's parameter-free *lift* (for PAGWN the
+window normalization, for the baselines a gather of raw features), then
+the one block kernel, ``pagwn._block``, over the aggregator's layers.  The
+backward is the kernel's one parameter backward, then the aggregator's
+*lower* of the rest onto the stage's input.  The first stage's input is
+the raw scene, so training lifts it once per scene and stops its backward
+at the parameters.
 
 The parameters are one flat dict of checkpoint tensors: the SGD step and the
 running-statistics fold update it, and ``train-toy --checkpoint`` saves it.
@@ -26,21 +28,20 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DomainError, MetricsReport, PointCloud, _count, _entries, _real
+from .core import _MAX_ENTRIES, DomainError, MetricsReport, PointCloud, _count, _entries, _real
 from .io import _fmt
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT
 from .pagwn import (
+    _PAGWN_LAYERS,
     _baseline_lower,
-    _baseline_param_backward,
+    _block,
+    _block_param_backward,
     _colsum,
     _linear_init,
-    _pagwn_block,
     _pagwn_lift,
     _pagwn_lower,
-    _pagwn_param_backward,
     _rowwise,
     _scatter_rows,
-    aggregate_precomputed,
     init_mlp_params,
     init_pagwn_params,
 )
@@ -223,7 +224,7 @@ def compute_metrics(pred_labels, true_labels, num_classes: int) -> MetricsReport
         raise DomainError("length-mismatch", f"pred has {pred.size} labels, truth has {truth.size}")
     if pred.size == 0:
         raise DomainError("length-mismatch", "cannot score zero points")
-    c = _count(num_classes, "class count", "label-out-of-range", 1)
+    c = _count(num_classes, "class count", "label-out-of-range", 1, _MAX_ENTRIES)
     for name, arr in (("pred", pred), ("truth", truth)):
         if not np.issubdtype(arr.dtype, np.integer):
             raise DomainError("dimension-mismatch", f"{name} labels must be integers, got {arr.dtype}")
@@ -427,17 +428,17 @@ def _plan_scene(scene: PointCloud, config: ToyPipelineConfig, scene_id: int) -> 
 class _Aggregator:
     init: Callable       # (n, seed) -> stage-local tensors of one n -> 2n stage
     neighbors: Callable  # (index, center coords, k, config) -> (M, k) indices
-    lift: Callable       # (stage plan, x, split, epsilon, lowered) -> GWN windows or x; lowered keeps what lower reads
-    forward: Callable    # (stage tensors, stage plan, lifted, x, mode) -> pagwn.BlockOutput
-    backward: Callable   # (output, upstream) -> (grads by stage-local name, what lower reads)
-    lower: Callable      # (output, stage plan, what backward returned for it) -> upstream of the stage input x
+    layers: tuple        # pagwn._block's layer prefixes, in order
+    lift: Callable       # (stage plan, x, split, epsilon, lowered) -> rows, lift, concat; lowered keeps all lower reads
+    lower: Callable      # (output, stage plan, (dz0, dconcat)) -> upstream of the stage input x
 
 
 def _pagwn_stage_lift(splan, x, split, epsilon, lowered):
     coords, centers, hoods = splan
-    gwn, gwn_cache = _pagwn_lift(coords[hoods], x[hoods], coords[centers], x[centers], split, epsilon)
+    cf = x[centers]
+    gwn, gwn_cache = _pagwn_lift(coords[hoods], x[hoods], coords[centers], cf, split, epsilon)
     # only _pagwn_lower reads the deviations, gwn_cache[0]; the sigmas stay
-    return gwn, gwn_cache if lowered else (None, *gwn_cache[1:])
+    return gwn, gwn_cache if lowered else (None, *gwn_cache[1:]), cf
 
 
 def _pagwn_stage_lower(out, splan, d_block):
@@ -453,17 +454,14 @@ def _pagwn_stage_lower(out, splan, d_block):
 _KNN_BASELINE = _Aggregator(
     init=lambda n, seed: init_mlp_params((n, 2 * n), seed),
     neighbors=lambda index, queries, k, config: knn_batch(index, queries, k)[0],
-    lift=lambda splan, x, split, epsilon, lowered: x,
-    forward=lambda params, splan, lifted, x, mode: aggregate_precomputed(lifted, splan[2], params, mode=mode),
-    backward=lambda out, g: _baseline_param_backward(out.cache, g),
-    lower=lambda out, splan, dz0: _baseline_lower(out.cache, dz0),
+    layers=("layer0.",),
+    lift=lambda splan, x, split, epsilon, lowered: (x[splan[2]], (splan[2], x.shape[0]), None),
+    lower=lambda out, splan, d_block: _baseline_lower(out.cache, d_block),
 )
 _AGGREGATOR_TABLE = {
     "pagwn": _Aggregator(
-        init=lambda n, seed: init_pagwn_params(n, seed),
-        neighbors=_KNN_BASELINE.neighbors, lift=_pagwn_stage_lift,
-        forward=lambda params, splan, lifted, x, mode: _pagwn_block(*lifted, x[splan[1]], params, mode),
-        backward=lambda out, g: _pagwn_param_backward(out.cache, g), lower=_pagwn_stage_lower,
+        init=lambda n, seed: init_pagwn_params(n, seed), neighbors=_KNN_BASELINE.neighbors,
+        layers=_PAGWN_LAYERS, lift=_pagwn_stage_lift, lower=_pagwn_stage_lower,
     ),
     "knn_baseline": _KNN_BASELINE,
     # the centers are points of the stage input, so no ball is empty and every window is full
@@ -506,8 +504,8 @@ def _encode(plan: _ScenePlan, first, params: dict, agg: _Aggregator, config: Toy
     outs, stats = [], {}
     views = _stage_views(params, len(config.stages))
     for t, (splan, view, spec) in enumerate(zip(plan.stages, views, config.stages)):
-        lifted = first if t == 0 else agg.lift(splan, x, spec.split, config.epsilon, True)
-        out = agg.forward(view, splan, lifted, x, mode)
+        rows, lift, concat = first if t == 0 else agg.lift(splan, x, spec.split, config.epsilon, True)
+        out = _block(rows, view, agg.layers, mode, lift, concat)
         x = out.aggregated
         outs.append(out)
         stats.update({f"stage{t}.{name}": pair for name, pair in out.batch_stats.items()})
@@ -518,10 +516,10 @@ def _backward_stages(plan: _ScenePlan, outs, d_final: np.ndarray, agg: _Aggregat
     """Gradient of the loss w.r.t. every stage's parameters; the first stage's input, the raw scene, is not lowered."""
     grads, g = {}, d_final
     for t in range(len(plan.stages) - 1, -1, -1):
-        stage_grads, d_lower = agg.backward(outs[t], g)
+        stage_grads, d_block = _block_param_backward(outs[t].cache, g)
         grads.update({f"stage{t}.{name}": value for name, value in stage_grads.items()})
         if t > 0:
-            g = agg.lower(outs[t], plan.stages[t], d_lower)
+            g = agg.lower(outs[t], plan.stages[t], d_block)
     return grads
 
 

@@ -37,16 +37,18 @@ statistics), and the type itself checks nothing.  The pre-abstraction
 LB1(GWN(rows)) is the first n channels of LB2's input, which the cache
 keeps.
 
-GWN has no parameters, so the block splits into a parameter-free *lift*
-(:func:`_pagwn_lift`) and a parametric part (:func:`_pagwn_block`), and
-its backward into the parameter gradients (:func:`_pagwn_param_backward`)
-and a *lower* to the window arrays (:func:`_pagwn_lower`); the baseline's
-backward splits the same way.  A caller may keep lifted rows for reuse
-and skip a lower it does not need.
-
-The baseline aggregator (plain MLP + max pool over KNN or ball-query
-neighborhoods that the caller has already found) lives here too, sharing
-the layer kernel, the pool and the output type.
+Both aggregators run one kernel, PointNet++ set abstraction: lifted
+(M, K, C) window rows pass through a list of layers and then the pool.
+:func:`_block` is its forward, :class:`BlockCache` its one cache and
+:func:`_block_param_backward` the parameter half of its backward.  The
+aggregators differ in the parameter-free *lift* that makes the rows and
+in the *lower* that takes the first layer's gradient back to the lift's
+inputs.  PAGWN lifts GWN rows (:func:`_pagwn_lift`), appends the center
+feature after LB1, and applies its ReLU after the pool; the baseline MLP,
+over KNN or ball-query neighborhoods the caller has already found,
+gathers raw feature rows and applies a ReLU at every layer, before the
+pool.  :func:`_pagwn_lower` and :func:`_baseline_lower` are the lowers.
+A caller may keep lifted rows for reuse and skip a lower it does not need.
 
 Summation order is part of the output, which stays bit-identical.  Every
 column sum of the training step (batch-norm statistics and gradients, bias
@@ -72,7 +74,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DomainError, _count, _entries, _real
+from .core import _MAX_ENTRIES, DomainError, _count, _entries, _real
 from .norm import DEFAULT_EPSILON, DEFAULT_SPLIT, _check_sigmas, _gwn_backward, _gwn_forward
 
 
@@ -127,7 +129,8 @@ def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _linear_init(rng: np.random.Generator, p: str, fan_in: int, fan_out: int) -> dict:
-    """A Uniform(+-sqrt(1/fan_in)) (fan_in, fan_out) ``p + "weight"`` and a zero ``p + "bias"``."""
+    """A Uniform(+-sqrt(1/fan_in)) (fan_in, fan_out) ``p + "weight"`` of at most ``_MAX_ENTRIES``, and a zero bias."""
+    _count(fan_in * fan_out, p + "weight entries", "invalid-spec", 1, _MAX_ENTRIES)
     s = np.sqrt(1.0 / fan_in)
     return {p + "weight": rng.uniform(-s, s, size=(fan_in, fan_out)), p + "bias": np.zeros(fan_out)}
 
@@ -222,25 +225,27 @@ def _unpool(g: np.ndarray, argmax: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The block output, and the PAGWN cache
+# The block: lifted rows -> layer list -> max pool, its cache and its output
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
-class PagwnCache:
-    """Everything the analytic backward needs; holds references, not copies."""
+class BlockCache:
+    """Everything a block's backward and its aggregator's lower need; holds references, not copies."""
 
-    params: dict                  # the block's checkpoint tensors
+    params: dict          # the block's checkpoint tensors
     mode: str
-    shapes: Tuple[int, int, int]  # (M, K, n)
-    gwn_cache: tuple
-    layers: dict                  # "lb1_", "lb2_" -> (layer input rows, batch-norm cache)
-    pooled: np.ndarray            # (M, 2n) pre-ReLU pooled values
-    argmax: np.ndarray            # (M, 2n) winning row per channel
+    layers: dict          # prefix -> (layer input rows, batch-norm cache), in layer order
+    masks: list           # per layer, its ReLU mask before the pool; empty when the ReLU follows the pool
+    pooled: np.ndarray    # (M, C) pooled values, before a ReLU that follows the pool
+    argmax: np.ndarray    # (M, C) winning row per channel
+    k: int                # rows per window
+    concat: int           # channels of the per-window rows appended after the first layer; 0 for none
+    lift: object          # the aggregator's lift context: PAGWN's GWN cache, or (neighbor indices, N)
 
 
 @dataclass(frozen=True, eq=False)
 class BlockOutput:
-    """What either block's forward returns: the (M, 2n) or (M, out) aggregated
+    """What a block's forward returns: the (M, 2n) or (M, out) aggregated
     features, the cache its backward reads, and batch statistics.
 
     ``batch_stats`` maps the checkpoint name of each training-mode batch
@@ -250,8 +255,74 @@ class BlockOutput:
     """
 
     aggregated: np.ndarray
-    cache: PagwnCache | BaselineCache
+    cache: BlockCache
     batch_stats: Dict[str, Tuple[np.ndarray, np.ndarray]]
+
+
+def _block(rows: np.ndarray, params: dict, prefixes: Sequence[str], mode: str, lift,
+           concat: Optional[np.ndarray] = None) -> BlockOutput:
+    """Lifted (M, K, C) rows through the ``prefixes`` layers, then the channel-wise max pool.
+
+    With a ``concat``, the block is PAGWN's: each window's (c,) concat row
+    is appended to its rows after the first layer, no ReLU sits between the
+    layers, and one follows the pool.  Without, it is the baselines' MLP:
+    each layer ends in a ReLU, ``y * mask``, before the pool, which keeps
+    the ``-0.0`` of a masked negative.  The cache keeps ``lift`` for the lower.
+    """
+    m_win, k = rows.shape[:2]
+    x, layers, masks = rows.reshape(m_win * k, rows.shape[2]), {}, []
+    for i, p in enumerate(prefixes):
+        if i == 1 and concat is not None:
+            x = np.concatenate([x, np.repeat(concat, k, axis=0)], axis=1)
+        x, layers[p] = _layer_forward(x, params, p, mode)
+        if concat is None:
+            masks.append(x > 0)
+            x = x * masks[-1]
+    pooled, argmax = _max_pool(x.reshape(m_win, k, x.shape[1]))
+    cache = BlockCache(params=params, mode=mode, layers=layers, masks=masks, pooled=pooled, argmax=argmax,
+                       k=k, concat=0 if concat is None else concat.shape[1], lift=lift)
+    aggregated = pooled if masks else np.maximum(pooled, 0.0)
+    return BlockOutput(aggregated=aggregated, cache=cache, batch_stats=_batch_stats(layers))
+
+
+def _block_param_backward(cache: BlockCache, upstream_grad: np.ndarray):
+    """The parameter half of a block's backward: ``(grads, (dz0, dconcat))``.
+
+    ``grads`` holds every layer's weight, bias, ``bn.gamma`` and ``bn.beta``
+    gradients, the last layer's first.  The lower reads ``dz0``, the gradient
+    at the first layer's linear output, and ``dconcat``, the (M, c) gradient
+    of the concat (None without one); a caller that needs only the
+    parameters skips it, and with it the first layer's input matmul.
+    """
+    if cache.mode != "training":
+        raise DomainError("stale-cache", "backward requires a cache from a training-mode forward")
+    params, (m_win, width), k = cache.params, cache.argmax.shape, cache.k
+    g = np.asarray(upstream_grad, dtype=np.float64)
+    if g.shape != (m_win, width):
+        raise DomainError("shape-mismatch", f"upstream gradient must have shape {(m_win, width)}")
+    if not cache.masks:  # the ReLU followed the pool
+        g = g * (cache.pooled > 0)
+    g = _unpool(g, cache.argmax, k).reshape(m_win * k, width)
+    grads, dconcat = {}, None
+    for i, p in reversed(list(enumerate(cache.layers))):
+        if cache.masks:
+            g = g * cache.masks[i]
+        dz, layer_grads = _layer_backward(g, params, p, cache.layers[p])
+        grads.update(layer_grads)
+        if i > 0:
+            g = dz @ params[p + "weight"].T
+            if i == 1 and cache.concat:  # the concat rows are the last channels of layer 1's input
+                kept = g.shape[1] - cache.concat
+                dconcat = _colsum(g[:, kept:].reshape(m_win, k, cache.concat))
+                g = np.ascontiguousarray(g[:, :kept])
+    return grads, (dz, dconcat)
+
+
+# ---------------------------------------------------------------------------
+# PAGWN: the GWN lift, LB1 -> [concat] -> LB2 -> pool -> ReLU, and its lower
+# ---------------------------------------------------------------------------
+
+_PAGWN_LAYERS = ("lb1_", "lb2_")
 
 
 def init_pagwn_params(n: int, seed: int) -> dict:
@@ -275,19 +346,6 @@ def _pagwn_lift(nc, nf, cc, cf, m: int, epsilon: float):
     centers = np.concatenate([cc, cf], axis=1)
     # a single row cannot be split, so K == 1 normalizes as one group
     return _gwn_forward(windows, centers, None if nc.shape[1] == 1 else m, epsilon)
-
-
-def _pagwn_block(gwn: np.ndarray, gwn_cache: tuple, cf: np.ndarray, params: dict, mode: str) -> BlockOutput:
-    """The block's parametric part, LB1 -> LB2 -> pool, over lifted windows and the (M, n) center features."""
-    m_win, k, n = gwn.shape[0], gwn.shape[1], cf.shape[1]
-    layers = {}
-    pre, layers["lb1_"] = _layer_forward(gwn.reshape(m_win * k, n + 3), params, "lb1_", mode)
-    h = np.concatenate([pre.reshape(m_win, k, n), np.broadcast_to(cf[:, None, :], (m_win, k, n))], axis=2)
-    rows2, layers["lb2_"] = _layer_forward(h.reshape(m_win * k, 2 * n), params, "lb2_", mode)
-    pooled, argmax = _max_pool(rows2.reshape(m_win, k, 2 * n))
-    cache = PagwnCache(params=params, mode=mode, shapes=(m_win, k, n), gwn_cache=gwn_cache,
-                       layers=layers, pooled=pooled, argmax=argmax)
-    return BlockOutput(aggregated=np.maximum(pooled, 0.0), cache=cache, batch_stats=_batch_stats(layers))
 
 
 def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, center_features,
@@ -319,46 +377,27 @@ def pagwn_forward_batch(neighbor_coords, neighbor_features, center_coords, cente
         _count(m, "m", "bad-split", 1)
     gwn, gwn_cache = _pagwn_lift(nc, nf, cc, cf, m, epsilon)
     _check_sigmas(gwn_cache[1])
-    out = _pagwn_block(gwn, gwn_cache, cf, params, mode)
+    out = _block(gwn, params, _PAGWN_LAYERS, mode, gwn_cache, concat=cf)
     if not np.isfinite(out.aggregated).all():
         raise DomainError("non-finite-value", "aggregated output contains a non-finite entry")
     return out
 
 
-def _pagwn_param_backward(cache: PagwnCache, upstream_grad: np.ndarray):
-    """The parameter half of :func:`pagwn_backward`: ``(grads, (dz1, dh))``, the latter
-    the gradients at LB1's linear output and at LB2's input, for :func:`_pagwn_lower`."""
-    if cache.mode != "training":
-        raise DomainError("stale-cache", "backward requires a cache from a training-mode forward")
-    params = cache.params
-    m_win, k, n = cache.shapes
-    g = np.asarray(upstream_grad, dtype=np.float64)
-    if g.shape != (m_win, 2 * n):
-        raise DomainError("shape-mismatch", f"upstream gradient must have shape {(m_win, 2 * n)}")
-
-    g_rows2 = _unpool(g * (cache.pooled > 0), cache.argmax, k)
-    dz2, grads = _layer_backward(g_rows2.reshape(m_win * k, 2 * n), params, "lb2_", cache.layers["lb2_"])
-    dh = (dz2 @ params["lb2_weight"].T).reshape(m_win, k, 2 * n)
-    dz1, lb1_grads = _layer_backward(dh[:, :, :n].reshape(m_win * k, n), params, "lb1_", cache.layers["lb1_"])
-    return {**grads, **lb1_grads}, (dz1, dh)
-
-
-def _pagwn_lower(cache: PagwnCache, d_block) -> dict:
+def _pagwn_lower(cache: BlockCache, d_block) -> dict:
     """The input half of :func:`pagwn_backward`: LB1's input, the GWN backward and the center paths."""
-    dz1, dh = d_block
-    m_win, k, n = cache.shapes
+    dz1, d_cf = d_block
     d_gwn_rows = dz1 @ cache.params["lb1_weight"].T
-    d_win = _gwn_backward(d_gwn_rows.reshape(m_win, k, n + 3), cache.gwn_cache)
+    d_win = _gwn_backward(d_gwn_rows.reshape(cache.argmax.shape[0], cache.k, d_gwn_rows.shape[1]), cache.lift)
     d_cen = -_colsum(d_win)
     return {
         "neighbor_coords": d_win[:, :, :3],
         "neighbor_features": d_win[:, :, 3:],
         "center_coords": d_cen[:, :3],
-        "center_features": d_cen[:, 3:] + _colsum(dh[:, :, n:]),
+        "center_features": d_cen[:, 3:] + d_cf,
     }
 
 
-def pagwn_backward(cache: PagwnCache, upstream_grad: np.ndarray):
+def pagwn_backward(cache: BlockCache, upstream_grad: np.ndarray):
     """Exact gradients for every parameter and input of a training forward.
 
     Returns ``(grads, inputs)``.  ``grads`` maps each trainable name of
@@ -371,12 +410,12 @@ def pagwn_backward(cache: PagwnCache, upstream_grad: np.ndarray):
     differentiates through its batch statistics; GWN differentiates through
     each group sigma.
     """
-    grads, d_block = _pagwn_param_backward(cache, upstream_grad)
+    grads, d_block = _block_param_backward(cache, upstream_grad)
     return grads, _pagwn_lower(cache, d_block)
 
 
 # ---------------------------------------------------------------------------
-# Baseline aggregators: MLP + max pool over BQ / KNN neighborhoods
+# Baseline aggregators: gathered rows -> MLP -> pool over BQ / KNN neighborhoods
 # ---------------------------------------------------------------------------
 
 def init_mlp_params(dims: Sequence[int], seed: int) -> dict:
@@ -402,17 +441,6 @@ def init_mlp_params(dims: Sequence[int], seed: int) -> dict:
 _MLP_LAYER_TENSORS = tuple(_layer_shapes("", 1, 1))
 
 
-@dataclass(eq=False)
-class BaselineCache:
-    params: dict                  # the MLP's checkpoint tensors
-    mode: str
-    neighbor_indices: np.ndarray  # (M, K) into the source cloud
-    layers: dict                  # "layer{i}." -> (layer input rows, batch-norm cache)
-    masks: list                   # per layer, its ReLU mask
-    argmax: np.ndarray            # (M, out)
-    num_source_points: int
-
-
 def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndarray,
                           mlp_params: dict, *, mode: str = "training") -> BlockOutput:
     """MLP + max pool over already-resolved neighborhoods, one output row per window.
@@ -429,47 +457,18 @@ def aggregate_precomputed(source_features: np.ndarray, neighbor_indices: np.ndar
     for i in range(num_layers):
         for name in _MLP_LAYER_TENSORS:
             _tensor(mlp_params, f"layer{i}.{name}")
-    m_cnt, k = neighbor_indices.shape
-    rows, layers, masks = source_features[neighbor_indices.reshape(-1)], {}, []
-    for i in range(num_layers):
-        y, layers[f"layer{i}."] = _layer_forward(rows, mlp_params, f"layer{i}.", mode)
-        masks.append(y > 0)
-        rows = y * masks[-1]
-    features, argmax = _max_pool(rows.reshape(m_cnt, k, rows.shape[1]))
-    cache = BaselineCache(params=mlp_params, mode=mode, neighbor_indices=neighbor_indices, layers=layers,
-                          masks=masks, argmax=argmax, num_source_points=source_features.shape[0])
-    return BlockOutput(aggregated=features, cache=cache, batch_stats=_batch_stats(layers))
+    return _block(source_features[neighbor_indices], mlp_params, [f"layer{i}." for i in range(num_layers)],
+                  mode, (neighbor_indices, source_features.shape[0]))
 
 
-def _baseline_param_backward(cache: BaselineCache, upstream_grad: np.ndarray):
-    """The parameter half of :func:`baseline_backward`: ``(grads, dz0)``, the latter the
-    gradient at layer 0's linear output, for :func:`_baseline_lower`."""
-    if cache.mode != "training":
-        raise DomainError("stale-cache", "backward requires a training-mode forward cache")
-    params = cache.params
-    g = np.asarray(upstream_grad, dtype=np.float64)
-    if g.shape != cache.argmax.shape:
-        raise DomainError("shape-mismatch", f"upstream gradient must have shape {cache.argmax.shape}")
-    g = _unpool(g, cache.argmax, cache.neighbor_indices.shape[1]).reshape(-1, g.shape[1])
-    grads = {}
-    # layer 0's input gradient is _baseline_lower's: a caller that needs only
-    # the parameters' gradients skips its matmul
-    for i in range(len(cache.masks) - 1, -1, -1):
-        p = f"layer{i}."
-        dz, layer_grads = _layer_backward(g * cache.masks[i], params, p, cache.layers[p])
-        grads.update(layer_grads)
-        if i > 0:
-            g = dz @ params[p + "weight"].T
-    return grads, dz
-
-
-def _baseline_lower(cache: BaselineCache, dz0: np.ndarray) -> np.ndarray:
+def _baseline_lower(cache: BlockCache, d_block) -> np.ndarray:
     """The input half of :func:`baseline_backward`: layer 0's input gradient, scatter-added onto the source cloud."""
-    return _scatter_rows(cache.neighbor_indices.reshape(-1), dz0 @ cache.params["layer0.weight"].T,
-                         cache.num_source_points)
+    neighbor_indices, num_source_points = cache.lift
+    return _scatter_rows(neighbor_indices.reshape(-1), d_block[0] @ cache.params["layer0.weight"].T,
+                         num_source_points)
 
 
-def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):
+def baseline_backward(cache: BlockCache, upstream_grad: np.ndarray):
     """Gradients for the MLP and the source cloud's features.
 
     Returns ``(grads, d_features)``.  ``grads`` maps each trainable name of
@@ -477,8 +476,8 @@ def baseline_backward(cache: BaselineCache, upstream_grad: np.ndarray):
     ``.bn.beta``) to its gradient; ``d_features`` has the source cloud's
     (N, n) shape with neighbor contributions scatter-added.
     """
-    grads, dz0 = _baseline_param_backward(cache, upstream_grad)
-    return grads, _baseline_lower(cache, dz0)
+    grads, d_block = _block_param_backward(cache, upstream_grad)
+    return grads, _baseline_lower(cache, d_block)
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +496,6 @@ def _float_tensor(tensors: dict, name: str) -> np.ndarray:
         return np.asarray(_tensor(tensors, name), dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         raise DomainError("invalid-spec", f"tensor {name!r} is not an array of real numbers") from None
-
-
-def _pagwn_shapes(n: int) -> dict:
-    """The shape of every tensor of a block over n feature channels, in :func:`init_pagwn_params` order."""
-    return {**_layer_shapes("lb1_", n + 3, n), **_layer_shapes("lb2_", 2 * n, 2 * n)}
 
 
 def check_pagwn_tensors(tensors: dict) -> dict:
@@ -526,7 +520,7 @@ def check_pagwn_tensors(tensors: dict) -> dict:
     if w1.ndim != 2 or w1.shape[0] != w1.shape[1] + 3 or w1.shape[1] < 1:
         raise DomainError("shape-mismatch", f"lb1_weight must be (n+3, n) with n >= 1, got {w1.shape}")
     n, out = w1.shape[1], {}
-    for name, shape in _pagwn_shapes(n).items():
+    for name, shape in {**_layer_shapes("lb1_", n + 3, n), **_layer_shapes("lb2_", 2 * n, 2 * n)}.items():
         out[name] = _float_tensor(tensors, name)
         if out[name].shape != shape:
             raise DomainError("shape-mismatch", f"tensor {name!r} must have shape {shape}, got {out[name].shape}")

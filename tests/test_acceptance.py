@@ -245,7 +245,7 @@ def _sample_smooth_case(rng):
         # that the sqrt curvature swamps an h=1e-5 central difference
         if np.abs(pooled).min() < 1e-4:
             continue
-        gwn_sigmas = cache.gwn_cache[1]
+        gwn_sigmas = cache.lift[1]
         if min(float(s.min()) for s in gwn_sigmas) < 1e-4:
             continue
         bn1, bn2 = cache.layers["lb1_"][1], cache.layers["lb2_"][1]

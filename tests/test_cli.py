@@ -2,6 +2,7 @@ import ctypes
 import hashlib
 import json
 import platform
+import resource
 import subprocess
 import sys
 
@@ -360,6 +361,47 @@ class TestEval:
         assert main(["eval", "--pred", str(tmp_path / "pred.txt"), "--truth", str(tmp_path / "truth.txt"),
                      "--classes", "100000", "--out", str(out)]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 100_004
+
+
+_ADDRESS_SPACE = 2 * 1024 ** 3  # bytes: far below what the huge sizes below ask for
+
+
+def _limit_address_space():
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = _ADDRESS_SPACE if hard == resource.RLIM_INFINITY else min(_ADDRESS_SPACE, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def _huge_eval(tmp_path, classes):
+    for name in ("pred.txt", "truth.txt"):
+        (tmp_path / name).write_text("0\n1\n", encoding="utf-8")
+    return ["eval", "--pred", str(tmp_path / "pred.txt"), "--truth", str(tmp_path / "truth.txt"),
+            "--classes", str(classes), "--out", str(tmp_path / "r.csv")]
+
+
+def _huge_train(tmp_path, **kw):
+    return ["train-toy", "--config", str(toy_config(tmp_path, epochs=1, **kw)), "--out", str(tmp_path / "m.csv")]
+
+
+class TestHugeSizes:
+    """A size whose array NumPy cannot describe is rejected by its count check; one it can
+    describe but this process cannot hold is ``out-of-memory``.  Each runs in a child whose
+    address space is capped, so no case can claim the machine's memory."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (lambda tmp: _huge_eval(tmp, 100_000_000_000), "pgrain: out-of-memory: "),
+        (lambda tmp: _huge_eval(tmp, 2 ** 62), "pgrain: label-out-of-range: class count=4611686018427387904 outside "),
+        (lambda tmp: _huge_train(tmp, num_classes=100_000_000_000), "pgrain: out-of-memory: "),
+        (lambda tmp: _huge_train(tmp, head_hidden=[100_000_000_000]), "pgrain: out-of-memory: "),
+        (lambda tmp: _huge_train(tmp, num_classes=2 ** 62), "pgrain: invalid-spec: head.layer1.weight entries="),
+        (lambda tmp: _huge_train(tmp, head_hidden=[2 ** 59]), "pgrain: invalid-spec: head.layer0.weight entries="),
+    ], ids=["eval-classes-1e11", "eval-classes-2^62", "train-classes-1e11", "train-hidden-1e11",
+            "train-classes-2^62", "train-hidden-2^59"])
+    def test_ends_in_one_line(self, tmp_path, argv, line):
+        result = subprocess.run([sys.executable, "-m", "pgrain.cli", *argv(tmp_path)], capture_output=True,
+                                text=True, preexec_fn=_limit_address_space)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith(line) and result.stderr.count("\n") == 1, result.stderr
 
 
 def toy_config(tmp_path, **kw):

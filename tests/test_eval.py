@@ -469,12 +469,13 @@ class TestFirstStageLift:
             want_features, (want_grads, _) = want.aggregated, baseline_backward(want.cache, upstream)
         first = ev._first_lift(plan, agg, config)
         for _ in range(2):  # one lift serves every epoch
-            out = agg.forward(params, plan.stages[0], first, x, "training")
+            rows, lift, concat = first
+            out = ev._block(rows, params, agg.layers, "training", lift, concat)
             assert np.array_equal(out.aggregated, want_features)
             assert list(out.batch_stats) == list(want.batch_stats)
             for name, pair in want.batch_stats.items():
                 assert all(np.array_equal(a, b) for a, b in zip(out.batch_stats[name], pair)), name
-            grads, _ = agg.backward(out, upstream)
+            grads, _ = ev._block_param_backward(out.cache, upstream)
             assert list(grads) == list(want_grads)
             for name, value in want_grads.items():
                 assert np.array_equal(grads[name], value), name

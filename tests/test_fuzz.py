@@ -485,6 +485,10 @@ _MALFORMED_CALLS = {
     "NeighborIndex-ragged": (lambda: NeighborIndex([[0, 0, 0], [1, 2]]), "dimension-mismatch"),
     "build_index-str": (lambda: build_index("abc"), "dimension-mismatch"),
     "compute_metrics-classes-2.5": (lambda: compute_metrics([0, 1], [1, 0], 2.5), "invalid-spec"),
+    # counts whose float64 arrays NumPy cannot describe: more than 2**60 - 1 entries
+    "compute_metrics-classes-2**60": (lambda: compute_metrics([0, 1], [1, 0], 2 ** 60), "label-out-of-range"),
+    "init_mlp_params-dims-2**60": (lambda: init_mlp_params((1, 2 ** 60), 0), "invalid-spec"),
+    "init_pagwn_params-n-2**30": (lambda: init_pagwn_params(2 ** 30, 0), "invalid-spec"),
     "init_pagwn_params-seed--1": (lambda: init_pagwn_params(3, -1), "invalid-spec"),
     "init_mlp_params-seed--1": (lambda: init_mlp_params((3, 4), -1), "invalid-spec"),
     "init_mlp_params-dims--1": (lambda: init_mlp_params((3, -1), 0), "shape-mismatch"),

@@ -16,15 +16,15 @@ from pgrain import (
     pagwn_backward,
     pagwn_forward_batch,
 )
+from pgrain import eval as ev
 from pgrain import io as pio
 from pgrain.norm import DEFAULT_EPSILON, _gwn_backward, _gwn_forward
 from pgrain.pagwn import (
     _colsum,
     _layer_backward,
     _layer_forward,
-    _pagwn_block,
-    _pagwn_lift,
-    _pagwn_param_backward,
+    _block,
+    _block_param_backward,
     _rowwise,
     _scatter_rows,
     aggregate_precomputed,
@@ -64,7 +64,7 @@ def grad_close(analytic, numeric, tol=1e-4):
 def lb1_rows(window, params, m):
     """The pre-abstraction LB1(GWN(rows)) of an inference forward: the first n channels of LB2's input, (M, K, n)."""
     out = pagwn_forward_batch(*window, params, m=m, mode="inference")
-    m_win, k, n = out.cache.shapes
+    m_win, k, n = out.cache.argmax.shape[0], out.cache.k, out.cache.concat
     return out.cache.layers["lb2_"][0].reshape(m_win, k, 2 * n)[:, :, :n]
 
 
@@ -299,7 +299,7 @@ class TestZeroSigmaWindows:
     def test_duplicate_points_give_finite_forward_and_backward(self, rng):
         params = init_pagwn_params(self.N, seed=31)
         out = pagwn_forward_batch(*self._input(rng, 0.0).batch(), params, m=self.M)
-        sigmas = out.cache.gwn_cache[1]
+        sigmas = out.cache.lift[1]
         assert sigmas[0][0] == 0.0 and sigmas[1][0] > 0.0
         assert np.array_equal(out.cache.layers["lb1_"][0][:self.M], np.zeros((self.M, self.N + 3)))
         assert np.isfinite(out.aggregated).all()
@@ -313,7 +313,7 @@ class TestZeroSigmaWindows:
         inp = self._input(rng, sigma)
         upstream = rng.normal(size=2 * self.N)
         out = pagwn_forward_batch(*inp.batch(), params, m=self.M)
-        np.testing.assert_allclose(out.cache.gwn_cache[1][0][0], sigma, rtol=1e-6)
+        np.testing.assert_allclose(out.cache.lift[1][0][0], sigma, rtol=1e-6)
         _, inputs = pagwn_backward(out.cache, upstream[None])
         h = sigma * 1e-3  # a fixed step would be larger than sigma itself
 
@@ -502,7 +502,7 @@ class TestBaselines:
         cloud = random_cloud(rng, n_points=30)
         mlp = init_mlp_params((3, 6), seed=1)
         base = _knn_baseline(cloud, [2, 7], 8, mlp)
-        hoods = base.cache.neighbor_indices.copy()
+        hoods = base.cache.lift[0].copy()
         for row in hoods:
             rng.shuffle(row)
         permuted = aggregate_precomputed(cloud.features, hoods, mlp, mode="inference")
@@ -515,7 +515,7 @@ class TestBaselines:
                "layer0.bn.gamma": rng.uniform(0.5, 2, size=5), "layer0.bn.beta": rng.normal(size=5),
                "layer0.bn.running_mean": rng.normal(size=5), "layer0.bn.running_var": rng.uniform(0.5, 2, size=5)}
         out = _knn_baseline(cloud, [0, 3, 9], 4, mlp)
-        for row, hood in enumerate(out.cache.neighbor_indices):
+        for row, hood in enumerate(out.cache.lift[0]):
             transformed = []
             for j in hood:
                 z = cloud.features[j] @ mlp["layer0.weight"] + mlp["layer0.bias"]
@@ -525,31 +525,34 @@ class TestBaselines:
             expected = np.max(np.stack(transformed), axis=0)
             np.testing.assert_allclose(out.aggregated[row], expected, rtol=1e-12)
 
-    def test_backward_matches_finite_differences(self, rng):
+    # two layers of one width: a mask or a layer taken from the wrong index keeps every shape
+    @pytest.mark.parametrize("dims", [(3, 4), (3, 4, 4)], ids=["one-layer", "two-layers"])
+    def test_backward_matches_finite_differences(self, rng, dims):
         cloud = PointCloud(coords=rng.normal(size=(12, 3)),
                            features=rng.normal(size=(12, 3)))
-        mlp = init_mlp_params((3, 4), seed=5)
+        mlp = init_mlp_params(dims, seed=5)
         centers = [1, 4, 8]
-        upstream = rng.normal(size=(3, 4))
+        upstream = rng.normal(size=(3, dims[-1]))
         h = 1e-5
 
         def loss(features, params):
-            out = aggregate_precomputed(features, base.cache.neighbor_indices, params)
+            out = aggregate_precomputed(features, base.cache.lift[0], params)
             return float(np.sum(out.aggregated * upstream))
 
         base = _knn_baseline(cloud, centers, 5, mlp, mode="training")
         grads, d_features = baseline_backward(base.cache, upstream)
 
-        fd_w = np.zeros_like(mlp["layer0.weight"])
-        it = np.nditer(fd_w, flags=["multi_index"])
-        for _ in it:
-            ix = it.multi_index
-            delta = np.zeros_like(fd_w)
-            delta[ix] = h
-            up = {**mlp, "layer0.weight": mlp["layer0.weight"] + delta}
-            dn = {**mlp, "layer0.weight": mlp["layer0.weight"] - delta}
-            fd_w[ix] = (loss(cloud.features, up) - loss(cloud.features, dn)) / (2 * h)
-        assert grad_close(grads["layer0.weight"], fd_w)
+        for name in sorted({"layer0.weight", f"layer{len(dims) - 2}.weight"}):
+            fd_w = np.zeros_like(mlp[name])
+            it = np.nditer(fd_w, flags=["multi_index"])
+            for _ in it:
+                ix = it.multi_index
+                delta = np.zeros_like(fd_w)
+                delta[ix] = h
+                up = {**mlp, name: mlp[name] + delta}
+                dn = {**mlp, name: mlp[name] - delta}
+                fd_w[ix] = (loss(cloud.features, up) - loss(cloud.features, dn)) / (2 * h)
+            assert grad_close(grads[name], fd_w), name
 
         fd_x = np.zeros_like(d_features)
         it = np.nditer(fd_x, flags=["multi_index"])
@@ -612,24 +615,35 @@ class TestGradientKeys:
 class TestLiftedRows:
     """Rows lifted once, without the deviations only the lower reads, serve many parameter sets."""
 
-    def test_block_on_kept_rows_matches_fresh_forward_and_backward(self, rng):
+    @pytest.mark.parametrize("aggregator", list(ev._AGGREGATOR_TABLE))
+    def test_block_on_kept_rows_matches_fresh_forward_and_backward(self, rng, aggregator):
         n, k, m_win, m = 3, 6, 5, 2
-        window = (rng.normal(size=(m_win, k, 3)), rng.normal(size=(m_win, k, n)),
-                  rng.normal(size=(m_win, 3)), rng.normal(size=(m_win, n)))
-        gwn, gwn_cache = _pagwn_lift(*window, m, DEFAULT_EPSILON)
-        kept = (gwn, (None, *gwn_cache[1:]))
+        agg = ev._AGGREGATOR_TABLE[aggregator]
+        coords, x = rng.normal(size=(40, 3)), rng.normal(size=(40, n))
+        centers = np.arange(0, 40, 8)
+        config = ev.ToyPipelineConfig(stages=(ev.StageSpec(m_win, k, m),), num_classes=2, aggregator=aggregator,
+                                      bq_radius=1.5)
+        hoods = agg.neighbors(build_index(coords), coords[centers], k, config)
+        rows, lift, concat = agg.lift((coords, centers, hoods), x, m, DEFAULT_EPSILON, False)
         for seed in (1, 2):
-            params = init_pagwn_params(n, seed)
+            params = agg.init(n, seed)
             upstream = rng.normal(size=(m_win, 2 * n))
-            fresh = pagwn_forward_batch(*window, params, m=m)
-            out = _pagwn_block(*kept, window[3], params, "training")
+            if aggregator == "pagwn":
+                fresh = pagwn_forward_batch(coords[hoods], x[hoods], coords[centers], x[centers], params, m=m)
+                want, _ = pagwn_backward(fresh.cache, upstream)
+            else:
+                fresh = aggregate_precomputed(x, hoods, params)
+                want, _ = baseline_backward(fresh.cache, upstream)
+            out = _block(rows, params, agg.layers, "training", lift, concat)
             assert np.array_equal(out.aggregated, fresh.aggregated)
             assert list(out.batch_stats) == list(fresh.batch_stats)
             for name, pair in fresh.batch_stats.items():
                 assert all(np.array_equal(a, b) for a, b in zip(out.batch_stats[name], pair)), name
-            assert all(np.array_equal(a, b) for a, b in zip(out.cache.gwn_cache[1], fresh.cache.gwn_cache[1]))
-            grads, _ = _pagwn_param_backward(out.cache, upstream)
-            want, _ = pagwn_backward(fresh.cache, upstream)
+            # the kept lift context: PAGWN's group sigmas, or the baselines' windows and source size
+            pagwn = aggregator == "pagwn"
+            kept, whole = (out.cache.lift[1], fresh.cache.lift[1]) if pagwn else (lift, fresh.cache.lift)
+            assert len(kept) == len(whole) and all(np.array_equal(a, b) for a, b in zip(kept, whole))
+            grads, _ = _block_param_backward(out.cache, upstream)
             assert list(grads) == list(want)
             for name, value in want.items():
                 assert np.array_equal(grads[name], value), name
